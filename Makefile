@@ -34,11 +34,19 @@ check: build vet test race kernel-gate
 # kernel-gate is the exploration-loop allocation regression guard: the
 # dense and relabeled-kernel Explore benchmarks must stay within the
 # recorded allocs/op baselines (seed dense path: 121 allocs/op, cache-
-# aware kernel: 124 allocs/op on the 3000-node bench graph; the bounds
-# below leave slack for runtime jitter). A refactor that reintroduces
+# aware kernel: 46 allocs/op on the 3000-node bench graph now that its
+# result maps are sized once at the spill; the bounds below leave slack
+# for runtime jitter). A refactor that reintroduces
 # per-hop or per-edge allocation trips this before it needs a profile.
+# The landmark refresh (layout build + kernel exploration into flat
+# result rows + list building, g2k) is gated the same way: ~165 allocs/op
+# for one landmark and ~1820 for 27 (57 of them per landmark are the
+# stored lists themselves), against 775 and 20639 when every exploration
+# spilled three per-node maps.
 KERNEL_GATE_DENSE_ALLOCS ?= 135
-KERNEL_GATE_KERNEL_ALLOCS ?= 140
+KERNEL_GATE_KERNEL_ALLOCS ?= 60
+KERNEL_GATE_REFRESH1_ALLOCS ?= 300
+KERNEL_GATE_REFRESH27_ALLOCS ?= 2600
 .PHONY: kernel-gate
 kernel-gate:
 	$(GO) test -run='^$$' -bench='^BenchmarkExplore(Dense|KernelDegree)$$' -benchmem ./internal/core/ | \
@@ -47,17 +55,39 @@ kernel-gate:
 		/^BenchmarkExploreKernelDegree/ { seenK = 1; if ($$7+0 > kern) { printf "kernel-gate: kernel explore %d allocs/op exceeds baseline %d\n", $$7, kern; bad = 1 } } \
 		/^FAIL/ { bad = 1 } \
 		END { if (!seenD || !seenK) { print "kernel-gate: benchmarks did not run"; bad = 1 } exit bad }'
+	$(GO) test -run='^$$' -bench='^BenchmarkPreprocessRefresh$$' -benchmem ./internal/landmark/ | \
+	awk -v one=$(KERNEL_GATE_REFRESH1_ALLOCS) -v many=$(KERNEL_GATE_REFRESH27_ALLOCS) '{ print } \
+		/^BenchmarkPreprocessRefresh\/landmarks=1-/ { seen1 = 1; if ($$7+0 > one) { printf "kernel-gate: 1-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, one; bad = 1 } } \
+		/^BenchmarkPreprocessRefresh\/landmarks=27-/ { seen27 = 1; if ($$7+0 > many) { printf "kernel-gate: 27-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, many; bad = 1 } } \
+		/^FAIL/ { bad = 1 } \
+		END { if (!seen1 || !seen27) { print "kernel-gate: refresh benchmarks did not run"; bad = 1 } exit bad }'
 
 # bench watches the hot path: the Explore microbenchmarks (allocs/op is
-# the regression guard for the exploration loop), the overlay-vs-rebuild
-# delta apply, plus the evaluation-engine sweep and graph-delta
-# comparison, which rewrite BENCH_eval.json and BENCH_graph.json.
+# the regression guard for the exploration loop), the landmark refresh
+# on a decay-weighted overlay engine, the overlay-vs-rebuild delta apply,
+# plus the evaluation-engine sweep and graph-delta comparison, which
+# rewrite BENCH_eval.json and BENCH_graph.json.
 bench:
 	$(GO) test -bench=BenchmarkExplore -benchmem ./internal/core/
+	$(GO) test -run='^$$' -bench=BenchmarkPreprocessRefresh -benchmem ./internal/landmark/
 	$(GO) test -bench=BenchmarkWithoutEdges -benchmem ./internal/graph/
 	$(GO) test -bench=BenchmarkLinkPrediction -benchmem ./internal/eval/
 	$(GO) run ./cmd/trbench -exp bench-eval -bench-out BENCH_eval.json
 	$(GO) run ./cmd/trbench -exp bench-graph -bench-out BENCH_graph.json
+
+# bench-e2e runs the whole-stack benchmark of BENCHMARK.json (bench/, a
+# module of its own) three times per workload and writes OUT; bench-diff
+# prints its verdict per (metric, workload) between two such files and
+# exits 1 on any `worse`. Paths are taken from the repository root.
+#   make bench-e2e OUT=bench/out/a.json
+#   make bench-diff A=bench/out/a.json B=bench/out/b.json
+OUT ?= bench/out/result.json
+.PHONY: bench-e2e bench-diff
+bench-e2e:
+	$(GO) run -C bench . -runs 3 -out $(abspath $(OUT))
+
+bench-diff:
+	$(GO) run -C bench . -compare $(abspath $(A)) $(abspath $(B))
 
 # bench-serve drives the load-managed serving path (coalescing, admission
 # control, degradation) against the in-process /v1 handler at 1x/4x/16x

@@ -127,7 +127,14 @@ func main() {
 	// candidates (see distrib.Shard). A production deployment would load
 	// the filtered lists from a shared preprocessing artifact instead of
 	// recomputing them per worker.
-	full, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{
+	serveEng := eng
+	if *optLayout {
+		// Optimized first: preprocessing borrows the serving layout
+		// instead of building one of its own.
+		serveEng = eng.Optimized(graph.DegreeOrder)
+		log.Printf("serving with the cache-aware kernel layout")
+	}
+	full, _ := landmark.Preprocess(serveEng, lms, landmark.PreprocessConfig{
 		TopN:    *topN,
 		Metrics: reg,
 	})
@@ -137,15 +144,6 @@ func main() {
 	}
 	log.Printf("ready in %s (%d MB of lists kept)", time.Since(start).Round(time.Millisecond),
 		store.Bytes()/(1<<20))
-
-	serveEng := eng
-	if *optLayout {
-		serveEng, err = eng.Optimized(graph.DegreeOrder)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("serving with the cache-aware kernel layout")
-	}
 
 	sh, err := distrib.NewShard(serveEng, store, assign, *shard, lms, *depth)
 	if err != nil {

@@ -125,9 +125,7 @@ func benchExplore(b *testing.B, mode Mode, order ...graph.Order) {
 		b.Fatal(err)
 	}
 	if mode == KernelMode {
-		if e, err = e.Optimized(order[0]); err != nil {
-			b.Fatal(err)
-		}
+		e = e.Optimized(order[0])
 	}
 	scratch := NewScratch(e)
 	b.ReportAllocs()

@@ -140,15 +140,17 @@ type ExploreOptions struct {
 	Stop func(graph.NodeID) bool
 	// Mode selects the frontier representation (AutoMode by default).
 	Mode Mode
-	// Scratch supplies reusable dense buffers (DenseMode/AutoMode only);
-	// nil allocates fresh ones.
+	// Scratch supplies reusable buffers (every mode but MapMode); nil
+	// allocates fresh ones.
 	Scratch *Scratch
 	// DenseResult keeps the result scores in the scratch's flat arrays
 	// instead of building per-node map entries — the right trade for hot
 	// serving loops that read scores through the accessors and then
-	// discard the Exploration. Requires DenseMode and a Scratch; the
-	// returned Exploration aliases the scratch and is valid only until
-	// that scratch's next exploration (or its return to a pool).
+	// discard the Exploration, and for landmark preprocessing, which
+	// condenses every reached node's row. Honoured by DenseMode and the
+	// kernel (MapMode ignores it) and requires a Scratch; the returned
+	// Exploration aliases the scratch and is valid only until that
+	// scratch's next exploration (or its return to a pool).
 	DenseResult bool
 	// Ctx, when non-nil, is checked between hops (and periodically inside
 	// large hops): a done context stops the exploration and marks the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/graph"
@@ -26,8 +27,9 @@ import (
 //     float32 array, so the per-edge multiply-accumulate runs entirely
 //     in 4-byte lanes with no hashing;
 //   - per-node score totals live in a third tile set and are spilled
-//     into the Exploration's result maps once at the end, instead of
-//     three map operations per reached node per hop.
+//     once at the end — into the Exploration's result maps, or under
+//     ExploreOptions.DenseResult into the scratch's flat result arrays —
+//     instead of three map operations per reached node per hop.
 //
 // Scores are approximate-ranked downstream (top-n lists, landmark
 // merges), so the contract is ordering preservation, not bit equality:
@@ -37,18 +39,21 @@ import (
 // callbacks and every Exploration result use external NodeIDs.
 
 // layout is the optimized-kernel state attached to an engine by
-// Optimized: the relabeled CSR plus flattened float32 factor tables in
-// internal numbering. A layout is immutable and shared by engines copied
-// from the same Optimized call.
+// Optimized: the relabeled out-adjacency plus flattened float32 factor
+// tables in internal numbering. A layout is immutable and shared by
+// engines copied from the same Optimized call.
 type layout struct {
 	order graph.Order
 	perm  graph.Permutation
-	g     *graph.Graph // relabeled CSR (internal numbering)
-	T     int          // vocabulary size (row stride)
+	n     int // node count
+	T     int // vocabulary size (row stride)
 
-	// outOff mirrors the relabeled CSR's out-edge offsets (len n+1), so
-	// edge i of node w sits at flat position outOff[w]+i.
+	// outOff/outDst are the relabeled out-adjacency as a flat CSR: the
+	// followees of internal node w, ascending, sit at
+	// outDst[outOff[w]:outOff[w+1]]. The kernel needs no labels (folded
+	// into simIdx) and no in-adjacency.
 	outOff []uint32
+	outDst []graph.NodeID
 	// simTab is the packed table of per-label similarity rows (stride T,
 	// row 0 all ones); simIdx maps each out-edge position to its label's
 	// row offset. Variants without similarity leave every index at row 0.
@@ -67,16 +72,8 @@ type layout struct {
 	wTab []float32
 }
 
-func toFloat32(row []float64) []float32 {
-	out := make([]float32, len(row))
-	for i, v := range row {
-		out[i] = float32(v)
-	}
-	return out
-}
-
 // Optimized returns a copy of the engine whose AutoMode (and KernelMode)
-// explorations run the cache-topology-aware kernel: the graph is
+// explorations run the cache-topology-aware kernel: the out-adjacency is
 // relabeled under the given order and the topical factors are flattened
 // into float32 tables. The engine's API is unchanged — Graph(), Stop
 // callbacks and all Exploration results stay in external NodeIDs — but
@@ -85,19 +82,18 @@ func toFloat32(row []float64) []float32 {
 // the bounds). Explicit MapMode/DenseMode requests still run the exact
 // float64 paths.
 //
-// Overlay views are folded into a fresh CSR by the relabeling; engines
-// later derived from this engine over a new view drop the layout (the
-// relabeling no longer matches the view) and fall back to the exact
-// modes until re-optimized.
-func (e *Engine) Optimized(order graph.Order) (*Engine, error) {
+// The layout is a pure function of the view's edge set, the engine's
+// weights and the order: an overlay stack and its compacted rebuild
+// relabel identically. Engines later derived from this engine over a new
+// view drop the layout (the relabeling no longer matches the view) and
+// fall back to the exact modes until re-optimized. The build is one pass
+// over the edges — landmark.Preprocess pays it per call on engines
+// without a layout.
+func (e *Engine) Optimized(order graph.Order) *Engine {
 	perm := graph.NewPermutation(order, e.g)
-	rg, err := graph.Relabel(e.g, perm)
-	if err != nil {
-		return nil, err
-	}
-	n := rg.NumNodes()
+	n, m := e.g.NumNodes(), e.g.NumEdges()
 	T := e.g.Vocabulary().Len()
-	lay := &layout{order: order, perm: perm, g: rg, T: T}
+	lay := &layout{order: order, perm: perm, n: n, T: T}
 
 	// Flatten the similarity factors: one packed row per distinct edge
 	// label, addressed per edge, with row 0 = ones for variants (or
@@ -106,49 +102,56 @@ func (e *Engine) Optimized(order graph.Order) (*Engine, error) {
 	for i := range lay.simTab {
 		lay.simTab[i] = 1
 	}
-	lay.simIdx = make([]uint32, rg.NumEdges())
 	lay.outOff = make([]uint32, n+1)
+	lay.outDst = make([]graph.NodeID, m)
+	lay.simIdx = make([]uint32, m)
 	if e.wts != nil {
-		lay.wTab = make([]float32, rg.NumEdges())
+		lay.wTab = make([]float32, m)
 	}
 	labelOff := make(map[topics.Set]uint32)
+
+	// Rows are emitted in internal order; each is re-sorted by internal
+	// destination with its label row and weight travelling along.
+	type edge struct {
+		dst graph.NodeID
+		sim uint32
+		w   float32
+	}
+	var row []edge
 	pos := 0
 	for in := 0; in < n; in++ {
-		dsts, lbls := rg.Out(graph.NodeID(in))
-		lay.outOff[in+1] = lay.outOff[in] + uint32(len(dsts))
-		// Relabeling reorders each row by internal id, so the external
-		// weight row is re-addressed per edge: the external row is sorted
-		// by external dst, making the position a binary search.
-		var extIDs []graph.NodeID
-		var wrow []float32
-		if lay.wTab != nil {
-			ext := perm.Back(graph.NodeID(in))
-			extIDs, _ = e.g.Out(ext)
-			wrow = e.wts.OutWeights(ext)
-		}
-		for i, lbl := range lbls {
+		ext := perm.Back(graph.NodeID(in))
+		dsts, lbls := e.g.Out(ext)
+		wrow := e.outWeights(ext)
+		row = row[:0]
+		for i, d := range dsts {
+			ed := edge{dst: perm.Apply(d), w: 1}
 			if e.simc != nil {
-				off, ok := labelOff[lbl]
+				off, ok := labelOff[lbls[i]]
 				if !ok {
 					off = uint32(len(lay.simTab))
-					labelOff[lbl] = off
-					lay.simTab = append(lay.simTab, toFloat32(e.simc.row(lbl))...)
-				}
-				lay.simIdx[pos] = off
-			}
-			if lay.wTab != nil {
-				w := float32(1)
-				if wrow != nil {
-					extDst := perm.Back(dsts[i])
-					j, okJ := slices.BinarySearch(extIDs, extDst)
-					if okJ {
-						w = wrow[j]
+					labelOff[lbls[i]] = off
+					for _, v := range e.simc.row(lbls[i]) {
+						lay.simTab = append(lay.simTab, float32(v))
 					}
 				}
-				lay.wTab[pos] = w
+				ed.sim = off
+			}
+			if wrow != nil {
+				ed.w = wrow[i]
+			}
+			row = append(row, ed)
+		}
+		slices.SortFunc(row, func(a, b edge) int { return cmp.Compare(a.dst, b.dst) })
+		for _, ed := range row {
+			lay.outDst[pos] = ed.dst
+			lay.simIdx[pos] = ed.sim
+			if lay.wTab != nil {
+				lay.wTab[pos] = ed.w
 			}
 			pos++
 		}
+		lay.outOff[in+1] = uint32(pos)
 	}
 
 	if e.auth != nil && (e.params.Variant == TrFull || e.params.Variant == TrNoSim) {
@@ -167,7 +170,7 @@ func (e *Engine) Optimized(order graph.Order) (*Engine, error) {
 
 	ne := *e
 	ne.layout = lay
-	return &ne, nil
+	return &ne
 }
 
 // HasOptimizedLayout reports whether AutoMode explorations run the
@@ -326,10 +329,9 @@ func (s *Scratch) kernel(n int) *kernelScratch {
 // and all results are external ids; everything between is internal.
 func (e *Engine) exploreKernel(src graph.NodeID, ts []topics.ID, maxDepth int, opts ExploreOptions) *Exploration {
 	lay := e.layout
-	g := lay.g
 	stop := opts.Stop
 	k := len(ts)
-	n := g.NumNodes()
+	n := lay.n
 	s := opts.Scratch
 	if !s.fits(n, k) {
 		s = NewScratch(e)
@@ -338,17 +340,10 @@ func (e *Engine) exploreKernel(src graph.NodeID, ts []topics.ID, maxDepth int, o
 	kcap := ks.kcap
 	shift, mask := ks.shift, ks.mask
 
-	x := &Exploration{
-		Src:    src,
-		Topics: ts,
-		k:      k,
-		sigma:  make(map[graph.NodeID][]float64),
-		topoB:  make(map[graph.NodeID]float64),
-		topoAB: make(map[graph.NodeID]float64),
-	}
+	x := &Exploration{Src: src, Topics: ts, k: k}
 	beta32, ab32 := float32(e.params.Beta), float32(e.params.Alpha*e.params.Beta)
 	T := lay.T
-	simTab, simIdx, outOff := lay.simTab, lay.simIdx, lay.outOff
+	simTab, simIdx, outOff, outDst := lay.simTab, lay.simIdx, lay.outOff, lay.outDst
 	wTab := lay.wTab
 	authTab, astr := lay.auth32, lay.authStride
 	// A nil topic request expands to the identity [0..T): the common
@@ -412,8 +407,7 @@ func (e *Engine) exploreKernel(src graph.NodeID, ts []topics.ID, maxDepth int, o
 				wTopoAB := ct.topoAB[wi]
 				wTopoB := ct.topoB[wi]
 				eb := int(outOff[w])
-				dsts, _ := g.Out(w)
-				for i, v := range dsts {
+				for i, v := range outDst[eb:outOff[w+1]] {
 					nti := int(v >> shift)
 					nt := nextTiles[nti]
 					if nt == nil {
@@ -535,23 +529,43 @@ func (e *Engine) exploreKernel(src graph.NodeID, ts []topics.ID, maxDepth int, o
 		}
 	}
 
-	// Spill the totals into the Exploration's maps: one pass, in
-	// address order, mapping internal ids back to external at the
-	// boundary.
-	rows := rowArena{k: k}
+	// Spill the totals once, in address order, mapping internal ids back
+	// to external at the boundary: into the scratch's flat result arrays
+	// under DenseResult, into per-node map entries otherwise.
 	ks.sortFrontier(ks.tot)
+	if opts.DenseResult {
+		s.resetResult(k)
+		x.dSigma, x.dTopoB, x.dTopoAB, x.dIn, x.dk = s.resSigma, s.resTopoB, s.resTopoAB, s.resIn, s.k
+		x.dScored = ks.tot.size
+	} else {
+		x.sigma = make(map[graph.NodeID][]float64, ks.tot.size)
+		x.topoB = make(map[graph.NodeID]float64, ks.tot.size)
+		x.topoAB = make(map[graph.NodeID]float64, ks.tot.size)
+	}
+	x.Reached = make([]graph.NodeID, 0, ks.tot.size)
+	rows := rowArena{k: k}
 	for _, tti := range ks.tot.touched {
 		tt := ks.tot.tiles[tti]
 		for _, v := range tt.list {
 			vi := int(v & mask)
 			ext := lay.perm.Back(v)
-			row := rows.newRow()
-			for j := 0; j < k; j++ {
-				row[j] = float64(tt.sigma[vi*kcap+j])
+			ttRow := tt.sigma[vi*kcap : vi*kcap+k : vi*kcap+k]
+			var row []float64
+			if opts.DenseResult {
+				row = s.resSigma[int(ext)*s.k : int(ext)*s.k+k]
+				s.resTopoB[ext] = float64(tt.topoB[vi])
+				s.resTopoAB[ext] = float64(tt.topoAB[vi])
+				s.resIn[ext] = true
+				s.resList = append(s.resList, ext)
+			} else {
+				row = rows.newRow()
+				x.sigma[ext] = row
+				x.topoB[ext] = float64(tt.topoB[vi])
+				x.topoAB[ext] = float64(tt.topoAB[vi])
 			}
-			x.sigma[ext] = row
-			x.topoB[ext] = float64(tt.topoB[vi])
-			x.topoAB[ext] = float64(tt.topoAB[vi])
+			for j, d := range ttRow {
+				row[j] = float64(d)
+			}
 			if ext != src {
 				x.Reached = append(x.Reached, ext)
 			}

@@ -26,10 +26,7 @@ import (
 // optimize wraps Engine.Optimized with test failure handling.
 func optimize(tb testing.TB, e *Engine, order graph.Order) *Engine {
 	tb.Helper()
-	opt, err := e.Optimized(order)
-	if err != nil {
-		tb.Fatalf("Optimized(%v): %v", order, err)
-	}
+	opt := e.Optimized(order)
 	if !opt.HasOptimizedLayout() {
 		tb.Fatalf("Optimized(%v): no layout attached", order)
 	}
@@ -309,7 +306,9 @@ func TestKernelStopSeesExternalIDs(t *testing.T) {
 
 // TestKernelScratchReuseClean: reusing one Scratch (directly and through
 // a ScratchPool) across kernel explorations must be bit-identical to a
-// fresh scratch every time — no state may leak between calls.
+// fresh scratch every time — no state may leak between calls. The
+// DenseResult form, whose flat result arrays live in the reused scratch,
+// must read the same through every accessor.
 func TestKernelScratchReuseClean(t *testing.T) {
 	ds := gen.RandomWith(120, 960, 21)
 	eng, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, equivalenceParams(TrFull))
@@ -327,7 +326,12 @@ func TestKernelScratchReuseClean(t *testing.T) {
 		ps := pool.Get()
 		pooled := opt.ExploreOpts(src, nil, ExploreOptions{Mode: KernelMode, Scratch: ps})
 		pool.Put(ps)
-		for _, x := range []*Exploration{reused, pooled} {
+		flat := opt.ExploreOpts(src, nil, ExploreOptions{Mode: KernelMode, Scratch: shared, DenseResult: true})
+		if flat.scored() != fresh.scored() || flat.Iterations != fresh.Iterations {
+			t.Fatalf("src %d: DenseResult scored %d nodes in %d hops, maps %d in %d",
+				u, flat.scored(), flat.Iterations, fresh.scored(), fresh.Iterations)
+		}
+		for _, x := range []*Exploration{reused, pooled, flat} {
 			if len(x.Reached) != len(fresh.Reached) {
 				t.Fatalf("src %d: reused scratch reached %d nodes, fresh %d", u, len(x.Reached), len(fresh.Reached))
 			}

@@ -33,10 +33,7 @@ func weightedPair(t *testing.T, seed uint64) (*Engine, *Engine, *gen.Dataset) {
 func TestWeightedModesAgree(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		_, we, ds := weightedPair(t, seed)
-		opt, err := we.Optimized(graph.DegreeOrder)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opt := we.Optimized(graph.DegreeOrder)
 		if opt.EdgeWeights() == nil {
 			t.Fatal("Optimized dropped the weight set")
 		}

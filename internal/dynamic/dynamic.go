@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,9 +143,11 @@ type Config struct {
 	// NewManager and each compacted engine thereafter. Between
 	// compactions the derived overlay engines run unoptimized — an
 	// overlay invalidates the relabeling — so the kernel speedup
-	// applies to the long-lived frozen epochs where deep explorations
-	// run. Landmark preprocessing itself stays on the exact float64
-	// dense path regardless; the store is stamped with the layout
+	// applies to the long-lived frozen epochs where exact-Tr queries
+	// run. Landmark preprocessing and refreshes run the kernel whatever
+	// this says: landmark.Preprocess borrows the engine's layout when it
+	// has one and builds a transient one per call otherwise, which the
+	// manager's engine never keeps. The store is stamped with the layout
 	// generation (Stats.LayoutEpoch) it was computed under.
 	OptimizeLayout bool
 	// LayoutOrder picks the relabeling order when OptimizeLayout is
@@ -281,7 +284,13 @@ type Manager struct {
 	eng     *core.Engine
 	store   *landmark.Store
 	lms     []graph.NodeID
-	stale   map[graph.NodeID]bool
+	// isLandmark marks lms by node id (the node set never grows) and
+	// maxIter is the deepest exploration horizon recorded in the store;
+	// together they bound affectedLandmarks' reverse BFS. maxIter follows
+	// every store write.
+	isLandmark []bool
+	maxIter    int
+	stale      map[graph.NodeID]bool
 	// staleMeta carries the scheduling evidence (age, dirty hits, query
 	// traffic) of each stale landmark; entries live exactly as long as
 	// the stale mark (scheduler.go).
@@ -368,6 +377,10 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		rng:   rand.New(rand.NewSource(time.Now().UnixNano())), //nolint:gosec // jitter, not crypto
 	}
 	m.viewPub.Store(&viewBox{view: g})
+	m.isLandmark = make([]bool, g.NumNodes())
+	for _, lm := range m.lms {
+		m.isLandmark[lm] = true
+	}
 	if err := m.rebuildEngine(); err != nil {
 		return nil, err
 	}
@@ -382,9 +395,7 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		m.decay.rebuild(g)
 		m.eng = m.eng.WithEdgeWeights(m.decay.wts)
 	}
-	if err := m.optimizeLocked(); err != nil {
-		return nil, err
-	}
+	m.optimizeLocked()
 	m.pool = core.NewScratchPoolFor(m.eng)
 	m.Instrument(cfg.Metrics)
 	if cfg.InitialStore != nil {
@@ -397,6 +408,7 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		store.SetLayoutEpoch(m.stats.LayoutEpoch)
 		m.store = store
 	}
+	m.noteIterationsLocked()
 	return m, nil
 }
 
@@ -491,21 +503,16 @@ func (m *Manager) rebuildEngine() error {
 // (overlay-free) epochs: at construction and right after a compaction —
 // Derive deliberately drops any layout because an overlay invalidates
 // the relabeling. Caller holds mu (or is still constructing).
-func (m *Manager) optimizeLocked() error {
+func (m *Manager) optimizeLocked() {
 	if !m.cfg.OptimizeLayout {
-		return nil
+		return
 	}
-	eng, err := m.eng.Optimized(m.cfg.LayoutOrder)
-	if err != nil {
-		return fmt.Errorf("dynamic: optimizing layout: %w", err)
-	}
-	m.eng = eng
+	m.eng = m.eng.Optimized(m.cfg.LayoutOrder)
 	m.stats.Relayouts++
 	m.stats.LayoutEpoch++
 	if m.mRelayouts != nil {
 		m.mRelayouts.Inc()
 	}
-	return nil
 }
 
 // viewBox wraps the published view so the atomic pointer has one
@@ -800,9 +807,7 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 		// The compacted view is a frozen CSR again: re-optimize the
 		// engine layout (Derive dropped the previous one with the first
 		// overlay of this cycle).
-		if err := m.optimizeLocked(); err != nil {
-			return err
-		}
+		m.optimizeLocked()
 		compacted = true
 		if fx := m.collectFx; fx != nil {
 			fx.Global = true
@@ -967,35 +972,22 @@ func (m *Manager) staleList() []graph.NodeID {
 }
 
 // affectedLandmarks finds landmarks that reach any changed edge source
-// within their recorded exploration depth, by a reverse BFS from each
-// changed source.
+// within the deepest recorded exploration depth, by a reverse BFS from
+// each changed source. The result is sorted by node id.
 func (m *Manager) affectedLandmarks(batch []Update) []graph.NodeID {
-	maxIter := 0
-	for _, lm := range m.lms {
-		if d := m.store.Get(lm); d != nil && d.Iterations > maxIter {
-			maxIter = d.Iterations
-		}
-	}
-	if maxIter == 0 {
-		maxIter = m.cfg.Params.MaxDepth
-	}
-	isLandmark := make(map[graph.NodeID]bool, len(m.lms))
-	for _, lm := range m.lms {
-		isLandmark[lm] = true
-	}
 	hit := make(map[graph.NodeID]bool)
 	for _, up := range batch {
 		// A landmark is stale when it reaches the changed edge's source
 		// (its path scores include the edge) or its target (whose
 		// authority score changed with its follower counts).
 		for _, end := range []graph.NodeID{up.Edge.Src, up.Edge.Dst} {
-			graph.BFSIn(m.view, end, maxIter, func(u graph.NodeID, depth int) bool {
-				if isLandmark[u] {
+			graph.BFSIn(m.view, end, m.maxIter, func(u graph.NodeID, depth int) bool {
+				if m.isLandmark[u] {
 					hit[u] = true
 				}
 				return true
 			})
-			if isLandmark[end] {
+			if m.isLandmark[end] {
 				hit[end] = true
 			}
 		}
@@ -1004,7 +996,23 @@ func (m *Manager) affectedLandmarks(batch []Update) []graph.NodeID {
 	for lm := range hit {
 		out = append(out, lm)
 	}
+	slices.Sort(out)
 	return out
+}
+
+// noteIterationsLocked re-reads the deepest exploration horizon from the
+// store. Caller holds mu (or is still constructing) and has just written
+// the store.
+func (m *Manager) noteIterationsLocked() {
+	m.maxIter = 0
+	for _, lm := range m.lms {
+		if d := m.store.Get(lm); d != nil && d.Iterations > m.maxIter {
+			m.maxIter = d.Iterations
+		}
+	}
+	if m.maxIter == 0 {
+		m.maxIter = m.cfg.Params.MaxDepth
+	}
 }
 
 // tryRefreshLocked refreshes lms unless the manager is backing off after
@@ -1087,9 +1095,10 @@ func (m *Manager) refreshLocked(lms []graph.NodeID) error {
 			m.mRefreshes.Inc()
 		}
 	}
+	m.noteIterationsLocked()
 	// The refreshed lists were computed under the current layout
-	// generation; restamp the store (list contents are exact float64 and
-	// layout-independent, the epoch records provenance).
+	// generation; restamp the store (list contents depend on the view and
+	// the weights only, the epoch records provenance).
 	m.store.SetLayoutEpoch(m.stats.LayoutEpoch)
 	// Refreshes running inside an apply may repair staleness left by
 	// earlier batches — report them so dependents of those landmarks

@@ -79,14 +79,8 @@ func (r *Runner) BenchKernel() (*BenchKernelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	engDeg, err := eng.Optimized(graph.DegreeOrder)
-	if err != nil {
-		return nil, err
-	}
-	engBFS, err := eng.Optimized(graph.BFSOrder)
-	if err != nil {
-		return nil, err
-	}
+	engDeg := eng.Optimized(graph.DegreeOrder)
+	engBFS := eng.Optimized(graph.BFSOrder)
 
 	n := tw.Graph.NumNodes()
 	res := &BenchKernelResult{

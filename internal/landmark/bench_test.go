@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/authority"
@@ -36,6 +37,29 @@ func BenchmarkPreprocessPerLandmark(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Preprocess(eng, lms[i%len(lms):i%len(lms)+1], PreprocessConfig{TopN: 1000, Workers: 1})
+	}
+}
+
+// BenchmarkPreprocessRefresh is one refresh run of the streaming manager:
+// the engine is derived over a 3-layer overlay and decay-weighted (so no
+// layout survives on it), the scratch pool is the manager's, and a batch
+// stales either one landmark or 27 of the 30. allocs/op is gated by
+// `make kernel-gate`: per-node result spills would multiply it.
+func BenchmarkPreprocessRefresh(b *testing.B) {
+	eng, ds := benchSetup(b, 2000)
+	lms, err := Select(ds.Graph, InDeg, 27, DefaultSelectConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, _ = streamedEngine(b, eng, 3, true)
+	pool := core.NewScratchPoolFor(eng)
+	for _, k := range []int{1, 27} {
+		b.Run(fmt.Sprintf("landmarks=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Preprocess(eng, lms[:k], PreprocessConfig{TopN: 500, Pool: pool})
+			}
+		})
 	}
 }
 

@@ -117,6 +117,10 @@ func TestSelectWeightedExcludesZero(t *testing.T) {
 	}
 }
 
+// TestPreprocessBuildsSortedLists checks the list construction on the
+// float64 reference mode, where stored values equal a fresh exploration
+// to 1e-9; TestPreprocessMatchesFloat64Reference states what the float32
+// default keeps of it.
 func TestPreprocessBuildsSortedLists(t *testing.T) {
 	ds := gen.RandomWith(50, 500, 3)
 	eng := engineOn(t, ds, 0.05)
@@ -124,7 +128,7 @@ func TestPreprocessBuildsSortedLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, stats := Preprocess(eng, lms, PreprocessConfig{TopN: 7, Workers: 2})
+	store, stats := preprocess(eng, lms, PreprocessConfig{TopN: 7, Workers: 2}, core.DenseMode)
 	if store.Len() != len(lms) {
 		t.Fatalf("store holds %d landmarks, want %d", store.Len(), len(lms))
 	}
@@ -172,7 +176,8 @@ func near(a, b float64) bool {
 
 // TestProposition4 checks the landmark combination against literal path
 // enumeration: σ̃_λ(u,v,t) must equal the sum of ω_p over paths through λ
-// when the exploration and the landmark lists are exhaustive.
+// when the exploration and the landmark lists are exhaustive. The algebra
+// is exact, so the lists come from the float64 reference mode.
 func TestProposition4(t *testing.T) {
 	// A small DAG where paths through the landmark are easy to enumerate:
 	// u=0 → {1,2} → λ=3 → {4,5} → v=6, plus a direct path 0→6 that must
@@ -194,7 +199,7 @@ func TestProposition4(t *testing.T) {
 	}
 
 	const lambda, u, v = 3, 0, 6
-	store, _ := Preprocess(eng, []graph.NodeID{lambda}, PreprocessConfig{TopN: 100})
+	store, _ := preprocess(eng, []graph.NodeID{lambda}, PreprocessConfig{TopN: 100}, core.DenseMode)
 	ap, err := NewApprox(eng, store, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,16 @@
 package landmark
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/authority"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/ranking"
 )
 
 // equalStores fails the test unless the two stores hold exactly the same
@@ -49,7 +53,11 @@ func equalLists(t *testing.T, label string, lm graph.NodeID, ti int, got, want L
 // TestPreprocessWorkerDeterminism pins the parallelism contract: the
 // produced store is a pure function of (engine, landmarks, TopN), whatever
 // the worker count — one sequential worker, the GOMAXPROCS default
-// (Workers <= 0) or more workers than landmarks.
+// (Workers <= 0) or more workers than landmarks. The same holds across
+// representations of one edge set: an engine derived over an overlay
+// stack and one built on the stack's compacted rebuild (the state a
+// recovered manager boots into) produce bit-identical stores, decay
+// weights included.
 func TestPreprocessWorkerDeterminism(t *testing.T) {
 	ds := gen.RandomWith(120, 1500, 3)
 	eng := engineOn(t, ds, 0.05)
@@ -75,6 +83,118 @@ func TestPreprocessWorkerDeterminism(t *testing.T) {
 			t.Fatalf("%s: processed %d landmarks, want %d", tc.label, stats.Landmarks, len(lms))
 		}
 		equalStores(t, tc.label, store, sequential)
+	}
+
+	overEng, ov := streamedEngine(t, eng, 3, true)
+	compact := ov.Compact()
+	rebuilt, err := core.NewEngine(compact, authority.Compute(compact), ds.Sim, eng.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt = rebuilt.WithEdgeWeights(graph.BuildWeights(compact, testDecay))
+	want, _ := Preprocess(rebuilt, lms, PreprocessConfig{TopN: 50, Workers: 1})
+	for _, workers := range []int{1, 4} {
+		got, _ := Preprocess(overEng, lms, PreprocessConfig{TopN: 50, Workers: workers})
+		equalStores(t, "overlay vs Compact() rebuild", got, want)
+	}
+}
+
+// relErr is |a-b| relative to the larger magnitude.
+func relErr(a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+}
+
+// closeLists states the float32 contract of one stored list against its
+// float64 reference: same length; entry by entry the ranked score within
+// 1e-5 relative; the same node at every rank except where float32
+// resolution cannot separate it from the node the reference ranks there
+// (or, for a node the reference cut off, from the reference's last
+// entry); normalized Kendall distance of the two rankings ≤ 1e-3.
+// score picks the ranked column, other the carried one.
+func closeLists(t *testing.T, label string, got, want List, score, other func(List) []float64) {
+	t.Helper()
+	const tol = 1e-5
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d entries, reference has %d", label, got.Len(), want.Len())
+	}
+	if want.Len() == 0 {
+		return
+	}
+	gs, ws := score(got), score(want)
+	wantAt := make(map[graph.NodeID]int, want.Len())
+	for i, v := range want.Nodes {
+		wantAt[v] = i
+	}
+	for i, v := range got.Nodes {
+		if e := relErr(gs[i], ws[i]); e > tol {
+			t.Fatalf("%s rank %d: score %g, reference %g (relative error %g)", label, i, gs[i], ws[i], e)
+		}
+		j, kept := wantAt[v]
+		if !kept {
+			j = want.Len() - 1
+		}
+		if j != i {
+			if e := relErr(ws[j], ws[i]); e > tol {
+				t.Fatalf("%s rank %d: node %d, reference ranks %d there and the two are not tied (%g vs %g)",
+					label, i, v, want.Nodes[i], ws[j], ws[i])
+			}
+		}
+		if kept {
+			if e := relErr(other(got)[i], other(want)[j]); e > tol {
+				t.Fatalf("%s node %d: carried score %g, reference %g", label, v, other(got)[i], other(want)[j])
+			}
+		}
+	}
+	a, b := make([]ranking.Scored, got.Len()), make([]ranking.Scored, want.Len())
+	for i := range got.Nodes {
+		a[i] = ranking.Scored{Node: got.Nodes[i], Score: gs[i]}
+		b[i] = ranking.Scored{Node: want.Nodes[i], Score: ws[i]}
+	}
+	if d := ranking.KendallTopK(a, b); d > 1e-3 {
+		t.Fatalf("%s: Kendall distance %g to the reference ranking", label, d)
+	}
+}
+
+// TestPreprocessMatchesFloat64Reference is the contract of the default
+// preprocessing path, which explores on the float32 kernel: against the
+// float64 reference store the lists keep membership and order up to ties
+// at float32 resolution and every stored value to 1e-5 — on a frozen
+// engine, on one derived over a 3-layer overlay, and on a decay-weighted
+// one (the three shapes the manager preprocesses and refreshes).
+func TestPreprocessMatchesFloat64Reference(t *testing.T) {
+	ds := gen.RandomWith(300, 4200, 11)
+	frozen := engineOn(t, ds, 0.05)
+	overlaid, _ := streamedEngine(t, frozen, 3, false)
+	decayed, _ := streamedEngine(t, frozen, 3, true)
+	lms, err := Select(ds.Graph, InDeg, 6, DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigmaOf := func(l List) []float64 { return l.Sigma }
+	topoOf := func(l List) []float64 { return l.Topo }
+	for _, tc := range []struct {
+		label string
+		eng   *core.Engine
+	}{{"frozen", frozen}, {"overlay", overlaid}, {"decay-weighted", decayed}} {
+		cfg := PreprocessConfig{TopN: 40}
+		got, _ := Preprocess(tc.eng, lms, cfg)
+		want, _ := preprocess(tc.eng, lms, cfg, core.DenseMode)
+		if tc.eng.HasOptimizedLayout() {
+			t.Fatalf("%s: Preprocess left a layout on the caller's engine", tc.label)
+		}
+		for _, lm := range lms {
+			gd, wd := got.Get(lm), want.Get(lm)
+			if gd.Iterations != wd.Iterations {
+				t.Fatalf("%s λ=%d: %d iterations, reference %d", tc.label, lm, gd.Iterations, wd.Iterations)
+			}
+			for ti := range wd.Topical {
+				closeLists(t, tc.label, gd.Topical[ti], wd.Topical[ti], sigmaOf, topoOf)
+			}
+			closeLists(t, tc.label+" topo", gd.TopoTop, wd.TopoTop, topoOf, sigmaOf)
+		}
 	}
 }
 
@@ -109,5 +229,19 @@ func TestPreprocessMetrics(t *testing.T) {
 	util := reg.Gauge("landmark_preprocess_worker_utilization", "").Value()
 	if util <= 0 || util > 1.0001 {
 		t.Errorf("worker utilization = %g, want in (0, 1]", util)
+	}
+
+	// The run above built its own layout and says so; a run on an
+	// already optimized engine borrows that one and builds nothing.
+	layouts := reg.Histogram("landmark_preprocess_layout_seconds", "", nil)
+	if stats.LayoutTime <= 0 || layouts.Count() != 1 {
+		t.Errorf("plain engine: LayoutTime = %v, %d layout observations, want > 0 and 1", stats.LayoutTime, layouts.Count())
+	}
+	if stats.WallTime < stats.LayoutTime {
+		t.Errorf("WallTime %v excludes LayoutTime %v", stats.WallTime, stats.LayoutTime)
+	}
+	_, stats = Preprocess(eng.Optimized(graph.BFSOrder), lms, PreprocessConfig{TopN: 20, Metrics: reg})
+	if stats.LayoutTime != 0 || layouts.Count() != 1 {
+		t.Errorf("optimized engine: LayoutTime = %v, %d layout observations, want 0 and still 1", stats.LayoutTime, layouts.Count())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ranking"
 )
@@ -123,36 +124,61 @@ func (s *Store) Bytes() int {
 	return total
 }
 
-// buildData condenses one converged exploration into a landmark's lists.
-func buildData(l graph.NodeID, topN int, vocabLen int,
-	reached []graph.NodeID,
-	sigma func(v graph.NodeID, ti int) float64,
-	topo func(v graph.NodeID) float64,
-	iterations int) *Data {
+// listBuilder condenses converged explorations into landmark lists. Each
+// preprocessing worker owns one: its bounded heaps are reused from
+// landmark to landmark.
+type listBuilder struct {
+	tops []*ranking.TopN // one per topic, then the topological list
+}
 
-	d := &Data{Landmark: l, Topical: make([]List, vocabLen), Iterations: iterations}
-	for ti := 0; ti < vocabLen; ti++ {
-		top := ranking.NewTopN(topN)
-		for _, v := range reached {
-			if sc := sigma(v, ti); sc > 0 {
-				top.Insert(v, sc)
+func newListBuilder(vocabLen, topN int) *listBuilder {
+	lb := &listBuilder{tops: make([]*ranking.TopN, vocabLen+1)}
+	for i := range lb.tops {
+		lb.tops[i] = ranking.NewTopN(topN)
+	}
+	return lb
+}
+
+// build ranks x's reached nodes into l's lists in one pass over their
+// score rows. x must cover the whole vocabulary in topic order.
+func (lb *listBuilder) build(l graph.NodeID, x *core.Exploration) *Data {
+	T := len(lb.tops) - 1
+	for _, top := range lb.tops {
+		top.Reset()
+	}
+	for _, v := range x.Reached {
+		for ti, sc := range x.SigmaRow(v) {
+			if sc > 0 {
+				lb.tops[ti].Insert(v, sc)
 			}
 		}
-		lst := &d.Topical[ti]
-		for _, e := range top.List() {
-			lst.append1(e.Node, e.Score, topo(e.Node))
+		if tv := x.TopoB(v); tv > 0 {
+			lb.tops[T].Insert(v, tv)
 		}
 	}
-	topoTop := ranking.NewTopN(topN)
-	for _, v := range reached {
-		if tv := topo(v); tv > 0 {
-			topoTop.Insert(v, tv)
+	d := &Data{Landmark: l, Topical: make([]List, T), Iterations: x.Iterations}
+	for ti := range d.Topical {
+		ranked := lb.tops[ti].Drain()
+		lst := newList(len(ranked))
+		for i, e := range ranked {
+			lst.Nodes[i], lst.Sigma[i], lst.Topo[i] = e.Node, e.Score, x.TopoB(e.Node)
 		}
+		d.Topical[ti] = lst
 	}
-	for _, e := range topoTop.List() {
-		d.TopoTop.append1(e.Node, 0, e.Score)
+	ranked := lb.tops[T].Drain()
+	d.TopoTop = newList(len(ranked))
+	for i, e := range ranked {
+		d.TopoTop.Nodes[i], d.TopoTop.Topo[i] = e.Node, e.Score
 	}
 	return d
+}
+
+// newList allocates a list of n zeroed entries (the zero List for n = 0).
+func newList(n int) List {
+	if n == 0 {
+		return List{}
+	}
+	return List{Nodes: make([]graph.NodeID, n), Sigma: make([]float64, n), Topo: make([]float64, n)}
 }
 
 // Subset returns a store holding only the landmarks keep reports true

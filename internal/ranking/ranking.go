@@ -5,7 +5,8 @@
 package ranking
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/topics"
@@ -34,11 +35,11 @@ type Recommender interface {
 // SortDesc orders a scored list by decreasing score, breaking ties by
 // ascending node id so rankings are deterministic.
 func SortDesc(list []Scored) {
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Score != list[j].Score {
-			return list[i].Score > list[j].Score
+	slices.SortFunc(list, func(a, b Scored) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return list[i].Node < list[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 }
 
@@ -120,6 +121,17 @@ func (t *TopN) List() []Scored {
 	out := append([]Scored(nil), t.heap...)
 	SortDesc(out)
 	return out
+}
+
+// Reset empties the accumulator, keeping its storage.
+func (t *TopN) Reset() { t.heap = t.heap[:0] }
+
+// Drain returns the retained entries best-first without copying them: the
+// slice aliases the accumulator, which must be Reset before its next
+// Insert.
+func (t *TopN) Drain() []Scored {
+	SortDesc(t.heap)
+	return t.heap
 }
 
 // RankOf returns the 1-based rank of node in a best-first list, or 0 if
