@@ -1,7 +1,7 @@
 # Tier-1 verification: `make check` is what CI (and the next PR) runs.
 GO ?= go
 
-.PHONY: all build test race vet check bench fuzz
+.PHONY: all build test race vet check bench fuzz bench-build fmt-check
 
 all: check
 
@@ -29,7 +29,18 @@ race-all:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race kernel-gate
+check: build vet fmt-check test race kernel-gate bench-build
+
+# bench-build compiles the whole-stack benchmark (bench/, the separate
+# module repro/bench) and its tests against this tree: an exported-API
+# change that would break the benchmark fails here, not in the pipeline
+# that runs BENCHMARK.json.
+bench-build:
+	$(GO) vet -C bench ./...
+
+# fmt-check fails when any file is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # kernel-gate is the exploration-loop allocation regression guard: the
 # dense and relabeled-kernel Explore benchmarks must stay within the
@@ -65,11 +76,14 @@ kernel-gate:
 # bench watches the hot path: the Explore microbenchmarks (allocs/op is
 # the regression guard for the exploration loop), the landmark refresh
 # on a decay-weighted overlay engine, the overlay-vs-rebuild delta apply,
-# plus the evaluation-engine sweep and graph-delta comparison, which
-# rewrite BENCH_eval.json and BENCH_graph.json.
+# the per-update cost of Manager.Apply at batch sizes 1/4/16/64 on the
+# streaming 8000-node manager, plus the evaluation-engine sweep and
+# graph-delta comparison, which rewrite BENCH_eval.json and
+# BENCH_graph.json.
 bench:
 	$(GO) test -bench=BenchmarkExplore -benchmem ./internal/core/
 	$(GO) test -run='^$$' -bench=BenchmarkPreprocessRefresh -benchmem ./internal/landmark/
+	$(GO) test -run='^$$' -bench=BenchmarkApplyBatch -benchmem ./internal/dynamic/
 	$(GO) test -bench=BenchmarkWithoutEdges -benchmem ./internal/graph/
 	$(GO) test -bench=BenchmarkLinkPrediction -benchmem ./internal/eval/
 	$(GO) run ./cmd/trbench -exp bench-eval -bench-out BENCH_eval.json
@@ -146,12 +160,15 @@ bench-kernel:
 	$(GO) run ./cmd/trbench -exp bench-kernel -bench-out BENCH_kernel.json
 
 # fuzz smoke-runs the equivalence fuzzers (random edge deltas must leave
-# the overlay observationally identical to a full rebuild; random graphs
-# must survive a relabeling round trip unchanged) and the storage-format
-# fuzzers: arbitrary snapshot/landmark/WAL/TRG1 bytes must decode or
-# error, never panic, index outside the mapping, or yield a forged batch.
+# the overlay observationally identical to a full rebuild and the
+# incrementally maintained authority table bit-identical to a recompute;
+# random graphs must survive a relabeling round trip unchanged) and the
+# storage-format fuzzers: arbitrary snapshot/landmark/WAL/TRG1 bytes must
+# decode or error, never panic, index outside the mapping, or yield a
+# forged batch.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOverlayEquivalence -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzApplyDeltaExact -fuzztime=10s ./internal/authority/
 	$(GO) test -run='^$$' -fuzz=FuzzRelabelEquivalence -fuzztime=10s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzReadPermutation -fuzztime=10s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzReadStore -fuzztime=10s ./internal/landmark/

@@ -11,9 +11,13 @@
 // score) are 0.
 //
 // |Γu| and |Γu(t)| only need each node's incoming edges; the per-topic
-// maximum max_v |Γv(t)| is a global quantity that the paper assumes is
-// stored and refreshed periodically — Table mirrors that: it is computed
-// once per graph and can be refreshed with Recompute.
+// maximum max_v |Γv(t)| is the one global quantity. Table keeps all three
+// — the follower-count matrix, the in-degree column and the maxima —
+// beside the scores, so an edge delta is folded in exactly: ApplyDelta
+// recounts the destination rows and rewrites a whole score column only
+// when that topic's maximum actually moved. The contract is that the
+// table is shown every delta since Compute (or Recompute); it then equals
+// a fresh Compute of the current view bit for bit.
 package authority
 
 import (
@@ -35,129 +39,168 @@ type Table struct {
 	// cache-friendly access path — a single topic's column is a fraction
 	// of the full table and stays resident across an exploration. Kept in
 	// sync by Recompute and ApplyDelta.
-	cols   []float64
-	maxFol []uint32 // per topic: max_v |Γv(t)|
-	// all is Recompute's n × T follower-count scratch, kept across calls:
-	// periodic full recomputes under dynamic batches dominated allocation
-	// before it was reused.
-	all []uint32
+	cols []float64
+	// counts (n × T, row-major: |Γu(t)|), indeg (|Γu|) and maxFol (per
+	// topic: max_v |Γv(t)|) are the inputs every score was computed from;
+	// ApplyDelta keeps them current so it never has to re-read a row the
+	// delta did not touch.
+	counts []uint32
+	indeg  []uint32
+	maxFol []uint32
 }
 
 // Compute builds the authority table for any graph view.
 func Compute(g graph.View) *Table {
+	n, T := g.NumNodes(), g.Vocabulary().Len()
 	t := &Table{
 		vocab:  g.Vocabulary(),
-		n:      g.NumNodes(),
-		scores: make([]float64, g.NumNodes()*g.Vocabulary().Len()),
-		maxFol: make([]uint32, g.Vocabulary().Len()),
+		n:      n,
+		scores: make([]float64, n*T),
+		cols:   make([]float64, n*T),
+		counts: make([]uint32, n*T),
+		indeg:  make([]uint32, n),
+		maxFol: make([]uint32, T),
 	}
 	t.Recompute(g)
 	return t
 }
 
-// Recompute refreshes every score from the view's current topology. The
-// view must have the same node count and vocabulary the table was built
-// for.
+// score is auth(u, t) from |Γu(t)|, |Γu| and log(1 + max_v |Γv(t)|).
+// Recompute and ApplyDelta both evaluate this one expression, which is
+// what makes the incrementally maintained table bit-identical to a
+// computed one. c > 0 implies a follower and a maximum of at least c, so
+// neither divisor is 0.
+func score(c, total uint32, logMax float64) float64 {
+	if c == 0 {
+		return 0
+	}
+	fc := float64(c)
+	return (fc / float64(total)) * (math.Log(1+fc) / logMax)
+}
+
+// logMaxOf is the global factor's denominator for a per-topic maximum.
+func logMaxOf(m uint32) float64 { return math.Log(1 + float64(m)) }
+
+// Recompute refreshes every score from the view's current topology — the
+// from-scratch reference ApplyDelta is tested against. The view must have
+// the same node count and vocabulary the table was built for.
 func (t *Table) Recompute(g graph.View) {
 	T := t.vocab.Len()
-	counts := make([]uint32, T)
 
-	// First pass: per-topic follower counts and their maxima.
-	for i := range t.maxFol {
-		t.maxFol[i] = 0
-	}
-	if len(t.all) != t.n*T {
-		t.all = make([]uint32, t.n*T)
-	}
-	all := t.all
+	// First pass: follower counts, in-degrees and the per-topic maxima.
+	clear(t.maxFol)
 	for u := 0; u < t.n; u++ {
-		g.FollowerTopicCounts(graph.NodeID(u), counts)
-		copy(all[u*T:(u+1)*T], counts)
-		for i, c := range counts {
+		row := t.counts[u*T : (u+1)*T]
+		g.FollowerTopicCounts(graph.NodeID(u), row)
+		for i, c := range row {
 			if c > t.maxFol[i] {
 				t.maxFol[i] = c
 			}
 		}
+		t.indeg[u] = uint32(g.InDegree(graph.NodeID(u)))
 	}
 
 	// Second pass: scores.
-	logMax := make([]float64, T)
 	for i, m := range t.maxFol {
-		logMax[i] = math.Log(1 + float64(m))
-	}
-	if len(t.cols) != t.n*T {
-		t.cols = make([]float64, t.n*T)
-	}
-	for u := 0; u < t.n; u++ {
-		total := float64(g.InDegree(graph.NodeID(u)))
-		row := t.scores[u*T : (u+1)*T]
-		for i := 0; i < T; i++ {
-			c := float64(all[u*T+i])
-			if c == 0 || total == 0 || logMax[i] == 0 {
-				row[i] = 0
-			} else {
-				local := c / total
-				global := math.Log(1+c) / logMax[i]
-				row[i] = local * global
-			}
-			t.cols[i*t.n+u] = row[i]
-		}
+		t.rewriteColumn(i, logMaxOf(m))
 	}
 }
 
-// ApplyEdgeChange refreshes the scores of one node after a follow edge
-// toward it was added or removed. This is the incremental maintenance the
-// paper describes: |Γu| and |Γu(t)| only need the node's own incoming
-// edges, while the global per-topic maximum is kept as a monotone upper
-// bound (raised immediately when exceeded, lowered only by the periodic
-// full Recompute — the paper: "we can assume this value is stored and
-// re-computed periodically", with the log damping any drift).
-//
-// g must be the graph state *after* the change.
+// rewriteColumn recomputes auth(·, topic i) for every node from the
+// stored counts.
+func (t *Table) rewriteColumn(i int, logMax float64) {
+	T := t.vocab.Len()
+	col := t.cols[i*t.n : (i+1)*t.n]
+	for u := range col {
+		s := score(t.counts[u*T+i], t.indeg[u], logMax)
+		col[u] = s
+		t.scores[u*T+i] = s
+	}
+}
+
+// ApplyEdgeChange refreshes the table after one follow edge toward dst
+// was added or removed: ApplyDelta for a single destination. g must be
+// the graph state *after* the change.
 func (t *Table) ApplyEdgeChange(g graph.View, dst graph.NodeID) {
 	t.ApplyDelta(g, []graph.NodeID{dst})
 }
 
-// ApplyDelta is the batch form of ApplyEdgeChange: after an edge delta is
-// layered over the graph (an overlay apply), only the destinations of the
-// changed edges have different follower sets, so only their rows — and
-// the per-topic maxima they may raise — are refreshed. dsts may contain
-// duplicates; g must be the view *after* the delta. Cost is
-// O(|dsts| · (deg + T)) regardless of graph size.
+// ApplyDelta folds an edge delta into the table, exactly, for any batch
+// size. This is the incremental maintenance the paper describes (Section
+// 3.2): only the destinations of the changed edges have different
+// follower sets, so only their rows are recounted; a per-topic maximum is
+// raised when a recounted row exceeds it and that topic's counts are
+// rescanned only when a row that held the maximum dropped. A score column
+// is rewritten for every node only when its maximum actually moved —
+// otherwise the change stays in the destination rows. The return value is
+// the number of topics whose maximum moved (score columns rewritten); 0
+// means no score outside the rows of dsts changed.
 //
-// Maxima raised here immediately sharpen the raised topic's global
-// factor for the touched rows; rows of untouched nodes keep the factor
-// they were computed with until the next Recompute, exactly the periodic
-// refresh drift the paper accepts.
-func (t *Table) ApplyDelta(g graph.View, dsts []graph.NodeID) {
+// dsts may contain duplicates; g must be the view *after* the delta, and
+// must differ from the view the table last saw (at Compute, Recompute or
+// the previous ApplyDelta) only in edges toward dsts. Under that contract
+// the table equals Compute(g) bit for bit. Cost is O(|dsts| · (deg + T))
+// plus O(n) per moved or rescanned topic.
+func (t *Table) ApplyDelta(g graph.View, dsts []graph.NodeID) int {
 	if len(dsts) == 0 {
-		return
+		return 0
 	}
 	T := t.vocab.Len()
-	counts := make([]uint32, T)
 	uniq := slices.Clone(dsts)
 	slices.Sort(uniq)
 	uniq = slices.Compact(uniq)
+
+	// Recount the destination rows, noting per topic the largest new count
+	// and whether a row that held the maximum fell below it.
+	fresh := make([]uint32, 2*T)
+	fresh, peak := fresh[:T], fresh[T:]
+	ledDropped := make([]bool, T)
 	for _, dst := range uniq {
-		g.FollowerTopicCounts(dst, counts)
-		for i, c := range counts {
-			if c > t.maxFol[i] {
-				t.maxFol[i] = c
+		row := t.counts[int(dst)*T : (int(dst)+1)*T]
+		g.FollowerTopicCounts(dst, fresh)
+		for i, c := range fresh {
+			if c < row[i] && row[i] == t.maxFol[i] {
+				ledDropped[i] = true
+			}
+			if c > peak[i] {
+				peak[i] = c
 			}
 		}
-		total := float64(g.InDegree(dst))
-		row := t.scores[int(dst)*T : (int(dst)+1)*T]
-		for i := 0; i < T; i++ {
-			c := float64(counts[i])
-			logMax := math.Log(1 + float64(t.maxFol[i]))
-			if c == 0 || total == 0 || logMax == 0 {
-				row[i] = 0
-			} else {
-				row[i] = (c / total) * (math.Log(1+c) / logMax)
+		copy(row, fresh)
+		t.indeg[dst] = uint32(g.InDegree(dst))
+	}
+
+	// Per topic: settle the maximum, then rewrite the whole score column if
+	// it moved and the destination rows otherwise. A topic whose leader
+	// dropped may still keep its maximum (a tied leader, or another row of
+	// the batch took over), so "moved" is decided on the settled value.
+	moved := 0
+	for i := 0; i < T; i++ {
+		top := t.maxFol[i]
+		if ledDropped[i] {
+			top = 0
+			for u := 0; u < t.n; u++ {
+				if c := t.counts[u*T+i]; c > top {
+					top = c
+				}
 			}
-			t.cols[i*t.n+int(dst)] = row[i]
+		} else if peak[i] > top {
+			top = peak[i]
+		}
+		lm := logMaxOf(top)
+		if top != t.maxFol[i] {
+			t.maxFol[i] = top
+			t.rewriteColumn(i, lm)
+			moved++
+			continue
+		}
+		for _, dst := range uniq {
+			s := score(t.counts[int(dst)*T+i], t.indeg[dst], lm)
+			t.scores[int(dst)*T+i] = s
+			t.cols[i*t.n+int(dst)] = s
 		}
 	}
+	return moved
 }
 
 // Score returns auth(u, t).

@@ -2,6 +2,8 @@ package authority
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -125,9 +127,7 @@ func TestApplyEdgeChangeMatchesRecompute(t *testing.T) {
 	tab := Compute(g)
 
 	// Add an edge toward node 7 by rebuilding the graph, then update
-	// incrementally and compare against a full recompute (the global
-	// maxima are unaffected unless the new count exceeds them, in which
-	// case both paths agree too).
+	// incrementally and compare against a full recompute.
 	b := graph.NewBuilder(g.Vocabulary(), g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
 		b.SetNodeTopics(graph.NodeID(u), g.NodeTopics(graph.NodeID(u)))
@@ -140,28 +140,7 @@ func TestApplyEdgeChangeMatchesRecompute(t *testing.T) {
 	g2 := b.MustFreeze()
 
 	tab.ApplyEdgeChange(g2, 7)
-	fresh := Compute(g2)
-	for ti := 0; ti < g.Vocabulary().Len(); ti++ {
-		got := tab.Score(7, topics.ID(ti))
-		want := fresh.Score(7, topics.ID(ti))
-		if !near(got, want) {
-			t.Fatalf("topic %d: incremental %g vs recompute %g", ti, got, want)
-		}
-	}
-	// Untouched nodes keep their scores.
-	for u := 0; u < 50; u++ {
-		if u == 7 {
-			continue
-		}
-		for ti := 0; ti < g.Vocabulary().Len(); ti++ {
-			if tab.Score(graph.NodeID(u), topics.ID(ti)) != fresh.Score(graph.NodeID(u), topics.ID(ti)) {
-				// Allowed difference: fresh recompute may LOWER a global
-				// max that the incremental path keeps as an upper bound;
-				// adding an edge can only raise maxima, so scores match.
-				t.Fatalf("node %d topic %d drifted", u, ti)
-			}
-		}
-	}
+	requireSameTable(t, tab, Compute(g2))
 }
 
 func TestApplyEdgeChangeRemoval(t *testing.T) {
@@ -171,16 +150,143 @@ func TestApplyEdgeChangeRemoval(t *testing.T) {
 	e := g.Edges()[0]
 	g2 := g.WithoutEdges([]graph.Edge{e})
 	tab.ApplyEdgeChange(g2, e.Dst)
-	fresh := Compute(g2)
-	for ti := 0; ti < g.Vocabulary().Len(); ti++ {
-		got := tab.Score(e.Dst, topics.ID(ti))
-		want := fresh.Score(e.Dst, topics.ID(ti))
-		// The incremental path may use a (stale, higher) global max when
-		// the removed edge lowered it; the incremental score is then a
-		// lower bound of the fresh one but never larger... the global
-		// factor shrinks with a larger max, so incremental <= fresh.
-		if got > want+1e-12 {
-			t.Fatalf("topic %d: incremental %g exceeds recompute %g", ti, got, want)
+	requireSameTable(t, tab, Compute(g2))
+}
+
+// requireSameTable requires got to equal want bit for bit: scores in both
+// layouts, and the counts, in-degrees and maxima they were computed from.
+func requireSameTable(t testing.TB, got, want *Table) {
+	t.Helper()
+	T := want.vocab.Len()
+	for i := range want.scores {
+		if got.scores[i] != want.scores[i] {
+			t.Fatalf("scores: node %d topic %d: incremental %v, computed %v", i/T, i%T, got.scores[i], want.scores[i])
 		}
 	}
+	for i := range want.cols {
+		if got.cols[i] != want.cols[i] {
+			t.Fatalf("cols: topic %d node %d: incremental %v, computed %v", i/want.n, i%want.n, got.cols[i], want.cols[i])
+		}
+	}
+	if !slices.Equal(got.maxFol, want.maxFol) {
+		t.Fatalf("maxima: incremental %v, computed %v", got.maxFol, want.maxFol)
+	}
+	if !slices.Equal(got.counts, want.counts) || !slices.Equal(got.indeg, want.indeg) {
+		t.Fatal("follower counts or in-degrees diverged from a fresh count")
+	}
+}
+
+// applyChecked layers one delta over view, shows it to tab, and requires
+// the table to equal a fresh Compute of the result and the return value
+// to be the number of per-topic maxima that moved. It returns the new
+// view and that number.
+func applyChecked(t testing.TB, tab *Table, view graph.View, adds, removes []graph.Edge) (*graph.Overlay, int) {
+	t.Helper()
+	before := slices.Clone(tab.maxFol)
+	ov, err := graph.NewOverlay(view, adds, removes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dsts []graph.NodeID
+	for _, e := range adds {
+		dsts = append(dsts, e.Dst)
+	}
+	for _, e := range removes {
+		dsts = append(dsts, e.Dst)
+	}
+	moved := tab.ApplyDelta(ov, dsts)
+	fresh := Compute(ov)
+	requireSameTable(t, tab, fresh)
+	want := 0
+	for i := range before {
+		if before[i] != fresh.maxFol[i] {
+			want++
+		}
+	}
+	if moved != want {
+		t.Fatalf("ApplyDelta = %d, want %d (maxima %v -> %v)", moved, want, before, fresh.maxFol)
+	}
+	return ov, moved
+}
+
+// TestApplyDeltaMaxima walks the ways a per-topic maximum can (fail to)
+// move, on topic t0 of a stack of overlays: nodes 0 and 1 start tied at
+// two followers, node 2 has one.
+func TestApplyDeltaMaxima(t *testing.T) {
+	t0 := topics.NewSet(0)
+	e := func(src, dst graph.NodeID) graph.Edge { return graph.Edge{Src: src, Dst: dst, Label: t0} }
+	g := buildGraph(t, 8, []graph.Edge{e(3, 0), e(4, 0), e(3, 1), e(4, 1), e(3, 2)})
+	tab := Compute(g)
+	steps := []struct {
+		name          string
+		adds, removes []graph.Edge
+		max, moved    int
+	}{
+		{"one of two tied leaders drops", nil, []graph.Edge{e(4, 1)}, 2, 0},
+		{"new leader raises", []graph.Edge{e(4, 2), e(5, 2)}, nil, 3, 1},
+		{"sole leader drops", nil, []graph.Edge{e(5, 2)}, 2, 1},
+		{"leader drops, another row takes over at the same value", []graph.Edge{e(4, 1)}, []graph.Edge{e(4, 0)}, 2, 0},
+		{"leaders drop, another row rises past them", []graph.Edge{e(5, 0), e(6, 0), e(7, 0)}, []graph.Edge{e(4, 1), e(4, 2)}, 4, 1},
+		{"duplicate destinations, other topic only", []graph.Edge{
+			{Src: 5, Dst: 1, Label: topics.NewSet(1)}, {Src: 6, Dst: 1, Label: topics.NewSet(1)}}, nil, 4, 1},
+		{"unchanged destination", nil, []graph.Edge{e(7, 1)}, 4, 0},
+	}
+	var view graph.View = g
+	for _, st := range steps {
+		ov, moved := applyChecked(t, tab, view, st.adds, st.removes)
+		view = ov
+		if got := tab.MaxFollowersOnTopic(0); got != st.max {
+			t.Fatalf("%s: max followers on t0 = %d, want %d", st.name, got, st.max)
+		}
+		if moved != st.moved {
+			t.Fatalf("%s: %d maxima moved, want %d", st.name, moved, st.moved)
+		}
+	}
+}
+
+// driveRandomDeltas applies steps random add/remove batches of 1–64 edges
+// over stacked overlays, folding the stack at random, and requires the
+// incrementally maintained table to equal a fresh Compute after each.
+func driveRandomDeltas(t testing.TB, seed uint64, steps int) {
+	ds := gen.RandomWith(30, 200, seed)
+	rng := rand.New(rand.NewSource(int64(seed)))
+	n, T := ds.Graph.NumNodes(), ds.Graph.Vocabulary().Len()
+	var view graph.View = ds.Graph
+	tab := Compute(view)
+	for s := 0; s < steps; s++ {
+		live := view.Edges()
+		var adds, removes []graph.Edge
+		for i, size := 0, 1+rng.Intn(64); i < size; i++ {
+			if rng.Intn(2) == 0 && len(live) > 0 {
+				removes = append(removes, live[rng.Intn(len(live))])
+				continue
+			}
+			lbl := topics.NewSet(topics.ID(rng.Intn(T)))
+			if rng.Intn(3) == 0 {
+				lbl = lbl.Add(topics.ID(rng.Intn(T)))
+			}
+			adds = append(adds, graph.Edge{Src: graph.NodeID(rng.Intn(n)), Dst: graph.NodeID(rng.Intn(n)), Label: lbl})
+		}
+		ov, _ := applyChecked(t, tab, view, adds, removes)
+		view = ov
+		if rng.Intn(4) == 0 {
+			// A compaction shows the table nothing: same edges, new view.
+			view = ov.Compact()
+		}
+	}
+}
+
+func TestApplyDeltaExactRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		driveRandomDeltas(t, seed, 40)
+	}
+}
+
+func FuzzApplyDeltaExact(f *testing.F) {
+	f.Add(uint64(1), uint8(8))
+	f.Add(uint64(7), uint8(24))
+	f.Add(uint64(1<<40+3), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, steps uint8) {
+		driveRandomDeltas(t, seed, int(steps%32))
+	})
 }

@@ -1,7 +1,11 @@
 package dynamic
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -70,5 +74,67 @@ func BenchmarkFullRepreprocess(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkApplyBatch measures what one update costs on the write path
+// of the streaming configuration the end-to-end benchmark serves: the
+// 8000-node Twitter graph, 30 In-Deg landmarks, decay on, Lazy strategy
+// with no reader (so no refresh runs), no WAL. Each batch toggles
+// follow edges drawn from a fixed random pool. ns/update is the mean and
+// carries the compaction every 32nd batch pays; p50-ns/update is the
+// median batch, which does not.
+func BenchmarkApplyBatch(b *testing.B) {
+	cfg := gen.DefaultTwitterConfig()
+	cfg.Nodes = 8000
+	ds, err := gen.Twitter(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 30, landmark.DefaultSelectConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			m, err := NewManager(ds.Graph, lms, Config{
+				Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 500, QueryDepth: 2,
+				Strategy: Lazy, Scheduler: SchedPriority, RefreshBudget: 4, HalfLife: 24 * time.Hour,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			pool := make([]Update, 8192)
+			for i := range pool {
+				src := graph.NodeID(rng.Intn(cfg.Nodes))
+				dst := graph.NodeID(rng.Intn(cfg.Nodes - 1))
+				if dst >= src {
+					dst++
+				}
+				pool[i].Edge = graph.Edge{Src: src, Dst: dst, Label: topics.NewSet(topics.ID(rng.Intn(ds.Graph.Vocabulary().Len())))}
+			}
+			batch := make([]Update, size)
+			took := make([]time.Duration, 0, b.N)
+			next := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range batch {
+					up := &pool[next%len(pool)]
+					up.Add = !up.Add
+					batch[j] = *up
+					next++
+				}
+				start := time.Now()
+				if err := m.Apply(batch); err != nil {
+					b.Fatal(err)
+				}
+				took = append(took, time.Since(start))
+			}
+			b.StopTimer()
+			slices.Sort(took)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/update")
+			b.ReportMetric(float64(took[len(took)/2].Nanoseconds())/float64(size), "p50-ns/update")
+		})
 	}
 }

@@ -58,16 +58,16 @@ func TestDecayRecoveryFromWALOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := recoveryBatches(6)
-	stampBatches(batches, int64(time.Second), int64(150*time.Millisecond))
+	batches := recoveryBatches(ds.Graph, 6)
+	stampBatches(batches, int64(time.Second), int64(25*time.Millisecond))
 	for _, b := range batches {
 		if err := live.Apply(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The stream spans ~9 half-lives: weights of early vs late edges
-	// differ by orders of magnitude, so the drill exercises real decay,
-	// not a near-uniform table.
+	// The 90 updates span 4.5 half-lives: weights of early vs late edges
+	// differ by more than an order of magnitude, so the drill exercises
+	// real decay, not a near-uniform table.
 	if len(live.decay.edgeTs) == 0 {
 		t.Fatal("no streamed edge carries a timestamp")
 	}
@@ -121,8 +121,8 @@ func TestDecayRecoveryFromSnapshotPlusSidecar(t *testing.T) {
 	}
 	// Compactions after batches 3 and 6 rewrite the sidecar and re-anchor
 	// tRef; batches 7 and 8 stay in the WAL across the crash.
-	batches := recoveryBatches(8)
-	stampBatches(batches, int64(time.Second), int64(150*time.Millisecond))
+	batches := recoveryBatches(ds.Graph, 8)
+	stampBatches(batches, int64(time.Second), int64(25*time.Millisecond))
 	for _, b := range batches {
 		if err := live.Apply(b); err != nil {
 			t.Fatal(err)
@@ -191,8 +191,8 @@ func TestDecayRecoveryFromSnapshotPlusSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra := recoveryBatches(compactDepth)
-	stampBatches(extra, int64(3*time.Second), int64(150*time.Millisecond))
+	extra := recoveryBatches(ds.Graph, compactDepth)
+	stampBatches(extra, int64(10*time.Second), int64(25*time.Millisecond))
 	for _, b := range extra {
 		if err := reborn.Apply(b); err != nil {
 			t.Fatal(err)

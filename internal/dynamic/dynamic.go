@@ -10,9 +10,10 @@
 // when its accumulated delta crosses a compaction threshold. Each Apply
 // installs a new immutable epoch (view + authority + engine) under the
 // manager's lock, so readers always see a consistent snapshot. The
-// authority table is patched incrementally for small batches, and the
-// landmarks whose stored recommendations may have changed are identified.
-// Three refresh strategies trade staleness for preprocessing work:
+// authority table is maintained incrementally and exactly for any batch
+// size (authority.ApplyDelta), and the landmarks whose stored
+// recommendations may have changed are identified. Three refresh
+// strategies trade staleness for preprocessing work:
 //
 //   - Eager: every affected landmark is re-explored immediately;
 //   - Lazy: affected landmarks are only marked stale; a stale landmark is
@@ -20,18 +21,20 @@
 //   - Threshold: stale landmarks accumulate and are refreshed together
 //     once their number crosses a bound (amortizing rebuild cost).
 //
-// A landmark is "affected" by an edge change when the changed edge's
-// source is reachable from the landmark within its exploration horizon —
-// then some stored path score includes the edge. Reachability is tested
-// with a reverse BFS from the edge source over the *new* graph, bounded by
-// the landmark iteration depth recorded at preprocessing.
+// A landmark is "affected" by an edge change when one of the changed
+// edge's endpoints is reachable from the landmark within its exploration
+// horizon — then some stored path score includes the edge (source) or the
+// authority row it moved (destination). Reachability is tested with one
+// level-synchronous multi-source reverse BFS per batch, from the batch's
+// distinct endpoints over the *new* graph, bounded by the landmark
+// iteration depth recorded at preprocessing and stopped as soon as every
+// landmark has been found (invalidate.go).
 package dynamic
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -230,6 +233,14 @@ type Stats struct {
 	// (absorbed: the epoch installed, durability degraded until the next
 	// compaction retries).
 	SnapshotFailures int
+	// InvalidationVisited counts the nodes the per-batch invalidation pass
+	// reached (endpoints included) — at most NumNodes per batch, far fewer
+	// when the last landmark is found early.
+	InvalidationVisited int
+	// AuthorityColumnRewrites counts per-topic maxima moved by a batch,
+	// each one authority score column rewritten for every node; batches
+	// that move none keep the change in their destination rows.
+	AuthorityColumnRewrites int
 }
 
 // BatchEffect describes what one applied batch may have changed — the
@@ -245,7 +256,7 @@ type BatchEffect struct {
 	Epoch uint64
 	// Endpoints are the distinct sources and destinations of the batch's
 	// edge changes. Paths through any of them — and the destinations'
-	// authority rows, patched by ApplyDelta — may have moved.
+	// authority rows, rewritten by authority.ApplyDelta — may have moved.
 	Endpoints []graph.NodeID
 	// StaleLandmarks are the landmarks this batch marked stale: their
 	// stored lists no longer match the graph, so queries meeting them
@@ -257,10 +268,11 @@ type BatchEffect struct {
 	// batches, so it dirties dependents even when the landmark is not in
 	// this batch's StaleLandmarks.
 	Refreshed []graph.NodeID
-	// Global marks effects that are not localized: large batches
-	// (authority.Recompute rewrites every row) and compactions
-	// (re-anchored decay reference, fresh authority, relayout). Every
-	// standing query must re-score.
+	// Global marks effects that are not localized: a batch that moved a
+	// per-topic follower maximum (authority.ApplyDelta then rewrote that
+	// topic's score for every node) and compactions (re-anchored decay
+	// reference, relayout). Every standing query must re-score. Batch
+	// size alone never sets it.
 	Global bool
 	// OldestAt is the smallest nonzero event timestamp (Unix ns) in the
 	// batch — the ingest-accept anchor for push-latency measurement. 0
@@ -269,8 +281,9 @@ type BatchEffect struct {
 }
 
 // Manager maintains a queryable recommendation state under updates.
-// Methods are safe for one writer OR many readers; Apply must not run
-// concurrently with queries.
+// Every method is safe for concurrent use: they serialize on mu (Graph
+// alone reads a lock-free published view), so the ingest worker applies
+// batches beside live queries.
 type Manager struct {
 	mu   sync.Mutex
 	cfg  Config
@@ -290,7 +303,9 @@ type Manager struct {
 	// every store write.
 	isLandmark []bool
 	maxIter    int
-	stale      map[graph.NodeID]bool
+	// inv is affectedLandmarks' scratch, sized once at construction.
+	inv   invalidation
+	stale map[graph.NodeID]bool
 	// staleMeta carries the scheduling evidence (age, dirty hits, query
 	// traffic) of each stale landmark; entries live exactly as long as
 	// the stale mark (scheduler.go).
@@ -343,6 +358,8 @@ type Manager struct {
 	mWALReplayed    *metrics.Counter
 	mSnapshotWrites *metrics.Counter
 	mSnapshotFails  *metrics.Counter
+	mInvVisited     *metrics.Counter
+	mAuthRewrites   *metrics.Counter
 }
 
 // NewManager preprocesses the initial graph and landmark set.
@@ -381,6 +398,7 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 	for _, lm := range m.lms {
 		m.isLandmark[lm] = true
 	}
+	m.inv.seen = make([]uint32, g.NumNodes())
 	if err := m.rebuildEngine(); err != nil {
 		return nil, err
 	}
@@ -443,6 +461,8 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mWALReplayed = reg.Counter("dynamic_wal_replayed_total", "Update batches recovered from the write-ahead log at boot.")
 	m.mSnapshotWrites = reg.Counter("dynamic_snapshot_writes_total", "Compactions persisted as TRG2 snapshots (WAL truncated after each).")
 	m.mSnapshotFails = reg.Counter("dynamic_snapshot_failures_total", "Snapshot or WAL-truncate failures (absorbed; retried at the next compaction).")
+	m.mInvVisited = reg.Counter("dynamic_invalidation_visited_nodes_total", "Nodes reached by the per-batch landmark invalidation pass.")
+	m.mAuthRewrites = reg.Counter("dynamic_authority_column_rewrites_total", "Authority score columns rewritten because a batch moved a per-topic follower maximum.")
 	m.mBatches.Add(uint64(st.Batches))
 	m.mEdgesAdded.Add(uint64(st.EdgesAdded))
 	m.mEdgesRemoved.Add(uint64(st.EdgesRemoved))
@@ -455,6 +475,8 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mWALReplayed.Add(uint64(st.WALReplayed))
 	m.mSnapshotWrites.Add(uint64(st.SnapshotWrites))
 	m.mSnapshotFails.Add(uint64(st.SnapshotFailures))
+	m.mInvVisited.Add(uint64(st.InvalidationVisited))
+	m.mAuthRewrites.Add(uint64(st.AuthorityColumnRewrites))
 	wal := m.cfg.WAL
 	nLms := len(m.lms)
 	m.mu.Unlock()
@@ -695,11 +717,6 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 				fx.OldestAt = up.At
 			}
 		}
-		// Large batches take the authority.Recompute path below, which
-		// rewrites every row — no locality to exploit.
-		if len(batch) > 8 {
-			fx.Global = true
-		}
 	}
 	var adds, removes []graph.Edge
 	for _, up := range batch {
@@ -741,19 +758,24 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 	}
 	m.view = ov
 	m.stats.Epoch++
-	// Authority maintenance: small batches only touch the targets of the
-	// changed edges (the paper's local-update observation); large batches
-	// trigger the periodic full recompute, which also lowers any stale
-	// per-topic maxima.
+	// Authority maintenance: only the targets of the changed edges have
+	// new follower sets (the paper's local-update observation), so only
+	// their rows change — unless the batch moved a per-topic maximum, which
+	// rescales that topic's score for every node and makes the effect
+	// global.
 	if m.auth != nil {
-		if len(batch) <= 8 {
-			dsts := make([]graph.NodeID, 0, len(batch))
-			for _, up := range batch {
-				dsts = append(dsts, up.Edge.Dst)
+		dsts := make([]graph.NodeID, len(batch))
+		for i, up := range batch {
+			dsts[i] = up.Edge.Dst
+		}
+		if moved := m.auth.ApplyDelta(m.view, dsts); moved > 0 {
+			m.stats.AuthorityColumnRewrites += moved
+			if m.mAuthRewrites != nil {
+				m.mAuthRewrites.Add(uint64(moved))
 			}
-			m.auth.ApplyDelta(m.view, dsts)
-		} else {
-			m.auth.Recompute(m.view)
+			if fx := m.collectFx; fx != nil {
+				fx.Global = true
+			}
 		}
 	}
 	eng, err := m.eng.Derive(m.view, m.auth)
@@ -777,15 +799,9 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 	if ov.Depth() >= m.cfg.CompactDepth ||
 		float64(ov.DeltaEdges()) >= m.cfg.CompactFraction*float64(ov.Bottom().NumEdges()) {
 		m.view = ov.Compact()
-		// Compaction doubles as the paper's periodic authority refresh:
-		// a full recompute lowers any per-topic maxima the incremental
-		// path kept as stale upper bounds. It also pins the recovery
-		// contract — a manager booted from this compaction's snapshot
-		// computes authority fresh over the same graph and lands on the
-		// bit-identical table.
-		if m.auth != nil {
-			m.auth.Recompute(m.view)
-		}
+		// The folded graph has the overlay's edge set, so the authority
+		// table — exact after every delta — already is what a manager
+		// booted from this compaction's snapshot computes from scratch.
 		eng, err := m.eng.Derive(m.view, m.auth)
 		if err != nil {
 			return err
@@ -819,9 +835,11 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 	}
 	m.publishViewLocked()
 
-	// Mark affected landmarks. Authority scores shift globally with every
-	// degree change, but the dominant staleness comes from path changes:
-	// a landmark is affected when it reaches a changed edge's source.
+	// Mark affected landmarks: those that reach an endpoint of a changed
+	// edge within their exploration horizon. A moved per-topic maximum
+	// rescales that topic's authority for every node, which no
+	// reachability test captures; the dominant staleness comes from path
+	// changes, and that residue waits for each landmark's next refresh.
 	affected := m.affectedLandmarks(batch)
 	for _, lm := range affected {
 		m.markStaleLocked(lm)
@@ -968,35 +986,6 @@ func (m *Manager) staleList() []graph.NodeID {
 	for lm := range m.stale {
 		out = append(out, lm)
 	}
-	return out
-}
-
-// affectedLandmarks finds landmarks that reach any changed edge source
-// within the deepest recorded exploration depth, by a reverse BFS from
-// each changed source. The result is sorted by node id.
-func (m *Manager) affectedLandmarks(batch []Update) []graph.NodeID {
-	hit := make(map[graph.NodeID]bool)
-	for _, up := range batch {
-		// A landmark is stale when it reaches the changed edge's source
-		// (its path scores include the edge) or its target (whose
-		// authority score changed with its follower counts).
-		for _, end := range []graph.NodeID{up.Edge.Src, up.Edge.Dst} {
-			graph.BFSIn(m.view, end, m.maxIter, func(u graph.NodeID, depth int) bool {
-				if m.isLandmark[u] {
-					hit[u] = true
-				}
-				return true
-			})
-			if m.isLandmark[end] {
-				hit[end] = true
-			}
-		}
-	}
-	out := make([]graph.NodeID, 0, len(hit))
-	for lm := range hit {
-		out = append(out, lm)
-	}
-	slices.Sort(out)
 	return out
 }
 

@@ -3,8 +3,10 @@ package dynamic
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/authority"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -13,25 +15,49 @@ import (
 	"repro/internal/topics"
 )
 
-// recoveryBatches builds deterministic add-only update batches over a
-// ds-sized graph: add-only keeps the incrementally maintained authority
-// table exactly equal to a fresh recompute, so a recovered manager's
-// rankings can be compared bit-for-bit against the live one.
-func recoveryBatches(n int) [][]Update {
+// recoveryBatches builds n deterministic update batches over g, cycling
+// through sizes 1, 4, 16 and 64: two adds for every removal of an edge g
+// holds. The authority table is maintained exactly whatever the batch
+// holds, so a recovered manager can be compared bit-for-bit against the
+// live one under any mix.
+func recoveryBatches(g *graph.Graph, n int) [][]Update {
+	edges := g.Edges()
+	nodes, T := g.NumNodes(), g.Vocabulary().Len()
 	var batches [][]Update
 	for i := 0; i < n; i++ {
-		batches = append(batches, []Update{
-			{Edge: graph.Edge{Src: graph.NodeID(i % 50), Dst: graph.NodeID((i*7 + 13) % 50), Label: topics.NewSet(topics.ID(i % 3))}, Add: true},
-			{Edge: graph.Edge{Src: graph.NodeID((i * 3) % 50), Dst: graph.NodeID((i*11 + 29) % 50), Label: topics.NewSet(topics.ID((i + 1) % 3))}, Add: true},
-		})
+		batch := make([]Update, []int{1, 4, 16, 64}[i%4])
+		for j := range batch {
+			if j%3 == 2 {
+				batch[j] = Update{Edge: edges[(i*17+j*5)%len(edges)]}
+				continue
+			}
+			batch[j] = Update{Edge: graph.Edge{
+				Src:   graph.NodeID((i*7 + j*3) % nodes),
+				Dst:   graph.NodeID((i*11 + j*13 + 29) % nodes),
+				Label: topics.NewSet(topics.ID((i + j) % T)),
+			}, Add: true}
+		}
+		batches = append(batches, batch)
 	}
 	return batches
 }
 
-// requireSameRankings compares landmark-backed and exact rankings of two
-// managers bit-for-bit over a spread of (user, topic) queries.
+// requireSameRankings compares the authority tables of two managers row
+// by row (and against a from-scratch authority.Compute), then their
+// landmark-backed and exact rankings over a spread of (user, topic)
+// queries — all bit-for-bit.
 func requireSameRankings(t *testing.T, want, got *Manager) {
 	t.Helper()
+	fresh := authority.Compute(want.Graph())
+	for u := 0; u < want.Graph().NumNodes(); u++ {
+		w, g := want.auth.Row(graph.NodeID(u)), got.auth.Row(graph.NodeID(u))
+		if !slices.Equal(w, g) {
+			t.Fatalf("authority row %d: %v vs %v", u, w, g)
+		}
+		if !slices.Equal(w, fresh.Row(graph.NodeID(u))) {
+			t.Fatalf("authority row %d: maintained %v, computed %v", u, w, fresh.Row(graph.NodeID(u)))
+		}
+	}
 	for _, u := range []graph.NodeID{0, 7, 23, 41} {
 		for _, tp := range []topics.ID{0, 1, 2} {
 			wl, err := want.Recommend(u, tp, 10)
@@ -106,7 +132,7 @@ func TestRecoveryFromWALOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := recoveryBatches(6)
+	batches := recoveryBatches(ds.Graph, 6)
 	for _, b := range batches {
 		if err := live.Apply(b); err != nil {
 			t.Fatal(err)
@@ -181,7 +207,7 @@ func TestRecoveryFromSnapshotPlusWAL(t *testing.T) {
 	// 8 batches at depth 3: compactions (snapshot + truncate) after
 	// batches 3 and 6, then batches 7 and 8 stay in the WAL — the crash
 	// lands after their appends, before the next compaction.
-	batches := recoveryBatches(8)
+	batches := recoveryBatches(ds.Graph, 8)
 	for _, b := range batches {
 		if err := live.Apply(b); err != nil {
 			t.Fatal(err)
@@ -240,7 +266,7 @@ func TestRecoveryFromSnapshotPlusWAL(t *testing.T) {
 
 	// Post-recovery, the manager is live again: the next applied batch is
 	// logged and, at the compaction point, snapshotted + truncated.
-	extra := recoveryBatches(compactDepth + 1)
+	extra := recoveryBatches(ds.Graph, compactDepth+1)
 	for _, b := range extra {
 		if err := reborn.Apply(b); err != nil {
 			t.Fatal(err)

@@ -151,7 +151,9 @@ func TestSubscribeDifferentialCorrectness(t *testing.T) {
 	lastSeq := events[0].Seq
 
 	// The trace: adds and removes around the subscribed user (so marks
-	// land), plus one >8-item batch exercising the Global effect path.
+	// land), plus one 9-item batch elsewhere in the graph, whose effect
+	// reaches the subscription only through the landmarks it stales or a
+	// topic maximum it moves.
 	g := s.mgr.Graph()
 	var free []uint32
 	for dst := uint32(400); dst < 600 && len(free) < 6; dst++ {
@@ -162,16 +164,16 @@ func TestSubscribeDifferentialCorrectness(t *testing.T) {
 	if len(free) < 6 {
 		t.Fatal("dataset left no free edge slots for the trace")
 	}
-	var global []client.UpdateItem
+	var elsewhere []client.UpdateItem
 	for i := 0; i < 9; i++ {
-		global = append(global, client.UpdateItem{Src: uint32(300 + i), Dst: uint32(320 + i), Topics: []string{"technology"}})
+		elsewhere = append(elsewhere, client.UpdateItem{Src: uint32(300 + i), Dst: uint32(320 + i), Topics: []string{"technology"}})
 	}
 	trace := [][]client.UpdateItem{
 		{{Src: user, Dst: free[0], Topics: []string{"technology"}}},
 		{{Src: user, Dst: free[1], Topics: []string{"technology"}}, {Src: user, Dst: free[2], Topics: []string{"technology"}}},
 		{{Src: user, Dst: free[0], Remove: true}},
 		{{Src: free[3], Dst: user, Topics: []string{"technology"}}},
-		global,
+		elsewhere,
 		{{Src: user, Dst: free[4], Topics: []string{"technology"}}, {Src: user, Dst: free[1], Remove: true}},
 	}
 

@@ -105,7 +105,7 @@ const (
 type WAL struct {
 	f       *os.File
 	policy  SyncPolicy
-	dlen    int // per-delta encoding width (deltaLenV1 or deltaLenV2)
+	dlen    int           // per-delta encoding width (deltaLenV1 or deltaLenV2)
 	size    atomic.Int64  // current valid length (next append offset)
 	seq     atomic.Uint64 // next record sequence number
 	buf     []byte        // reused append encoding buffer

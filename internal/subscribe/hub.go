@@ -278,40 +278,37 @@ func (h *Hub) Unsubscribe(id string) error {
 	return nil
 }
 
-// OnBatch folds one batch effect into the dirty queue: global effects
-// mark every group, local effects only the groups indexed under a
-// touched node. Wired to dynamic.Manager.SetBatchHook.
+// OnBatch folds one batch effect into the dirty queue: the groups indexed
+// under a touched node first — the batch changed something inside their
+// neighbourhood, so their answers are the likeliest to move — then, on a
+// global effect, every other group. Each group is marked once per batch.
+// Wired to dynamic.Manager.SetBatchHook.
 func (h *Hub) OnBatch(fx dynamic.BatchEffect) {
 	h.mu.Lock()
 	if fx.Epoch > h.epoch {
 		h.epoch = fx.Epoch
 	}
-	if fx.Global {
-		for _, g := range h.groups {
-			h.markDirtyLocked(g, fx.Epoch, fx.OldestAt)
+	var seen map[*group]struct{}
+	mark := func(g *group) {
+		if _, dup := seen[g]; dup {
+			return
 		}
-	} else {
-		var seen map[*group]struct{}
-		mark := func(n graph.NodeID) {
+		if seen == nil {
+			seen = make(map[*group]struct{})
+		}
+		seen[g] = struct{}{}
+		h.markDirtyLocked(g, fx.Epoch, fx.OldestAt)
+	}
+	for _, nodes := range [...][]graph.NodeID{fx.Endpoints, fx.StaleLandmarks, fx.Refreshed} {
+		for _, n := range nodes {
 			for g := range h.index[n] {
-				if _, dup := seen[g]; dup {
-					continue
-				}
-				if seen == nil {
-					seen = make(map[*group]struct{})
-				}
-				seen[g] = struct{}{}
-				h.markDirtyLocked(g, fx.Epoch, fx.OldestAt)
+				mark(g)
 			}
 		}
-		for _, n := range fx.Endpoints {
-			mark(n)
-		}
-		for _, n := range fx.StaleLandmarks {
-			mark(n)
-		}
-		for _, n := range fx.Refreshed {
-			mark(n)
+	}
+	if fx.Global {
+		for _, g := range h.groups {
+			mark(g)
 		}
 	}
 	h.kickLocked()

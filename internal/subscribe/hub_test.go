@@ -8,9 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dynamic"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ranking"
+	"repro/internal/topics"
 )
 
 // fakeCompute is a controllable stand-in for the server's serving path:
@@ -238,6 +241,47 @@ func TestAffectedIndexBoundsRescores(t *testing.T) {
 	}
 }
 
+// TestGlobalBatchRescoresTouchedGroupsFirst: a global effect re-scores
+// every group, but the ones whose neighbourhood the batch touched go to
+// the head of the queue — the order of the rest is arbitrary.
+func TestGlobalBatchRescoresTouchedGroupsFirst(t *testing.T) {
+	var mu sync.Mutex
+	var order []graph.NodeID
+	h := New(Config{
+		Compute: func(_ context.Context, k Key) (Result, error) {
+			mu.Lock()
+			order = append(order, k.User)
+			mu.Unlock()
+			return Result{Scored: scored(1, 2)}, nil
+		},
+		Neighborhood: func(k Key) []graph.NodeID { return []graph.NodeID{k.User} },
+	})
+	t.Cleanup(h.Close)
+	for u := graph.NodeID(0); u < 12; u++ {
+		if _, err := h.Register(Key{User: u, N: 2, Method: "landmark"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(t, h)
+	for _, touched := range []graph.NodeID{3, 7, 10} {
+		mu.Lock()
+		order = order[:0]
+		mu.Unlock()
+		marks := h.Stats().RescoreMarks
+		h.OnBatch(dynamic.BatchEffect{Epoch: uint64(touched), Endpoints: []graph.NodeID{touched}, Global: true})
+		flush(t, h)
+		mu.Lock()
+		got := append([]graph.NodeID(nil), order...)
+		mu.Unlock()
+		if len(got) != 12 || got[0] != touched {
+			t.Fatalf("global batch touching %d re-scored %v, want all 12 groups with %d first", touched, got, touched)
+		}
+		if d := h.Stats().RescoreMarks - marks; d != 12 {
+			t.Fatalf("global batch touching %d left %d marks, want one per group", touched, d)
+		}
+	}
+}
+
 // TestSharedGroupSingleRescore: S subscribers of one key cost one
 // re-score per drain, and each gets its own event stream.
 func TestSharedGroupSingleRescore(t *testing.T) {
@@ -433,4 +477,95 @@ func TestClosedHub(t *testing.T) {
 		t.Errorf("register on closed hub: %v, want ErrClosed", err)
 	}
 	h.Close() // idempotent
+}
+
+// TestLargeBatchElsewhereRescoresNothing runs the hub on a real manager:
+// a 16-update batch that lands outside a subscription's neighbourhood and
+// moves no per-topic follower maximum is a local effect, so it triggers
+// neither a mark nor a re-score. Batch size alone no longer makes an
+// effect Global.
+func TestLargeBatchElsewhereRescoresNothing(t *testing.T) {
+	ds := gen.RandomWith(60, 600, 31)
+	// Two components: 0..29 holds the subscriber, 30..59 takes the batch.
+	var cut []graph.Edge
+	for _, e := range ds.Graph.Edges() {
+		if (e.Src < 30) != (e.Dst < 30) {
+			cut = append(cut, e)
+		}
+	}
+	mgr, err := dynamic.NewManager(ds.Graph.WithoutEdges(cut), []graph.NodeID{3, 17, 33, 48}, dynamic.Config{
+		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 200, QueryDepth: 2,
+		Strategy: dynamic.Lazy, CompactFraction: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0 leads every topic but the last by a wide margin, so nothing
+	// the first batch does in the other component can move a maximum.
+	T := ds.Graph.Vocabulary().Len()
+	var most topics.Set
+	for i := 0; i < T-1; i++ {
+		most = most.Add(topics.ID(i))
+	}
+	var lead []dynamic.Update
+	for v := graph.NodeID(1); v < 30; v++ {
+		lead = append(lead, dynamic.Update{Edge: graph.Edge{Src: v, Dst: 0, Label: most}, Add: true})
+	}
+	if err := mgr.Apply(lead); err != nil {
+		t.Fatal(err)
+	}
+
+	h := New(Config{
+		Compute: func(_ context.Context, k Key) (Result, error) {
+			top, err := mgr.Recommend(k.User, k.Topic, k.N)
+			return Result{Scored: top}, err
+		},
+		Neighborhood: func(k Key) []graph.NodeID { return mgr.Neighborhood(k.User, false) },
+	})
+	t.Cleanup(h.Close)
+	var last dynamic.BatchEffect
+	mgr.SetBatchHook(func(fx dynamic.BatchEffect) {
+		last = fx
+		h.OnBatch(fx)
+	})
+	if _, err := h.Register(Key{User: 7, Topic: 0, N: 5, Method: "landmark"}); err != nil {
+		t.Fatal(err)
+	}
+	flush(t, h)
+	base := h.Stats()
+
+	var batch []dynamic.Update
+	for i := 0; i < 16; i++ {
+		src, dst := graph.NodeID(30+i), graph.NodeID(30+(i*7+3)%30)
+		if src == dst {
+			dst = 30 + (dst-29)%30
+		}
+		batch = append(batch, dynamic.Update{Edge: graph.Edge{Src: src, Dst: dst, Label: topics.NewSet(topics.ID(i % 3))}, Add: i%4 != 3})
+	}
+	if err := mgr.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	flush(t, h)
+	if last.Global || len(last.Endpoints) < 16 {
+		t.Fatalf("effect of the 16-update batch = %+v, want a local one", last)
+	}
+	if st := h.Stats(); st.Rescores != base.Rescores || st.RescoreMarks != base.RescoreMarks {
+		t.Errorf("batch outside the neighbourhood: rescores %d -> %d, marks %d -> %d, want no change",
+			base.Rescores, st.Rescores, base.RescoreMarks, st.RescoreMarks)
+	}
+
+	// The same batch size, still in the other component, does re-score
+	// once it moves a maximum: node 30 takes the lead on the last topic.
+	batch = batch[:0]
+	for v := graph.NodeID(31); v < 47; v++ {
+		batch = append(batch, dynamic.Update{Edge: graph.Edge{Src: v, Dst: 30, Label: topics.NewSet(topics.ID(T - 1))}, Add: true})
+	}
+	if err := mgr.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	flush(t, h)
+	if st := h.Stats(); !last.Global || st.Rescores != base.Rescores+1 {
+		t.Errorf("batch moving a topic maximum: global %v, rescores %d -> %d, want one re-score",
+			last.Global, base.Rescores, st.Rescores)
+	}
 }
