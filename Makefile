@@ -49,23 +49,28 @@ fmt-check:
 # result maps are sized once at the spill; the bounds below leave slack
 # for runtime jitter). A refactor that reintroduces
 # per-hop or per-edge allocation trips this before it needs a profile.
-# The landmark refresh (layout build + kernel exploration into flat
-# result rows + list building, g2k) is gated the same way: ~165 allocs/op
-# for one landmark and ~1820 for 27 (57 of them per landmark are the
-# stored lists themselves), against 775 and 20639 when every exploration
-# spilled three per-node maps.
+# The factored converged exploration (one landmark's preprocessing on the
+# 2000- and 8000-node graphs) runs its passes in the scratch's rows and
+# allocates its result and Reached list only: 2 allocs/op.
+# The landmark refresh (in-adjacency build + factored explorations into
+# flat result rows + list selection, g2k) is gated the same way: ~120
+# allocs/op for one landmark and ~1730 for 27 (57 of them per landmark are
+# the stored lists themselves), against 775 and 20639 when every
+# exploration spilled three per-node maps.
 KERNEL_GATE_DENSE_ALLOCS ?= 135
 KERNEL_GATE_KERNEL_ALLOCS ?= 60
+KERNEL_GATE_CONVERGED_ALLOCS ?= 8
 KERNEL_GATE_REFRESH1_ALLOCS ?= 300
 KERNEL_GATE_REFRESH27_ALLOCS ?= 2600
 .PHONY: kernel-gate
 kernel-gate:
-	$(GO) test -run='^$$' -bench='^BenchmarkExplore(Dense|KernelDegree)$$' -benchmem ./internal/core/ | \
-	awk -v dense=$(KERNEL_GATE_DENSE_ALLOCS) -v kern=$(KERNEL_GATE_KERNEL_ALLOCS) '{ print } \
+	$(GO) test -run='^$$' -bench='^BenchmarkExplore(Dense|KernelDegree|Converged)$$' -benchmem ./internal/core/ | \
+	awk -v dense=$(KERNEL_GATE_DENSE_ALLOCS) -v kern=$(KERNEL_GATE_KERNEL_ALLOCS) -v conv=$(KERNEL_GATE_CONVERGED_ALLOCS) '{ print } \
 		/^BenchmarkExploreDense/ { seenD = 1; if ($$7+0 > dense) { printf "kernel-gate: dense explore %d allocs/op exceeds baseline %d\n", $$7, dense; bad = 1 } } \
 		/^BenchmarkExploreKernelDegree/ { seenK = 1; if ($$7+0 > kern) { printf "kernel-gate: kernel explore %d allocs/op exceeds baseline %d\n", $$7, kern; bad = 1 } } \
+		/^BenchmarkExploreConverged\// { seenC++; if ($$7+0 > conv) { printf "kernel-gate: converged explore %d allocs/op exceeds baseline %d\n", $$7, conv; bad = 1 } } \
 		/^FAIL/ { bad = 1 } \
-		END { if (!seenD || !seenK) { print "kernel-gate: benchmarks did not run"; bad = 1 } exit bad }'
+		END { if (!seenD || !seenK || seenC != 2) { print "kernel-gate: benchmarks did not run"; bad = 1 } exit bad }'
 	$(GO) test -run='^$$' -bench='^BenchmarkPreprocessRefresh$$' -benchmem ./internal/landmark/ | \
 	awk -v one=$(KERNEL_GATE_REFRESH1_ALLOCS) -v many=$(KERNEL_GATE_REFRESH27_ALLOCS) '{ print } \
 		/^BenchmarkPreprocessRefresh\/landmarks=1-/ { seen1 = 1; if ($$7+0 > one) { printf "kernel-gate: 1-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, one; bad = 1 } } \
@@ -74,9 +79,10 @@ kernel-gate:
 		END { if (!seen1 || !seen27) { print "kernel-gate: refresh benchmarks did not run"; bad = 1 } exit bad }'
 
 # bench watches the hot path: the Explore microbenchmarks (allocs/op is
-# the regression guard for the exploration loop), the landmark refresh
-# on a decay-weighted overlay engine, the overlay-vs-rebuild delta apply,
-# the per-update cost of Manager.Apply at batch sizes 1/4/16/64 on the
+# the regression guard for the exploration loop; BenchmarkExploreConverged
+# is one landmark's factored preprocessing at 2000 and 8000 nodes), the
+# landmark refresh on a decay-weighted overlay engine, the
+# overlay-vs-rebuild delta apply, the per-update cost of Manager.Apply at batch sizes 1/4/16/64 on the
 # streaming 8000-node manager, plus the evaluation-engine sweep and
 # graph-delta comparison, which rewrite BENCH_eval.json and
 # BENCH_graph.json.

@@ -16,8 +16,8 @@
 // beside the scores, so an edge delta is folded in exactly: ApplyDelta
 // recounts the destination rows and rewrites a whole score column only
 // when that topic's maximum actually moved. The contract is that the
-// table is shown every delta since Compute (or Recompute); it then equals
-// a fresh Compute of the current view bit for bit.
+// table is shown every delta since Compute; it then equals a fresh
+// Compute of the current view bit for bit.
 package authority
 
 import (
@@ -38,7 +38,7 @@ type Table struct {
 	// across many random nodes, so the per-topic column is the
 	// cache-friendly access path — a single topic's column is a fraction
 	// of the full table and stays resident across an exploration. Kept in
-	// sync by Recompute and ApplyDelta.
+	// sync by recompute and ApplyDelta.
 	cols []float64
 	// counts (n × T, row-major: |Γu(t)|), indeg (|Γu|) and maxFol (per
 	// topic: max_v |Γv(t)|) are the inputs every score was computed from;
@@ -61,12 +61,12 @@ func Compute(g graph.View) *Table {
 		indeg:  make([]uint32, n),
 		maxFol: make([]uint32, T),
 	}
-	t.Recompute(g)
+	t.recompute(g)
 	return t
 }
 
 // score is auth(u, t) from |Γu(t)|, |Γu| and log(1 + max_v |Γv(t)|).
-// Recompute and ApplyDelta both evaluate this one expression, which is
+// recompute and ApplyDelta both evaluate this one expression, which is
 // what makes the incrementally maintained table bit-identical to a
 // computed one. c > 0 implies a follower and a maximum of at least c, so
 // neither divisor is 0.
@@ -81,10 +81,10 @@ func score(c, total uint32, logMax float64) float64 {
 // logMaxOf is the global factor's denominator for a per-topic maximum.
 func logMaxOf(m uint32) float64 { return math.Log(1 + float64(m)) }
 
-// Recompute refreshes every score from the view's current topology — the
+// recompute refreshes every score from the view's current topology — the
 // from-scratch reference ApplyDelta is tested against. The view must have
 // the same node count and vocabulary the table was built for.
-func (t *Table) Recompute(g graph.View) {
+func (t *Table) recompute(g graph.View) {
 	T := t.vocab.Len()
 
 	// First pass: follower counts, in-degrees and the per-topic maxima.
@@ -118,13 +118,6 @@ func (t *Table) rewriteColumn(i int, logMax float64) {
 	}
 }
 
-// ApplyEdgeChange refreshes the table after one follow edge toward dst
-// was added or removed: ApplyDelta for a single destination. g must be
-// the graph state *after* the change.
-func (t *Table) ApplyEdgeChange(g graph.View, dst graph.NodeID) {
-	t.ApplyDelta(g, []graph.NodeID{dst})
-}
-
 // ApplyDelta folds an edge delta into the table, exactly, for any batch
 // size. This is the incremental maintenance the paper describes (Section
 // 3.2): only the destinations of the changed edges have different
@@ -137,8 +130,8 @@ func (t *Table) ApplyEdgeChange(g graph.View, dst graph.NodeID) {
 // means no score outside the rows of dsts changed.
 //
 // dsts may contain duplicates; g must be the view *after* the delta, and
-// must differ from the view the table last saw (at Compute, Recompute or
-// the previous ApplyDelta) only in edges toward dsts. Under that contract
+// must differ from the view the table last saw (at Compute or the
+// previous ApplyDelta) only in edges toward dsts. Under that contract
 // the table equals Compute(g) bit for bit. Cost is O(|dsts| · (deg + T))
 // plus O(n) per moved or rescanned topic.
 func (t *Table) ApplyDelta(g graph.View, dsts []graph.NodeID) int {

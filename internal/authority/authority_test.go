@@ -108,7 +108,7 @@ func TestRecomputeAfterRemoval(t *testing.T) {
 	reduced := ds.Graph.WithoutEdges(edges[:50])
 	tab2 := Compute(reduced)
 	// Same table recomputed in place must match a fresh one.
-	tab.Recompute(reduced)
+	tab.recompute(reduced)
 	for u := 0; u < reduced.NumNodes(); u++ {
 		a, b := tab.Row(graph.NodeID(u)), tab2.Row(graph.NodeID(u))
 		for i := range a {
@@ -121,7 +121,9 @@ func TestRecomputeAfterRemoval(t *testing.T) {
 
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
-func TestApplyEdgeChangeMatchesRecompute(t *testing.T) {
+// TestApplyDeltaSingleAddition: ApplyDelta of one added follow edge
+// equals a fresh Compute.
+func TestApplyDeltaSingleAddition(t *testing.T) {
 	ds := gen.RandomWith(50, 400, 11)
 	g := ds.Graph
 	tab := Compute(g)
@@ -139,17 +141,18 @@ func TestApplyEdgeChangeMatchesRecompute(t *testing.T) {
 	b.AddEdge(49, 7, topics.NewSet(0, 1))
 	g2 := b.MustFreeze()
 
-	tab.ApplyEdgeChange(g2, 7)
+	tab.ApplyDelta(g2, []graph.NodeID{7})
 	requireSameTable(t, tab, Compute(g2))
 }
 
-func TestApplyEdgeChangeRemoval(t *testing.T) {
+// TestApplyDeltaSingleRemoval: likewise for one removed edge.
+func TestApplyDeltaSingleRemoval(t *testing.T) {
 	ds := gen.RandomWith(30, 250, 13)
 	g := ds.Graph
 	tab := Compute(g)
 	e := g.Edges()[0]
 	g2 := g.WithoutEdges([]graph.Edge{e})
-	tab.ApplyEdgeChange(g2, e.Dst)
+	tab.ApplyDelta(g2, []graph.NodeID{e.Dst})
 	requireSameTable(t, tab, Compute(g2))
 }
 

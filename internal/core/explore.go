@@ -17,7 +17,9 @@ type Exploration struct {
 	Src     graph.NodeID
 	Topics  []topics.ID    // topics scored, in request order
 	Reached []graph.NodeID // nodes with any non-zero score, excluding Src
-	// Iterations is the number of hops actually propagated.
+	// Iterations is the length of the longest paths the scores include:
+	// the hops propagated by the hop recurrence, or pass-1 hops + 1 +
+	// pass-3 hops for an exploration in factored form (InAdjacency).
 	Iterations int
 	// Converged reports whether the tolerance was met before MaxDepth.
 	Converged bool
@@ -124,6 +126,16 @@ func (x *Exploration) TopicIndex(t topics.ID) int {
 //
 // with w_t the edge topical factor (similarity × authority). Accumulated
 // sums over k give σ, topo_αβ and topo_β.
+//
+// The σ recurrence is linear: σΔ_k = β·Pᵀσ_{k-1} + g_k with g_k the
+// authority term above. Summed over k it regroups every path at the one
+// edge where authority enters (Proposition 2):
+//
+//	σ(src,·,t) = Σ_m (β·Pᵀ)^m · G(·,t),  G(v,t) = αβ·Σ_{w→v} topo_αβ(src,w)·w_t(w→v)
+//
+// with topo_αβ(src,·) the converged total, including the empty path at
+// src. InAdjacency.Explore computes converged all-topic explorations in
+// that form.
 func (e *Engine) Explore(src graph.NodeID, ts []topics.ID, maxDepth int) *Exploration {
 	return e.ExploreOpts(src, ts, ExploreOptions{MaxDepth: maxDepth})
 }

@@ -14,9 +14,9 @@ import (
 // n×k score arrays, and every edge pays a hash lookup for its label's
 // similarity row. This kernel trades bit-exactness for locality:
 //
-//   - the engine's graph is re-materialized under a degree- or
-//     BFS-ordered Permutation (graph.Relabel), so the hub rows every
-//     frontier keeps revisiting share a few cache lines;
+//   - the engine's out-adjacency is re-materialized under a degree- or
+//     BFS-ordered Permutation, so the hub rows every frontier keeps
+//     revisiting share a few cache lines;
 //   - per-hop accumulators are float32 — half the memory traffic of the
 //     float64 arrays — held in L2-sized tiles that are allocated lazily
 //     and recycled, so a shallow exploration touches only the tiles its
@@ -37,6 +37,12 @@ import (
 // Kendall-tau distance ≤ 1e-3 (tau ≥ 0.999) between float32 and float64
 // rankings. The permutation is invisible outside the kernel — src, Stop
 // callbacks and every Exploration result use external NodeIDs.
+//
+// The kernel serves the explorations of an Optimized engine. Landmark
+// preprocessing no longer runs it by default: a converged all-topic
+// exploration is cheaper in the factored form of converged.go, and the
+// kernel's hop recurrence remains its fallback when that form does not
+// converge within MaxDepth.
 
 // layout is the optimized-kernel state attached to an engine by
 // Optimized: the relabeled out-adjacency plus flattened float32 factor
@@ -87,8 +93,9 @@ type layout struct {
 // relabel identically. Engines later derived from this engine over a new
 // view drop the layout (the relabeling no longer matches the view) and
 // fall back to the exact modes until re-optimized. The build is one pass
-// over the edges — landmark.Preprocess pays it per call on engines
-// without a layout.
+// over the edges. Landmark preprocessing explores in factored form
+// (InAdjacency) and needs a layout only for an exploration whose factored
+// form does not converge.
 func (e *Engine) Optimized(order graph.Order) *Engine {
 	perm := graph.NewPermutation(order, e.g)
 	n, m := e.g.NumNodes(), e.g.NumEdges()

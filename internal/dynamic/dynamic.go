@@ -147,11 +147,13 @@ type Config struct {
 	// compactions the derived overlay engines run unoptimized — an
 	// overlay invalidates the relabeling — so the kernel speedup
 	// applies to the long-lived frozen epochs where exact-Tr queries
-	// run. Landmark preprocessing and refreshes run the kernel whatever
-	// this says: landmark.Preprocess borrows the engine's layout when it
-	// has one and builds a transient one per call otherwise, which the
-	// manager's engine never keeps. The store is stamped with the layout
-	// generation (Stats.LayoutEpoch) it was computed under.
+	// run. Landmark preprocessing and refreshes do not depend on it: each
+	// landmark.Preprocess call explores in factored form over a transient
+	// in-adjacency, which the manager's engine never keeps, and only a
+	// landmark whose factored form does not converge runs the kernel —
+	// over the engine's layout when it has one, a transient one
+	// otherwise. The store is stamped with the layout generation
+	// (Stats.LayoutEpoch) it was computed under.
 	OptimizeLayout bool
 	// LayoutOrder picks the relabeling order when OptimizeLayout is
 	// set. The zero value is graph.DegreeOrder.

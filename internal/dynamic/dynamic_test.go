@@ -106,9 +106,10 @@ func TestEagerRefreshMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestLazyRefreshOnQuery also carries the heap guard of the kernel
-// refresh: preprocessing and refreshes build their layout per call, so
-// without Config.OptimizeLayout the manager's engine never holds one.
+// TestLazyRefreshOnQuery also carries the heap guard of the refresh:
+// preprocessing and refreshes build their in-adjacency (and any fallback
+// layout) per call, so without Config.OptimizeLayout the manager's engine
+// never holds a layout.
 func TestLazyRefreshOnQuery(t *testing.T) {
 	m, ds := newManager(t, Lazy, 3)
 	if m.eng.HasOptimizedLayout() {

@@ -232,3 +232,70 @@ func TestInvalidationVisitedBound(t *testing.T) {
 		t.Fatalf("dynamic_authority_column_rewrites_total = %d, Stats.AuthorityColumnRewrites = %d", got, st.AuthorityColumnRewrites)
 	}
 }
+
+// TestInvalidationHorizonCoversFactoredPaths: a factored preprocessing
+// exploration holds paths up to (pass-1 hops + 1 + pass-3 hops) long and
+// records that length as Iterations, which is the invalidation horizon. On
+// a chain, an edge added at a node further from the landmark than the hop
+// recurrence ever reaches — and so further than pass 1 runs — but within
+// Iterations still stales the landmark, and the refreshed lists, which
+// now reach the edge's new endpoint, equal a fresh Preprocess of the new
+// view.
+func TestInvalidationHorizonCoversFactoredPaths(t *testing.T) {
+	tax := topics.WebTaxonomy()
+	T := tax.Vocabulary().Len()
+	lbl := func(i int) topics.Set { return topics.NewSet(topics.ID(i%T), topics.ID((i+3)%T)) }
+	// A chain 0 → 1 → … → 39, a querier 40 → 0 and a spare node 41.
+	b := graph.NewBuilder(tax.Vocabulary(), 42)
+	for u := 0; u < 42; u++ {
+		b.SetNodeTopics(graph.NodeID(u), lbl(u))
+	}
+	for u := 0; u < 39; u++ {
+		b.AddEdge(graph.NodeID(u), graph.NodeID(u+1), lbl(u))
+	}
+	b.AddEdge(40, 0, lbl(40))
+	const lm, querier, spare = graph.NodeID(0), graph.NodeID(40), graph.NodeID(41)
+	cfg := Config{Params: core.DefaultParams(), Sim: tax.SimMatrix(), StoreTopN: 50, QueryDepth: 2, Strategy: Lazy}
+	m, err := NewManager(b.MustFreeze(), []graph.NodeID{lm}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := m.store.Get(lm).Iterations
+	hop := m.eng.ExploreOpts(lm, nil, core.ExploreOptions{Mode: core.DenseMode}).Iterations
+	far := graph.NodeID(horizon - 1)
+	if m.maxIter != horizon || int(far) <= hop {
+		t.Fatalf("horizon %d (maxIter %d), hop recurrence %d: no chain node lies between them", horizon, m.maxIter, hop)
+	}
+	inTopo := func(d *landmark.Data) bool { return slices.Contains(d.TopoTop.Nodes, spare) }
+	if inTopo(m.store.Get(lm)) {
+		t.Fatal("the spare node is ranked before any edge reaches it")
+	}
+
+	if err := m.Apply([]Update{{Edge: graph.Edge{Src: far, Dst: spare, Label: lbl(7)}, Add: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if !m.stale[lm] {
+		t.Fatalf("an edge %d hops from the landmark, inside its horizon %d, left it fresh", far, horizon)
+	}
+	if _, err := m.Recommend(querier, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if m.stale[lm] {
+		t.Fatal("the querier's lazy refresh left the landmark stale")
+	}
+	got := m.store.Get(lm)
+	want, _ := landmark.Preprocess(m.eng, []graph.NodeID{lm}, landmark.PreprocessConfig{TopN: cfg.StoreTopN})
+	wd := want.Get(lm)
+	if !inTopo(got) || got.Iterations != wd.Iterations {
+		t.Fatalf("refreshed lists: spare node ranked %v, %d iterations; fresh preprocessing %d", inTopo(got), got.Iterations, wd.Iterations)
+	}
+	for ti := 0; ti <= T; ti++ {
+		g, w := got.TopoTop, wd.TopoTop
+		if ti < T {
+			g, w = got.Topical[ti], wd.Topical[ti]
+		}
+		if !slices.Equal(g.Nodes, w.Nodes) || !slices.Equal(g.Sigma, w.Sigma) || !slices.Equal(g.Topo, w.Topo) {
+			t.Fatalf("list %d: refreshed %v, fresh preprocessing %v", ti, g, w)
+		}
+	}
+}

@@ -12,17 +12,19 @@ import (
 	"repro/internal/topics"
 )
 
-func benchSetup(b *testing.B, nodes int) (*core.Engine, *gen.Dataset) {
-	b.Helper()
+// benchSetup builds a default-parameter engine over the synthetic
+// Twitter graph of the given size.
+func benchSetup(tb testing.TB, nodes int) (*core.Engine, *gen.Dataset) {
+	tb.Helper()
 	cfg := gen.DefaultTwitterConfig()
 	cfg.Nodes = nodes
 	ds, err := gen.Twitter(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng, err := core.NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, core.DefaultParams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return eng, ds
 }

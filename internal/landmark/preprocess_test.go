@@ -57,15 +57,26 @@ func equalLists(t *testing.T, label string, lm graph.NodeID, ti int, got, want L
 // representations of one edge set: an engine derived over an overlay
 // stack and one built on the stack's compacted rebuild (the state a
 // recovered manager boots into) produce bit-identical stores, decay
-// weights included.
+// weights included. Both exploration paths are held to it: the hop
+// recurrence (β = 0.05, where no factored exploration converges) and the
+// factored form (the 2000-node graph at the paper's parameters).
 func TestPreprocessWorkerDeterminism(t *testing.T) {
 	ds := gen.RandomWith(120, 1500, 3)
-	eng := engineOn(t, ds, 0.05)
-	lms := []graph.NodeID{3, 17, 41, 77, 99}
+	checkWorkerDeterminism(t, "β = 0.05", ds, engineOn(t, ds, 0.05), []graph.NodeID{3, 17, 41, 77, 99}, 5)
+	eng, g2k := benchSetup(t, 2000)
+	lms, err := Select(g2k.Graph, InDeg, 5, DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWorkerDeterminism(t, "g2k", g2k, eng, lms, 0)
+}
 
+func checkWorkerDeterminism(t *testing.T, fixture string, ds *gen.Dataset, eng *core.Engine, lms []graph.NodeID, fallbacks int) {
+	t.Helper()
 	sequential, seqStats := Preprocess(eng, lms, PreprocessConfig{TopN: 50, Workers: 1})
-	if seqStats.Landmarks != len(lms) {
-		t.Fatalf("sequential run processed %d landmarks, want %d", seqStats.Landmarks, len(lms))
+	if seqStats.Landmarks != len(lms) || seqStats.Fallbacks != fallbacks {
+		t.Fatalf("%s: sequential run processed %d landmarks with %d fallbacks, want %d and %d",
+			fixture, seqStats.Landmarks, seqStats.Fallbacks, len(lms), fallbacks)
 	}
 
 	cases := []struct {
@@ -75,14 +86,15 @@ func TestPreprocessWorkerDeterminism(t *testing.T) {
 		{"Workers=0 (GOMAXPROCS)", 0},
 		{"Workers=-4", -4},
 		{"Workers=2", 2},
+		{"Workers=4", 4},
 		{"Workers>len(landmarks)", len(lms) * 3},
 	}
 	for _, tc := range cases {
 		store, stats := Preprocess(eng, lms, PreprocessConfig{TopN: 50, Workers: tc.workers})
 		if stats.Landmarks != len(lms) {
-			t.Fatalf("%s: processed %d landmarks, want %d", tc.label, stats.Landmarks, len(lms))
+			t.Fatalf("%s, %s: processed %d landmarks, want %d", fixture, tc.label, stats.Landmarks, len(lms))
 		}
-		equalStores(t, tc.label, store, sequential)
+		equalStores(t, fixture+", "+tc.label, store, sequential)
 	}
 
 	overEng, ov := streamedEngine(t, eng, 3, true)
@@ -95,7 +107,7 @@ func TestPreprocessWorkerDeterminism(t *testing.T) {
 	want, _ := Preprocess(rebuilt, lms, PreprocessConfig{TopN: 50, Workers: 1})
 	for _, workers := range []int{1, 4} {
 		got, _ := Preprocess(overEng, lms, PreprocessConfig{TopN: 50, Workers: workers})
-		equalStores(t, "overlay vs Compact() rebuild", got, want)
+		equalStores(t, fixture+", overlay vs Compact() rebuild", got, want)
 	}
 }
 
@@ -159,43 +171,117 @@ func closeLists(t *testing.T, label string, got, want List, score, other func(Li
 }
 
 // TestPreprocessMatchesFloat64Reference is the contract of the default
-// preprocessing path, which explores on the float32 kernel: against the
-// float64 reference store the lists keep membership and order up to ties
-// at float32 resolution and every stored value to 1e-5 — on a frozen
-// engine, on one derived over a 3-layer overlay, and on a decay-weighted
-// one (the three shapes the manager preprocesses and refreshes).
+// preprocessing path against the float64 hop recurrence (DenseMode): the
+// lists keep membership and order up to ties at float32 resolution and
+// every stored value to 1e-5 — on a frozen engine, on one derived over a
+// 3-layer overlay, and on a decay-weighted one (the three shapes the
+// manager preprocesses and refreshes). On the 2000-node graph at the
+// paper's parameters, under every variant, every exploration runs in
+// factored form and records a horizon at least the reference's. At
+// β = 0.05 none converges in factored form, and the store is the float32
+// kernel's hop recurrence bit for bit, as before the factored form
+// existed.
 func TestPreprocessMatchesFloat64Reference(t *testing.T) {
 	ds := gen.RandomWith(300, 4200, 11)
-	frozen := engineOn(t, ds, 0.05)
-	overlaid, _ := streamedEngine(t, frozen, 3, false)
-	decayed, _ := streamedEngine(t, frozen, 3, true)
+	slow := engineOn(t, ds, 0.05)
 	lms, err := Select(ds.Graph, InDeg, 6, DefaultSelectConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFloat64Contract(t, "β = 0.05", slow, lms, 40, true)
+	got, _ := Preprocess(slow, lms, PreprocessConfig{TopN: 40})
+	equalStores(t, "β = 0.05 vs the kernel hop recurrence", got, kernelStore(slow, lms, 40))
+
+	_, g2k := benchSetup(t, 2000)
+	lms, err = Select(g2k.Graph, InDeg, 4, DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []core.Variant{core.TrFull, core.TrNoAuth, core.TrNoSim, core.TopoOnly} {
+		p := core.DefaultParams()
+		p.Variant = v
+		eng, err := core.NewEngine(g2k.Graph, authority.Compute(g2k.Graph), g2k.Sim, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFloat64Contract(t, "g2k "+v.String(), eng, lms, 200, false)
+	}
+}
+
+// checkFloat64Contract runs the float64 contract on the frozen, overlaid
+// and decay-weighted shapes of frozen. fallback states whether every
+// exploration takes the hop recurrence (same horizon as the reference) or
+// none does (a horizon at least the reference's).
+func checkFloat64Contract(t *testing.T, fixture string, frozen *core.Engine, lms []graph.NodeID, topN int, fallback bool) {
+	t.Helper()
+	overlaid, _ := streamedEngine(t, frozen, 3, false)
+	decayed, _ := streamedEngine(t, frozen, 3, true)
 	sigmaOf := func(l List) []float64 { return l.Sigma }
 	topoOf := func(l List) []float64 { return l.Topo }
 	for _, tc := range []struct {
 		label string
 		eng   *core.Engine
 	}{{"frozen", frozen}, {"overlay", overlaid}, {"decay-weighted", decayed}} {
-		cfg := PreprocessConfig{TopN: 40}
-		got, _ := Preprocess(tc.eng, lms, cfg)
+		label := fixture + " " + tc.label
+		cfg := PreprocessConfig{TopN: topN}
+		got, stats := Preprocess(tc.eng, lms, cfg)
 		want, _ := preprocess(tc.eng, lms, cfg, core.DenseMode)
 		if tc.eng.HasOptimizedLayout() {
-			t.Fatalf("%s: Preprocess left a layout on the caller's engine", tc.label)
+			t.Fatalf("%s: Preprocess left a layout on the caller's engine", label)
+		}
+		if fell := stats.Fallbacks == len(lms); fell != fallback || (!fallback && stats.Fallbacks != 0) {
+			t.Fatalf("%s: %d of %d explorations fell back to the hop recurrence", label, stats.Fallbacks, len(lms))
 		}
 		for _, lm := range lms {
 			gd, wd := got.Get(lm), want.Get(lm)
-			if gd.Iterations != wd.Iterations {
-				t.Fatalf("%s λ=%d: %d iterations, reference %d", tc.label, lm, gd.Iterations, wd.Iterations)
+			if gd.Iterations < wd.Iterations || (fallback && gd.Iterations != wd.Iterations) {
+				t.Fatalf("%s λ=%d: %d iterations, reference %d", label, lm, gd.Iterations, wd.Iterations)
 			}
 			for ti := range wd.Topical {
-				closeLists(t, tc.label, gd.Topical[ti], wd.Topical[ti], sigmaOf, topoOf)
+				closeLists(t, label, gd.Topical[ti], wd.Topical[ti], sigmaOf, topoOf)
 			}
-			closeLists(t, tc.label+" topo", gd.TopoTop, wd.TopoTop, topoOf, sigmaOf)
+			closeLists(t, label+" topo", gd.TopoTop, wd.TopoTop, topoOf, sigmaOf)
 		}
 	}
+}
+
+// kernelStore is preprocessing as it ran before the factored form: every
+// exploration is the hop recurrence on the float32 kernel over a
+// degree-ordered layout, and the lists are drained from TopN heaps. The
+// hop-recurrence fallback must reproduce it bit for bit.
+func kernelStore(eng *core.Engine, lms []graph.NodeID, topN int) *Store {
+	opt := eng.Optimized(graph.DegreeOrder)
+	scratch := core.NewScratch(opt)
+	T := eng.Graph().Vocabulary().Len()
+	store := NewStore(T, topN)
+	for _, l := range lms {
+		x := opt.ExploreOpts(l, nil, core.ExploreOptions{Mode: core.KernelMode, Scratch: scratch, DenseResult: true})
+		tops := make([]*ranking.TopN, T+1)
+		for i := range tops {
+			tops[i] = ranking.NewTopN(topN)
+		}
+		for _, v := range x.Reached {
+			for ti, sc := range x.SigmaRow(v) {
+				if sc > 0 {
+					tops[ti].Insert(v, sc)
+				}
+			}
+			if tv := x.TopoB(v); tv > 0 {
+				tops[T].Insert(v, tv)
+			}
+		}
+		d := &Data{Landmark: l, Topical: make([]List, T), Iterations: x.Iterations}
+		for ti := range d.Topical {
+			for _, e := range tops[ti].Drain() {
+				d.Topical[ti].append1(e.Node, e.Score, x.TopoB(e.Node))
+			}
+		}
+		for _, e := range tops[T].Drain() {
+			d.TopoTop.append1(e.Node, 0, e.Score)
+		}
+		store.Put(d) //nolint:errcheck // T topical lists by construction
+	}
+	return store
 }
 
 // TestPreprocessMetrics checks that an attached registry receives the
@@ -231,17 +317,30 @@ func TestPreprocessMetrics(t *testing.T) {
 		t.Errorf("worker utilization = %g, want in (0, 1]", util)
 	}
 
-	// The run above built its own layout and says so; a run on an
-	// already optimized engine borrows that one and builds nothing.
+	// Every run builds its in-adjacency and says so. At β = 0.05 no
+	// exploration converges in factored form within MaxDepth, so every one
+	// falls back to the hop recurrence and is counted; the plain engine's
+	// run also built the kernel layout for them, a run on an already
+	// optimized engine borrows that one.
 	layouts := reg.Histogram("landmark_preprocess_layout_seconds", "", nil)
+	fallbacks := reg.Counter("landmark_preprocess_fallbacks_total", "")
 	if stats.LayoutTime <= 0 || layouts.Count() != 1 {
 		t.Errorf("plain engine: LayoutTime = %v, %d layout observations, want > 0 and 1", stats.LayoutTime, layouts.Count())
 	}
 	if stats.WallTime < stats.LayoutTime {
 		t.Errorf("WallTime %v excludes LayoutTime %v", stats.WallTime, stats.LayoutTime)
 	}
+	if stats.Fallbacks != len(lms) || fallbacks.Value() != uint64(len(lms)) {
+		t.Errorf("β = 0.05: %d fallbacks, counter %d, want %d", stats.Fallbacks, fallbacks.Value(), len(lms))
+	}
 	_, stats = Preprocess(eng.Optimized(graph.BFSOrder), lms, PreprocessConfig{TopN: 20, Metrics: reg})
-	if stats.LayoutTime != 0 || layouts.Count() != 1 {
-		t.Errorf("optimized engine: LayoutTime = %v, %d layout observations, want 0 and still 1", stats.LayoutTime, layouts.Count())
+	if stats.LayoutTime <= 0 || layouts.Count() != 2 || stats.Fallbacks != len(lms) {
+		t.Errorf("optimized engine: LayoutTime = %v, %d layout observations, %d fallbacks, want > 0, 2 and %d",
+			stats.LayoutTime, layouts.Count(), stats.Fallbacks, len(lms))
+	}
+	// At the paper's β every exploration converges in factored form.
+	_, stats = Preprocess(engineOn(t, ds, 0), lms, PreprocessConfig{TopN: 20, Metrics: reg})
+	if stats.Fallbacks != 0 || fallbacks.Value() != uint64(2*len(lms)) {
+		t.Errorf("default β: %d fallbacks (counter %d), want 0 (counter %d)", stats.Fallbacks, fallbacks.Value(), 2*len(lms))
 	}
 }

@@ -125,50 +125,49 @@ func (s *Store) Bytes() int {
 }
 
 // listBuilder condenses converged explorations into landmark lists. Each
-// preprocessing worker owns one: its bounded heaps are reused from
+// preprocessing worker owns one: its candidate buffer is reused from
 // landmark to landmark.
 type listBuilder struct {
-	tops []*ranking.TopN // one per topic, then the topological list
+	vocabLen, topN int
+	cand           []ranking.Scored
 }
 
 func newListBuilder(vocabLen, topN int) *listBuilder {
-	lb := &listBuilder{tops: make([]*ranking.TopN, vocabLen+1)}
-	for i := range lb.tops {
-		lb.tops[i] = ranking.NewTopN(topN)
-	}
-	return lb
+	return &listBuilder{vocabLen: vocabLen, topN: topN}
 }
 
-// build ranks x's reached nodes into l's lists in one pass over their
-// score rows. x must cover the whole vocabulary in topic order.
+// build ranks x's reached nodes into l's lists: per topic (then for the
+// topological list) it gathers the positive scores once and selects the
+// top n. x must cover the whole vocabulary in topic order.
 func (lb *listBuilder) build(l graph.NodeID, x *core.Exploration) *Data {
-	T := len(lb.tops) - 1
-	for _, top := range lb.tops {
-		top.Reset()
-	}
-	for _, v := range x.Reached {
-		for ti, sc := range x.SigmaRow(v) {
+	T := lb.vocabLen
+	d := &Data{Landmark: l, Topical: make([]List, T), Iterations: x.Iterations}
+	for ti := 0; ti <= T; ti++ {
+		lb.cand = lb.cand[:0]
+		for _, v := range x.Reached {
+			sc := x.TopoB(v)
+			if ti < T {
+				sc = x.Sigma(v, ti)
+			}
 			if sc > 0 {
-				lb.tops[ti].Insert(v, sc)
+				lb.cand = append(lb.cand, ranking.Scored{Node: v, Score: sc})
 			}
 		}
-		if tv := x.TopoB(v); tv > 0 {
-			lb.tops[T].Insert(v, tv)
-		}
-	}
-	d := &Data{Landmark: l, Topical: make([]List, T), Iterations: x.Iterations}
-	for ti := range d.Topical {
-		ranked := lb.tops[ti].Drain()
+		ranked := ranking.SelectTop(lb.cand, lb.topN)
 		lst := newList(len(ranked))
 		for i, e := range ranked {
-			lst.Nodes[i], lst.Sigma[i], lst.Topo[i] = e.Node, e.Score, x.TopoB(e.Node)
+			lst.Nodes[i] = e.Node
+			if ti < T {
+				lst.Sigma[i], lst.Topo[i] = e.Score, x.TopoB(e.Node)
+			} else {
+				lst.Topo[i] = e.Score
+			}
 		}
-		d.Topical[ti] = lst
-	}
-	ranked := lb.tops[T].Drain()
-	d.TopoTop = newList(len(ranked))
-	for i, e := range ranked {
-		d.TopoTop.Nodes[i], d.TopoTop.Topo[i] = e.Node, e.Score
+		if ti < T {
+			d.Topical[ti] = lst
+		} else {
+			d.TopoTop = lst
+		}
 	}
 	return d
 }

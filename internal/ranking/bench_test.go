@@ -52,3 +52,19 @@ func BenchmarkCombine(b *testing.B) {
 		Combine(lists, w)
 	}
 }
+
+// BenchmarkSelectTop500 is one landmark list: the best 500 of 2000
+// reached nodes.
+func BenchmarkSelectTop500(b *testing.B) {
+	r := rand.New(rand.NewPCG(4, 4))
+	items := make([]Scored, 2000)
+	for i := range items {
+		items[i] = Scored{Node: graph.NodeID(i), Score: r.ExpFloat64()}
+	}
+	buf := make([]Scored, len(items))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, items)
+		SelectTop(buf, 500)
+	}
+}

@@ -6,6 +6,7 @@ package ranking
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -41,6 +42,74 @@ func SortDesc(list []Scored) {
 		}
 		return cmp.Compare(a.Node, b.Node)
 	})
+}
+
+// SelectTop reorders list so that its first min(n, len(list)) entries are
+// the best under SortDesc's order, sorted best first, and returns them
+// (aliasing list; the entries past them are left in no particular
+// order). It is a partial quicksort — partitions wholly past rank n are
+// never sorted — so it returns exactly what inserting every entry into a
+// TopN of n and draining it would, without a heap operation per entry.
+func SelectTop(list []Scored, n int) []Scored {
+	n = max(0, min(n, len(list)))
+	// A partition budget of twice the depth of a balanced recursion bounds
+	// adversarial inputs; past it the remaining window is sorted whole.
+	sortPrefix(list, n, 2*bits.Len(uint(len(list))))
+	return list[:n]
+}
+
+// sortPrefix sorts the entries of list that rank in its first n.
+func sortPrefix(list []Scored, n, budget int) {
+	for len(list) > 12 && n > 0 {
+		if budget == 0 {
+			SortDesc(list)
+			return
+		}
+		budget--
+		p := partition(list)
+		if p >= n {
+			list = list[:p]
+			continue
+		}
+		sortPrefix(list[:p], p, budget)
+		list, n = list[p+1:], n-p-1
+	}
+	if n == 0 {
+		return
+	}
+	for i := 1; i < len(list); i++ {
+		for j := i; j > 0 && less(list[j-1], list[j]); j-- {
+			list[j-1], list[j] = list[j], list[j-1]
+		}
+	}
+}
+
+// partition places a median-of-three pivot of list at its final position
+// p under SortDesc's order, with better entries before it and worse
+// after, and returns p. list holds at least three entries.
+func partition(list []Scored) int {
+	lo, mid, hi := 0, len(list)/2, len(list)-1
+	if less(list[lo], list[mid]) {
+		list[lo], list[mid] = list[mid], list[lo]
+	}
+	if less(list[mid], list[hi]) {
+		list[mid], list[hi] = list[hi], list[mid]
+		if less(list[lo], list[mid]) {
+			list[lo], list[mid] = list[mid], list[lo]
+		}
+	}
+	// list[lo] ≥ list[mid] ≥ list[hi]: the median moves to the end.
+	list[mid], list[hi] = list[hi], list[mid]
+	pivot := list[hi]
+	p := lo
+	for j := lo; j < hi; j++ {
+		if less(pivot, list[j]) {
+			list[p], list[j] = list[j], list[p]
+			p++
+		}
+	}
+	list[p], list[hi] = list[hi], list[p]
+	return p
 }
 
 // TopN accumulates (node, score) pairs and retains the n best. It is a
@@ -123,12 +192,8 @@ func (t *TopN) List() []Scored {
 	return out
 }
 
-// Reset empties the accumulator, keeping its storage.
-func (t *TopN) Reset() { t.heap = t.heap[:0] }
-
 // Drain returns the retained entries best-first without copying them: the
-// slice aliases the accumulator, which must be Reset before its next
-// Insert.
+// slice aliases the accumulator, which must not be used afterwards.
 func (t *TopN) Drain() []Scored {
 	SortDesc(t.heap)
 	return t.heap

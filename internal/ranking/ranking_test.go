@@ -202,3 +202,53 @@ func TestListsAreSortedInvariant(t *testing.T) {
 		t.Error("List must be best-first")
 	}
 }
+
+// TestSelectTopMatchesTopN: selection returns exactly what a TopN of n
+// fed every entry drains to — on random inputs with heavy score ties
+// (broken by node id), on presorted, constant and duplicate inputs, and
+// with n at, around and beyond the input length.
+func TestSelectTopMatchesTopN(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 8))
+	inputs := func(size int) map[string][]Scored {
+		perm := r.Perm(4 * (size + 1))
+		mk := func(score func(i int) float64) []Scored {
+			out := make([]Scored, size)
+			for i := range out {
+				out[i] = Scored{Node: graph.NodeID(perm[i]), Score: score(i)}
+			}
+			return out
+		}
+		return map[string][]Scored{
+			"heavy ties": mk(func(int) float64 { return float64(r.IntN(4)) }),
+			"random":     mk(func(int) float64 { return r.Float64() }),
+			"ascending":  mk(func(i int) float64 { return float64(i) }),
+			"descending": mk(func(i int) float64 { return float64(-i) }),
+			"constant":   mk(func(int) float64 { return 1 }),
+			// Equal entries defeat every partition and exhaust the budget.
+			"duplicates": make([]Scored, size),
+		}
+	}
+	for _, size := range []int{0, 1, 2, 3, 7, 40, 257, 2000} {
+		for name, items := range inputs(size) {
+			for _, n := range []int{0, 1, size / 3, size - 1, size, size + 5} {
+				if n < 0 {
+					continue
+				}
+				top := NewTopN(n)
+				for _, s := range items {
+					top.Insert(s.Node, s.Score)
+				}
+				want := top.Drain()
+				got := SelectTop(append([]Scored(nil), items...), n)
+				if len(got) != len(want) {
+					t.Fatalf("%s, %d items, n=%d: %d selected, TopN keeps %d", name, size, n, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s, %d items, n=%d: rank %d = %v, TopN has %v", name, size, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -25,9 +25,12 @@
 package subscribe
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -278,41 +281,59 @@ func (h *Hub) Unsubscribe(id string) error {
 	return nil
 }
 
-// OnBatch folds one batch effect into the dirty queue: the groups indexed
-// under a touched node first — the batch changed something inside their
-// neighbourhood, so their answers are the likeliest to move — then, on a
-// global effect, every other group. Each group is marked once per batch.
-// Wired to dynamic.Manager.SetBatchHook.
+// OnBatch folds one batch effect into the dirty queue, one mark per group,
+// in three tiers: the groups keyed on a user who is an endpoint of the
+// batch (their own edges changed, so their answers certainly move), then
+// the other groups indexed under a touched node, then — on a global
+// effect — every other group. Within a tier groups are queued by Key, so
+// the order depends on the registrations and the effect alone. Wired to
+// dynamic.Manager.SetBatchHook.
 func (h *Hub) OnBatch(fx dynamic.BatchEffect) {
 	h.mu.Lock()
 	if fx.Epoch > h.epoch {
 		h.epoch = fx.Epoch
 	}
-	var seen map[*group]struct{}
-	mark := func(g *group) {
-		if _, dup := seen[g]; dup {
-			return
-		}
-		if seen == nil {
-			seen = make(map[*group]struct{})
-		}
-		seen[g] = struct{}{}
-		h.markDirtyLocked(g, fx.Epoch, fx.OldestAt)
-	}
+	touched := make(map[*group]bool)
 	for _, nodes := range [...][]graph.NodeID{fx.Endpoints, fx.StaleLandmarks, fx.Refreshed} {
 		for _, n := range nodes {
 			for g := range h.index[n] {
-				mark(g)
+				touched[g] = true
 			}
+		}
+	}
+	var actors, others, rest []*group
+	for g := range touched {
+		if slices.Contains(fx.Endpoints, g.key.User) {
+			actors = append(actors, g)
+		} else {
+			others = append(others, g)
 		}
 	}
 	if fx.Global {
 		for _, g := range h.groups {
-			mark(g)
+			if !touched[g] {
+				rest = append(rest, g)
+			}
+		}
+	}
+	for _, tier := range [...][]*group{actors, others, rest} {
+		slices.SortFunc(tier, func(a, b *group) int { return compareKeys(a.key, b.key) })
+		for _, g := range tier {
+			h.markDirtyLocked(g, fx.Epoch, fx.OldestAt)
 		}
 	}
 	h.kickLocked()
 	h.mu.Unlock()
+}
+
+// compareKeys orders keys by user, topic, list length and method.
+func compareKeys(a, b Key) int {
+	return cmp.Or(
+		cmp.Compare(a.User, b.User),
+		cmp.Compare(a.Topic, b.Topic),
+		cmp.Compare(a.N, b.N),
+		strings.Compare(a.Method, b.Method),
+	)
 }
 
 // markDirtyLocked records one dirty mark on g: queued groups absorb it

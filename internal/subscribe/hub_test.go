@@ -3,6 +3,7 @@ package subscribe
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,7 +244,7 @@ func TestAffectedIndexBoundsRescores(t *testing.T) {
 
 // TestGlobalBatchRescoresTouchedGroupsFirst: a global effect re-scores
 // every group, but the ones whose neighbourhood the batch touched go to
-// the head of the queue — the order of the rest is arbitrary.
+// the head of the queue.
 func TestGlobalBatchRescoresTouchedGroupsFirst(t *testing.T) {
 	var mu sync.Mutex
 	var order []graph.NodeID
@@ -278,6 +279,92 @@ func TestGlobalBatchRescoresTouchedGroupsFirst(t *testing.T) {
 		}
 		if d := h.Stats().RescoreMarks - marks; d != 12 {
 			t.Fatalf("global batch touching %d left %d marks, want one per group", touched, d)
+		}
+	}
+}
+
+// orderHub registers keys on a hub whose Compute records the order keys
+// are re-scored in, with every group indexed under its user and node 100.
+// It returns a function that runs one batch effect and returns the order
+// it re-scored groups in.
+func orderHub(t *testing.T, keys []Key) func(dynamic.BatchEffect) []Key {
+	t.Helper()
+	var mu sync.Mutex
+	var order []Key
+	h := New(Config{
+		Compute: func(_ context.Context, k Key) (Result, error) {
+			mu.Lock()
+			order = append(order, k)
+			mu.Unlock()
+			return Result{Scored: scored(1, 2)}, nil
+		},
+		Neighborhood:  func(k Key) []graph.NodeID { return []graph.NodeID{k.User, 100} },
+		RescoreBudget: len(keys),
+	})
+	t.Cleanup(h.Close)
+	for _, k := range keys {
+		if _, err := h.Register(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(t, h)
+	return func(fx dynamic.BatchEffect) []Key {
+		mu.Lock()
+		order = order[:0]
+		mu.Unlock()
+		h.OnBatch(fx)
+		flush(t, h)
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]Key(nil), order...)
+	}
+}
+
+// TestBatchActorsRescoredFirst: of the groups a batch touches, the ones
+// keyed on an endpoint of the batch — whose own edges changed — are
+// re-scored first, then the rest of the touched groups, each tier in Key
+// order; a global effect queues the untouched groups last.
+func TestBatchActorsRescoredFirst(t *testing.T) {
+	var keys []Key
+	for u := graph.NodeID(0); u < 6; u++ {
+		keys = append(keys, Key{User: u, Topic: topics.ID(u % 2), N: 2, Method: "landmark"})
+	}
+	keys = append(keys, Key{User: 200, N: 2, Method: "landmark"}) // indexed under 200 and 100
+	run := orderHub(t, keys)
+	got := run(dynamic.BatchEffect{Epoch: 1, Endpoints: []graph.NodeID{4, 100, 1}})
+	want := []Key{keys[1], keys[4], keys[0], keys[2], keys[3], keys[5], keys[6]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("batch with endpoints 4, 100, 1 re-scored %v, want %v", got, want)
+	}
+	// Users 3 and 200 are endpoints and touch no other group, so the
+	// global effect queues every other group behind theirs.
+	got = run(dynamic.BatchEffect{Epoch: 2, Endpoints: []graph.NodeID{3, 200}, Global: true})
+	want = []Key{keys[3], keys[6], keys[0], keys[1], keys[2], keys[4], keys[5]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("global batch with endpoints 3, 200 re-scored %v, want %v", got, want)
+	}
+}
+
+// TestRescoreOrderDeterministic: two hubs with the same registrations,
+// made in different orders, re-score the same effects in the same order —
+// map iteration order never leaks into the dirty queue.
+func TestRescoreOrderDeterministic(t *testing.T) {
+	var keys []Key
+	for u := graph.NodeID(0); u < 24; u++ {
+		keys = append(keys, Key{User: u % 8, Topic: topics.ID(u / 8), N: 3, Method: "landmark"})
+	}
+	reversed := slices.Clone(keys)
+	slices.Reverse(reversed)
+	a, b := orderHub(t, keys), orderHub(t, reversed)
+	for i, fx := range []dynamic.BatchEffect{
+		{Endpoints: []graph.NodeID{5, 2}},
+		{StaleLandmarks: []graph.NodeID{100}},
+		{Endpoints: []graph.NodeID{7}, Global: true},
+		{Refreshed: []graph.NodeID{1, 3, 100}},
+	} {
+		fx.Epoch = uint64(i + 1)
+		if ga, gb := a(fx), b(fx); !slices.Equal(ga, gb) || len(ga) == 0 {
+			t.Fatalf("effect %d: re-score orders differ:\n%v\n%v", i, ga, gb)
 		}
 	}
 }
