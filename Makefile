@@ -15,10 +15,10 @@ test:
 # Race-hardened packages: the serving path, the metric registry, the
 # graph views and the scoring engine (its shared similarity cache is hit
 # concurrently) are exercised under the race detector on every check.
-# The ./internal/graph/ and ./internal/core/ runs include the relabeling
-# and kernel differential suites (plus the fuzzers' seed corpora), so the
-# permutation boundary and the float32 kernel are race-checked on every
-# check too; a full -race run over the repository is `make race-all`.
+# The ./internal/landmark/ and ./internal/core/ runs include the parallel
+# preprocessing workers sharing one read-only in-adjacency and the
+# overlay-equivalence differential suites (plus the fuzzers' seed
+# corpora); a full -race run over the repository is `make race-all`.
 race:
 	$(GO) test -race ./internal/server/... ./internal/subscribe/... ./internal/client/... ./internal/metrics/... ./internal/dynamic/... ./internal/landmark/... ./internal/eval/... ./internal/graph/... ./internal/core/... ./internal/distrib/... ./internal/store/... ./internal/ingest/...
 
@@ -43,11 +43,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # kernel-gate is the exploration-loop allocation regression guard: the
-# dense and relabeled-kernel Explore benchmarks must stay within the
-# recorded allocs/op baselines (seed dense path: 121 allocs/op, cache-
-# aware kernel: 46 allocs/op on the 3000-node bench graph now that its
-# result maps are sized once at the spill; the bounds below leave slack
-# for runtime jitter). A refactor that reintroduces
+# dense Explore benchmark must stay within its recorded allocs/op baseline
+# (121 allocs/op on the 3000-node bench graph; the bound below leaves
+# slack for runtime jitter). A refactor that reintroduces
 # per-hop or per-edge allocation trips this before it needs a profile.
 # The factored converged exploration (one landmark's preprocessing on the
 # 2000- and 8000-node graphs) runs its passes in the scratch's rows and
@@ -58,19 +56,17 @@ fmt-check:
 # the stored lists themselves), against 775 and 20639 when every
 # exploration spilled three per-node maps.
 KERNEL_GATE_DENSE_ALLOCS ?= 135
-KERNEL_GATE_KERNEL_ALLOCS ?= 60
 KERNEL_GATE_CONVERGED_ALLOCS ?= 8
 KERNEL_GATE_REFRESH1_ALLOCS ?= 300
 KERNEL_GATE_REFRESH27_ALLOCS ?= 2600
 .PHONY: kernel-gate
 kernel-gate:
-	$(GO) test -run='^$$' -bench='^BenchmarkExplore(Dense|KernelDegree|Converged)$$' -benchmem ./internal/core/ | \
-	awk -v dense=$(KERNEL_GATE_DENSE_ALLOCS) -v kern=$(KERNEL_GATE_KERNEL_ALLOCS) -v conv=$(KERNEL_GATE_CONVERGED_ALLOCS) '{ print } \
+	$(GO) test -run='^$$' -bench='^BenchmarkExplore(Dense|Converged)$$' -benchmem ./internal/core/ | \
+	awk -v dense=$(KERNEL_GATE_DENSE_ALLOCS) -v conv=$(KERNEL_GATE_CONVERGED_ALLOCS) '{ print } \
 		/^BenchmarkExploreDense/ { seenD = 1; if ($$7+0 > dense) { printf "kernel-gate: dense explore %d allocs/op exceeds baseline %d\n", $$7, dense; bad = 1 } } \
-		/^BenchmarkExploreKernelDegree/ { seenK = 1; if ($$7+0 > kern) { printf "kernel-gate: kernel explore %d allocs/op exceeds baseline %d\n", $$7, kern; bad = 1 } } \
 		/^BenchmarkExploreConverged\// { seenC++; if ($$7+0 > conv) { printf "kernel-gate: converged explore %d allocs/op exceeds baseline %d\n", $$7, conv; bad = 1 } } \
 		/^FAIL/ { bad = 1 } \
-		END { if (!seenD || !seenK || seenC != 2) { print "kernel-gate: benchmarks did not run"; bad = 1 } exit bad }'
+		END { if (!seenD || seenC != 2) { print "kernel-gate: benchmarks did not run"; bad = 1 } exit bad }'
 	$(GO) test -run='^$$' -bench='^BenchmarkPreprocessRefresh$$' -benchmem ./internal/landmark/ | \
 	awk -v one=$(KERNEL_GATE_REFRESH1_ALLOCS) -v many=$(KERNEL_GATE_REFRESH27_ALLOCS) '{ print } \
 		/^BenchmarkPreprocessRefresh\/landmarks=1-/ { seen1 = 1; if ($$7+0 > one) { printf "kernel-gate: 1-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, one; bad = 1 } } \
@@ -157,26 +153,15 @@ bench-stream:
 bench-subscribe:
 	$(GO) run ./cmd/trbench -exp bench-subscribe -bench-out BENCH_subscribe.json
 
-# bench-kernel compares the seed dense exploration against the
-# cache-topology-aware float32 kernel under both relabeling orders and
-# rewrites BENCH_kernel.json (it also re-verifies the kernel's Kendall
-# ordering bound before timing anything).
-.PHONY: bench-kernel
-bench-kernel:
-	$(GO) run ./cmd/trbench -exp bench-kernel -bench-out BENCH_kernel.json
-
 # fuzz smoke-runs the equivalence fuzzers (random edge deltas must leave
 # the overlay observationally identical to a full rebuild and the
-# incrementally maintained authority table bit-identical to a recompute;
-# random graphs must survive a relabeling round trip unchanged) and the
-# storage-format fuzzers: arbitrary snapshot/landmark/WAL/TRG1 bytes must
+# incrementally maintained authority table bit-identical to a recompute)
+# and the storage-format fuzzers: arbitrary snapshot/landmark/WAL/TRG1 bytes must
 # decode or error, never panic, index outside the mapping, or yield a
 # forged batch.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOverlayEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDeltaExact -fuzztime=10s ./internal/authority/
-	$(GO) test -run='^$$' -fuzz=FuzzRelabelEquivalence -fuzztime=10s ./internal/graph/
-	$(GO) test -run='^$$' -fuzz=FuzzReadPermutation -fuzztime=10s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzReadStore -fuzztime=10s ./internal/landmark/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenSnapshot -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenLandmarks -fuzztime=10s ./internal/store/

@@ -40,7 +40,7 @@ func main() {
 		parallel  = flag.Int("parallel", cfg.Protocol.Parallelism, "evaluation worker count (0 = GOMAXPROCS, 1 = serial); results are parallelism-invariant")
 		format    = flag.String("format", "text", "output format: text or json")
 		dumpMet   = flag.Bool("metrics", false, "print collected preprocessing metrics (Prometheus text) after the runs")
-		benchOut  = flag.String("bench-out", "", "output file for -exp bench-eval / bench-graph / bench-serve / bench-kernel / bench-shard (default BENCH_<kind>.json)")
+		benchOut  = flag.String("bench-out", "", "output file for -exp bench-eval / bench-graph / bench-serve / bench-shard (default BENCH_<kind>.json)")
 	)
 	flag.Parse()
 
@@ -67,7 +67,7 @@ func main() {
 	// reproducing a paper artifact; they print the comparison and write
 	// the machine-readable result next to the repository's other
 	// committed benchmark files.
-	if *exp == "bench-eval" || *exp == "bench-graph" || *exp == "bench-serve" || *exp == "bench-kernel" || *exp == "bench-shard" || *exp == "bench-store" || *exp == "bench-stream" || *exp == "bench-subscribe" {
+	if *exp == "bench-eval" || *exp == "bench-graph" || *exp == "bench-serve" || *exp == "bench-shard" || *exp == "bench-store" || *exp == "bench-stream" || *exp == "bench-subscribe" {
 		var (
 			res interface{ String() string }
 			err error
@@ -88,11 +88,6 @@ func main() {
 			res, err = r.BenchServe()
 			if out == "" {
 				out = "BENCH_serve.json"
-			}
-		case "bench-kernel":
-			res, err = r.BenchKernel()
-			if out == "" {
-				out = "BENCH_kernel.json"
 			}
 		case "bench-shard":
 			res, err = r.BenchShard()

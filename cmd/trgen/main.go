@@ -27,7 +27,6 @@ func main() {
 		pipeline = flag.Bool("pipeline", false, "relabel through the synthetic-corpus classification pipeline")
 		save     = flag.String("save", "", "write the labeled graph to this file (loadable by trserver -load)")
 		saveSnap = flag.String("save-snapshot", "", "write the labeled graph as a TRG2 snapshot (mmap'd zero-copy by trserver/trshard -snapshot)")
-		snapLay  = flag.String("snapshot-layout", "", "embed a cache-layout permutation in the snapshot: degree or bfs (empty = none)")
 	)
 	flag.Parse()
 
@@ -91,19 +90,7 @@ func main() {
 	}
 
 	if *saveSnap != "" {
-		var perm *graph.Permutation
-		switch *snapLay {
-		case "":
-		case "degree":
-			p := graph.NewPermutation(graph.DegreeOrder, g)
-			perm = &p
-		case "bfs":
-			p := graph.NewPermutation(graph.BFSOrder, g)
-			perm = &p
-		default:
-			log.Fatalf("trgen: unknown -snapshot-layout %q (degree, bfs)", *snapLay)
-		}
-		n, err := store.WriteSnapshotFile(*saveSnap, g, perm)
+		n, err := store.WriteSnapshotFile(*saveSnap, g, nil)
 		if err != nil {
 			log.Fatalf("saving snapshot %s: %v", *saveSnap, err)
 		}

@@ -70,7 +70,6 @@ func main() {
 		reqTmo    = flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request deadline on /v1/recommend (0 disables)")
 		admission = server.DefaultAdmissionConfig()
 		degradeB  = flag.Duration("degrade-budget", server.DefaultDegradeBudget, "remaining-deadline floor below which exact-Tr queries degrade to the landmark approximation (0 disables)")
-		optLayout = flag.Bool("optimize-layout", false, "relabel frozen engines into the cache-aware degree order (float32 exploration kernel; re-optimized at each compaction)")
 		shards    = flag.String("shards", "", "scatter/gather router mode: comma-separated shard endpoint groups, replicas |-separated within a group (host:port|replica,host:port,...)")
 		shardTmo  = flag.Duration("shard-timeout", server.DefaultShardTimeout, "per-shard partial fetch deadline in router mode")
 		shardHdg  = flag.Duration("shard-hedge", 0, "delay before a hedged retry fires against a shard replica (0 disables hedging)")
@@ -175,19 +174,18 @@ func main() {
 	// initial preprocessing run as well as everything served afterwards.
 	reg := metrics.NewRegistry()
 	mgrCfg := dynamic.Config{
-		Params:         core.DefaultParams(),
-		Sim:            sim,
-		StoreTopN:      *topN,
-		QueryDepth:     2,
-		Strategy:       strat,
-		Metrics:        reg,
-		OptimizeLayout: *optLayout,
-		SnapshotPath:   *snapPath,
-		LandmarkPath:   *lmkPath,
-		Scheduler:      sched,
-		RefreshBudget:  *budget,
-		HalfLife:       *halfLife,
-		DecayPath:      *decayPath,
+		Params:        core.DefaultParams(),
+		Sim:           sim,
+		StoreTopN:     *topN,
+		QueryDepth:    2,
+		Strategy:      strat,
+		Metrics:       reg,
+		SnapshotPath:  *snapPath,
+		LandmarkPath:  *lmkPath,
+		Scheduler:     sched,
+		RefreshBudget: *budget,
+		HalfLife:      *halfLife,
+		DecayPath:     *decayPath,
 	}
 	if *decayPath != "" {
 		if *halfLife <= 0 {

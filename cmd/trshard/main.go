@@ -51,7 +51,6 @@ func main() {
 		depth       = flag.Int("depth", 2, "query-time exploration depth")
 		maxInflight = flag.Int("max-inflight", 1, "concurrently computed partials")
 		maxQueue    = flag.Int("max-queue", 32, "partials that may queue for a slot before 429")
-		optLayout   = flag.Bool("optimize-layout", false, "serve explorations with the cache-aware float32 kernel (relabeled degree order); approximate — rankings are ordering-equivalent, not bit-identical, to exact workers")
 	)
 	flag.Parse()
 	if *shard < 0 || *shard >= *shards {
@@ -127,14 +126,7 @@ func main() {
 	// candidates (see distrib.Shard). A production deployment would load
 	// the filtered lists from a shared preprocessing artifact instead of
 	// recomputing them per worker.
-	serveEng := eng
-	if *optLayout {
-		// Optimized first: preprocessing borrows the serving layout
-		// instead of building one of its own.
-		serveEng = eng.Optimized(graph.DegreeOrder)
-		log.Printf("serving with the cache-aware kernel layout")
-	}
-	full, _ := landmark.Preprocess(serveEng, lms, landmark.PreprocessConfig{
+	full, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{
 		TopN:    *topN,
 		Metrics: reg,
 	})
@@ -145,7 +137,7 @@ func main() {
 	log.Printf("ready in %s (%d MB of lists kept)", time.Since(start).Round(time.Millisecond),
 		store.Bytes()/(1<<20))
 
-	sh, err := distrib.NewShard(serveEng, store, assign, *shard, lms, *depth)
+	sh, err := distrib.NewShard(eng, store, assign, *shard, lms, *depth)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,11 +19,6 @@ const (
 	// node id plus an explicit frontier list: the preprocessing fast
 	// path.
 	DenseMode
-	// KernelMode requests the cache-topology-aware float32 kernel of an
-	// Optimized engine (kernel.go). On engines without an optimized
-	// layout it falls back to DenseMode. AutoMode also routes to the
-	// kernel whenever a layout is attached — attaching one is the opt-in.
-	KernelMode
 )
 
 // Scratch holds the dense buffers of one in-flight exploration so repeated
@@ -53,11 +48,6 @@ type Scratch struct {
 	resIn               []bool
 	resList             []graph.NodeID
 	resK                int
-
-	// kern rides along so the kernel mode's tile pool travels through the
-	// existing ScratchPool plumbing; nil until the first kernel
-	// exploration uses this scratch.
-	kern *kernelScratch
 }
 
 // resetResult prepares the result arrays for a fresh exploration of topic

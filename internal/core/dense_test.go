@@ -61,7 +61,9 @@ func TestDenseMatchesMap(t *testing.T) {
 }
 
 // TestScratchReuseIsClean: interleaved explorations from different sources
-// through one scratch must not leak state.
+// through one scratch must not leak state — including the DenseResult
+// form, whose result rows live in the reused scratch (the landmark
+// preprocessing shape).
 func TestScratchReuseIsClean(t *testing.T) {
 	ds := gen.RandomWith(25, 200, 9)
 	e, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, DefaultParams())
@@ -69,20 +71,29 @@ func TestScratchReuseIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	scratch := NewScratch(e)
-	fresh := func(src graph.NodeID) *Exploration {
-		return e.ExploreOpts(src, []topics.ID{0}, ExploreOptions{Mode: DenseMode})
-	}
-	reused := func(src graph.NodeID) *Exploration {
-		return e.ExploreOpts(src, []topics.ID{0}, ExploreOptions{Mode: DenseMode, Scratch: scratch})
-	}
 	for src := graph.NodeID(0); src < 25; src += 3 {
-		a, b := fresh(src), reused(src)
-		if len(a.Reached) != len(b.Reached) {
-			t.Fatalf("src %d: reached %d vs %d", src, len(a.Reached), len(b.Reached))
+		ts := []topics.ID{0}
+		if src%2 == 1 {
+			ts = nil // all topics: the wider rows must be reset too
 		}
-		for _, v := range a.Reached {
-			if !almostEqual(a.Sigma(v, 0), b.Sigma(v, 0), 1e-12) {
-				t.Fatalf("src %d node %d: %g vs %g", src, v, a.Sigma(v, 0), b.Sigma(v, 0))
+		a := e.ExploreOpts(src, ts, ExploreOptions{Mode: DenseMode})
+		b := e.ExploreOpts(src, ts, ExploreOptions{Mode: DenseMode, Scratch: scratch})
+		flat := e.ExploreOpts(src, ts, ExploreOptions{Mode: DenseMode, Scratch: scratch, DenseResult: true})
+		for _, x := range []*Exploration{b, flat} {
+			if len(a.Reached) != len(x.Reached) || a.Iterations != x.Iterations {
+				t.Fatalf("src %d: reached %d nodes in %d hops, reused scratch %d in %d",
+					src, len(a.Reached), a.Iterations, len(x.Reached), x.Iterations)
+			}
+			for v := 0; v < ds.Graph.NumNodes(); v++ {
+				id := graph.NodeID(v)
+				if a.TopoB(id) != x.TopoB(id) || a.TopoAB(id) != x.TopoAB(id) {
+					t.Fatalf("src %d node %d: reused scratch topo differs", src, v)
+				}
+				for ti := range a.Topics {
+					if a.Sigma(id, ti) != x.Sigma(id, ti) {
+						t.Fatalf("src %d node %d topic %d: %g vs %g", src, v, ti, a.Sigma(id, ti), x.Sigma(id, ti))
+					}
+				}
 			}
 		}
 	}
@@ -106,14 +117,7 @@ func TestScratchWrongSizeFallsBack(t *testing.T) {
 func BenchmarkExploreMap(b *testing.B)   { benchExplore(b, MapMode) }
 func BenchmarkExploreDense(b *testing.B) { benchExplore(b, DenseMode) }
 
-// The kernel benchmarks run the same workload through the cache-aware
-// float32 kernel under each relabeling order; comparing them against
-// BenchmarkExploreDense is the tentpole speedup measurement (and the
-// Makefile's kernel-gate regression guard).
-func BenchmarkExploreKernelDegree(b *testing.B) { benchExplore(b, KernelMode, graph.DegreeOrder) }
-func BenchmarkExploreKernelBFS(b *testing.B)    { benchExplore(b, KernelMode, graph.BFSOrder) }
-
-func benchExplore(b *testing.B, mode Mode, order ...graph.Order) {
+func benchExplore(b *testing.B, mode Mode) {
 	cfg := gen.DefaultTwitterConfig()
 	cfg.Nodes = 3000
 	ds, err := gen.Twitter(cfg)
@@ -123,9 +127,6 @@ func benchExplore(b *testing.B, mode Mode, order ...graph.Order) {
 	e, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, DefaultParams())
 	if err != nil {
 		b.Fatal(err)
-	}
-	if mode == KernelMode {
-		e = e.Optimized(order[0])
 	}
 	scratch := NewScratch(e)
 	b.ReportAllocs()

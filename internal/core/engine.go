@@ -173,10 +173,6 @@ type Engine struct {
 	// ones is the all-ones row used by variants without a similarity or
 	// authority factor.
 	ones []float64
-	// layout, when non-nil, holds the cache-topology-aware kernel state
-	// built by Optimized: the relabeled CSR and float32 factor mirrors.
-	// Engines without a layout run the exact float64 modes only.
-	layout *layout
 	// wts, when non-nil, scales each edge's topical factor by a per-edge
 	// weight (the streaming tier's time-decay recency weights). The
 	// purely topological scores (topo_β, topo_αβ) stay unweighted — only
@@ -252,12 +248,8 @@ func (e *Engine) Derive(v graph.View, auth *authority.Table) (*Engine, error) {
 	if needAuth && auth == nil {
 		return nil, fmt.Errorf("core: variant %v requires an authority table", e.params.Variant)
 	}
-	// The derived engine deliberately carries no layout: an optimized
-	// relabeling describes one frozen edge set, and v's overlay delta
-	// invalidates it. Derived engines run the exact modes until the owner
-	// re-optimizes (dynamic.Manager does so at compaction).
-	// Like the layout, edge weights are deliberately dropped: a weight
-	// set is row-aligned with one specific view, and v's rows differ.
+	// Edge weights are deliberately dropped: a weight set is row-aligned
+	// with one specific view, and v's rows differ.
 	// The owner re-attaches a matching set via WithEdgeWeights
 	// (dynamic.Manager layers one per overlay epoch).
 	ne := &Engine{g: v, auth: auth, sim: e.sim, params: e.params, simc: e.simc, ones: e.ones}
@@ -271,20 +263,13 @@ func (e *Engine) Derive(v graph.View, auth *authority.Table) (*Engine, error) {
 
 // WithEdgeWeights returns a copy of the engine whose explorations scale
 // every edge's topical factor by w's per-edge weight. w must be
-// row-aligned with the engine's current view. Any optimized layout is
-// dropped — its flattened factor tables were built without the weights —
-// and is rebuilt weight-aware by the next Optimized call. A nil w
-// returns an unweighted copy.
+// row-aligned with the engine's current view. A nil w returns an
+// unweighted copy.
 func (e *Engine) WithEdgeWeights(w EdgeWeighter) *Engine {
 	ne := *e
 	ne.wts = w
-	ne.layout = nil
 	return &ne
 }
-
-// EdgeWeights returns the engine's per-edge weight source (nil when
-// unweighted).
-func (e *Engine) EdgeWeights() EdgeWeighter { return e.wts }
 
 // outWeights returns the per-edge weight row of u, or nil for unit
 // weights.

@@ -8,14 +8,12 @@ package core
 // shared similarity cache.
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"repro/internal/authority"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/ranking"
 	"repro/internal/topics"
 )
 
@@ -206,74 +204,6 @@ func TestOverlayScoresMatchRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameScores(t, compEng, refEng, params.MaxDepth)
-			}
-		})
-	}
-}
-
-// TestExactAndKernelTopNAgree is the three-way mode differential: for
-// every variant, map mode, dense mode and the relabeled float32 kernel —
-// under both orders — must produce the identical top-n id sequence,
-// proving that neither the frontier representation nor the cache layout
-// and precision drop ever reorder a recommendation. (Scores themselves
-// are compared mode-internally elsewhere: accumulation order differs
-// across modes, so equality holds on rankings, not bits.)
-func TestExactAndKernelTopNAgree(t *testing.T) {
-	for _, variant := range []Variant{TrFull, TrNoAuth, TrNoSim, TopoOnly} {
-		t.Run(variant.String(), func(t *testing.T) {
-			ds := gen.RandomWith(60, 420, 5+uint64(variant))
-			params := equivalenceParams(variant)
-			eng, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kernels := []*Engine{
-				optimize(t, eng, graph.DegreeOrder),
-				optimize(t, eng, graph.BFSOrder),
-			}
-			// sameRanking requires got[i] to name the same node as want[i]
-			// at every rank, except where the reference scores tie exactly:
-			// distinct nodes with bit-equal scores (common for Katz, whose
-			// score only counts paths) are interchangeable, and any
-			// perturbation — frontier order or float32 rounding — may
-			// legitimately break the id tie-break either way.
-			sameRanking := func(label string, got, want []ranking.Scored, ref *Exploration, ti int) {
-				t.Helper()
-				if len(got) != len(want) {
-					t.Fatalf("%s: top-n has %d entries, want %d", label, len(got), len(want))
-				}
-				refScore := func(v graph.NodeID) float64 {
-					if variant == TopoOnly {
-						return ref.TopoB(v)
-					}
-					return ref.Sigma(v, ti)
-				}
-				for i := range want {
-					if got[i].Node == want[i].Node {
-						continue
-					}
-					if refScore(got[i].Node) != refScore(want[i].Node) {
-						t.Fatalf("%s: top-n[%d] = node %d, want node %d (not a tie: %g vs %g)",
-							label, i, got[i].Node, want[i].Node,
-							refScore(got[i].Node), refScore(want[i].Node))
-					}
-				}
-			}
-			n := ds.Graph.NumNodes()
-			for u := 0; u < n; u += 3 {
-				src := graph.NodeID(u)
-				xm := eng.ExploreOpts(src, nil, ExploreOptions{Mode: MapMode})
-				xd := eng.ExploreOpts(src, nil, ExploreOptions{Mode: DenseMode})
-				for ti := 0; ti < len(xm.Topics); ti += 5 {
-					want := topNOf(xm, variant, ti, 10)
-					sameRanking(fmt.Sprintf("src %d t%d dense", u, ti),
-						topNOf(xd, variant, ti, 10), want, xm, ti)
-					for ki, opt := range kernels {
-						xk := opt.ExploreOpts(src, nil, ExploreOptions{Mode: KernelMode})
-						sameRanking(fmt.Sprintf("src %d t%d kernel order %d", u, ti, ki),
-							topNOf(xk, variant, ti, 10), want, xm, ti)
-					}
-				}
 			}
 		})
 	}

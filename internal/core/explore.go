@@ -159,10 +159,10 @@ type ExploreOptions struct {
 	// instead of building per-node map entries — the right trade for hot
 	// serving loops that read scores through the accessors and then
 	// discard the Exploration, and for landmark preprocessing, which
-	// condenses every reached node's row. Honoured by DenseMode and the
-	// kernel (MapMode ignores it) and requires a Scratch; the returned
-	// Exploration aliases the scratch and is valid only until that
-	// scratch's next exploration (or its return to a pool).
+	// condenses every reached node's row. Honoured by DenseMode (MapMode
+	// ignores it) and requires a Scratch; the returned Exploration aliases
+	// the scratch and is valid only until that scratch's next exploration
+	// (or its return to a pool).
 	DenseResult bool
 	// Ctx, when non-nil, is checked between hops (and periodically inside
 	// large hops): a done context stops the exploration and marks the
@@ -234,19 +234,10 @@ func (e *Engine) ExploreOpts(src graph.NodeID, ts []topics.ID, opts ExploreOptio
 	if maxDepth <= 0 {
 		maxDepth = e.params.MaxDepth
 	}
-	// An optimized engine routes AutoMode (and KernelMode) through the
-	// cache-topology-aware float32 kernel; explicit MapMode/DenseMode
-	// requests keep the exact float64 paths for differential checks.
-	if e.layout != nil && (opts.Mode == AutoMode || opts.Mode == KernelMode) {
-		return e.exploreKernel(src, ts, maxDepth, opts)
-	}
 	// Deep explorations touch most of the graph: dense frontier arrays
 	// beat per-node map allocations there; shallow query-time lookups
-	// stay on maps. KernelMode without a layout falls back to the nearest
-	// array-backed mode.
-	useDense := opts.Mode == DenseMode || opts.Mode == KernelMode ||
-		(opts.Mode == AutoMode && maxDepth > 3)
-	if useDense {
+	// stay on maps.
+	if opts.Mode == DenseMode || (opts.Mode == AutoMode && maxDepth > 3) {
 		return e.exploreDense(src, ts, maxDepth, opts)
 	}
 	k := len(ts)

@@ -28,38 +28,26 @@ func weightedPair(t *testing.T, seed uint64) (*Engine, *Engine, *gen.Dataset) {
 	return e, e.WithEdgeWeights(w), ds
 }
 
-// TestWeightedModesAgree: map, dense and kernel explorations of a
-// weighted engine produce the same σ (within float accumulation noise).
+// TestWeightedModesAgree: map and dense explorations of a weighted engine
+// produce the same σ (within float accumulation noise).
 func TestWeightedModesAgree(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
-		_, we, ds := weightedPair(t, seed)
-		opt := we.Optimized(graph.DegreeOrder)
-		if opt.EdgeWeights() == nil {
-			t.Fatal("Optimized dropped the weight set")
-		}
+		_, we, _ := weightedPair(t, seed)
 		ts := []topics.ID{topics.ID(seed % 18), topics.ID((seed + 7) % 18)}
 		for _, src := range []graph.NodeID{0, 11, 29} {
 			m := we.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Mode: MapMode})
 			d := we.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Mode: DenseMode})
-			k := opt.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Mode: KernelMode})
-			if len(m.Reached) != len(d.Reached) || len(m.Reached) != len(k.Reached) {
-				t.Fatalf("seed %d src %d: reached %d/%d/%d", seed, src,
-					len(m.Reached), len(d.Reached), len(k.Reached))
+			if len(m.Reached) != len(d.Reached) {
+				t.Fatalf("seed %d src %d: reached %d/%d", seed, src, len(m.Reached), len(d.Reached))
 			}
 			for _, v := range m.Reached {
 				for ti := range ts {
-					ms, dsig, ks := m.Sigma(v, ti), d.Sigma(v, ti), k.Sigma(v, ti)
-					if !almostEqual(ms, dsig, 1e-12) {
+					if ms, dsig := m.Sigma(v, ti), d.Sigma(v, ti); !almostEqual(ms, dsig, 1e-12) {
 						t.Fatalf("seed %d src %d sigma(%d): map %g dense %g", seed, src, v, ms, dsig)
-					}
-					// The kernel accumulates in float32; compare loosely.
-					if !almostEqual(ms, ks, 1e-4) {
-						t.Fatalf("seed %d src %d sigma(%d): map %g kernel %g", seed, src, v, ms, ks)
 					}
 				}
 			}
 		}
-		_ = ds
 	}
 }
 

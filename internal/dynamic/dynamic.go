@@ -141,23 +141,6 @@ type Config struct {
 	// Instrument after NewManager, but also covers the initial
 	// preprocessing run.
 	Metrics *metrics.Registry
-	// OptimizeLayout, when set, relabels every frozen engine into the
-	// cache-topology-aware layout (LayoutOrder): the initial engine at
-	// NewManager and each compacted engine thereafter. Between
-	// compactions the derived overlay engines run unoptimized — an
-	// overlay invalidates the relabeling — so the kernel speedup
-	// applies to the long-lived frozen epochs where exact-Tr queries
-	// run. Landmark preprocessing and refreshes do not depend on it: each
-	// landmark.Preprocess call explores in factored form over a transient
-	// in-adjacency, which the manager's engine never keeps, and only a
-	// landmark whose factored form does not converge runs the kernel —
-	// over the engine's layout when it has one, a transient one
-	// otherwise. The store is stamped with the layout generation
-	// (Stats.LayoutEpoch) it was computed under.
-	OptimizeLayout bool
-	// LayoutOrder picks the relabeling order when OptimizeLayout is
-	// set. The zero value is graph.DegreeOrder.
-	LayoutOrder graph.Order
 	// WAL, when non-nil, makes Apply durable: every batch is appended to
 	// the log as a CRC-framed record — after overlay validation, before
 	// the new epoch installs — so a crash loses at most the batch being
@@ -215,15 +198,6 @@ type Stats struct {
 	// compaction): the serving path hot-swaps to a new immutable epoch
 	// at each increment.
 	Epoch uint64
-	// Relayouts counts engine re-optimizations into the cache-aware
-	// layout (one at construction plus one per compaction, when
-	// Config.OptimizeLayout is set).
-	Relayouts int
-	// LayoutEpoch is the current layout generation: 0 while the engine
-	// runs the seed (unoptimized) node order, incremented every time an
-	// engine is relabeled. The landmark store carries the generation it
-	// was preprocessed under (landmark.Store.LayoutEpoch).
-	LayoutEpoch uint64
 	// WALAppends counts batches made durable before applying.
 	WALAppends int
 	// WALReplayed counts batches recovered from the log at boot.
@@ -273,7 +247,7 @@ type BatchEffect struct {
 	// Global marks effects that are not localized: a batch that moved a
 	// per-topic follower maximum (authority.ApplyDelta then rewrote that
 	// topic's score for every node) and compactions (re-anchored decay
-	// reference, relayout). Every standing query must re-score. Batch
+	// reference). Every standing query must re-score. Batch
 	// size alone never sets it.
 	Global bool
 	// OldestAt is the smallest nonzero event timestamp (Unix ns) in the
@@ -355,7 +329,6 @@ type Manager struct {
 	mRefreshFails   *metrics.Counter
 	mRefreshDefer   *metrics.Counter
 	mCompactions    *metrics.Counter
-	mRelayouts      *metrics.Counter
 	mWALAppends     *metrics.Counter
 	mWALReplayed    *metrics.Counter
 	mSnapshotWrites *metrics.Counter
@@ -415,7 +388,6 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		m.decay.rebuild(g)
 		m.eng = m.eng.WithEdgeWeights(m.decay.wts)
 	}
-	m.optimizeLocked()
 	m.pool = core.NewScratchPoolFor(m.eng)
 	m.Instrument(cfg.Metrics)
 	if cfg.InitialStore != nil {
@@ -424,9 +396,7 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		// re-runs exactly the refreshes the logged batches triggered.
 		m.store = cfg.InitialStore
 	} else {
-		store, _ := landmark.Preprocess(m.eng, m.lms, landmark.PreprocessConfig{TopN: cfg.StoreTopN, Metrics: cfg.Metrics, Pool: m.pool})
-		store.SetLayoutEpoch(m.stats.LayoutEpoch)
-		m.store = store
+		m.store, _ = landmark.Preprocess(m.eng, m.lms, landmark.PreprocessConfig{TopN: cfg.StoreTopN, Metrics: cfg.Metrics, Pool: m.pool})
 	}
 	m.noteIterationsLocked()
 	return m, nil
@@ -458,7 +428,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mRefreshFails = reg.Counter("dynamic_refresh_failures_total", "Failed landmark refresh runs (absorbed; landmarks stay stale).")
 	m.mRefreshDefer = reg.Counter("dynamic_refresh_deferred_total", "Refresh opportunities skipped while backing off after a failure.")
 	m.mCompactions = reg.Counter("dynamic_compactions_total", "Overlay stacks folded back into a fresh frozen graph.")
-	m.mRelayouts = reg.Counter("dynamic_relayouts_total", "Engine re-optimizations into the cache-aware node layout.")
 	m.mWALAppends = reg.Counter("dynamic_wal_appends_total", "Update batches made durable in the write-ahead log before applying.")
 	m.mWALReplayed = reg.Counter("dynamic_wal_replayed_total", "Update batches recovered from the write-ahead log at boot.")
 	m.mSnapshotWrites = reg.Counter("dynamic_snapshot_writes_total", "Compactions persisted as TRG2 snapshots (WAL truncated after each).")
@@ -472,7 +441,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mRefreshFails.Add(uint64(st.RefreshFailures))
 	m.mRefreshDefer.Add(uint64(st.RefreshDeferred))
 	m.mCompactions.Add(uint64(st.Compactions))
-	m.mRelayouts.Add(uint64(st.Relayouts))
 	m.mWALAppends.Add(uint64(st.WALAppends))
 	m.mWALReplayed.Add(uint64(st.WALReplayed))
 	m.mSnapshotWrites.Add(uint64(st.SnapshotWrites))
@@ -494,9 +462,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("dynamic_overlay_delta_edges",
 		"Edge changes accumulated by the overlay stack since the last compaction.",
 		func() float64 { return float64(m.Stats().OverlayDelta) })
-	reg.GaugeFunc("dynamic_layout_epoch",
-		"Current cache-aware layout generation (0 = seed node order).",
-		func() float64 { return float64(m.Stats().LayoutEpoch) })
 	reg.GaugeFunc("dynamic_refresh_backoff_seconds",
 		"Remaining refresh-backoff window after a failed refresh (0 = not backing off).",
 		func() float64 { return m.backoffRemaining().Seconds() })
@@ -520,23 +485,6 @@ func (m *Manager) rebuildEngine() error {
 	}
 	m.eng = eng
 	return nil
-}
-
-// optimizeLocked relabels the current engine into the cache-aware layout
-// when configured, bumping the layout generation. Only called on frozen
-// (overlay-free) epochs: at construction and right after a compaction —
-// Derive deliberately drops any layout because an overlay invalidates
-// the relabeling. Caller holds mu (or is still constructing).
-func (m *Manager) optimizeLocked() {
-	if !m.cfg.OptimizeLayout {
-		return
-	}
-	m.eng = m.eng.Optimized(m.cfg.LayoutOrder)
-	m.stats.Relayouts++
-	m.stats.LayoutEpoch++
-	if m.mRelayouts != nil {
-		m.mRelayouts.Inc()
-	}
 }
 
 // viewBox wraps the published view so the atomic pointer has one
@@ -822,10 +770,6 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 		if m.mCompactions != nil {
 			m.mCompactions.Inc()
 		}
-		// The compacted view is a frozen CSR again: re-optimize the
-		// engine layout (Derive dropped the previous one with the first
-		// overlay of this cycle).
-		m.optimizeLocked()
 		compacted = true
 		if fx := m.collectFx; fx != nil {
 			fx.Global = true
@@ -1087,10 +1031,6 @@ func (m *Manager) refreshLocked(lms []graph.NodeID) error {
 		}
 	}
 	m.noteIterationsLocked()
-	// The refreshed lists were computed under the current layout
-	// generation; restamp the store (list contents depend on the view and
-	// the weights only, the epoch records provenance).
-	m.store.SetLayoutEpoch(m.stats.LayoutEpoch)
 	// Refreshes running inside an apply may repair staleness left by
 	// earlier batches — report them so dependents of those landmarks
 	// re-score too.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/metrics"
-	"repro/internal/ranking"
 	"repro/internal/topics"
 )
 
@@ -106,15 +105,8 @@ func TestEagerRefreshMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestLazyRefreshOnQuery also carries the heap guard of the refresh:
-// preprocessing and refreshes build their in-adjacency (and any fallback
-// layout) per call, so without Config.OptimizeLayout the manager's engine
-// never holds a layout.
 func TestLazyRefreshOnQuery(t *testing.T) {
 	m, ds := newManager(t, Lazy, 3)
-	if m.eng.HasOptimizedLayout() {
-		t.Fatal("preprocessing left a layout on the manager's engine")
-	}
 	lm := m.store.Landmarks()[0]
 	// Find a user whose 2-hop vicinity contains the landmark, so a query
 	// from it must trigger the lazy refresh.
@@ -147,9 +139,6 @@ func TestLazyRefreshOnQuery(t *testing.T) {
 	}
 	if m.Stats().Refreshes == 0 {
 		t.Fatal("query meeting a stale landmark must refresh it")
-	}
-	if m.eng.HasOptimizedLayout() {
-		t.Fatal("the refresh left a layout on the manager's engine")
 	}
 }
 
@@ -417,139 +406,11 @@ func TestRefreshBackoffAbsorbsFailures(t *testing.T) {
 	}
 }
 
-// TestOptimizeLayoutLifecycle walks the cache-aware layout through the
-// manager's epochs: optimized at construction, dropped while overlays
-// are live (a relabeling is only valid over a frozen CSR), re-optimized
-// by the compaction that freezes the next CSR, with the layout epoch and
-// relayout counters tracking each generation and the landmark store
-// stamped with the generation it was preprocessed under.
-func TestOptimizeLayoutLifecycle(t *testing.T) {
-	ds := gen.RandomWith(60, 600, 11)
-	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 4, landmark.DefaultSelectConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewManager(ds.Graph, lms, Config{
-		Params:         core.DefaultParams(),
-		Sim:            ds.Sim,
-		StoreTopN:      50,
-		QueryDepth:     2,
-		Strategy:       Lazy,
-		CompactDepth:   2,
-		OptimizeLayout: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.eng.HasOptimizedLayout() {
-		t.Fatal("initial engine not optimized")
-	}
-	st := m.Stats()
-	if st.Relayouts != 1 || st.LayoutEpoch != 1 {
-		t.Fatalf("after construction: relayouts=%d layoutEpoch=%d, want 1/1", st.Relayouts, st.LayoutEpoch)
-	}
-	if m.store.LayoutEpoch() != 1 {
-		t.Fatalf("store layout epoch = %d, want 1", m.store.LayoutEpoch())
-	}
-
-	// One overlay batch (below CompactDepth): Derive must drop the layout
-	// and the generation must not advance.
-	up := func(i int) []Update {
-		return []Update{{Edge: graph.Edge{Src: graph.NodeID(i), Dst: graph.NodeID((i + 31) % 60), Label: topics.NewSet(1)}, Add: true}}
-	}
-	if err := m.Apply(up(0)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().Compactions != 0 {
-		t.Fatal("test premise broken: first batch already compacted")
-	}
-	if m.eng.HasOptimizedLayout() {
-		t.Fatal("overlay engine kept a stale layout")
-	}
-	if st := m.Stats(); st.Relayouts != 1 || st.LayoutEpoch != 1 {
-		t.Fatalf("overlay batch advanced the layout: %+v", st)
-	}
-
-	// Second batch crosses CompactDepth: compaction freezes a new CSR and
-	// re-optimizes into generation 2.
-	if err := m.Apply(up(1)); err != nil {
-		t.Fatal(err)
-	}
-	st = m.Stats()
-	if st.Compactions != 1 {
-		t.Fatalf("compactions = %d, want 1", st.Compactions)
-	}
-	if !m.eng.HasOptimizedLayout() {
-		t.Fatal("compacted engine not re-optimized")
-	}
-	if st.Relayouts != 2 || st.LayoutEpoch != 2 {
-		t.Fatalf("after compaction: relayouts=%d layoutEpoch=%d, want 2/2", st.Relayouts, st.LayoutEpoch)
-	}
-
-	// A refresh under the new generation restamps the store.
-	if err := m.refreshLocked(m.store.Landmarks()); err != nil {
-		t.Fatal(err)
-	}
-	if m.store.LayoutEpoch() != 2 {
-		t.Fatalf("refreshed store layout epoch = %d, want 2", m.store.LayoutEpoch())
-	}
-}
-
-// TestOptimizeLayoutRankingAgreement: the optimized manager's answers
-// must rank like an unoptimized manager's over the same graph — the
-// float32 kernel preserves ordering (Kendall distance ≤ 1e-3) whichever
-// relabeling the landmark lists were explored under (the manager's own
-// BFS layout here, a per-call degree layout in the plain manager).
-func TestOptimizeLayoutRankingAgreement(t *testing.T) {
-	ds := gen.RandomWith(60, 600, 12)
-	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 4, landmark.DefaultSelectConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{
-		Params:     core.DefaultParams(),
-		Sim:        ds.Sim,
-		StoreTopN:  50,
-		QueryDepth: 2,
-		Strategy:   Lazy,
-	}
-	plain, err := NewManager(ds.Graph, lms, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optCfg := base
-	optCfg.OptimizeLayout = true
-	optCfg.LayoutOrder = graph.BFSOrder
-	opt, err := NewManager(ds.Graph, lms, optCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := graph.NodeID(0); u < 60; u += 7 {
-		a := plain.RecommendExact(u, 3, 10)
-		b := opt.RecommendExact(u, 3, 10)
-		if d := ranking.KendallTopK(a, b); d > 1e-3 {
-			t.Fatalf("user %d: exact rankings diverge, Kendall distance %g", u, d)
-		}
-		ap, err := plain.Recommend(u, 3, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bp, err := opt.Recommend(u, 3, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := ranking.KendallTopK(ap, bp); d > 1e-3 {
-			t.Fatalf("user %d: approximate rankings diverge, Kendall distance %g", u, d)
-		}
-	}
-}
-
 // TestInstrumentSameRegistryTwiceIsIdempotent: trserver passes one
 // registry via Config.Metrics and server.New re-instruments the manager
 // with the same registry; the second call must not re-add the current
 // Stats to counters that already carry them (visible as
-// dynamic_relayouts_total = 2 after a single construction-time
-// relayout).
+// dynamic_batches_total = 2 after a single batch).
 func TestInstrumentSameRegistryTwiceIsIdempotent(t *testing.T) {
 	ds := gen.RandomWith(40, 300, 13)
 	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 3, landmark.DefaultSelectConfig())
@@ -558,19 +419,21 @@ func TestInstrumentSameRegistryTwiceIsIdempotent(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	m, err := NewManager(ds.Graph, lms, Config{
-		Params:         core.DefaultParams(),
-		Sim:            ds.Sim,
-		StoreTopN:      20,
-		QueryDepth:     2,
-		Strategy:       Lazy,
-		Metrics:        reg,
-		OptimizeLayout: true,
+		Params:     core.DefaultParams(),
+		Sim:        ds.Sim,
+		StoreTopN:  20,
+		QueryDepth: 2,
+		Strategy:   Lazy,
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Apply([]Update{{Edge: graph.Edge{Src: 1, Dst: 2, Label: topics.NewSet(0)}, Add: true}}); err != nil {
+		t.Fatal(err)
+	}
 	m.Instrument(reg) // what server.New does with the shared registry
-	if got := reg.Counter("dynamic_relayouts_total", "").Value(); got != 1 {
-		t.Fatalf("dynamic_relayouts_total = %d after re-instrumenting the same registry, want 1", got)
+	if got := reg.Counter("dynamic_batches_total", "").Value(); got != 1 {
+		t.Fatalf("dynamic_batches_total = %d after re-instrumenting the same registry, want 1", got)
 	}
 }

@@ -142,26 +142,6 @@ func (b *Builder) Freeze() (*Graph, error) {
 	return g, nil
 }
 
-// FreezeOrdered freezes the builder and additionally returns the graph
-// re-materialized in a cache-topology-aware layout: the Permutation maps
-// the builder's (external) ids to the relabeled graph's internal ids. The
-// first result is the ordinary frozen graph in external numbering — the
-// one every API consumer sees — and the second is its relabeled twin for
-// the exploration kernel. Callers that do not need the layout should use
-// Freeze.
-func (b *Builder) FreezeOrdered(order Order) (ext *Graph, internal *Graph, p Permutation, err error) {
-	ext, err = b.Freeze()
-	if err != nil {
-		return nil, nil, Permutation{}, err
-	}
-	p = NewPermutation(order, ext)
-	internal, err = Relabel(ext, p)
-	if err != nil {
-		return nil, nil, Permutation{}, err
-	}
-	return ext, internal, p, nil
-}
-
 // MustFreeze is Freeze that panics on error, for tests and fixed fixtures.
 func (b *Builder) MustFreeze() *Graph {
 	g, err := b.Freeze()

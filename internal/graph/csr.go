@@ -147,8 +147,3 @@ func (g *Graph) checkEdgeInvariants() error {
 	}
 	return nil
 }
-
-// Forward returns the permutation's external→internal map. The slice
-// aliases internal storage and must not be modified; it is what WriteTo
-// persists and what a zero-copy store serializes.
-func (p Permutation) Forward() []NodeID { return p.fwd }

@@ -179,64 +179,6 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	return b.Freeze()
 }
 
-// Permutation binary format (little-endian):
-//
-//	magic uint32 = 0x54525031 ("TRP1")
-//	numNodes uint32, then per external id: internal id uint32
-//
-// Stored next to a graph file so a precomputed cache-aware layout can be
-// reloaded without re-deriving it; ReadPermutation validates bijectivity.
-
-const permMagic = 0x54525031
-
-// WriteTo serializes the permutation.
-func (p Permutation) WriteTo(w io.Writer) (int64, error) {
-	// As in Graph.WriteTo: count below the buffer, so the return value is
-	// flushed bytes.
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	le := binary.LittleEndian
-	if err := binary.Write(bw, le, uint32(permMagic)); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(bw, le, uint32(p.Len())); err != nil {
-		return cw.n, err
-	}
-	for _, in := range p.fwd {
-		if err := binary.Write(bw, le, uint32(in)); err != nil {
-			return cw.n, err
-		}
-	}
-	err := bw.Flush()
-	return cw.n, err
-}
-
-// ReadPermutation deserializes a permutation written by WriteTo,
-// validating the header and that the mapping is a bijection.
-func ReadPermutation(r io.Reader) (Permutation, error) {
-	br := bufio.NewReader(r)
-	le := binary.LittleEndian
-	var magic, n uint32
-	if err := binary.Read(br, le, &magic); err != nil {
-		return Permutation{}, fmt.Errorf("graph: reading permutation magic: %w", err)
-	}
-	if magic != permMagic {
-		return Permutation{}, fmt.Errorf("graph: bad permutation magic %#x", magic)
-	}
-	if err := binary.Read(br, le, &n); err != nil {
-		return Permutation{}, err
-	}
-	fwd := make([]NodeID, 0, min32(n, 1<<16))
-	for i := uint32(0); i < n; i++ {
-		var v uint32
-		if err := binary.Read(br, le, &v); err != nil {
-			return Permutation{}, fmt.Errorf("graph: reading permutation entry %d: %w", i, err)
-		}
-		fwd = append(fwd, NodeID(v))
-	}
-	return PermutationFromForward(fwd)
-}
-
 func min32(a, b uint32) uint32 {
 	if a < b {
 		return a

@@ -144,64 +144,4 @@ func TestWriteToReportsFlushedBytes(t *testing.T) {
 			t.Fatalf("limit %d: WriteTo reported %d bytes, writer accepted %d", limit, n, fw.n)
 		}
 	}
-
-	perm, err := PermutationFromForward([]NodeID{2, 0, 1, 3, 5, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	pfull, err := perm.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pfull != int64(buf.Len()) {
-		t.Fatalf("perm WriteTo reported %d, wrote %d", pfull, buf.Len())
-	}
-	for _, limit := range []int{0, 3, int(pfull) - 2} {
-		fw := &failAfterWriter{limit: limit}
-		n, err := perm.WriteTo(fw)
-		if err == nil {
-			t.Fatalf("limit %d: perm WriteTo succeeded on a failing writer", limit)
-		}
-		if n != fw.n {
-			t.Fatalf("limit %d: perm WriteTo reported %d bytes, writer accepted %d", limit, n, fw.n)
-		}
-	}
-}
-
-// FuzzReadPermutation: arbitrary bytes must yield a permutation or an
-// error, never a panic — and accepted inputs must be true bijections.
-func FuzzReadPermutation(f *testing.F) {
-	perm, err := PermutationFromForward([]NodeID{1, 2, 0})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := perm.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	full := buf.Bytes()
-	f.Add(full)
-	f.Add(full[:len(full)-2])
-	corrupt := append([]byte(nil), full...)
-	corrupt[9] ^= 0xff
-	f.Add(corrupt)
-	f.Add([]byte{0x31, 0x50, 0x52, 0x54})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadPermutation(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		seen := make(map[NodeID]bool, p.Len())
-		for u := 0; u < p.Len(); u++ {
-			v := p.Apply(NodeID(u))
-			if int(v) >= p.Len() || seen[v] {
-				t.Fatalf("accepted permutation is not a bijection at %d", u)
-			}
-			seen[v] = true
-			if p.Back(v) != NodeID(u) {
-				t.Fatalf("inverse broken at %d", u)
-			}
-		}
-	})
 }

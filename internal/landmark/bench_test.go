@@ -43,10 +43,10 @@ func BenchmarkPreprocessPerLandmark(b *testing.B) {
 }
 
 // BenchmarkPreprocessRefresh is one refresh run of the streaming manager:
-// the engine is derived over a 3-layer overlay and decay-weighted (so no
-// layout survives on it), the scratch pool is the manager's, and a batch
-// stales either one landmark or 27 of the 30. allocs/op is gated by
-// `make kernel-gate`: per-node result spills would multiply it.
+// the engine is derived over a 3-layer overlay and decay-weighted, the
+// scratch pool is the manager's, and a batch stales either one landmark
+// or 27 of the 30. allocs/op is gated by `make kernel-gate`: per-node
+// result spills would multiply it.
 func BenchmarkPreprocessRefresh(b *testing.B) {
 	eng, ds := benchSetup(b, 2000)
 	lms, err := Select(ds.Graph, InDeg, 27, DefaultSelectConfig())

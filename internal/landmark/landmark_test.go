@@ -119,7 +119,7 @@ func TestSelectWeightedExcludesZero(t *testing.T) {
 
 // TestPreprocessBuildsSortedLists checks the list construction on the
 // float64 reference mode, where stored values equal a fresh exploration
-// to 1e-9; TestPreprocessMatchesFloat64Reference states what the float32
+// to 1e-9; TestPreprocessMatchesFloat64Reference states what the factored
 // default keeps of it.
 func TestPreprocessBuildsSortedLists(t *testing.T) {
 	ds := gen.RandomWith(50, 500, 3)
@@ -128,7 +128,7 @@ func TestPreprocessBuildsSortedLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, stats := preprocess(eng, lms, PreprocessConfig{TopN: 7, Workers: 2}, core.DenseMode)
+	store, stats := preprocess(eng, lms, PreprocessConfig{TopN: 7, Workers: 2}, false)
 	if store.Len() != len(lms) {
 		t.Fatalf("store holds %d landmarks, want %d", store.Len(), len(lms))
 	}
@@ -199,7 +199,7 @@ func TestProposition4(t *testing.T) {
 	}
 
 	const lambda, u, v = 3, 0, 6
-	store, _ := preprocess(eng, []graph.NodeID{lambda}, PreprocessConfig{TopN: 100}, core.DenseMode)
+	store, _ := preprocess(eng, []graph.NodeID{lambda}, PreprocessConfig{TopN: 100}, false)
 	ap, err := NewApprox(eng, store, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -19,13 +19,13 @@ type PreprocessConfig struct {
 	// GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives the preprocessing-cost series —
-	// Table 5's quantities live: a per-landmark compute-time histogram, a
-	// layout-build histogram, a processed-landmark counter and a
-	// worker-utilization gauge.
+	// Table 5's quantities live: a per-landmark compute-time histogram, an
+	// in-adjacency build histogram, a processed-landmark counter, a
+	// fallback counter and a worker-utilization gauge.
 	Metrics *metrics.Registry
 	// Pool, when non-nil, lends each worker its exploration buffers
 	// instead of allocating fresh ones — repeated refresh runs (the
-	// dynamic manager) reuse the kernel's tiles and result arrays.
+	// dynamic manager) reuse the hop and result arrays.
 	Pool *core.ScratchPool
 }
 
@@ -35,22 +35,21 @@ type PreprocessStats struct {
 	// SelectionTime is filled by the caller (selection happens before
 	// preprocessing); kept here so reports carry both columns.
 	SelectionTime time.Duration
-	// LayoutTime is the single-threaded build of the run's in-adjacency,
-	// plus the kernel layout when a fallback needed one the engine did not
-	// bring. Zero on the float64 reference path.
+	// LayoutTime is the single-threaded build of the run's in-adjacency.
+	// Zero on the float64 reference path.
 	LayoutTime time.Duration
 	// ComputeTime is the summed per-landmark exploration time (i.e. the
 	// sequential cost; wall-clock is lower with Workers > 1). It excludes
 	// LayoutTime.
 	ComputeTime time.Duration
-	// WallTime is the elapsed wall-clock time of the whole step, layout
-	// build included.
+	// WallTime is the elapsed wall-clock time of the whole step,
+	// in-adjacency build included.
 	WallTime time.Duration
 	// Landmarks is the number of landmarks processed.
 	Landmarks int
 	// Fallbacks counts the explorations whose factored form did not
-	// converge within MaxDepth (β near 1/σ_max) and that ran the hop
-	// recurrence on the kernel instead.
+	// converge within MaxDepth (β near 1/σ_max) and that ran the float64
+	// hop recurrence instead.
 	Fallbacks int
 }
 
@@ -70,24 +69,23 @@ func (s PreprocessStats) PerLandmark() time.Duration {
 // Every exploration runs in factored form (core.InAdjacency.Explore,
 // Proposition 2): one in-adjacency is built for the call, shared
 // read-only by the workers and dropped on return — eng itself never gains
-// one, so an optimized engine keeps only its layout. An exploration whose
-// factored form does not converge within MaxDepth keeps the hop recurrence
-// on the blocked float32 kernel, over the engine's layout or, for any
-// other engine, one degree-ordered layout built once for the call on the
-// first such fallback. Factored scores are float64 and hold paths longer
-// than the hop recurrence's cut-off, so list membership and order match
-// the float64 hop recurrence up to ties within 1e-5 and every stored value
-// to 1e-5 (see TestPreprocessMatchesFloat64Reference for the bounds). The
-// result is a pure function of the engine's view, weights and parameters:
-// an overlay stack and its compacted rebuild produce bit-identical stores.
+// one. An exploration whose factored form does not converge within
+// MaxDepth (β near 1/σ_max) falls back to the float64 hop recurrence
+// (core.DenseMode), the same code that builds the reference store.
+// Factored scores hold paths longer than the hop recurrence's cut-off, so
+// list membership and order match the hop recurrence up to ties within
+// 1e-5 and every stored value to 1e-5 (see
+// TestPreprocessMatchesFloat64Reference for the bounds). The result is a
+// pure function of the engine's view, weights and parameters: an overlay
+// stack and its compacted rebuild produce bit-identical stores.
 func Preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig) (*Store, PreprocessStats) {
-	return preprocess(eng, landmarks, cfg, core.KernelMode)
+	return preprocess(eng, landmarks, cfg, true)
 }
 
-// preprocess is Preprocess with the exploration mode exposed: tests pass
-// core.DenseMode to obtain the exact float64 hop recurrence as the
-// reference store.
-func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig, mode core.Mode) (*Store, PreprocessStats) {
+// preprocess is Preprocess with the factored form optional: tests pass
+// factored = false to run the hop recurrence for every landmark, the
+// float64 reference store.
+func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig, factored bool) (*Store, PreprocessStats) {
 	vocabLen := eng.Graph().Vocabulary().Len()
 	store := NewStore(vocabLen, cfg.TopN)
 	workers := cfg.Workers
@@ -104,26 +102,9 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 	start := time.Now()
 	stats := PreprocessStats{}
 	var in *core.InAdjacency
-	if mode == core.KernelMode && len(landmarks) > 0 {
+	if factored && len(landmarks) > 0 {
 		in = eng.InAdjacency()
 		stats.LayoutTime = time.Since(start)
-	}
-	// kernel returns the engine the hop recurrence runs on, building the
-	// kernel layout on the first fallback that needs one.
-	var (
-		layoutOnce  sync.Once
-		layoutBuild time.Duration
-		kernEng     = eng
-	)
-	kernel := func() *core.Engine {
-		layoutOnce.Do(func() {
-			if mode == core.KernelMode && !eng.HasOptimizedLayout() {
-				t0 := time.Now()
-				kernEng = eng.Optimized(graph.DegreeOrder)
-				layoutBuild = time.Since(t0)
-			}
-		})
-		return kernEng
 	}
 	type result struct {
 		data     *Data
@@ -155,21 +136,14 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 					x = in.Explore(l, scratch)
 				}
 				fellBack := in != nil && x == nil
-				var wait time.Duration
 				if x == nil {
-					// The hop recurrence. Time spent getting its layout is
-					// layout time, not this landmark's.
-					tk := time.Now()
-					ke := kernel()
-					wait = time.Since(tk)
-					x = ke.ExploreOpts(l, nil, core.ExploreOptions{
-						Mode:        mode,
+					x = eng.ExploreOpts(l, nil, core.ExploreOptions{
+						Mode:        core.DenseMode,
 						Scratch:     scratch,
 						DenseResult: true,
 					})
 				}
-				d := lists.build(l, x)
-				results <- result{data: d, cost: time.Since(t0) - wait, fellBack: fellBack}
+				results <- result{data: lists.build(l, x), cost: time.Since(t0), fellBack: fellBack}
 			}
 		}()
 	}
@@ -199,7 +173,6 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 			computeHist.ObserveDuration(r.cost)
 		}
 	}
-	stats.LayoutTime += layoutBuild
 	stats.WallTime = time.Since(start)
 	exploring := time.Since(explored)
 	if cfg.Metrics != nil {
@@ -210,18 +183,17 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 			"Wall-clock time of whole preprocessing runs in seconds.",
 			nil).ObserveDuration(stats.WallTime)
 		cfg.Metrics.Counter("landmark_preprocess_fallbacks_total",
-			"Landmark explorations whose factored form did not converge within MaxDepth and that ran the hop recurrence instead.").
+			"Landmark explorations whose factored form did not converge within MaxDepth and that ran the float64 hop recurrence instead.").
 			Add(uint64(stats.Fallbacks))
 		if stats.LayoutTime > 0 {
 			cfg.Metrics.Histogram("landmark_preprocess_layout_seconds",
-				"Time to build the in-adjacency of one preprocessing run, in seconds, plus the kernel layout when a fallback needed one the engine did not bring.",
+				"Time to build the in-adjacency of one preprocessing run, in seconds.",
 				nil).ObserveDuration(stats.LayoutTime)
 		}
 		if exploring > 0 {
 			// ComputeTime / (worker wall time × workers) ∈ (0, 1]: how busy
 			// the worker pool was kept on average. The in-adjacency is built
-			// before any worker starts, and the time a worker spends on a
-			// fallback's layout is excluded from its landmark's cost.
+			// before any worker starts.
 			cfg.Metrics.Gauge("landmark_preprocess_worker_utilization",
 				"Fraction of worker-seconds spent exploring during the last preprocessing run.").
 				Set(stats.ComputeTime.Seconds() / (exploring.Seconds() * float64(workers)))

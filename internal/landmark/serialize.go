@@ -14,19 +14,16 @@ import (
 //
 //	magic  uint32 = 0x4c4d4b32 ("LMK2")
 //	vocabLen, topN, numLandmarks  uint32
-//	layoutEpoch  uint64            (LMK2 only; LMK1 streams imply 0)
+//	reserved  uint64               written as 0, ignored on read
 //	per landmark:
 //	    id, iterations  uint32
 //	    vocabLen topical lists, then the topo list, each:
 //	        length uint32, then length × (node uint32, sigma float64, topo float64)
 //
-// ReadStore still accepts the older LMK1 magic (0x4c4d4b31), whose
-// header lacks the layout epoch; such stores load with epoch 0.
+// The reserved slot once held a layout generation; stores written with a
+// nonzero one still load, and the value is dropped.
 
-const (
-	storeMagicV1 = 0x4c4d4b31
-	storeMagic   = 0x4c4d4b32
-)
+const storeMagic = 0x4c4d4b32
 
 // WriteTo serializes the store.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
@@ -42,7 +39,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, s.layoutEpoch); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint64(0)); err != nil {
 		return cw.n, err
 	}
 	writeList := func(l *List) error {
@@ -101,7 +98,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("landmark: reading magic: %w", err)
 	}
-	if magic != storeMagic && magic != storeMagicV1 {
+	if magic != storeMagic {
 		return nil, fmt.Errorf("landmark: bad magic %#x", magic)
 	}
 	vocabLen, err := get32()
@@ -116,17 +113,13 @@ func ReadStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var layoutEpoch uint64
-	if magic == storeMagic {
-		if err := binary.Read(br, binary.LittleEndian, &layoutEpoch); err != nil {
-			return nil, fmt.Errorf("landmark: reading layout epoch: %w", err)
-		}
+	if _, err := br.Discard(8); err != nil { // the reserved slot
+		return nil, fmt.Errorf("landmark: reading header: %w", err)
 	}
 	if vocabLen == 0 || vocabLen > 1024 {
 		return nil, fmt.Errorf("landmark: implausible vocabulary size %d", vocabLen)
 	}
 	s := NewStore(int(vocabLen), int(topN))
-	s.layoutEpoch = layoutEpoch
 	readList := func() (List, error) {
 		var l List
 		ln, err := get32()

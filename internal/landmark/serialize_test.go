@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -16,7 +17,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, _ := Preprocess(eng, lms, PreprocessConfig{TopN: 20})
-	store.SetLayoutEpoch(42)
 
 	var buf bytes.Buffer
 	n, err := store.WriteTo(&buf)
@@ -33,9 +33,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if got.Len() != store.Len() || got.VocabLen() != store.VocabLen() || got.TopN() != store.TopN() {
 		t.Fatalf("store shape mismatch after round trip")
-	}
-	if got.LayoutEpoch() != 42 {
-		t.Fatalf("layout epoch lost: got %d, want 42", got.LayoutEpoch())
 	}
 	for _, l := range store.Landmarks() {
 		a, b := store.Get(l), got.Get(l)
@@ -62,24 +59,30 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadStoreAcceptsLMK1 verifies that stores written before the
-// layout-epoch header field (magic "LMK1") still load, with epoch 0.
-func TestReadStoreAcceptsLMK1(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0x31, 0x4b, 0x4d, 0x4c}) // LMK1 magic, little-endian
-	buf.Write([]byte{2, 0, 0, 0})             // vocabLen = 2
-	buf.Write([]byte{5, 0, 0, 0})             // topN = 5
-	buf.Write([]byte{0, 0, 0, 0})             // numLandmarks = 0
-	s, err := ReadStore(&buf)
+// TestReadStoreIgnoresReservedSlot: the header's reserved 8 bytes once
+// carried a layout generation, written nonzero by servers that relabeled
+// their engines. Such a stream still loads, with the same lists.
+func TestReadStoreIgnoresReservedSlot(t *testing.T) {
+	ds := gen.RandomWith(40, 400, 7)
+	lms, err := Select(ds.Graph, InDeg, 3, DefaultSelectConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.VocabLen() != 2 || s.TopN() != 5 || s.Len() != 0 {
-		t.Fatalf("LMK1 header misread: vocab %d topN %d len %d", s.VocabLen(), s.TopN(), s.Len())
+	store, _ := Preprocess(engineOn(t, ds, 0), lms, PreprocessConfig{TopN: 20})
+	var buf bytes.Buffer
+	if _, err := store.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if s.LayoutEpoch() != 0 {
-		t.Fatalf("LMK1 store must imply layout epoch 0, got %d", s.LayoutEpoch())
+	raw := buf.Bytes()
+	if !bytes.Equal(raw[16:24], make([]byte, 8)) {
+		t.Fatalf("reserved slot written as % x, want zeros", raw[16:24])
 	}
+	binary.LittleEndian.PutUint64(raw[16:24], 42)
+	got, err := ReadStore(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalStores(t, "epoch 42", got, store)
 }
 
 func TestReadStoreRejectsGarbage(t *testing.T) {
@@ -89,12 +92,18 @@ func TestReadStoreRejectsGarbage(t *testing.T) {
 	if _, err := ReadStore(bytes.NewReader([]byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0})); err == nil {
 		t.Error("bad magic must error")
 	}
+	// The retired LMK1 stream, whose header had no reserved slot.
+	lmk1 := []byte{0x31, 0x4b, 0x4d, 0x4c, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := ReadStore(bytes.NewReader(lmk1)); err == nil {
+		t.Error("LMK1 magic must error")
+	}
 	// A header claiming an implausible vocabulary.
 	var buf bytes.Buffer
-	buf.Write([]byte{0x31, 0x4b, 0x4d, 0x4c}) // magic little-endian
+	buf.Write([]byte{0x32, 0x4b, 0x4d, 0x4c}) // LMK2 magic, little-endian
 	buf.Write([]byte{0xff, 0xff, 0, 0})       // vocabLen = 65535
 	buf.Write([]byte{10, 0, 0, 0})
 	buf.Write([]byte{0, 0, 0, 0})
+	buf.Write(make([]byte, 8)) // reserved
 	if _, err := ReadStore(&buf); err == nil {
 		t.Error("implausible vocabulary size must error")
 	}

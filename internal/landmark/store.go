@@ -49,13 +49,6 @@ type Store struct {
 	topN     int
 	data     map[graph.NodeID]*Data
 	order    []graph.NodeID // insertion order, for deterministic iteration
-	// layoutEpoch records the serving-side layout generation (see
-	// dynamic.Stats.LayoutEpoch) the lists were computed under. A store
-	// preprocessed over a cache-optimized engine is only directly
-	// combinable with explorations of the same relabeled layout
-	// generation; the epoch lets a loader detect a store that predates a
-	// re-optimization. 0 means "no optimized layout" (the seed engine).
-	layoutEpoch uint64
 }
 
 // NewStore creates an empty store for lists of length topN over a
@@ -70,14 +63,6 @@ func NewStore(vocabLen, topN int) *Store {
 
 // VocabLen returns the number of topics per landmark.
 func (s *Store) VocabLen() int { return s.vocabLen }
-
-// LayoutEpoch returns the layout generation the store was preprocessed
-// under (0 for the unoptimized seed layout).
-func (s *Store) LayoutEpoch() uint64 { return s.layoutEpoch }
-
-// SetLayoutEpoch stamps the layout generation the store's lists were
-// computed under.
-func (s *Store) SetLayoutEpoch(e uint64) { s.layoutEpoch = e }
 
 // TopN returns the list length bound.
 func (s *Store) TopN() int { return s.topN }
@@ -187,7 +172,6 @@ func newList(n int) List {
 // lists of the landmarks placed on its partition and nothing else.
 func (s *Store) Subset(keep func(graph.NodeID) bool) *Store {
 	ns := NewStore(s.vocabLen, s.topN)
-	ns.layoutEpoch = s.layoutEpoch
 	for _, l := range s.order {
 		if keep(l) {
 			ns.Put(s.data[l]) //nolint:errcheck // same vocabLen by construction
@@ -207,7 +191,6 @@ func (s *Store) Subset(keep func(graph.NodeID) bool) *Store {
 // workers — instead of the full candidate union of its landmarks.
 func (s *Store) SubsetNodes(keep func(graph.NodeID) bool) *Store {
 	ns := NewStore(s.vocabLen, s.topN)
-	ns.layoutEpoch = s.layoutEpoch
 	for _, l := range s.order {
 		d := s.data[l]
 		nd := &Data{Landmark: d.Landmark, Topical: make([]List, len(d.Topical)), Iterations: d.Iterations}
@@ -245,7 +228,6 @@ func filterList(l List, keep func(graph.NodeID) bool) List {
 // re-running the preprocessing.
 func (s *Store) Truncated(n int) *Store {
 	ns := NewStore(s.vocabLen, n)
-	ns.layoutEpoch = s.layoutEpoch
 	for _, l := range s.order {
 		d := s.data[l]
 		nd := &Data{Landmark: d.Landmark, Topical: make([]List, len(d.Topical)), Iterations: d.Iterations}

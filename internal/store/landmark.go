@@ -9,7 +9,8 @@ import (
 )
 
 // LMK3 landmark-store layout, reusing the TRG2 section framing. Header
-// meta: [0]=vocabLen, [1]=topN, [2]=numLandmarks, [3]=layoutEpoch,
+// meta: [0]=vocabLen, [1]=topN, [2]=numLandmarks, [3]=reserved (written
+// as 0, ignored on open; it once held a layout generation),
 // [4]=totalEntries. Sections, in file order:
 //
 //	0 lmIDs    L × u32            landmark ids, insertion order
@@ -69,7 +70,7 @@ func WriteLandmarks(f *os.File, s *landmark.Store) (int64, error) {
 			uint64(vocabLen),
 			uint64(s.TopN()),
 			uint64(len(lms)),
-			s.LayoutEpoch(),
+			0, // reserved
 			total,
 		},
 	}
@@ -144,7 +145,7 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 	if len(h.sections) < lmkSections {
 		return nil, fmt.Errorf("store: landmark store has %d sections, want %d", len(h.sections), lmkSections)
 	}
-	vocabLen, topN, numLm, layoutEpoch, total := h.meta[0], h.meta[1], h.meta[2], h.meta[3], h.meta[4]
+	vocabLen, topN, numLm, total := h.meta[0], h.meta[1], h.meta[2], h.meta[4]
 	if vocabLen == 0 || vocabLen > 1024 {
 		return nil, fmt.Errorf("store: implausible vocabulary size %d", vocabLen)
 	}
@@ -195,7 +196,6 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 		return nil, fmt.Errorf("store: list index does not span the entry columns")
 	}
 	s := landmark.NewStore(int(vocabLen), int(topN))
-	s.SetLayoutEpoch(layoutEpoch)
 	for i := uint64(0); i < numLm; i++ {
 		d := &landmark.Data{
 			Landmark:   graph.NodeID(ids[i]),

@@ -10,7 +10,8 @@ import (
 )
 
 // TRG2 snapshot layout. Header meta: [0]=numNodes, [1]=numEdges,
-// [2]=vocabLen. Flag bit 0 marks an embedded layout permutation.
+// [2]=vocabLen. Flag bit 0 marks an embedded node permutation, which the
+// reader validates and exposes but nothing in this module consumes.
 // Sections, in file order:
 //
 //	0 vocab       count u32, then per topic: nameLen u16 + name bytes
@@ -41,7 +42,7 @@ const (
 	flagHasPerm = 1 << 0
 )
 
-// WriteSnapshot writes g (and, when non-nil, its layout permutation) as a
+// WriteSnapshot writes g (and, when non-nil, a node permutation) as a
 // TRG2 snapshot into f, returning the bytes written. The file is laid
 // down body-first; the checksummed header is stamped last, so a torn
 // write is detected by the header CRC.
@@ -216,8 +217,7 @@ func newSnapshot(m *mapping, size int64, opts OpenOptions) (*Snapshot, error) {
 			return nil, fmt.Errorf("store: perm section holds %d bytes, want %d", len(pb), n*4)
 		}
 		// PermutationFromForward validates bijectivity and copies: the
-		// permutation is O(n) heap either way, and validation is cheap
-		// relative to the layouts it gates.
+		// permutation is O(n) heap either way.
 		perm, err := graph.PermutationFromForward(nodeSlice(pb))
 		if err != nil {
 			return nil, fmt.Errorf("store: embedded permutation: %w", err)
@@ -231,8 +231,8 @@ func newSnapshot(m *mapping, size int64, opts OpenOptions) (*Snapshot, error) {
 // Close.
 func (s *Snapshot) Graph() *graph.Graph { return s.g }
 
-// Permutation returns the embedded cache-layout permutation, if the
-// snapshot carries one.
+// Permutation returns the embedded node permutation, if the snapshot
+// carries one.
 func (s *Snapshot) Permutation() (graph.Permutation, bool) { return s.perm, s.hasPerm }
 
 // Bytes returns the snapshot file size.

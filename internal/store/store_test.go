@@ -157,7 +157,6 @@ func testLandmarkStore(t testing.TB) *landmark.Store {
 	t.Helper()
 	const vocabLen, topN = 3, 8
 	s := landmark.NewStore(vocabLen, topN)
-	s.SetLayoutEpoch(7)
 	for _, lm := range []graph.NodeID{4, 9, 17} {
 		d := &landmark.Data{Landmark: lm, Iterations: 3, Topical: make([]landmark.List, vocabLen)}
 		for tpc := 0; tpc < vocabLen; tpc++ {
@@ -193,18 +192,57 @@ func TestLandmarksRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	got := ls.Store()
-	if got.VocabLen() != s.VocabLen() || got.TopN() != s.TopN() || got.LayoutEpoch() != s.LayoutEpoch() {
-		t.Fatalf("store shape differs: %d/%d/%d vs %d/%d/%d",
-			got.VocabLen(), got.TopN(), got.LayoutEpoch(), s.VocabLen(), s.TopN(), s.LayoutEpoch())
+	requireStoresEqual(t, s, ls.Store())
+}
+
+// TestLandmarksIgnoreReservedMeta: header meta [3] once carried a layout
+// generation, written nonzero by servers that relabeled their engines. A
+// file carrying one still opens, with the same lists.
+func TestLandmarksIgnoreReservedMeta(t *testing.T) {
+	s := testLandmarkStore(t)
+	path := filepath.Join(t.TempDir(), "l.lmk3")
+	if _, err := WriteLandmarksFile(path, s); err != nil {
+		t.Fatal(err)
 	}
-	wantLms := s.Landmarks()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(buf, landmarkMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.meta[3] != 0 {
+		t.Fatalf("reserved meta written as %d, want 0", h.meta[3])
+	}
+	h.meta[3] = 42
+	page, err := h.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, page)
+	ls, err := newLandmarks(&mapping{data: buf}, int64(len(buf)), OpenOptions{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	requireStoresEqual(t, s, ls.Store())
+}
+
+// requireStoresEqual compares two landmark stores list by list.
+func requireStoresEqual(t testing.TB, want, got *landmark.Store) {
+	t.Helper()
+	if got.VocabLen() != want.VocabLen() || got.TopN() != want.TopN() {
+		t.Fatalf("store shape differs: %d/%d vs %d/%d",
+			got.VocabLen(), got.TopN(), want.VocabLen(), want.TopN())
+	}
+	wantLms := want.Landmarks()
 	gotLms := got.Landmarks()
 	if len(wantLms) != len(gotLms) {
 		t.Fatalf("landmark count: want %d, got %d", len(wantLms), len(gotLms))
 	}
 	for _, lm := range wantLms {
-		wd, gd := s.Get(lm), got.Get(lm)
+		wd, gd := want.Get(lm), got.Get(lm)
 		if gd == nil {
 			t.Fatalf("landmark %d missing", lm)
 		}
