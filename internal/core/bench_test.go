@@ -8,11 +8,11 @@ import (
 	"repro/internal/topics"
 )
 
-// Inner-loop benchmarks of the two exploration modes. Run with -benchmem:
-// the allocs/op column is the regression guard for the hot path — map
-// mode should stay flat in frontier size across hops (reused slices, delta
-// free list) and dense mode should be allocation-free once a scratch or
-// pool is supplied.
+// Inner-loop benchmarks of the hop recurrence. Run with -benchmem: the
+// allocs/op column is the regression guard for the hot path — an
+// exploration through a reused scratch allocates only its result header
+// and Reached list, and one that borrows the engine's scratch adds the
+// maps its results are copied into.
 
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()
@@ -24,47 +24,23 @@ func benchEngine(b *testing.B) *Engine {
 	return eng
 }
 
-func BenchmarkExploreMapMode(b *testing.B) {
+func BenchmarkExploreBorrowedScratch(b *testing.B) {
 	eng := benchEngine(b)
 	ts := []topics.ID{0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.ExploreOpts(0, ts, ExploreOptions{MaxDepth: 3, Mode: MapMode})
+		eng.ExploreOpts(0, ts, ExploreOptions{MaxDepth: 8})
 	}
 }
 
-func BenchmarkExploreDenseFreshScratch(b *testing.B) {
-	eng := benchEngine(b)
-	ts := []topics.ID{0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Scratch nil: every exploration pays the n×k allocation+zeroing.
-		eng.ExploreOpts(0, ts, ExploreOptions{MaxDepth: 8, Mode: DenseMode})
-	}
-}
-
-func BenchmarkExploreDenseReusedScratch(b *testing.B) {
+func BenchmarkExploreReusedScratch(b *testing.B) {
 	eng := benchEngine(b)
 	ts := []topics.ID{0}
 	s := NewScratch(eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.ExploreOpts(0, ts, ExploreOptions{MaxDepth: 8, Mode: DenseMode, Scratch: s})
-	}
-}
-
-func BenchmarkExploreDensePooled(b *testing.B) {
-	eng := benchEngine(b)
-	ts := []topics.ID{0}
-	pool := NewScratchPoolFor(eng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := pool.Get()
-		eng.ExploreOpts(0, ts, ExploreOptions{MaxDepth: 8, Mode: DenseMode, Scratch: s})
-		pool.Put(s)
+		eng.ExploreOpts(0, ts, ExploreOptions{MaxDepth: 8, Scratch: s})
 	}
 }

@@ -14,48 +14,40 @@ func fixtureEngine(t *testing.T) *Engine {
 	return figure1(t).engine(t, defaultTestParams())
 }
 
-// TestExploreCancelled runs both frontier modes under an
-// already-cancelled context: the exploration must stop without
-// propagating a single hop and mark itself Cancelled.
+// TestExploreCancelled runs an exploration under an already-cancelled
+// context, with its results copied out and read in place: it must stop
+// without propagating a single hop and mark itself Cancelled.
 func TestExploreCancelled(t *testing.T) {
 	e := fixtureEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []Mode{MapMode, DenseMode} {
-		x := e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: mode, Ctx: ctx})
+	for name, s := range map[string]*Scratch{"copied": nil, "in place": NewScratch(e)} {
+		x := e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Scratch: s, Ctx: ctx})
 		if !x.Cancelled {
-			t.Errorf("mode %v: exploration not marked cancelled", mode)
+			t.Errorf("%s: exploration not marked cancelled", name)
 		}
 		if x.Iterations != 0 {
-			t.Errorf("mode %v: %d hops ran under a cancelled context", mode, x.Iterations)
+			t.Errorf("%s: %d hops ran under a cancelled context", name, x.Iterations)
 		}
 		if len(x.Reached) != 0 {
-			t.Errorf("mode %v: %d nodes scored under a cancelled context", mode, len(x.Reached))
+			t.Errorf("%s: %d nodes scored under a cancelled context", name, len(x.Reached))
 		}
 	}
 }
 
 // TestExploreScratchCleanAfterCancel reuses one scratch for a cancelled
-// and then an unrestricted dense exploration; the second must match a
-// fresh run exactly (the abandoned hop may not leak frontier marks).
+// and then an unrestricted exploration; the second must match a fresh run
+// exactly (the abandoned hop may not leak frontier marks).
 func TestExploreScratchCleanAfterCancel(t *testing.T) {
 	e := fixtureEngine(t)
 	scratch := NewScratch(e)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_ = e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: DenseMode, Scratch: scratch, Ctx: ctx})
+	_ = e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Scratch: scratch, Ctx: ctx})
 
-	got := e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: DenseMode, Scratch: scratch})
-	want := e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: DenseMode})
-	if got.Iterations != want.Iterations || len(got.Reached) != len(want.Reached) {
-		t.Fatalf("post-cancel run: %d iterations / %d reached, want %d / %d",
-			got.Iterations, len(got.Reached), want.Iterations, len(want.Reached))
-	}
-	for _, v := range want.Reached {
-		if got.Sigma(v, 0) != want.Sigma(v, 0) {
-			t.Fatalf("post-cancel sigma(%d) = %g, want %g", v, got.Sigma(v, 0), want.Sigma(v, 0))
-		}
-	}
+	got := e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Scratch: scratch})
+	want := e.Explore(0, []topics.ID{0}, 0)
+	requireSameExploration(t, "post-cancel run", e, got, want)
 }
 
 func TestRecommendCtxCancelled(t *testing.T) {
@@ -68,12 +60,12 @@ func TestRecommendCtxCancelled(t *testing.T) {
 }
 
 // TestExploreMetrics checks the optional registry receives the
-// exploration series in both modes.
+// exploration series whether the results are copied out or read in place.
 func TestExploreMetrics(t *testing.T) {
 	e := fixtureEngine(t)
 	reg := metrics.NewRegistry()
-	e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: MapMode, Metrics: reg})
-	e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: DenseMode, Metrics: reg})
+	e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Metrics: reg})
+	e.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Scratch: NewScratch(e), Metrics: reg})
 	var b strings.Builder
 	if _, err := reg.WriteTo(&b); err != nil {
 		t.Fatal(err)

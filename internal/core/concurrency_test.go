@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,21 +11,29 @@ import (
 	"repro/internal/topics"
 )
 
-// TestEngineConcurrentExplores: an Engine is immutable and must support
-// concurrent explorations (each with its own scratch). Run with -race.
+// TestEngineConcurrentExplores: an Engine is immutable and its scratch
+// pool safe for concurrent use. Goroutines interleave explorations that
+// borrow the engine's scratch, explorations through a scratch of their
+// own, and explorations on a Derived engine that shares the pool, read in
+// place or copied out; every one must equal the sequential reference bit
+// for bit. Run with -race.
 func TestEngineConcurrentExplores(t *testing.T) {
 	ds := gen.RandomWith(60, 600, 21)
 	e, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := e.Derive(ds.Graph, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Scratches() != e.Scratches() {
+		t.Fatal("an engine derived over a view of the same size must share the scratch pool")
+	}
 	// Reference results computed sequentially.
-	want := make([]float64, 16)
+	want := make([]*Exploration, 16)
 	for i := range want {
-		x := e.Explore(graph.NodeID(i), []topics.ID{topics.ID(i % 18)}, 0)
-		for _, v := range x.Reached {
-			want[i] += x.Sigma(v, 0)
-		}
+		want[i] = e.Explore(graph.NodeID(i), []topics.ID{topics.ID(i % 18)}, 0)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -32,16 +41,24 @@ func TestEngineConcurrentExplores(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			scratch := NewScratch(e)
-			for rep := 0; rep < 3; rep++ {
-				x := e.ExploreOpts(graph.NodeID(i), []topics.ID{topics.ID(i % 18)},
-					ExploreOptions{Mode: Mode(rep % 3), Scratch: scratch})
-				got := 0.0
-				for _, v := range x.Reached {
-					got += x.Sigma(v, 0)
+			own := NewScratch(e)
+			src, ts := graph.NodeID(i), []topics.ID{topics.ID(i % 18)}
+			for rep := 0; rep < 8; rep++ {
+				var msg string
+				switch rep % 4 {
+				case 0: // borrowed internally, copied out
+					msg = diffExploration(e, e.ExploreOpts(src, ts, ExploreOptions{}), want[i])
+				case 1: // the goroutine's own scratch, read in place
+					msg = diffExploration(e, e.ExploreOpts(src, ts, ExploreOptions{Scratch: own}), want[i])
+				case 2: // the derived engine, borrowed internally
+					msg = diffExploration(e, d.ExploreOpts(src, ts, ExploreOptions{}), want[i])
+				default: // borrowed from the shared pool, read in place
+					s := d.Scratches().Get()
+					msg = diffExploration(e, d.ExploreOpts(src, ts, ExploreOptions{Scratch: s}), want[i])
+					d.Scratches().Put(s)
 				}
-				if !almostEqual(got, want[i], 1e-9) {
-					errs <- "concurrent exploration diverged"
+				if msg != "" {
+					errs <- fmt.Sprintf("src %d rep %d: %s", i, rep, msg)
 					return
 				}
 			}

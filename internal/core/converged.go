@@ -105,8 +105,8 @@ func (e *Engine) InAdjacency() *InAdjacency {
 
 // Explore runs a converged all-topic exploration from src in factored form
 // (see the identity above) with the engine's MaxDepth and Tol, into s's
-// flat result arrays: the Exploration aliases s, as under
-// ExploreOptions.DenseResult, and is valid until s's next exploration. It
+// flat result arrays: the Exploration aliases s, as one given
+// ExploreOptions.Scratch does, and is valid until s's next exploration. It
 // returns nil when pass 1 or pass 3 does not converge within MaxDepth hops
 // (β near 1/σ_max); the caller then keeps the hop recurrence.
 //
@@ -176,13 +176,13 @@ func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 
 	// Passes 2 and 3 carry k+1 columns per node: σ for each topic, then the
 	// topo_β delta continuing pass 1, so topo covers the same paths as σ.
-	stride, width := s.k+2, k+1
+	stride, width := k+2, k+1
 	perTopic := s.perTopic[:k]
 	var topoMass float64
 	// fold scales row (σ by scale, topo by β) into x's row for v and into
 	// the totals, and reports whether v is on the frontier.
 	fold := func(v int, row []float64, scale float64) int {
-		res := resSigma[v*s.k : v*s.k+k : v*s.k+k]
+		res := resSigma[v*k : v*k+k : v*k+k]
 		var sum float64
 		for j := range res {
 			d := scale * row[j]
@@ -245,7 +245,7 @@ func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 		Src: src, Topics: in.all, k: k,
 		Iterations: hops1 + 1 + hops3,
 		Converged:  true,
-		dSigma:     resSigma, dTopoB: resTopoB, dTopoAB: resTopoAB, dIn: resIn, dk: s.k,
+		dSigma:     resSigma, dTopoB: resTopoB, dTopoAB: resTopoAB, dIn: resIn,
 		dScored: len(s.resList),
 		Reached: make([]graph.NodeID, 0, len(s.resList)),
 	}

@@ -16,7 +16,7 @@ import (
 // recurrence run far past Algorithm 1's cut-off, every σ, topo_β and
 // topo_αβ agrees to 1e-5 relative or lies under Tol (where both forms cut
 // the tail), for every variant, weighted or not. The landmark package
-// holds the stored lists to the DenseMode reference.
+// holds the stored lists to the hop-recurrence reference.
 
 // twitterEngine builds a default-parameter engine over the synthetic
 // Twitter graph of the given size.
@@ -43,7 +43,7 @@ func deepReference(e *Engine, src graph.NodeID, maxDepth int) *Exploration {
 	deep := *e
 	deep.params.Tol = 0
 	deep.params.MaxDepth = maxDepth
-	return deep.ExploreOpts(src, nil, ExploreOptions{Mode: DenseMode})
+	return deep.Explore(src, nil, 0)
 }
 
 // requireConvergedClose holds x to the deep reference: every score within
@@ -55,7 +55,7 @@ func requireConvergedClose(t *testing.T, label string, e *Engine, x *Exploration
 		t.Fatalf("%s: factored exploration did not converge", label)
 	}
 	ref := deepReference(e, x.Src, 40)
-	hop := e.ExploreOpts(x.Src, nil, ExploreOptions{Mode: DenseMode})
+	hop := e.Explore(x.Src, nil, 0)
 	if x.Iterations < hop.Iterations || !x.Converged {
 		t.Fatalf("%s: horizon %d (converged %v), hop recurrence ran %d", label, x.Iterations, x.Converged, hop.Iterations)
 	}

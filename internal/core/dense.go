@@ -5,45 +5,31 @@ import (
 	"repro/internal/topics"
 )
 
-// Mode selects the frontier representation of an exploration.
-type Mode int
-
-const (
-	// AutoMode picks DenseMode for deep explorations (which tend to touch
-	// most of the graph) and MapMode for shallow ones.
-	AutoMode Mode = iota
-	// MapMode keeps per-hop deltas in hash maps: cheap for small
-	// frontiers, allocation-heavy for graph-wide ones.
-	MapMode
-	// DenseMode keeps per-hop deltas in preallocated arrays indexed by
-	// node id plus an explicit frontier list: the preprocessing fast
-	// path.
-	DenseMode
-)
-
 // Scratch holds the dense buffers of one in-flight exploration so repeated
-// calls (landmark preprocessing, evaluation sweeps) do not reallocate.
-// A Scratch may be reused across calls but not shared concurrently.
+// calls (landmark preprocessing, serving loops) do not reallocate. It is
+// sized for n nodes and up to k topics; every call lays its rows out at its
+// own topic width, so a full-vocabulary scratch serves a one-topic query as
+// compactly as a one-topic scratch would. A Scratch may be reused across
+// calls but not shared concurrently.
 type Scratch struct {
 	n, k int
 
 	// cur and next hold the per-hop deltas interleaved per node with
-	// stride k+2: σ for each of the k topics, then topo_β, then topo_βα.
-	// One node's whole row lives on (at most two) cache lines, so the
-	// edge relaxation takes one memory touch per target instead of three
-	// — the propagation is bandwidth-bound, and the σ/topo values of a
-	// target are always written together.
+	// stride kq+2 for a call of kq topics: σ for each topic, then topo_β,
+	// then topo_βα. One node's whole row lives on (at most two) cache
+	// lines, so the edge relaxation takes one memory touch per target
+	// instead of three — the propagation is bandwidth-bound, and the σ/topo
+	// values of a target are always written together.
 	cur, next         []float64 // n × (k+2)
 	inCur, inNext     []bool
 	curList, nextList []graph.NodeID
 	perTopic          []float64   // per-hop topic-mass accumulator, len k
 	acols             [][]float64 // per-query authority columns, len k
 
-	// Result arrays for ExploreOptions.DenseResult: accumulated scores
-	// land here instead of in per-Exploration maps. resList records the
-	// touched nodes so the next exploration resets in O(touched); resK is
-	// the topic width of the rows to reset. Allocated on first use.
-	resSigma            []float64 // n × k, stride k
+	// Result arrays: accumulated scores, σ at stride kq. resList records
+	// the touched nodes so the next exploration resets in O(touched); resK
+	// is the row width the last exploration wrote.
+	resSigma            []float64 // n × k
 	resTopoB, resTopoAB []float64
 	resIn               []bool
 	resList             []graph.NodeID
@@ -51,20 +37,12 @@ type Scratch struct {
 }
 
 // resetResult prepares the result arrays for a fresh exploration of topic
-// width k: lazily allocates them and zeroes only the entries the previous
-// exploration touched.
+// width k, zeroing only the rows the previous exploration touched, at the
+// width it wrote them.
 func (s *Scratch) resetResult(k int) {
-	if s.resSigma == nil {
-		s.resSigma = make([]float64, s.n*s.k)
-		s.resTopoB = make([]float64, s.n)
-		s.resTopoAB = make([]float64, s.n)
-		s.resIn = make([]bool, s.n)
-	}
 	for _, v := range s.resList {
-		base := int(v) * s.k
-		for ti := 0; ti < s.resK; ti++ {
-			s.resSigma[base+ti] = 0
-		}
+		base := int(v) * s.resK
+		clear(s.resSigma[base : base+s.resK])
 		s.resTopoB[v] = 0
 		s.resTopoAB[v] = 0
 		s.resIn[v] = false
@@ -84,7 +62,11 @@ func newScratchDims(n, k int) *Scratch {
 		n: n, k: k,
 		cur: make([]float64, n*(k+2)), next: make([]float64, n*(k+2)),
 		inCur: make([]bool, n), inNext: make([]bool, n),
-		perTopic: make([]float64, k),
+		perTopic:  make([]float64, k),
+		resSigma:  make([]float64, n*k),
+		resTopoB:  make([]float64, n),
+		resTopoAB: make([]float64, n),
+		resIn:     make([]bool, n),
 	}
 }
 
@@ -110,34 +92,24 @@ func frontierOutBound(v graph.View, frontier []graph.NodeID, n int) int {
 // seconds, so a per-hop check alone would make cancellation too coarse.
 const cancelCheckStride = 4096
 
-// exploreDense is the array-backed propagation; semantics identical to the
-// map-based loop in ExploreOpts.
-func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, opts ExploreOptions) *Exploration {
-	stop, s := opts.Stop, opts.Scratch
+// exploreDense is the hop recurrence of ExploreOpts over s's arrays: the
+// per-hop deltas live in the interleaved hop rows with an explicit
+// frontier list, and the scores accumulate into s's result arrays, which
+// the returned Exploration aliases. Each node's sums follow hop order and,
+// within a hop, the frontier's first-touch order.
+func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, opts ExploreOptions, s *Scratch) *Exploration {
+	stop := opts.Stop
 	k := len(ts)
 	n := e.g.NumNodes()
-	if !s.fits(n, k) {
-		s = NewScratch(e)
-	}
+	s.resetResult(k)
 	x := &Exploration{
-		Src:    src,
-		Topics: ts,
-		k:      k,
-	}
-	if opts.DenseResult {
-		// Scores accumulate straight into the scratch's flat result
-		// arrays; the Exploration aliases them, so it is only valid until
-		// this scratch's next exploration.
-		s.resetResult(k)
-		x.dSigma = s.resSigma
-		x.dTopoB = s.resTopoB
-		x.dTopoAB = s.resTopoAB
-		x.dIn = s.resIn
-		x.dk = s.k
-	} else {
-		x.sigma = make(map[graph.NodeID][]float64)
-		x.topoB = make(map[graph.NodeID]float64)
-		x.topoAB = make(map[graph.NodeID]float64)
+		Src:     src,
+		Topics:  ts,
+		k:       k,
+		dSigma:  s.resSigma,
+		dTopoB:  s.resTopoB,
+		dTopoAB: s.resTopoAB,
+		dIn:     s.resIn,
 	}
 
 	beta, alpha := e.params.Beta, e.params.Alpha
@@ -155,12 +127,11 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 	}
 	s.acols = acols
 
-	// Row layout of the interleaved hop arrays: σ occupies the first k
-	// slots of a node's row, topo_β and topo_βα the two slots after the
-	// scratch's full topic width (a scratch sized for s.k topics serving a
-	// narrower query leaves slots k..s.k-1 untouched).
-	stride := s.k + 2
-	bOff, abOff := s.k, s.k+1
+	// Row layout of the interleaved hop arrays at this call's width: σ
+	// occupies the first k slots of a node's row, topo_β and topo_βα the
+	// two after it.
+	stride := k + 2
+	bOff, abOff := k, k+1
 
 	// Seed the frontier with the source.
 	s.curList = s.curList[:0]
@@ -168,9 +139,7 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 	s.curList = append(s.curList, src)
 	s.inCur[src] = true
 	base := int(src) * stride
-	for ti := 0; ti < k; ti++ {
-		s.cur[base+ti] = 0
-	}
+	clear(s.cur[base : base+k])
 	s.cur[base+bOff] = 1
 	s.cur[base+abOff] = 1
 
@@ -181,8 +150,6 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 		s.curList = s.curList[:0]
 	}
 	defer clearCur() // leave the scratch clean for the next call
-
-	rows := rowArena{k: k} // result rows, referenced by x.sigma
 
 	peakFrontier := 1
 	for depth := 1; depth <= maxDepth && len(s.curList) > 0; depth++ {
@@ -218,11 +185,7 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 				if !s.inNext[v] {
 					s.inNext[v] = true
 					s.nextList = append(s.nextList, v)
-					for ti := 0; ti < k; ti++ {
-						s.next[vBase+ti] = 0
-					}
-					s.next[vBase+bOff] = 0
-					s.next[vBase+abOff] = 0
+					clear(s.next[vBase : vBase+stride])
 				}
 				sr := e.simRow(lbls[i])
 				// Decay weight of this edge: scales the topical unit, not
@@ -256,66 +219,36 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 			peakFrontier = len(s.nextList)
 		}
 
-		// Accumulate the hop and test convergence (Algorithm 1 l. 15).
+		// Accumulate the hop and test convergence: average new per-topic
+		// mass per reached node under Tol (Algorithm 1 l. 15), with the
+		// topological mass as an additional guard for the TopoOnly variant
+		// whose σ mass equals it anyway.
 		var topoMass float64
 		perTopic := s.perTopic[:k]
-		for i := range perTopic {
-			perTopic[i] = 0
-		}
-		if opts.DenseResult {
-			for _, v := range s.nextList {
-				vBase := int(v) * stride
-				rBase := int(v) * s.k
-				if !s.resIn[v] {
-					s.resIn[v] = true
-					s.resList = append(s.resList, v)
-					if v != src {
-						x.Reached = append(x.Reached, v)
-					}
+		clear(perTopic)
+		for _, v := range s.nextList {
+			vBase := int(v) * stride
+			rBase := int(v) * k
+			if !s.resIn[v] {
+				s.resIn[v] = true
+				s.resList = append(s.resList, v)
+				if v != src {
+					x.Reached = append(x.Reached, v)
 				}
-				for ti := 0; ti < k; ti++ {
-					d := s.next[vBase+ti]
-					s.resSigma[rBase+ti] += d
-					perTopic[ti] += d
-				}
-				s.resTopoB[v] += s.next[vBase+bOff]
-				s.resTopoAB[v] += s.next[vBase+abOff]
-				topoMass += s.next[vBase+bOff]
 			}
-			x.dScored = len(s.resList)
-		} else {
-			for _, v := range s.nextList {
-				vBase := int(v) * stride
-				row, ok := x.sigma[v]
-				if !ok {
-					row = rows.newRow()
-					x.sigma[v] = row
-					if v != src {
-						x.Reached = append(x.Reached, v)
-					}
-				}
-				for ti := 0; ti < k; ti++ {
-					d := s.next[vBase+ti]
-					row[ti] += d
-					perTopic[ti] += d
-				}
-				x.topoB[v] += s.next[vBase+bOff]
-				x.topoAB[v] += s.next[vBase+abOff]
-				topoMass += s.next[vBase+bOff]
+			for ti := 0; ti < k; ti++ {
+				d := s.next[vBase+ti]
+				s.resSigma[rBase+ti] += d
+				perTopic[ti] += d
 			}
+			s.resTopoB[v] += s.next[vBase+bOff]
+			s.resTopoAB[v] += s.next[vBase+abOff]
+			topoMass += s.next[vBase+bOff]
 		}
+		x.dScored = len(s.resList)
 		x.Iterations = depth
-		denom := float64(x.scored())
-		if denom == 0 {
-			denom = 1
-		}
-		maxTopicMass := 0.0
-		for _, m := range perTopic {
-			if m/denom > maxTopicMass {
-				maxTopicMass = m / denom
-			}
-		}
-		converged := maxTopicMass < e.params.Tol && topoMass/denom < e.params.Tol
+		denom := float64(max(1, x.dScored))
+		converged := maxOf(perTopic)/denom < e.params.Tol && topoMass/denom < e.params.Tol
 
 		// Swap frontiers.
 		clearCur()

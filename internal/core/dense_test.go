@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/authority"
@@ -9,133 +11,144 @@ import (
 	"repro/internal/topics"
 )
 
-// TestDenseMatchesMap: both frontier representations must produce
-// bit-identical scores... floating-point accumulation order differs, so
-// identical-within-epsilon, across variants, depths, stops and reuse.
+// diffExploration reports the first way got differs from want — hop
+// bookkeeping, the reached list in order, or any node's scores, compared
+// with == — or "" when they are the same exploration.
+func diffExploration(e *Engine, got, want *Exploration) string {
+	if got.Iterations != want.Iterations || got.Converged != want.Converged || got.Cancelled != want.Cancelled {
+		return fmt.Sprintf("ran %d hops (converged %v), want %d (%v)",
+			got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+	if !slices.Equal(got.Topics, want.Topics) || !slices.Equal(got.Reached, want.Reached) {
+		return fmt.Sprintf("reached %d nodes over %d topics, want %d over %d (or another order)",
+			len(got.Reached), len(got.Topics), len(want.Reached), len(want.Topics))
+	}
+	for v := 0; v < e.g.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		if got.TopoB(id) != want.TopoB(id) || got.TopoAB(id) != want.TopoAB(id) {
+			return fmt.Sprintf("node %d: topo (%g, %g), want (%g, %g)", v,
+				got.TopoB(id), got.TopoAB(id), want.TopoB(id), want.TopoAB(id))
+		}
+		if g, w := got.SigmaRow(id), want.SigmaRow(id); (g == nil) != (w == nil) || !slices.Equal(g, w) {
+			return fmt.Sprintf("node %d: σ %v, want %v", v, g, w)
+		}
+	}
+	return ""
+}
+
+func requireSameExploration(t *testing.T, label string, e *Engine, got, want *Exploration) {
+	t.Helper()
+	if got == nil || want == nil {
+		t.Fatalf("%s: no exploration (got %v, want %v)", label, got != nil, want != nil)
+	}
+	if msg := diffExploration(e, got, want); msg != "" {
+		t.Fatalf("%s: %s", label, msg)
+	}
+}
+
+// TestDenseMatchesMap: an exploration read in place from a caller's
+// scratch rows and the same exploration copied out into the Exploration's
+// maps (no scratch passed, one borrowed from the engine's pool) must be
+// the same bit for bit — across variants, depths, stops and one scratch
+// reused through the whole grid.
 func TestDenseMatchesMap(t *testing.T) {
+	stop := func(v graph.NodeID) bool { return v%7 == 3 }
 	for seed := uint64(0); seed < 5; seed++ {
 		ds := gen.RandomWith(30, 250, seed)
 		auth := authority.Compute(ds.Graph)
-		p := DefaultParams()
-		p.Beta, p.Alpha = 0.2, 0.7
-		p.Tol = 0
-		p.Variant = Variant(seed % 4)
-		e, err := NewEngine(ds.Graph, auth, ds.Sim, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch := NewScratch(e)
-		stop := func(v graph.NodeID) bool { return v%7 == 3 }
-		for _, depth := range []int{1, 2, 5} {
-			for _, withStop := range []bool{false, true} {
-				var st func(graph.NodeID) bool
-				if withStop {
-					st = stop
-				}
-				src := graph.NodeID(seed % 30)
-				ts := []topics.ID{topics.ID(seed % 18), topics.ID((seed + 5) % 18)}
-				m := e.ExploreOpts(src, ts, ExploreOptions{MaxDepth: depth, Stop: st, Mode: MapMode})
-				d := e.ExploreOpts(src, ts, ExploreOptions{MaxDepth: depth, Stop: st, Mode: DenseMode, Scratch: scratch})
-				if len(m.Reached) != len(d.Reached) {
-					t.Fatalf("seed %d depth %d stop %v: reached %d vs %d",
-						seed, depth, withStop, len(m.Reached), len(d.Reached))
-				}
-				if m.Iterations != d.Iterations || m.Converged != d.Converged {
-					t.Fatalf("seed %d: iteration bookkeeping differs (%d,%v) vs (%d,%v)",
-						seed, m.Iterations, m.Converged, d.Iterations, d.Converged)
-				}
-				for _, v := range m.Reached {
-					for ti := range ts {
-						if !almostEqual(m.Sigma(v, ti), d.Sigma(v, ti), 1e-12) {
-							t.Fatalf("sigma(%d) differs: %g vs %g", v, m.Sigma(v, ti), d.Sigma(v, ti))
-						}
-					}
-					if !almostEqual(m.TopoB(v), d.TopoB(v), 1e-12) ||
-						!almostEqual(m.TopoAB(v), d.TopoAB(v), 1e-12) {
-						t.Fatalf("topo(%d) differs", v)
-					}
+		for _, variant := range []Variant{TrFull, TrNoAuth, TrNoSim, TopoOnly} {
+			p := DefaultParams()
+			p.Beta, p.Alpha = 0.2, 0.7
+			p.Tol = 0
+			p.Variant = variant
+			e, err := NewEngine(ds.Graph, auth, ds.Sim, p)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			scratch := NewScratch(e)
+			src := graph.NodeID(seed % 30)
+			ts := []topics.ID{topics.ID(seed % 18), topics.ID((seed + 5) % 18)}
+			for _, depth := range []int{1, 2, 5} {
+				for _, st := range []func(graph.NodeID) bool{nil, stop} {
+					label := fmt.Sprintf("seed %d %v depth %d stop %v", seed, variant, depth, st != nil)
+					m := e.ExploreOpts(src, ts, ExploreOptions{MaxDepth: depth, Stop: st})
+					d := e.ExploreOpts(src, ts, ExploreOptions{MaxDepth: depth, Stop: st, Scratch: scratch})
+					requireSameExploration(t, label, e, d, m)
 				}
 			}
 		}
 	}
 }
 
-// TestScratchReuseIsClean: interleaved explorations from different sources
-// through one scratch must not leak state — including the DenseResult
-// form, whose result rows live in the reused scratch (the landmark
-// preprocessing shape).
+// TestScratchReuseIsClean runs one scratch through explorations of
+// changing row width — one topic, every topic, the factored form, one
+// topic again — from several sources, each read in place and copied out.
+// Every result must equal the same exploration on a fresh scratch bit for
+// bit: rows written at one width may not leak into a call of another. The
+// graph is sparse, so successive sources reach different node sets and a
+// row left dirty is read by a later call.
 func TestScratchReuseIsClean(t *testing.T) {
-	ds := gen.RandomWith(25, 200, 9)
+	ds := gen.RandomWith(60, 150, 9)
 	e, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := NewScratch(e)
-	for src := graph.NodeID(0); src < 25; src += 3 {
-		ts := []topics.ID{0}
-		if src%2 == 1 {
-			ts = nil // all topics: the wider rows must be reset too
+	in := e.InAdjacency()
+	oneTopic := func(tp topics.ID) func(graph.NodeID, *Scratch) *Exploration {
+		return func(src graph.NodeID, s *Scratch) *Exploration {
+			return e.ExploreOpts(src, []topics.ID{tp}, ExploreOptions{Scratch: s})
 		}
-		a := e.ExploreOpts(src, ts, ExploreOptions{Mode: DenseMode})
-		b := e.ExploreOpts(src, ts, ExploreOptions{Mode: DenseMode, Scratch: scratch})
-		flat := e.ExploreOpts(src, ts, ExploreOptions{Mode: DenseMode, Scratch: scratch, DenseResult: true})
-		for _, x := range []*Exploration{b, flat} {
-			if len(a.Reached) != len(x.Reached) || a.Iterations != x.Iterations {
-				t.Fatalf("src %d: reached %d nodes in %d hops, reused scratch %d in %d",
-					src, len(a.Reached), a.Iterations, len(x.Reached), x.Iterations)
-			}
-			for v := 0; v < ds.Graph.NumNodes(); v++ {
-				id := graph.NodeID(v)
-				if a.TopoB(id) != x.TopoB(id) || a.TopoAB(id) != x.TopoAB(id) {
-					t.Fatalf("src %d node %d: reused scratch topo differs", src, v)
+	}
+	steps := []struct {
+		name string
+		run  func(graph.NodeID, *Scratch) *Exploration
+	}{
+		{"one topic", oneTopic(3)},
+		{"all topics", func(src graph.NodeID, s *Scratch) *Exploration {
+			return e.ExploreOpts(src, nil, ExploreOptions{Scratch: s})
+		}},
+		{"factored", in.Explore},
+		{"one topic again", oneTopic(11)},
+	}
+	shared := NewScratch(e)
+	for src := graph.NodeID(0); src < 60; src += 3 {
+		for _, copied := range []bool{false, true} {
+			for _, st := range steps {
+				got := st.run(src, shared)
+				if copied && got != nil {
+					got = got.detach()
 				}
-				for ti := range a.Topics {
-					if a.Sigma(id, ti) != x.Sigma(id, ti) {
-						t.Fatalf("src %d node %d topic %d: %g vs %g", src, v, ti, a.Sigma(id, ti), x.Sigma(id, ti))
-					}
-				}
+				want := st.run(src, NewScratch(e))
+				requireSameExploration(t, fmt.Sprintf("src %d %s (copied %v)", src, st.name, copied), e, got, want)
 			}
 		}
 	}
 }
 
-// TestScratchWrongSizeFallsBack: a scratch sized for another graph must
-// not corrupt results.
+// TestScratchWrongSizeFallsBack: a scratch sized for another graph is not
+// used — the exploration borrows a fitting one and copies its results out
+// — so it matches the exploration through a fitting scratch.
 func TestScratchWrongSizeFallsBack(t *testing.T) {
 	small := gen.RandomWith(10, 40, 1)
 	big := gen.RandomWith(40, 300, 2)
 	eSmall, _ := NewEngine(small.Graph, authority.Compute(small.Graph), small.Sim, DefaultParams())
 	eBig, _ := NewEngine(big.Graph, authority.Compute(big.Graph), big.Sim, DefaultParams())
-	scr := NewScratch(eSmall)
-	x := eBig.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: DenseMode, Scratch: scr})
-	y := eBig.ExploreOpts(0, []topics.ID{0}, ExploreOptions{Mode: MapMode})
-	if len(x.Reached) != len(y.Reached) {
-		t.Fatalf("mis-sized scratch corrupted the exploration: %d vs %d", len(x.Reached), len(y.Reached))
-	}
+	ts := []topics.ID{0}
+	got := eBig.ExploreOpts(0, ts, ExploreOptions{Scratch: NewScratch(eSmall)})
+	want := eBig.ExploreOpts(0, ts, ExploreOptions{Scratch: NewScratch(eBig)})
+	requireSameExploration(t, "mis-sized scratch", eBig, got, want)
 }
 
-func BenchmarkExploreMap(b *testing.B)   { benchExplore(b, MapMode) }
-func BenchmarkExploreDense(b *testing.B) { benchExplore(b, DenseMode) }
-
-func benchExplore(b *testing.B, mode Mode) {
-	cfg := gen.DefaultTwitterConfig()
-	cfg.Nodes = 3000
-	ds, err := gen.Twitter(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkExploreDense is one all-topic hop-recurrence exploration on
+// the 3000-node Twitter graph through a reused scratch, results read in
+// place. allocs/op is gated by `make kernel-gate`.
+func BenchmarkExploreDense(b *testing.B) {
+	e := twitterEngine(b, 3000, TrFull)
 	scratch := NewScratch(e)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x := e.ExploreOpts(graph.NodeID(i%ds.Graph.NumNodes()), nil, ExploreOptions{
-			Mode:    mode,
-			Scratch: scratch,
-		})
+		x := e.ExploreOpts(graph.NodeID(i%3000), nil, ExploreOptions{Scratch: scratch})
 		if x.Iterations == 0 {
 			b.Fatal("no propagation")
 		}
@@ -143,20 +156,12 @@ func benchExplore(b *testing.B, mode Mode) {
 }
 
 // BenchmarkExploreQueryDepth2 measures the shallow query-time exploration
-// (Algorithm 2's first phase).
+// (Algorithm 2's first phase) with its results copied out.
 func BenchmarkExploreQueryDepth2(b *testing.B) {
-	cfg := gen.DefaultTwitterConfig()
-	cfg.Nodes = 3000
-	ds, err := gen.Twitter(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := twitterEngine(b, 3000, TrFull)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Explore(graph.NodeID(i%ds.Graph.NumNodes()), []topics.ID{0}, 2)
+		e.Explore(graph.NodeID(i%3000), []topics.ID{0}, 2)
 	}
 }

@@ -160,7 +160,7 @@ func (c *simCache) ensure(lbl topics.Set) {
 // Engine scores candidates over one immutable graph View — a frozen CSR
 // or an overlay snapshot. An Engine is immutable and safe for concurrent
 // use; per-call scratch buffers are either passed in explicitly or
-// allocated on demand.
+// borrowed from the engine's pool.
 type Engine struct {
 	g      graph.View
 	auth   *authority.Table
@@ -180,6 +180,10 @@ type Engine struct {
 	// combination algebra (Proposition 4) is unchanged: it holds for any
 	// per-edge unit function.
 	wts EdgeWeighter
+	// pool lends explorations their scratches, sized for the view's node
+	// count and full vocabulary. Engines over views of the same size share
+	// one (Derive, WithEdgeWeights).
+	pool *ScratchPool
 }
 
 // EdgeWeighter serves per-edge multiplicative weights aligned with a
@@ -208,8 +212,8 @@ func NewEngine(g graph.View, auth *authority.Table, sim *topics.SimMatrix, param
 	if sim != nil && sim.Len() != g.Vocabulary().Len() {
 		return nil, fmt.Errorf("core: similarity matrix covers %d topics, graph vocabulary has %d", sim.Len(), g.Vocabulary().Len())
 	}
-	e := &Engine{g: g, auth: auth, sim: sim, params: params}
 	T := g.Vocabulary().Len()
+	e := &Engine{g: g, auth: auth, sim: sim, params: params, pool: newScratchPool(g.NumNodes(), T)}
 	e.ones = make([]float64, T)
 	for i := range e.ones {
 		e.ones[i] = 1
@@ -252,7 +256,10 @@ func (e *Engine) Derive(v graph.View, auth *authority.Table) (*Engine, error) {
 	// with one specific view, and v's rows differ.
 	// The owner re-attaches a matching set via WithEdgeWeights
 	// (dynamic.Manager layers one per overlay epoch).
-	ne := &Engine{g: v, auth: auth, sim: e.sim, params: e.params, simc: e.simc, ones: e.ones}
+	ne := &Engine{g: v, auth: auth, sim: e.sim, params: e.params, simc: e.simc, ones: e.ones, pool: e.pool}
+	if v.NumNodes() != e.g.NumNodes() {
+		ne.pool = newScratchPool(v.NumNodes(), len(e.ones))
+	}
 	if ne.simc != nil {
 		if ov, ok := v.(*graph.Overlay); ok {
 			ov.PatchedLabels(ne.simc.ensure)
@@ -312,6 +319,11 @@ func (e *Engine) authCol(t topics.ID) []float64 {
 
 // Graph returns the engine's graph.
 func (e *Engine) Graph() graph.View { return e.g }
+
+// Scratches returns the engine's scratch pool, for callers that read an
+// exploration's results in place: Get a scratch, pass it as
+// ExploreOptions.Scratch, and Put it back once the results are read.
+func (e *Engine) Scratches() *ScratchPool { return e.pool }
 
 // Params returns the engine's parameters.
 func (e *Engine) Params() Params { return e.params }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -28,20 +27,18 @@ type Exploration struct {
 	// cancellation.
 	Cancelled bool
 
-	k      int // len(Topics)
-	sigma  map[graph.NodeID][]float64
-	topoB  map[graph.NodeID]float64
-	topoAB map[graph.NodeID]float64
+	k       int // len(Topics)
+	dScored int // nodes holding a row, including a revisited Src
 
-	// Dense-result backing (ExploreOptions.DenseResult): scores live in
-	// the scratch's flat arrays instead of the maps above, indexed by
-	// node id with stride dk. Valid only until the scratch's next
-	// exploration.
+	// Scores live in a scratch's flat result arrays, indexed by node id
+	// (σ at stride k) and valid only until the scratch's next exploration,
+	// or, once detached, in the maps below.
 	dSigma          []float64
 	dTopoB, dTopoAB []float64
 	dIn             []bool
-	dk              int
-	dScored         int // nodes holding a row, including a revisited Src
+	sigma           map[graph.NodeID][]float64
+	topoB           map[graph.NodeID]float64
+	topoAB          map[graph.NodeID]float64
 }
 
 // Sigma returns σ(Src, v, Topics[ti]).
@@ -50,7 +47,7 @@ func (x *Exploration) Sigma(v graph.NodeID, ti int) float64 {
 		if !x.dIn[v] {
 			return 0
 		}
-		return x.dSigma[int(v)*x.dk+ti]
+		return x.dSigma[int(v)*x.k+ti]
 	}
 	if row, ok := x.sigma[v]; ok {
 		return row[ti]
@@ -65,7 +62,7 @@ func (x *Exploration) SigmaRow(v graph.NodeID) []float64 {
 		if !x.dIn[v] {
 			return nil
 		}
-		base := int(v) * x.dk
+		base := int(v) * x.k
 		return x.dSigma[base : base+x.k]
 	}
 	return x.sigma[v]
@@ -93,12 +90,30 @@ func (x *Exploration) TopoAB(v graph.NodeID) float64 {
 	return x.topoAB[v]
 }
 
-// scored returns the number of nodes holding a score row.
-func (x *Exploration) scored() int {
-	if x.dSigma != nil {
-		return x.dScored
+// detach copies x's scores out of the scratch it aliases into maps of its
+// own, so x outlives the scratch's next exploration.
+func (x *Exploration) detach() *Exploration {
+	k := x.k
+	rows := make([]float64, x.dScored*k)
+	x.sigma = make(map[graph.NodeID][]float64, x.dScored)
+	x.topoB = make(map[graph.NodeID]float64, x.dScored)
+	x.topoAB = make(map[graph.NodeID]float64, x.dScored)
+	keep := func(v graph.NodeID) {
+		row := rows[:k:k]
+		rows = rows[k:]
+		copy(row, x.dSigma[int(v)*k:])
+		x.sigma[v] = row
+		x.topoB[v] = x.dTopoB[v]
+		x.topoAB[v] = x.dTopoAB[v]
 	}
-	return len(x.sigma)
+	if x.dIn[x.Src] {
+		keep(x.Src)
+	}
+	for _, v := range x.Reached {
+		keep(v)
+	}
+	x.dSigma, x.dTopoB, x.dTopoAB, x.dIn = nil, nil, nil, nil
+	return x
 }
 
 // TopicIndex returns the position of t in Topics, or -1 when the
@@ -150,20 +165,13 @@ type ExploreOptions struct {
 	// counted twice — once by the exploration and once by the landmark's
 	// precomputed scores. Stopped nodes still receive scores.
 	Stop func(graph.NodeID) bool
-	// Mode selects the frontier representation (AutoMode by default).
-	Mode Mode
-	// Scratch supplies reusable buffers (every mode but MapMode); nil
-	// allocates fresh ones.
+	// Scratch, when it fits the engine's graph and the call's topics,
+	// holds the exploration's buffers and its results: the returned
+	// Exploration reads its scores in place and is valid only until that
+	// scratch's next exploration (or its return to a pool). Without one
+	// the call borrows a scratch from the engine's pool and copies the
+	// scores into the Exploration before handing the scratch back.
 	Scratch *Scratch
-	// DenseResult keeps the result scores in the scratch's flat arrays
-	// instead of building per-node map entries — the right trade for hot
-	// serving loops that read scores through the accessors and then
-	// discard the Exploration, and for landmark preprocessing, which
-	// condenses every reached node's row. Honoured by DenseMode (MapMode
-	// ignores it) and requires a Scratch; the returned Exploration aliases
-	// the scratch and is valid only until that scratch's next exploration
-	// (or its return to a pool).
-	DenseResult bool
 	// Ctx, when non-nil, is checked between hops (and periodically inside
 	// large hops): a done context stops the exploration and marks the
 	// result Cancelled. This is how the server bounds slow exact-Tr
@@ -189,7 +197,7 @@ func exploreMetrics(reg *metrics.Registry, x *Exploration, peakFrontier int) {
 		metrics.ExponentialBuckets(10, 10, 7)).Observe(float64(peakFrontier))
 	reg.Histogram("core_explore_scored_nodes",
 		"Nodes holding a non-zero score at the end of an exploration.",
-		metrics.ExponentialBuckets(10, 10, 7)).Observe(float64(x.scored()))
+		metrics.ExponentialBuckets(10, 10, 7)).Observe(float64(x.dScored))
 	if x.Cancelled {
 		reg.Counter("core_explore_cancelled_total",
 			"Explorations stopped early by context cancellation.").Inc()
@@ -201,29 +209,11 @@ func ctxDone(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// rowArenaBlock is how many k-sized float rows an arena block holds.
-// Explorations hand out one row per reached node; block allocation turns
-// one malloc per node into one per block.
-const rowArenaBlock = 256
-
-// rowArena block-allocates zeroed k-float rows.
-type rowArena struct {
-	k     int
-	block []float64
-}
-
-func (a *rowArena) newRow() []float64 {
-	if len(a.block) < a.k {
-		a.block = make([]float64, a.k*rowArenaBlock)
-	}
-	row := a.block[:a.k:a.k]
-	a.block = a.block[a.k:]
-	return row
-}
-
-// ExploreOpts is Explore with per-call options.
+// ExploreOpts is Explore with per-call options. Every call runs the hop
+// recurrence in a Scratch: the caller's when it fits, with the results
+// read in place, otherwise one borrowed from the engine's pool, with the
+// results copied out before it goes back.
 func (e *Engine) ExploreOpts(src graph.NodeID, ts []topics.ID, opts ExploreOptions) *Exploration {
-	maxDepth := opts.MaxDepth
 	if ts == nil {
 		all := make([]topics.ID, e.g.Vocabulary().Len())
 		for i := range all {
@@ -231,169 +221,19 @@ func (e *Engine) ExploreOpts(src graph.NodeID, ts []topics.ID, opts ExploreOptio
 		}
 		ts = all
 	}
+	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = e.params.MaxDepth
 	}
-	// Deep explorations touch most of the graph: dense frontier arrays
-	// beat per-node map allocations there; shallow query-time lookups
-	// stay on maps.
-	if opts.Mode == DenseMode || (opts.Mode == AutoMode && maxDepth > 3) {
-		return e.exploreDense(src, ts, maxDepth, opts)
+	n := e.g.NumNodes()
+	if opts.Scratch.fits(n, len(ts)) {
+		return e.exploreDense(src, ts, maxDepth, opts, opts.Scratch)
 	}
-	k := len(ts)
-	x := &Exploration{
-		Src:    src,
-		Topics: ts,
-		k:      k,
-		sigma:  make(map[graph.NodeID][]float64),
-		topoB:  make(map[graph.NodeID]float64),
-		topoAB: make(map[graph.NodeID]float64),
+	s := e.pool.Get()
+	defer e.pool.Put(s)
+	if !s.fits(n, len(ts)) {
+		// More topics than the vocabulary holds: the list repeats IDs.
+		s = newScratchDims(n, len(ts))
 	}
-
-	type delta struct {
-		sigma  []float64
-		topoB  float64
-		topoAB float64
-	}
-	cur := map[graph.NodeID]*delta{
-		src: {sigma: make([]float64, k), topoB: 1, topoAB: 1},
-	}
-
-	beta, alpha := e.params.Beta, e.params.Alpha
-	ab := alpha * beta
-
-	// Hop-local buffers live outside the loop so a deep exploration does
-	// not reallocate them every hop; retired *delta values are recycled
-	// through a free list, fresh ones come from block arenas (the per-hop
-	// maps are the only remaining per-hop allocation of this mode).
-	var curNodes, frontier []graph.NodeID
-	perTopic := make([]float64, k)
-	var free []*delta
-	var deltaBlock []delta
-	arena := rowArena{k: k}
-	rows := rowArena{k: k} // result rows, referenced by x.sigma
-	newDelta := func() *delta {
-		if len(deltaBlock) == 0 {
-			deltaBlock = make([]delta, rowArenaBlock)
-		}
-		d := &deltaBlock[0]
-		deltaBlock = deltaBlock[1:]
-		d.sigma = arena.newRow()
-		return d
-	}
-
-	peakFrontier := 1
-	for depth := 1; depth <= maxDepth && len(cur) > 0; depth++ {
-		if ctxDone(opts.Ctx) {
-			x.Cancelled = true
-			break
-		}
-		// Expand frontier nodes in sorted order: per-target float sums
-		// must not depend on map iteration order.
-		curNodes = curNodes[:0]
-		for w := range cur {
-			curNodes = append(curNodes, w)
-		}
-		slices.Sort(curNodes)
-		// Size the next hop's map from the frontier's total out-degree
-		// (an exact bound, read off the CSR degree prefix sums) so it
-		// never rehashes mid-hop.
-		next := make(map[graph.NodeID]*delta, frontierOutBound(e.g, curNodes, e.g.NumNodes()))
-		for _, w := range curNodes {
-			dw := cur[w]
-			if opts.Stop != nil && w != src && opts.Stop(w) {
-				continue
-			}
-			dsts, lbls := e.g.Out(w)
-			wrow := e.outWeights(w)
-			for i, v := range dsts {
-				dv := next[v]
-				if dv == nil {
-					if n := len(free); n > 0 {
-						dv, free = free[n-1], free[:n-1]
-						for ti := range dv.sigma {
-							dv.sigma[ti] = 0
-						}
-						dv.topoB, dv.topoAB = 0, 0
-					} else {
-						dv = newDelta()
-					}
-					next[v] = dv
-				}
-				sr := e.simRow(lbls[i])
-				ar := e.authRow(v)
-				// The decay weight scales the edge's topical unit only;
-				// the topological recurrences below stay unweighted.
-				ew := 1.0
-				if wrow != nil {
-					ew = float64(wrow[i])
-				}
-				for ti, t := range ts {
-					unit := sr[t] * ar[t] * ew
-					dv.sigma[ti] += beta*dw.sigma[ti] + dw.topoAB*(ab*unit)
-				}
-				dv.topoAB += ab * dw.topoAB
-				dv.topoB += beta * dw.topoB
-			}
-		}
-		// Accumulate this hop's mass and check convergence: average new
-		// per-topic mass per reached node under Tol (Algorithm 1 l. 15),
-		// with the topological mass as an additional guard for the
-		// TopoOnly variant whose σ mass equals it anyway. Accumulation
-		// follows sorted node order so floating-point results (and hence
-		// near-tie rankings) are reproducible across runs — Go map
-		// iteration order is randomized.
-		frontier = frontier[:0]
-		for v := range next {
-			frontier = append(frontier, v)
-		}
-		if len(frontier) > peakFrontier {
-			peakFrontier = len(frontier)
-		}
-		slices.Sort(frontier)
-		var maxTopicMass, topoMass float64
-		for i := range perTopic {
-			perTopic[i] = 0
-		}
-		for _, v := range frontier {
-			dv := next[v]
-			row, ok := x.sigma[v]
-			if !ok {
-				row = rows.newRow()
-				x.sigma[v] = row
-				if v != src {
-					x.Reached = append(x.Reached, v)
-				}
-			}
-			for ti := 0; ti < k; ti++ {
-				row[ti] += dv.sigma[ti]
-				perTopic[ti] += dv.sigma[ti]
-			}
-			x.topoB[v] += dv.topoB
-			x.topoAB[v] += dv.topoAB
-			topoMass += dv.topoB
-		}
-		x.Iterations = depth
-		denom := float64(len(x.sigma))
-		if denom == 0 {
-			denom = 1
-		}
-		for _, m := range perTopic {
-			if m/denom > maxTopicMass {
-				maxTopicMass = m / denom
-			}
-		}
-		if maxTopicMass < e.params.Tol && topoMass/denom < e.params.Tol {
-			x.Converged = true
-			break
-		}
-		// The expanded frontier's deltas are dead once cur is replaced;
-		// recycle them for the next hop.
-		for _, w := range curNodes {
-			free = append(free, cur[w])
-		}
-		cur = next
-	}
-	exploreMetrics(opts.Metrics, x, peakFrontier)
-	return x
+	return e.exploreDense(src, ts, maxDepth, opts, s).detach()
 }

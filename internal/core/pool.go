@@ -2,13 +2,14 @@ package core
 
 import "sync"
 
-// ScratchPool recycles dense exploration Scratches across goroutines.
-// NewScratch pays an n×k zeroing cost per buffer; serving-path queries and
-// evaluation workers that explore thousands of times amortize that cost to
-// zero by drawing from a pool instead. A pool is keyed on the (n, k)
-// dimensions it was created for: Get always returns a scratch fitting
-// those dimensions, and Put silently drops scratches sized for anything
-// else (possible after a graph swap), so a stale buffer can never corrupt
+// ScratchPool recycles exploration Scratches across goroutines. Every
+// Engine owns one, sized for its graph and full vocabulary: ExploreOpts
+// borrows from it when the caller supplies no scratch, and callers that
+// read results in place borrow through Engine.Scratches. NewScratch pays
+// an n×k zeroing cost per buffer; serving-path queries, landmark refreshes
+// and evaluation workers that explore thousands of times amortize that
+// cost to zero by drawing from the pool instead. Put silently drops
+// scratches sized for anything else, so a stale buffer can never corrupt
 // a later exploration.
 //
 // A ScratchPool is safe for concurrent use. Scratches obtained from it are
@@ -19,18 +20,12 @@ type ScratchPool struct {
 	pool sync.Pool
 }
 
-// NewScratchPool creates a pool of scratches for n-node, k-topic
+// newScratchPool creates a pool of scratches for n-node, k-topic
 // explorations.
-func NewScratchPool(n, k int) *ScratchPool {
+func newScratchPool(n, k int) *ScratchPool {
 	p := &ScratchPool{n: n, k: k}
 	p.pool.New = func() any { return newScratchDims(n, k) }
 	return p
-}
-
-// NewScratchPoolFor sizes a pool for explorations of e's graph over its
-// full vocabulary (requests for fewer topics fit the same buffers).
-func NewScratchPoolFor(e *Engine) *ScratchPool {
-	return NewScratchPool(e.g.NumNodes(), e.g.Vocabulary().Len())
 }
 
 // Get returns a scratch sized for the pool's dimensions.
@@ -39,20 +34,7 @@ func (p *ScratchPool) Get() *Scratch { return p.pool.Get().(*Scratch) }
 // Put returns a scratch to the pool. Scratches that do not fit the pool's
 // dimensions (or nil) are dropped.
 func (p *ScratchPool) Put(s *Scratch) {
-	if s != nil && s.fits(p.n, p.k) {
+	if s.fits(p.n, p.k) {
 		p.pool.Put(s)
 	}
-}
-
-// Fits reports whether pooled scratches can serve an (n, k) exploration.
-func (p *ScratchPool) Fits(n, k int) bool { return p != nil && p.n == n && p.k >= k }
-
-// ScratchUser is implemented by recommenders whose explorations can draw
-// dense buffers from a shared pool instead of allocating per query; the
-// evaluation engine and the server attach their pools through it.
-type ScratchUser interface {
-	// UseScratchPool routes subsequent explorations through pool (nil
-	// restores per-call allocation). Not safe to call concurrently with
-	// queries.
-	UseScratchPool(pool *ScratchPool)
 }

@@ -23,9 +23,6 @@ type Recommender struct {
 	excludeFollowed bool
 	// metrics, when non-nil, is threaded into every exploration.
 	metrics *metrics.Registry
-	// pool, when non-nil, supplies dense exploration buffers so repeated
-	// queries stop paying NewScratch's n×k zeroing cost.
-	pool *ScratchPool
 }
 
 // RecommenderOption customizes a Recommender.
@@ -48,28 +45,13 @@ func WithMetrics(reg *metrics.Registry) RecommenderOption {
 	return func(r *Recommender) { r.metrics = reg }
 }
 
-// WithScratchPool draws dense exploration buffers from a shared pool.
-func WithScratchPool(pool *ScratchPool) RecommenderOption {
-	return func(r *Recommender) { r.pool = pool }
-}
-
-// UseScratchPool implements ScratchUser: subsequent explorations draw
-// their dense buffers from pool. Not safe to call concurrently with
-// queries.
-func (r *Recommender) UseScratchPool(pool *ScratchPool) { r.pool = pool }
-
-// explore runs one exploration with the recommender's depth cap, metric
-// registry and (when pooled) a borrowed scratch. The scratch is returned
-// to the pool before explore returns — the Exploration's results are
-// copied out of it, so the caller never sees the buffer.
-func (r *Recommender) explore(u graph.NodeID, ts []topics.ID, ctx context.Context) *Exploration {
-	opts := ExploreOptions{MaxDepth: r.depth, Ctx: ctx, Metrics: r.metrics}
-	if r.pool != nil {
-		s := r.pool.Get()
-		defer r.pool.Put(s)
-		opts.Scratch = s
-	}
-	return r.eng.ExploreOpts(u, ts, opts)
+// explore runs one exploration with the recommender's depth cap and
+// metric registry into a scratch borrowed from the engine's pool. The
+// scores are read in place, so the caller hands the scratch back to the
+// pool only once it has read them.
+func (r *Recommender) explore(u graph.NodeID, ts []topics.ID, ctx context.Context) (*Exploration, *Scratch) {
+	s := r.eng.pool.Get()
+	return r.eng.ExploreOpts(u, ts, ExploreOptions{MaxDepth: r.depth, Scratch: s, Ctx: ctx, Metrics: r.metrics}), s
 }
 
 // NewRecommender wraps an engine.
@@ -101,7 +83,8 @@ func (r *Recommender) Engine() *Engine { return r.eng }
 // ScoreCandidates runs one exploration from u and reads σ(u, c, t) for
 // each candidate. Candidates not reached score 0.
 func (r *Recommender) ScoreCandidates(u graph.NodeID, t topics.ID, cands []graph.NodeID) []float64 {
-	x := r.explore(u, []topics.ID{t}, nil)
+	x, s := r.explore(u, []topics.ID{t}, nil)
+	defer r.eng.pool.Put(s)
 	out := make([]float64, len(cands))
 	for i, c := range cands {
 		out[i] = r.scoreOf(x, c, 0)
@@ -119,7 +102,8 @@ func (r *Recommender) Recommend(u graph.NodeID, t topics.ID, n int) []ranking.Sc
 // stops the exploration between hops and returns the context's error, so
 // a slow exact query cannot pin its goroutine past the caller's budget.
 func (r *Recommender) RecommendCtx(ctx context.Context, u graph.NodeID, t topics.ID, n int) ([]ranking.Scored, error) {
-	x := r.explore(u, []topics.ID{t}, ctx)
+	x, s := r.explore(u, []topics.ID{t}, ctx)
+	defer r.eng.pool.Put(s)
 	if x.Cancelled {
 		return nil, ctx.Err()
 	}
@@ -153,7 +137,8 @@ func (r *Recommender) RecommendQuery(u graph.NodeID, query []QueryTopic, n int) 
 	for i, q := range query {
 		ts[i] = q.Topic
 	}
-	x := r.explore(u, ts, nil)
+	x, s := r.explore(u, ts, nil)
+	defer r.eng.pool.Put(s)
 	top := ranking.NewTopN(n)
 	for _, v := range x.Reached {
 		if v == u {
@@ -173,7 +158,4 @@ func (r *Recommender) RecommendQuery(u graph.NodeID, query []QueryTopic, n int) 
 	return top.List()
 }
 
-var (
-	_ ranking.Recommender = (*Recommender)(nil)
-	_ ScratchUser         = (*Recommender)(nil)
-)
+var _ ranking.Recommender = (*Recommender)(nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/authority"
@@ -10,8 +11,8 @@ import (
 )
 
 // Tests for the per-edge weight contract (WithEdgeWeights): weights scale
-// each edge's topical contribution to σ and nothing else, every explore
-// mode agrees under a weighted engine, and a uniform weight rescales all
+// each edge's topical contribution to σ and nothing else, both result
+// forms match the weighted path sums, and a uniform weight rescales all
 // scores by that constant — which is what makes tRef re-anchoring a
 // ranking no-op in the decay model.
 
@@ -28,25 +29,20 @@ func weightedPair(t *testing.T, seed uint64) (*Engine, *Engine, *gen.Dataset) {
 	return e, e.WithEdgeWeights(w), ds
 }
 
-// TestWeightedModesAgree: map and dense explorations of a weighted engine
-// produce the same σ (within float accumulation noise).
+// TestWeightedModesAgree: under a weighted engine both result forms — read
+// in place and copied out — are the same exploration bit for bit, and it
+// matches the weighted path enumeration.
 func TestWeightedModesAgree(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		_, we, _ := weightedPair(t, seed)
 		ts := []topics.ID{topics.ID(seed % 18), topics.ID((seed + 7) % 18)}
+		scratch := NewScratch(we)
 		for _, src := range []graph.NodeID{0, 11, 29} {
-			m := we.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Mode: MapMode})
-			d := we.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Mode: DenseMode})
-			if len(m.Reached) != len(d.Reached) {
-				t.Fatalf("seed %d src %d: reached %d/%d", seed, src, len(m.Reached), len(d.Reached))
-			}
-			for _, v := range m.Reached {
-				for ti := range ts {
-					if ms, dsig := m.Sigma(v, ti), d.Sigma(v, ti); !almostEqual(ms, dsig, 1e-12) {
-						t.Fatalf("seed %d src %d sigma(%d): map %g dense %g", seed, src, v, ms, dsig)
-					}
-				}
-			}
+			label := fmt.Sprintf("seed %d src %d", seed, src)
+			copied := we.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3})
+			inPlace := we.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Scratch: scratch})
+			requireSameExploration(t, label, we, inPlace, copied)
+			requireMatchesPaths(t, label, we, inPlace, inPlace.Iterations, nil)
 		}
 	}
 }
@@ -61,8 +57,8 @@ func TestWeightsScaleOnlySigma(t *testing.T) {
 		func(src, dst graph.NodeID) float32 { return c }))
 	ts := []topics.ID{2, 9}
 	for _, src := range []graph.NodeID{3, 17, 33} {
-		a := base.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Mode: MapMode})
-		b := uw.ExploreOpts(src, ts, ExploreOptions{MaxDepth: 3, Mode: MapMode})
+		a := base.Explore(src, ts, 3)
+		b := uw.Explore(src, ts, 3)
 		if len(a.Reached) != len(b.Reached) {
 			t.Fatalf("src %d: weighting changed reachability %d vs %d", src, len(a.Reached), len(b.Reached))
 		}

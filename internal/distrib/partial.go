@@ -94,11 +94,6 @@ type Shard struct {
 	// folded entry a single indexed add instead of a map probe, and the
 	// node-ordered readout falls out of the final scan for free.
 	accPool sync.Pool
-	// scratch lends dense exploration buffers to Partial calls: the
-	// depth-bounded exploration is the worker's replicated (per-shard
-	// constant) cost, so it runs in DenseMode with recycled buffers
-	// instead of the allocation-heavy map frontier.
-	scratch *core.ScratchPool
 }
 
 // NewShard assembles one worker's query state from an assignment. The
@@ -168,11 +163,6 @@ func NewShard(eng *core.Engine, store *landmark.Store, assign Assignment, part i
 		s.lmData[lm] = store.Get(lm)
 	}
 	s.accPool.New = func() any { return make([]float64, n) }
-	// Partials score one topic at a time, so the exploration buffers are
-	// pooled at k=1: the σ arrays collapse from n×vocab to n floats, small
-	// enough to stay cache-resident across the hop loop instead of taking
-	// a miss per relaxed edge.
-	s.scratch = core.NewScratchPool(n, 1)
 	return s, nil
 }
 
@@ -192,24 +182,25 @@ func (s *Shard) Partial(u graph.NodeID, t topics.ID) []PartialEntry {
 // serving loops that compute partials back to back recycle the output
 // slice through this variant instead of allocating per query.
 func (s *Shard) PartialAppend(u graph.NodeID, t topics.ID, buf []PartialEntry) []PartialEntry {
-	// DenseResult keeps the exploration's scores in the scratch's flat
-	// arrays — the Exploration aliases the scratch, so it goes back to the
-	// pool only after the fold below has read everything out.
-	sc := s.scratch.Get()
+	// The exploration is the worker's replicated (per-shard constant)
+	// cost, and the same one landmark.Approx runs. Its scores stay in a
+	// scratch borrowed from the engine's pool — one topic wide, so its rows
+	// stay cache-resident — and the Exploration aliases it, so it goes back
+	// only after the fold below has read everything out.
+	pool := s.Eng.Scratches()
+	scr := pool.Get()
+	defer pool.Put(scr)
 	x := s.Eng.ExploreOpts(u, []topics.ID{t}, core.ExploreOptions{
-		MaxDepth:    s.Depth,
-		Stop:        s.Prune,
-		Mode:        core.DenseMode,
-		Scratch:     sc,
-		DenseResult: true,
+		MaxDepth: s.Depth,
+		Stop:     s.Prune,
+		Scratch:  scr,
 	})
-	defer s.scratch.Put(sc)
 
 	// The fold accumulates into a pooled dense array: each list entry is
 	// one indexed add, and scanning the array in node order afterwards
 	// yields the sorted output directly. The per-node accumulation order
-	// is the same as the map-based formulation (reached nodes first, then
-	// landmark lists in reached order), so partials are bit-identical.
+	// is landmark.Approx's (reached nodes first, then landmark lists in
+	// reached order), so partials are bit-identical to its scores.
 	// count tracks first touches during the fold so the output can be
 	// exact-sized without a separate counting scan over the accumulator.
 	// Direct scores: only owned candidates can take one, so the scan

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -14,18 +13,12 @@ import (
 	"repro/internal/topics"
 )
 
-// scoresClose is the differential tolerance: merge order differs from the
-// single machine's accumulation order, so scores match to float rounding,
-// not bit-exactly.
-func scoresClose(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
 // The acceptance gate of the sharded tier: merged partials must reproduce
-// the single-machine landmark ranking exactly — same IDs at every rank,
-// modulo swaps between exact-score ties — for every shard count and both
-// partitioners. This is Proposition 2/4 composition at work: each
-// additive score term is folded by exactly one owner.
+// the single-machine landmark ranking bit for bit — the same node and the
+// same score at every rank — for every shard count and both partitioners.
+// This is Proposition 2/4 composition at work: each additive score term is
+// folded by exactly one owner, after the same exploration and in the same
+// order as landmark.Approx.
 func TestScatterGatherMatchesSingleMachine(t *testing.T) {
 	eng, store, ds := setup(t, 6)
 	lms := store.Landmarks()
@@ -82,17 +75,9 @@ func TestScatterGatherMatchesSingleMachine(t *testing.T) {
 						t.Fatalf("%s parts=%d u=%d t=%d: %d vs %d results", name, parts, u, tp, len(got), len(want))
 					}
 					for i := range want {
-						if got[i].Node != want[i].Node {
-							// A rank swap is only acceptable between exact
-							// (to-tolerance) score ties.
-							if !scoresClose(got[i].Score, want[i].Score) {
-								t.Fatalf("%s parts=%d u=%d t=%d: rank %d node %d (%.12g) vs %d (%.12g)",
-									name, parts, u, tp, i, got[i].Node, got[i].Score, want[i].Node, want[i].Score)
-							}
-						}
-						if !scoresClose(got[i].Score, want[i].Score) {
-							t.Fatalf("%s parts=%d u=%d t=%d: rank %d score %.12g vs %.12g",
-								name, parts, u, tp, i, got[i].Score, want[i].Score)
+						if got[i] != want[i] {
+							t.Fatalf("%s parts=%d u=%d t=%d: rank %d node %d (%.17g), single machine %d (%.17g)",
+								name, parts, u, tp, i, got[i].Node, got[i].Score, want[i].Node, want[i].Score)
 						}
 					}
 				}

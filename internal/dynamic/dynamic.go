@@ -296,10 +296,6 @@ type Manager struct {
 	// rng drives the backoff jitter (failure path only, so determinism
 	// drills — which never fail — are unaffected).
 	rng *rand.Rand
-	// pool recycles dense exploration buffers across landmark refreshes
-	// and exact queries. Updates never change the node count or the
-	// vocabulary, so one pool serves every engine generation.
-	pool *core.ScratchPool
 
 	// Refresh retry/backoff state: after a failed refresh, nextRefresh
 	// holds the earliest time another attempt may run and refreshFails
@@ -388,7 +384,6 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		m.decay.rebuild(g)
 		m.eng = m.eng.WithEdgeWeights(m.decay.wts)
 	}
-	m.pool = core.NewScratchPoolFor(m.eng)
 	m.Instrument(cfg.Metrics)
 	if cfg.InitialStore != nil {
 		// Recovery path: adopt the persisted store as-is. Its lists carry
@@ -396,7 +391,7 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		// re-runs exactly the refreshes the logged batches triggered.
 		m.store = cfg.InitialStore
 	} else {
-		m.store, _ = landmark.Preprocess(m.eng, m.lms, landmark.PreprocessConfig{TopN: cfg.StoreTopN, Metrics: cfg.Metrics, Pool: m.pool})
+		m.store, _ = landmark.Preprocess(m.eng, m.lms, landmark.PreprocessConfig{TopN: cfg.StoreTopN, Metrics: cfg.Metrics})
 	}
 	m.noteIterationsLocked()
 	return m, nil
@@ -1016,7 +1011,7 @@ func (m *Manager) refreshLocked(lms []graph.NodeID) error {
 			return err
 		}
 	}
-	fresh, _ := landmark.Preprocess(m.eng, lms, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN, Metrics: m.reg, Pool: m.pool})
+	fresh, _ := landmark.Preprocess(m.eng, lms, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN, Metrics: m.reg})
 	for _, lm := range lms {
 		if d := fresh.Get(lm); d != nil {
 			if err := m.store.Put(d); err != nil {
@@ -1087,7 +1082,7 @@ func (m *Manager) RecommendExact(u graph.NodeID, t topics.ID, n int) []ranking.S
 func (m *Manager) RecommendExactCtx(ctx context.Context, u graph.NodeID, t topics.ID, n int) ([]ranking.Scored, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	opts := []core.RecommenderOption{core.WithScratchPool(m.pool)}
+	var opts []core.RecommenderOption
 	if m.reg != nil {
 		opts = append(opts, core.WithMetrics(m.reg))
 	}

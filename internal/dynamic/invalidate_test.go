@@ -261,7 +261,7 @@ func TestInvalidationHorizonCoversFactoredPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	horizon := m.store.Get(lm).Iterations
-	hop := m.eng.ExploreOpts(lm, nil, core.ExploreOptions{Mode: core.DenseMode}).Iterations
+	hop := m.eng.Explore(lm, nil, 0).Iterations
 	far := graph.NodeID(horizon - 1)
 	if m.maxIter != horizon || int(far) <= hop {
 		t.Fatalf("horizon %d (maxIter %d), hop recurrence %d: no chain node lies between them", horizon, m.maxIter, hop)

@@ -31,7 +31,7 @@ func (m *Manager) QueryStaleness(u graph.NodeID, t topics.ID, topK int) (float64
 	if len(met) == 0 {
 		return 0, 0
 	}
-	fresh, _ := landmark.Preprocess(m.eng, met, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN, Pool: m.pool})
+	fresh, _ := landmark.Preprocess(m.eng, met, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN})
 	var sum float64
 	for _, lm := range met {
 		sum += ranking.KendallTopK(

@@ -149,8 +149,8 @@ func TestParallelCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestParallelStress hammers one shared scratch pool from many concurrent
-// runs — meaningful under -race.
+// TestParallelStress hammers the engines' scratch pools from many
+// concurrent runs — meaningful under -race.
 func TestParallelStress(t *testing.T) {
 	ds := gen.RandomWith(120, 1500, 3)
 	var wg sync.WaitGroup

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/ranking"
@@ -183,13 +182,6 @@ func RunLinkPredictionCtx(ctx context.Context, g graph.View, p Protocol, methods
 	em := newEvalMetrics(p.Metrics)
 	acc := newAccumulator(len(methods), ns)
 
-	// One scratch pool serves every trial and method: reduced graphs keep
-	// the node count and vocabulary of g, so the buffers always fit.
-	var pool *core.ScratchPool
-	if workers > 1 {
-		pool = core.NewScratchPool(g.NumNodes(), g.Vocabulary().Len())
-	}
-
 	for trial := 0; trial < p.Trials; trial++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -208,7 +200,7 @@ func RunLinkPredictionCtx(ctx context.Context, g graph.View, p Protocol, methods
 		// rebuilt graph, so curves are unchanged (and bit-identical).
 		reduced := graph.Remove(g, removed)
 
-		recs, err := buildMethods(ctx, reduced, methods, workers, pool)
+		recs, err := buildMethods(ctx, reduced, methods, workers)
 		if err != nil {
 			return nil, fmt.Errorf("trial %d: %w", trial, err)
 		}
@@ -227,9 +219,8 @@ func RunLinkPredictionCtx(ctx context.Context, g graph.View, p Protocol, methods
 
 // buildMethods constructs every method's recommender over the reduced
 // graph. Builds are independent (each sees only its own engine state), so
-// with workers > 1 they run concurrently; pool, when non-nil, is attached
-// to every recommender that can draw exploration buffers from it.
-func buildMethods(ctx context.Context, reduced graph.View, methods []MethodFactory, workers int, pool *core.ScratchPool) ([]ranking.Recommender, error) {
+// with workers > 1 they run concurrently.
+func buildMethods(ctx context.Context, reduced graph.View, methods []MethodFactory, workers int) ([]ranking.Recommender, error) {
 	recs := make([]ranking.Recommender, len(methods))
 	errs := make([]error, len(methods))
 	build := func(i int) {
@@ -237,11 +228,6 @@ func buildMethods(ctx context.Context, reduced graph.View, methods []MethodFacto
 		if err != nil {
 			errs[i] = fmt.Errorf("building %s: %w", methods[i].Name, err)
 			return
-		}
-		if pool != nil {
-			if su, ok := rec.(core.ScratchUser); ok {
-				su.UseScratchPool(pool)
-			}
 		}
 		recs[i] = rec
 	}

@@ -15,7 +15,7 @@ import (
 // BenchEvalSide is one measured configuration of the evaluation engine.
 type BenchEvalSide struct {
 	// Parallelism is the worker count the side ran at (1 = the serial
-	// reference path, which also skips scratch pooling).
+	// reference path).
 	Parallelism int
 	// WallNs is the wall-clock time of one full evaluation sweep.
 	WallNs int64
@@ -59,9 +59,9 @@ func (r *Runner) BenchEval() (*BenchEvalResult, error) {
 	}
 	methods := r.allMethods(tw)
 	// The parallel side runs at NumCPU, floored at two workers so the
-	// worker-pool engine (and its scratch pooling) is exercised even on
-	// single-core machines — there the comparison shows the allocation
-	// savings rather than a wall-clock speedup.
+	// worker-pool engine is exercised even on single-core machines — there
+	// the comparison shows the pool's overhead rather than a wall-clock
+	// speedup.
 	parWorkers := runtime.GOMAXPROCS(0)
 	if parWorkers < 2 {
 		parWorkers = 2

@@ -36,10 +36,7 @@ func (r *Runner) ExtThroughput() (*ThroughputResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One pool serves the preprocessing workers and the concurrent exact-Tr
-	// queries below: same graph, same vocabulary.
-	pool := core.NewScratchPoolFor(eng)
-	store, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: r.cfg.StoreTopN, Metrics: r.cfg.Metrics, Pool: pool})
+	store, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: r.cfg.StoreTopN, Metrics: r.cfg.Metrics})
 	approx, err := landmark.NewApprox(eng, store, r.cfg.ApproxDepth)
 	if err != nil {
 		return nil, err
@@ -48,7 +45,6 @@ func (r *Runner) ExtThroughput() (*ThroughputResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kz.UseScratchPool(pool)
 	twr, err := twitterrank.New(twitterrank.InputFromProfiles(tw.Graph), twitterrank.DefaultParams())
 	if err != nil {
 		return nil, err
@@ -62,7 +58,7 @@ func (r *Runner) ExtThroughput() (*ThroughputResult, error) {
 		return nil, err
 	}
 	res := &ThroughputResult{Queries: len(queries), Concurrency: 4}
-	for _, rec := range []ranking.Recommender{approx, core.NewRecommender(eng, core.WithScratchPool(pool)), kz, twr} {
+	for _, rec := range []ranking.Recommender{approx, core.NewRecommender(eng), kz, twr} {
 		res.Reports = append(res.Reports, workload.Run(rec, queries, res.Concurrency))
 	}
 	return res, nil

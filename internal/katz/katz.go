@@ -56,11 +56,4 @@ func (r *Recommender) Recommend(u graph.NodeID, t topics.ID, n int) []ranking.Sc
 	return r.inner.Recommend(u, t, n)
 }
 
-// UseScratchPool implements core.ScratchUser: explorations draw dense
-// buffers from pool. Not safe to call concurrently with queries.
-func (r *Recommender) UseScratchPool(pool *core.ScratchPool) { r.inner.UseScratchPool(pool) }
-
-var (
-	_ ranking.Recommender = (*Recommender)(nil)
-	_ core.ScratchUser    = (*Recommender)(nil)
-)
+var _ ranking.Recommender = (*Recommender)(nil)

@@ -66,11 +66,17 @@ func (a *Approx) Query(u graph.NodeID, t topics.ID, n int) QueryResult {
 }
 
 // scores runs the pruned exploration and the landmark combination,
-// returning the full approximate score map.
+// returning the full approximate score map. The exploration's scores are
+// read in place from a scratch borrowed from the engine's pool, which goes
+// back once the fold has read them.
 func (a *Approx) scores(u graph.NodeID, t topics.ID) (map[graph.NodeID]float64, int) {
+	pool := a.eng.Scratches()
+	s := pool.Get()
+	defer pool.Put(s)
 	x := a.eng.ExploreOpts(u, []topics.ID{t}, core.ExploreOptions{
 		MaxDepth: a.depth,
 		Stop:     a.store.Contains,
+		Scratch:  s,
 	})
 
 	// Start from the exploration's own scores.

@@ -23,10 +23,6 @@ type PreprocessConfig struct {
 	// in-adjacency build histogram, a processed-landmark counter, a
 	// fallback counter and a worker-utilization gauge.
 	Metrics *metrics.Registry
-	// Pool, when non-nil, lends each worker its exploration buffers
-	// instead of allocating fresh ones — repeated refresh runs (the
-	// dynamic manager) reuse the hop and result arrays.
-	Pool *core.ScratchPool
 }
 
 // PreprocessStats reports the preprocessing cost, the quantities of
@@ -71,7 +67,9 @@ func (s PreprocessStats) PerLandmark() time.Duration {
 // read-only by the workers and dropped on return — eng itself never gains
 // one. An exploration whose factored form does not converge within
 // MaxDepth (β near 1/σ_max) falls back to the float64 hop recurrence
-// (core.DenseMode), the same code that builds the reference store.
+// (core.Engine.ExploreOpts), the same code that builds the reference
+// store. Every worker explores in a scratch borrowed from the engine's
+// pool, so repeated refresh runs reuse the hop and result arrays.
 // Factored scores hold paths longer than the hop recurrence's cut-off, so
 // list membership and order match the hop recurrence up to ties within
 // 1e-5 and every stored value to 1e-5 (see
@@ -119,15 +117,9 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One scratch per worker, borrowed from the pool when one is
-			// supplied.
-			var scratch *core.Scratch
-			if cfg.Pool != nil {
-				scratch = cfg.Pool.Get()
-				defer cfg.Pool.Put(scratch)
-			} else {
-				scratch = core.NewScratch(eng)
-			}
+			pool := eng.Scratches()
+			scratch := pool.Get()
+			defer pool.Put(scratch)
 			lists := newListBuilder(vocabLen, cfg.TopN)
 			for l := range jobs {
 				t0 := time.Now()
@@ -137,11 +129,7 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 				}
 				fellBack := in != nil && x == nil
 				if x == nil {
-					x = eng.ExploreOpts(l, nil, core.ExploreOptions{
-						Mode:        core.DenseMode,
-						Scratch:     scratch,
-						DenseResult: true,
-					})
+					x = eng.ExploreOpts(l, nil, core.ExploreOptions{Scratch: scratch})
 				}
 				results <- result{data: lists.build(l, x), cost: time.Since(t0), fellBack: fellBack}
 			}

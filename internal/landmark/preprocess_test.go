@@ -171,7 +171,7 @@ func closeLists(t *testing.T, label string, got, want List, score, other func(Li
 }
 
 // TestPreprocessMatchesFloat64Reference is the contract of the default
-// preprocessing path against the float64 hop recurrence (DenseMode): the
+// preprocessing path against the float64 hop recurrence: the
 // lists keep membership and order up to ties within 1e-5 and
 // every stored value to 1e-5 — on a frozen engine, on one derived over a
 // 3-layer overlay, and on a decay-weighted one (the three shapes the

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -84,10 +83,6 @@ type Server struct {
 	// — the test seam proving coalescing/shedding without real
 	// explorations.
 	computeHook func(ctx context.Context, key cacheKey) ([]ranking.Scored, error)
-	// pool recycles exploration scratches across baseline rebuilds; the
-	// graph's node count and vocabulary survive updates, so one pool
-	// outlives every rebuilt recommender.
-	scratch *core.ScratchPool
 	// hub owns the standing queries; its re-score worker computes through
 	// hubCompute (the coalesced/degradable serving path).
 	hub     *subscribe.Hub
@@ -208,8 +203,6 @@ func New(mgr *dynamic.Manager, beta float64, opts ...Option) *Server {
 		reqTimeout:    DefaultRequestTimeout,
 		degradeBudget: DefaultDegradeBudget,
 		poolCfg:       DefaultAdmissionConfig(),
-		scratch: core.NewScratchPool(mgr.Graph().NumNodes(),
-			mgr.Graph().Vocabulary().Len()),
 	}
 	for _, o := range opts {
 		o(s)
@@ -721,7 +714,6 @@ func (s *Server) baseline(method string) (ranking.Recommender, error) {
 			if err != nil {
 				return nil, err
 			}
-			rec.UseScratchPool(s.scratch)
 			s.katzRec = rec
 			s.recordRebuild("katz", time.Since(start))
 		}
