@@ -86,18 +86,16 @@ kernel-gate:
 # is one landmark's factored preprocessing at 2000 and 8000 nodes), the
 # landmark refresh on a decay-weighted overlay engine, the landmark query
 # on the 3000-node Twitter graph, the
-# overlay-vs-rebuild delta apply, the per-update cost of Manager.Apply at batch sizes 1/4/16/64 on the
-# streaming 8000-node manager, plus the evaluation-engine sweep and
-# graph-delta comparison, which rewrite BENCH_eval.json and
-# BENCH_graph.json.
+# overlay-vs-rebuild delta apply, the per-update cost of Manager.Apply at
+# batch sizes 1/4/16/64 on the streaming 8000-node manager, and the
+# evaluation sweep at parallelism 1 and GOMAXPROCS. The whole stack is
+# measured by bench-e2e below.
 bench:
 	$(GO) test -bench=BenchmarkExplore -benchmem ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkPreprocessRefresh|BenchmarkApproxQuery' -benchmem ./internal/landmark/
 	$(GO) test -run='^$$' -bench=BenchmarkApplyBatch -benchmem ./internal/dynamic/
 	$(GO) test -bench=BenchmarkWithoutEdges -benchmem ./internal/graph/
 	$(GO) test -bench=BenchmarkLinkPrediction -benchmem ./internal/eval/
-	$(GO) run ./cmd/trbench -exp bench-eval -bench-out BENCH_eval.json
-	$(GO) run ./cmd/trbench -exp bench-graph -bench-out BENCH_graph.json
 
 # bench-e2e runs the whole-stack benchmark of BENCHMARK.json (bench/, a
 # module of its own) three times per workload and writes OUT; bench-diff
@@ -113,54 +111,6 @@ bench-e2e:
 bench-diff:
 	$(GO) run -C bench . -compare $(abspath $(A)) $(abspath $(B))
 
-# bench-serve drives the load-managed serving path (coalescing, admission
-# control, degradation) against the in-process /v1 handler at 1x/4x/16x
-# closed-loop concurrency and rewrites BENCH_serve.json.
-.PHONY: bench-serve
-bench-serve:
-	$(GO) run ./cmd/trbench -exp bench-serve -bench-out BENCH_serve.json
-
-# bench-shard measures the sharded scatter/gather tier at 1/2/4
-# partition workers and rewrites BENCH_shard.json: modeled deployment
-# throughput from per-shard service times (gate: >= 2.5x at 4 shards)
-# plus shed/degraded/5xx behaviour of the real HTTP stack at 16x. The
-# flags pin the deployment the gate was tuned on: enough landmarks that
-# the per-query fold mass (which partitions with the shard count)
-# dominates the replicated exploration.
-.PHONY: bench-shard
-bench-shard:
-	$(GO) run ./cmd/trbench -exp bench-shard -tw-nodes 16000 -landmarks 240 -store-topn 4000 -bench-out BENCH_shard.json
-
-# bench-store measures the out-of-core storage tier and rewrites
-# BENCH_store.json: TRG2 mmap cold-start against the legacy TRG1 heap
-# load at a 1M-node trgen graph, WAL append throughput per sync policy,
-# and the small-graph crash-recovery differential (snapshot + landmark
-# store + WAL tail must serve bit-identical rankings).
-.PHONY: bench-store
-bench-store:
-	$(GO) run ./cmd/trbench -exp bench-store -tw-nodes 1000000 -tw-avgout 8 -bench-out BENCH_store.json
-
-# bench-stream drives timestamped churn through the streaming ingestion
-# pipeline at increasing open-loop rates and rewrites BENCH_stream.json:
-# Kendall-tau ranking staleness of the served landmark lists against a
-# fresh recompute, priority versus round-robin scheduling at an equal
-# refresh budget (gate: priority strictly fresher at every rate), and
-# the zero-lost-updates conservation check (every offered update either
-# durably applies or is explicitly rejected with backpressure).
-.PHONY: bench-stream
-bench-stream:
-	$(GO) run ./cmd/trbench -exp bench-stream -bench-out BENCH_stream.json
-
-# bench-subscribe drives the push-mode standing-query tier over a real
-# HTTP listener and rewrites BENCH_subscribe.json: SSE push latency
-# percentiles at open-loop update rates, the dirty-mark coalescing
-# ratio, and the zero-lost-deltas gate under subscriber churn (no
-# sequence gaps, no slow-consumer drops, and every consumer's
-# reconstructed top-k equal to a fresh GET /v1/recommend).
-.PHONY: bench-subscribe
-bench-subscribe:
-	$(GO) run ./cmd/trbench -exp bench-subscribe -bench-out BENCH_subscribe.json
-
 # fuzz smoke-runs the equivalence fuzzers (random edge deltas must leave
 # the overlay observationally identical to a full rebuild and the
 # incrementally maintained authority table bit-identical to a recompute)
@@ -175,6 +125,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOpenLandmarks -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzScanWAL -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecay -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/graph/
 
 .PHONY: bench-all
 bench-all:

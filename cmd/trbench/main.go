@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +39,6 @@ func main() {
 		parallel  = flag.Int("parallel", cfg.Protocol.Parallelism, "evaluation worker count (0 = GOMAXPROCS, 1 = serial); results are parallelism-invariant")
 		format    = flag.String("format", "text", "output format: text or json")
 		dumpMet   = flag.Bool("metrics", false, "print collected preprocessing metrics (Prometheus text) after the runs")
-		benchOut  = flag.String("bench-out", "", "output file for -exp bench-eval / bench-graph / bench-serve / bench-shard (default BENCH_<kind>.json)")
 	)
 	flag.Parse()
 
@@ -63,70 +61,6 @@ func main() {
 
 	r := experiments.NewRunner(cfg)
 
-	// bench-eval and bench-graph time the engines themselves rather than
-	// reproducing a paper artifact; they print the comparison and write
-	// the machine-readable result next to the repository's other
-	// committed benchmark files.
-	if *exp == "bench-eval" || *exp == "bench-graph" || *exp == "bench-serve" || *exp == "bench-shard" || *exp == "bench-store" || *exp == "bench-stream" || *exp == "bench-subscribe" {
-		var (
-			res interface{ String() string }
-			err error
-			out = *benchOut
-		)
-		switch *exp {
-		case "bench-eval":
-			res, err = r.BenchEval()
-			if out == "" {
-				out = "BENCH_eval.json"
-			}
-		case "bench-graph":
-			res, err = r.BenchGraph()
-			if out == "" {
-				out = "BENCH_graph.json"
-			}
-		case "bench-serve":
-			res, err = r.BenchServe()
-			if out == "" {
-				out = "BENCH_serve.json"
-			}
-		case "bench-shard":
-			res, err = r.BenchShard()
-			if out == "" {
-				out = "BENCH_shard.json"
-			}
-		case "bench-store":
-			res, err = r.BenchStore()
-			if out == "" {
-				out = "BENCH_store.json"
-			}
-		case "bench-stream":
-			res, err = r.BenchStream()
-			if out == "" {
-				out = "BENCH_stream.json"
-			}
-		case "bench-subscribe":
-			res, err = r.BenchSubscribe()
-			if out == "" {
-				out = "BENCH_subscribe.json"
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "trbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", out)
-		return
-	}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = ids[:0]

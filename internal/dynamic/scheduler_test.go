@@ -1,10 +1,19 @@
 package dynamic
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/landmark"
+	"repro/internal/topics"
 )
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
 
 // schedMgr builds a bare manager shell with hand-planted stale state —
 // scheduleLocked is pure bookkeeping, no engine needed.
@@ -115,5 +124,83 @@ func TestRefreshClearsStaleMeta(t *testing.T) {
 	meta := m.staleMeta[2]
 	if meta.since != 7 || meta.hits != 0 || meta.dirty != 0 {
 		t.Fatalf("re-marked landmark kept stale evidence: %+v", *meta)
+	}
+}
+
+// TestPriorityFresherThanRoundRobin: two managers identical but for the
+// scheduler, both refreshing one landmark per batch, take the same seeded
+// update stream in fixed batches with the same skewed queries between
+// batches. The priority scheduler sees which stale landmarks the queries
+// meet, so the queries must read fresher lists from it: a lower mean
+// Kendall-tau staleness (QueryStaleness) than under FIFO round-robin,
+// pooled over seeds fixed before the comparison was first run.
+func TestPriorityFresherThanRoundRobin(t *testing.T) {
+	// One goroutine throughout: the race detector has nothing to check
+	// here, and its ~10x slowdown of the probes' explorations would cost
+	// minutes.
+	if testing.Short() || raceEnabled {
+		t.Skip("staleness probes re-explore every met landmark")
+	}
+	const (
+		nodes, edges = 500, 5000
+		landmarks    = 20
+		batches      = 80
+		batchSize    = 25
+		topK         = 10
+		topic        = topics.ID(1)
+	)
+	// The query mix per batch: user 57 three times, user 200 once.
+	mix := []struct {
+		user  graph.NodeID
+		count int
+	}{{57, 3}, {200, 1}}
+	kinds := []SchedulerKind{SchedRoundRobin, SchedPriority}
+	var tau [2]float64
+	var probes [2]int
+	for _, seed := range []uint64{1, 2, 3} {
+		ds := gen.RandomWith(nodes, edges, seed)
+		lms, err := landmark.Select(ds.Graph, landmark.InDeg, landmarks, landmark.DefaultSelectConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mgrs [2]*Manager
+		for i, kind := range kinds {
+			mgrs[i], err = NewManager(ds.Graph, lms, Config{
+				Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 100, QueryDepth: 2,
+				Strategy: Eager, Scheduler: kind, RefreshBudget: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		all := allNodes(nodes)
+		for b := 0; b < batches; b++ {
+			// Both managers hold the same graph, so one draw serves both.
+			batch := randomBatch(rng, mgrs[0].Graph(), all, batchSize)
+			for i, m := range mgrs {
+				if err := m.Apply(slices.Clone(batch)); err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range mix {
+					for k := 0; k < q.count; k++ {
+						if _, err := m.Recommend(q.user, topic, topK); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if v, met := m.QueryStaleness(q.user, topic, topK); met > 0 {
+						tau[i] += float64(q.count) * v
+						probes[i] += q.count
+					}
+				}
+			}
+		}
+	}
+	if probes[0] == 0 || probes[0] != probes[1] {
+		t.Fatalf("staleness probes: round-robin %d, priority %d", probes[0], probes[1])
+	}
+	rr, pr := tau[0]/float64(probes[0]), tau[1]/float64(probes[1])
+	if pr >= rr {
+		t.Errorf("priority mean tau %.4f not below round-robin %.4f", pr, rr)
 	}
 }

@@ -23,7 +23,7 @@ func tinyConfig() Config {
 }
 
 func TestLookupAndIDs(t *testing.T) {
-	if len(All()) != 17 {
+	if len(All()) != 16 {
 		t.Fatalf("%d experiments registered", len(All()))
 	}
 	for _, e := range All() {

@@ -38,7 +38,6 @@ func All() []Experiment {
 		{"pipeline", "Extra: Section 5.1 topic-extraction pipeline (classifier precision)", func(r *Runner) (fmt.Stringer, error) { return r.Pipeline() }},
 		{"ext-dynamic", "Extension: landmark maintenance under graph updates (Section 6 future work)", func(r *Runner) (fmt.Stringer, error) { return r.ExtDynamic() }},
 		{"ext-distrib", "Extension: partitioned deployment network costs (Section 6 future work)", func(r *Runner) (fmt.Stringer, error) { return r.ExtDistrib() }},
-		{"ext-throughput", "Extension: service throughput and latency per method", func(r *Runner) (fmt.Stringer, error) { return r.ExtThroughput() }},
 		{"ext-dblppipe", "Extension: paper-level DBLP construction (conference labeling + projection)", func(r *Runner) (fmt.Stringer, error) { return r.ExtDBLPPipe() }},
 	}
 }

@@ -1,9 +1,8 @@
-// Package workload generates recommendation query streams and measures a
-// recommender's service-level behaviour (throughput and latency
-// percentiles). The paper motivates the landmark approximation with the
-// volume of searches micro-blogging systems face (24 billion/month on
-// Twitter in 2012); this harness quantifies how many queries per second
-// each method sustains and with what tail latency.
+// Package workload generates recommendation query streams. The paper
+// motivates the landmark approximation with the volume of searches
+// micro-blogging systems face (24 billion/month on Twitter in 2012); the
+// whole-stack benchmark (bench/) and the serving tests replay these
+// streams against the real stack.
 //
 // Queries follow the realistic skew of such systems: users are drawn
 // uniformly among sufficiently active accounts, topics by their biased
@@ -14,13 +13,8 @@ package workload
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
-	"repro/internal/ranking"
 	"repro/internal/topics"
 )
 
@@ -41,16 +35,13 @@ type Config struct {
 	MinOutDegree int
 	// TopicBias is the Zipf exponent over topics (0 = uniform).
 	TopicBias float64
-	// Concurrency is the number of in-flight workers when running the
-	// stream (1 = sequential).
-	Concurrency int
 	// Seed drives the stream.
 	Seed uint64
 }
 
 // DefaultConfig returns a modest stream.
 func DefaultConfig() Config {
-	return Config{Queries: 200, TopN: 10, MinOutDegree: 3, TopicBias: 1.2, Concurrency: 1, Seed: 1}
+	return Config{Queries: 200, TopN: 10, MinOutDegree: 3, TopicBias: 1.2, Seed: 1}
 }
 
 // Generate materializes the query stream for a graph.
@@ -92,92 +83,4 @@ func drawTopic(r *rand.Rand, weights []float64) topics.ID {
 		}
 	}
 	return topics.ID(len(weights) - 1)
-}
-
-// Report is the measured service behaviour of one recommender over one
-// stream.
-type Report struct {
-	Method   string
-	Queries  int
-	Wall     time.Duration
-	QPS      float64
-	P50, P95 time.Duration
-	P99, Max time.Duration
-	// EmptyResults counts queries that returned nothing.
-	EmptyResults int
-}
-
-// Run plays the stream against the recommender with the configured
-// concurrency and collects latency percentiles.
-func Run(rec ranking.Recommender, queries []Query, concurrency int) Report {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	lat := make([]time.Duration, len(queries))
-	empty := make([]bool, len(queries))
-	start := time.Now()
-	var wg sync.WaitGroup
-	// Atomic work-stealing counter instead of a channel: an unbuffered
-	// send/recv pair per query is measurable overhead against the
-	// sub-millisecond methods this harness compares.
-	var next atomic.Int64
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				q := queries[i]
-				t0 := time.Now()
-				res := rec.Recommend(q.User, q.Topic, q.TopN)
-				lat[i] = time.Since(t0)
-				empty[i] = len(res) == 0
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) time.Duration {
-		if len(lat) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lat)))
-		if i >= len(lat) {
-			i = len(lat) - 1
-		}
-		return lat[i]
-	}
-	rep := Report{
-		Method:  rec.Name(),
-		Queries: len(queries),
-		Wall:    wall,
-		P50:     pct(0.50),
-		P95:     pct(0.95),
-		P99:     pct(0.99),
-	}
-	if len(lat) > 0 {
-		rep.Max = lat[len(lat)-1]
-	}
-	if wall > 0 {
-		rep.QPS = float64(len(queries)) / wall.Seconds()
-	}
-	for _, e := range empty {
-		if e {
-			rep.EmptyResults++
-		}
-	}
-	return rep
-}
-
-// String renders one report row.
-func (r Report) String() string {
-	return fmt.Sprintf("%-22s %6d q %10.0f q/s  p50 %-10s p95 %-10s p99 %-10s max %-10s empty %d",
-		r.Method, r.Queries, r.QPS,
-		r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond),
-		r.P99.Round(time.Microsecond), r.Max.Round(time.Microsecond), r.EmptyResults)
 }

@@ -2,12 +2,8 @@ package workload
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/ranking"
-	"repro/internal/topics"
 )
 
 func TestGenerate(t *testing.T) {
@@ -71,61 +67,5 @@ func TestGenerateNoActiveUsers(t *testing.T) {
 	cfg.MinOutDegree = 100
 	if _, err := Generate(ds.Graph, cfg); err == nil {
 		t.Error("impossible activity floor must error")
-	}
-}
-
-// sleepyRec waits a fixed time per query so percentiles are predictable.
-type sleepyRec struct{ d time.Duration }
-
-func (s sleepyRec) Name() string { return "sleepy" }
-func (s sleepyRec) ScoreCandidates(graph.NodeID, topics.ID, []graph.NodeID) []float64 {
-	return nil
-}
-func (s sleepyRec) Recommend(graph.NodeID, topics.ID, int) []ranking.Scored {
-	time.Sleep(s.d)
-	return []ranking.Scored{{Node: 1, Score: 1}}
-}
-
-func TestRunMeasures(t *testing.T) {
-	qs := make([]Query, 30)
-	for i := range qs {
-		qs[i] = Query{User: 0, Topic: 0, TopN: 1}
-	}
-	rep := Run(sleepyRec{d: 2 * time.Millisecond}, qs, 1)
-	if rep.Queries != 30 || rep.EmptyResults != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if rep.P50 < time.Millisecond {
-		t.Errorf("p50 = %s, expected ≈2ms", rep.P50)
-	}
-	if rep.P99 < rep.P50 {
-		t.Error("p99 < p50")
-	}
-	if rep.QPS <= 0 || rep.QPS > 1000 {
-		t.Errorf("QPS = %.0f implausible for 2ms sequential queries", rep.QPS)
-	}
-	// Concurrency raises throughput for a sleep-bound recommender.
-	rep4 := Run(sleepyRec{d: 2 * time.Millisecond}, qs, 4)
-	if rep4.QPS <= rep.QPS {
-		t.Errorf("4-way QPS %.0f should beat sequential %.0f", rep4.QPS, rep.QPS)
-	}
-	if rep.String() == "" {
-		t.Error("empty report rendering")
-	}
-}
-
-// emptyRec returns nothing, exercising the EmptyResults counter.
-type emptyRec struct{}
-
-func (emptyRec) Name() string { return "empty" }
-func (emptyRec) ScoreCandidates(graph.NodeID, topics.ID, []graph.NodeID) []float64 {
-	return nil
-}
-func (emptyRec) Recommend(graph.NodeID, topics.ID, int) []ranking.Scored { return nil }
-
-func TestRunCountsEmpty(t *testing.T) {
-	rep := Run(emptyRec{}, []Query{{User: 0, Topic: 0, TopN: 1}}, 1)
-	if rep.EmptyResults != 1 {
-		t.Errorf("empty results = %d", rep.EmptyResults)
 	}
 }
