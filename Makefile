@@ -114,18 +114,16 @@ bench-diff:
 # fuzz smoke-runs the equivalence fuzzers (random edge deltas must leave
 # the overlay observationally identical to a full rebuild and the
 # incrementally maintained authority table bit-identical to a recompute)
-# and the storage-format fuzzers: arbitrary snapshot/landmark/WAL/TRG1 bytes must
+# and the storage-format fuzzers: arbitrary snapshot/landmark/WAL bytes must
 # decode or error, never panic, index outside the mapping, or yield a
 # forged batch.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOverlayEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDeltaExact -fuzztime=10s ./internal/authority/
-	$(GO) test -run='^$$' -fuzz=FuzzReadStore -fuzztime=10s ./internal/landmark/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenSnapshot -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenLandmarks -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzScanWAL -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecay -fuzztime=10s ./internal/store/
-	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=10s ./internal/graph/
 
 .PHONY: bench-all
 bench-all:

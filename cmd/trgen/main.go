@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/classify"
 	"repro/internal/gen"
@@ -25,8 +24,7 @@ func main() {
 		avgOut   = flag.Float64("avgout", 0, "mean out-degree (0 = kind default)")
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		pipeline = flag.Bool("pipeline", false, "relabel through the synthetic-corpus classification pipeline")
-		save     = flag.String("save", "", "write the labeled graph to this file (loadable by trserver -load)")
-		saveSnap = flag.String("save-snapshot", "", "write the labeled graph as a TRG2 snapshot (mmap'd zero-copy by trserver/trshard -snapshot)")
+		saveSnap = flag.String("save-snapshot", "", "write the labeled graph as a TRG2 snapshot (read by trindex -graph, mmap'd zero-copy by trserver/trshard -snapshot)")
 	)
 	flag.Parse()
 
@@ -72,21 +70,6 @@ func main() {
 		fmt.Printf("pipeline: %d seed users, classifier precision %.2f / recall %.2f\n\n",
 			res.SeedUsers, res.Classifier.Precision, res.Classifier.Recall)
 		g = res.Graph
-	}
-
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, err := g.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatalf("saving %s: %v", *save, err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n\n", *save, n)
 	}
 
 	if *saveSnap != "" {

@@ -1,5 +1,5 @@
 // Command trserver runs the recommendation system as an HTTP/JSON
-// service over a generated (or loaded) dataset.
+// service over a generated dataset or a TRG2 snapshot.
 //
 //	trserver -nodes 8000 -landmarks 30 -addr :8080
 //	curl 'localhost:8080/v1/recommend?user=42&topic=technology&n=5'
@@ -12,10 +12,11 @@
 //	trserver -snapshot data/graph.trg2 -landmark-store data/lmk.lmk3 \
 //	         -wal data/edges.wal -wal-sync always
 //
-// The first boot generates (or -loads) the dataset and publishes the
-// initial TRG2 snapshot; later boots mmap it zero-copy, adopt the
-// persisted landmark store and replay the WAL tail, serving the exact
-// pre-crash rankings in milliseconds of graph-load time.
+// The first boot generates the dataset and publishes the initial TRG2
+// snapshot; later boots mmap it zero-copy, adopt the persisted landmark
+// store and replay the WAL tail, serving the exact pre-crash rankings in
+// milliseconds of graph-load time. The same two files can be built
+// offline instead (trgen -save-snapshot, then trindex -graph ... -out).
 //
 // With the streaming ingestion pipeline enabled, POST /v1/update
 // enqueues into a bounded queue (202 Accepted; 429 + Retry-After when
@@ -61,11 +62,10 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		nodes     = flag.Int("nodes", 8000, "accounts in the generated graph (ignored with -load)")
+		nodes     = flag.Int("nodes", 8000, "accounts in the generated graph (ignored when the -snapshot file exists)")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
-		load      = flag.String("load", "", "load a graph written by trgen -save instead of generating")
-		landmarkN = flag.Int("landmarks", 30, "landmark count (In-Deg selection)")
-		topN      = flag.Int("store-topn", 500, "recommendations kept per landmark per topic")
+		landmarkN = flag.Int("landmarks", 30, "landmark count (In-Deg selection) when preprocessing; an adopted -landmark-store brings its own landmark set")
+		topN      = flag.Int("store-topn", 500, "recommendations kept per landmark per topic when preprocessing; an adopted -landmark-store keeps its own")
 		strategy  = flag.String("refresh", "lazy", "landmark refresh strategy: eager, lazy, threshold")
 		reqTmo    = flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request deadline on /v1/recommend (0 disables)")
 		admission = server.DefaultAdmissionConfig()
@@ -101,8 +101,8 @@ func main() {
 
 	// Graph acquisition, cheapest source first: an existing TRG2 snapshot
 	// maps zero-copy (milliseconds regardless of graph size); otherwise
-	// the TRG1 -load or generation path runs and, with -snapshot set,
-	// publishes the initial snapshot so the next boot takes the fast path.
+	// the dataset is generated and, with -snapshot set, published as the
+	// initial snapshot so the next boot takes the fast path.
 	var g *graph.Graph
 	var sim *topics.SimMatrix
 	if *snapPath != "" {
@@ -119,28 +119,15 @@ func main() {
 		}
 	}
 	if g == nil {
-		if *load != "" {
-			f, err := os.Open(*load)
-			if err != nil {
-				log.Fatal(err)
-			}
-			g, err = graph.ReadGraph(f)
-			f.Close()
-			if err != nil {
-				log.Fatalf("loading %s: %v", *load, err)
-			}
-			sim = topics.TaxonomyFor(g.Vocabulary()).SimMatrix()
-		} else {
-			cfg := gen.DefaultTwitterConfig()
-			cfg.Nodes = *nodes
-			cfg.Seed = *seed
-			ds, err := gen.Twitter(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			g = ds.Graph
-			sim = ds.Sim
+		cfg := gen.DefaultTwitterConfig()
+		cfg.Nodes = *nodes
+		cfg.Seed = *seed
+		ds, err := gen.Twitter(cfg)
+		if err != nil {
+			log.Fatal(err)
 		}
+		g = ds.Graph
+		sim = ds.Sim
 		if *snapPath != "" {
 			n, err := store.WriteSnapshotFile(*snapPath, g, nil)
 			if err != nil {
@@ -166,10 +153,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	lms, err := landmark.Select(g, landmark.InDeg, *landmarkN, landmark.DefaultSelectConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 	// One registry spans the whole stack so GET /metrics covers the
 	// initial preprocessing run as well as everything served afterwards.
 	reg := metrics.NewRegistry()
@@ -224,7 +207,16 @@ func main() {
 		mgrCfg.WAL = w
 		recovered = rec
 	}
-	if mgrCfg.InitialStore == nil {
+	// An adopted store brings the landmark set it was built for; only a
+	// preprocessing boot selects one.
+	var lms []graph.NodeID
+	if mgrCfg.InitialStore != nil {
+		lms = mgrCfg.InitialStore.Landmarks()
+	} else {
+		lms, err = landmark.Select(g, landmark.InDeg, *landmarkN, landmark.DefaultSelectConfig())
+		if err != nil {
+			log.Fatal(err)
+		}
 		log.Printf("preprocessing %d landmarks over %d nodes / %d edges...", len(lms), g.NumNodes(), g.NumEdges())
 	}
 	start := time.Now()

@@ -4,8 +4,8 @@
 // and answers partial-score RPCs that a router-mode trserver merges into
 // exact recommendations (Proposition 2/4 composition).
 //
-// Every worker must be started with the same dataset flags (-nodes,
-// -seed or -load), the same -landmarks/-store-topn/-depth and the same
+// Every worker must be started with the same dataset flags (-nodes and
+// -seed, or -snapshot), the same -landmarks/-store-topn/-depth and the same
 // -shards/-partitioner/-part-seed so all workers derive the identical
 // landmark set and node assignment; they differ only in -shard.
 //
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"time"
 
 	"repro/internal/authority"
@@ -38,9 +37,8 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":7070", "listen address")
-		nodes       = flag.Int("nodes", 8000, "accounts in the generated graph (ignored with -load)")
+		nodes       = flag.Int("nodes", 8000, "accounts in the generated graph (ignored with -snapshot)")
 		seed        = flag.Uint64("seed", 1, "dataset seed")
-		load        = flag.String("load", "", "load a graph written by trgen -save instead of generating")
 		snapPath    = flag.String("snapshot", "", "mmap a TRG2 snapshot written by trgen -save-snapshot instead of generating (zero-copy cold start; same file on every worker)")
 		shard       = flag.Int("shard", 0, "this worker's partition index in [0, shards)")
 		shards      = flag.Int("shards", 1, "total partition count of the deployment")
@@ -69,17 +67,6 @@ func main() {
 		sim = topics.TaxonomyFor(g.Vocabulary()).SimMatrix()
 		log.Printf("mapped %s zero-copy: %d nodes / %d edges in %s",
 			*snapPath, g.NumNodes(), g.NumEdges(), time.Since(openStart).Round(time.Microsecond))
-	} else if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		g, err = graph.ReadGraph(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("loading %s: %v", *load, err)
-		}
-		sim = topics.TaxonomyFor(g.Vocabulary()).SimMatrix()
 	} else {
 		cfg := gen.DefaultTwitterConfig()
 		cfg.Nodes = *nodes

@@ -20,6 +20,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/ranking"
+	"repro/internal/store"
 )
 
 func main() {
@@ -57,32 +58,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, stats := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: *topN})
+	built, stats := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: *topN})
 	fmt.Printf("preprocessed %d landmarks in %s (%s per landmark, store ≈ %.1f MB)\n",
 		stats.Landmarks, stats.WallTime.Round(time.Millisecond),
-		stats.PerLandmark().Round(time.Millisecond), float64(store.Bytes())/(1<<20))
+		stats.PerLandmark().Round(time.Millisecond), float64(built.Bytes())/(1<<20))
 
-	// 4. Persist and reload the store (what a service restart would do).
-	path := filepath.Join(os.TempDir(), "whotofollow.landmarks")
-	f, err := os.Create(path)
+	// 4. Persist the store as LMK3 and map it back (what a service restart
+	// would do).
+	path := filepath.Join(os.TempDir(), "whotofollow.lmk3")
+	if _, err := store.WriteLandmarksFile(path, built); err != nil {
+		log.Fatal(err)
+	}
+	ls, err := store.OpenLandmarks(path, store.OpenOptions{Verify: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := store.WriteTo(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	rf, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	store, err = landmark.ReadStore(rf)
-	rf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer ls.Close()
 	fmt.Printf("landmark store persisted to %s and reloaded\n\n", path)
 
 	// 5. Serve queries.
@@ -90,7 +81,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown topic %q", *topic)
 	}
-	approx, err := landmark.NewApprox(eng, store, 2)
+	approx, err := landmark.NewApprox(eng, ls.Store(), 2)
 	if err != nil {
 		log.Fatal(err)
 	}

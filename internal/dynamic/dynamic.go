@@ -82,7 +82,9 @@ type Config struct {
 	Params core.Params
 	// Sim is the topic similarity matrix.
 	Sim *topics.SimMatrix
-	// StoreTopN is the per-topic list length kept per landmark.
+	// StoreTopN is the per-topic list length kept per landmark. An
+	// adopted InitialStore overrides it with its own TopN, so refreshed
+	// lists never outgrow the length the store is persisted with.
 	StoreTopN int
 	// QueryDepth is the approximate query exploration depth.
 	QueryDepth int
@@ -165,8 +167,9 @@ type Config struct {
 	LandmarkPath string
 	// InitialStore, when non-nil, is adopted as the landmark store
 	// instead of preprocessing one at construction — the recovery path
-	// for a store persisted via LandmarkPath. The caller must pass the
-	// lms the store was built for.
+	// for a store persisted via LandmarkPath, or a store built offline.
+	// NewManager rejects it unless its landmark set is exactly lms and
+	// its vocabulary matches the graph's.
 	InitialStore *landmark.Store
 }
 
@@ -335,6 +338,9 @@ type Manager struct {
 
 // NewManager preprocesses the initial graph and landmark set.
 func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error) {
+	if cfg.InitialStore != nil {
+		cfg.StoreTopN = cfg.InitialStore.TopN()
+	}
 	if cfg.StoreTopN <= 0 {
 		cfg.StoreTopN = 100
 	}
@@ -356,6 +362,10 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 	if cfg.RefreshBudget <= 0 {
 		cfg.RefreshBudget = 4
 	}
+	isLandmark, err := landmarkMarks(g, lms, cfg.InitialStore)
+	if err != nil {
+		return nil, err
+	}
 	m := &Manager{
 		cfg:   cfg,
 		view:  g,
@@ -365,10 +375,7 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		rng:   rand.New(rand.NewSource(time.Now().UnixNano())), //nolint:gosec // jitter, not crypto
 	}
 	m.viewPub.Store(&viewBox{view: g})
-	m.isLandmark = make([]bool, g.NumNodes())
-	for _, lm := range m.lms {
-		m.isLandmark[lm] = true
-	}
+	m.isLandmark = isLandmark
 	m.inv.seen = make([]uint32, g.NumNodes())
 	if err := m.rebuildEngine(); err != nil {
 		return nil, err
@@ -395,6 +402,42 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 	}
 	m.noteIterationsLocked()
 	return m, nil
+}
+
+// landmarkMarks marks lms by node id. It rejects ids outside g and, when
+// an initial store is adopted, a store whose landmark set is not exactly
+// lms or whose vocabulary differs from g's: a stored landmark outside lms
+// would be folded into every answer and never refreshed, since
+// invalidation only marks lms.
+func landmarkMarks(g *graph.Graph, lms []graph.NodeID, s *landmark.Store) ([]bool, error) {
+	n := g.NumNodes()
+	marks := make([]bool, n)
+	for _, lm := range lms {
+		if int(lm) >= n {
+			return nil, fmt.Errorf("dynamic: landmark %d outside the %d-node graph", lm, n)
+		}
+		marks[lm] = true
+	}
+	if s == nil {
+		return marks, nil
+	}
+	if s.VocabLen() != g.Vocabulary().Len() {
+		return nil, fmt.Errorf("dynamic: initial store has %d topics, the graph %d", s.VocabLen(), g.Vocabulary().Len())
+	}
+	for _, lm := range s.Landmarks() {
+		if int(lm) >= n {
+			return nil, fmt.Errorf("dynamic: initial store holds landmark %d outside the %d-node graph", lm, n)
+		}
+		if !marks[lm] {
+			return nil, fmt.Errorf("dynamic: initial store holds landmark %d, not in the manager's landmark set", lm)
+		}
+	}
+	for _, lm := range lms {
+		if !s.Contains(lm) {
+			return nil, fmt.Errorf("dynamic: initial store lacks landmark %d", lm)
+		}
+	}
+	return marks, nil
 }
 
 // Instrument attaches a metric registry to the manager: maintenance

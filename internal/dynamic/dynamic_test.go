@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/topics"
 )
 
@@ -435,5 +437,108 @@ func TestInstrumentSameRegistryTwiceIsIdempotent(t *testing.T) {
 	m.Instrument(reg) // what server.New does with the shared registry
 	if got := reg.Counter("dynamic_batches_total", "").Value(); got != 1 {
 		t.Fatalf("dynamic_batches_total = %d after re-instrumenting the same registry, want 1", got)
+	}
+}
+
+// TestNewManagerRejectsMismatchedStore: an adopted store must hold
+// exactly the manager's landmark set, in range, over the graph's
+// vocabulary. A stored landmark outside lms would be folded into every
+// answer and never refreshed.
+func TestNewManagerRejectsMismatchedStore(t *testing.T) {
+	m, ds := newManager(t, Lazy, 3)
+	lms := m.store.Landmarks()
+	adopt := func(s *landmark.Store, lms []graph.NodeID) error {
+		_, err := NewManager(ds.Graph, lms, Config{
+			Params:       core.DefaultParams(),
+			Sim:          ds.Sim,
+			StoreTopN:    200,
+			InitialStore: s,
+		})
+		return err
+	}
+	if err := adopt(m.store, lms); err != nil {
+		t.Fatalf("matching store rejected: %v", err)
+	}
+	reversed := slices.Clone(lms)
+	slices.Reverse(reversed)
+	if err := adopt(m.store, reversed); err != nil {
+		t.Fatalf("matching store in another order rejected: %v", err)
+	}
+
+	outside := graph.NodeID(0)
+	for slices.Contains(lms, outside) {
+		outside++
+	}
+	swapped := append(slices.Clone(lms[:len(lms)-1]), outside)
+	if adopt(m.store, swapped) == nil {
+		t.Error("store holding a landmark outside lms accepted")
+	}
+	if adopt(m.store, lms[1:]) == nil {
+		t.Error("store holding more landmarks than lms accepted")
+	}
+	if adopt(m.store, append(slices.Clone(lms), outside)) == nil {
+		t.Error("store lacking one of lms accepted")
+	}
+
+	vocabLen := ds.Graph.Vocabulary().Len()
+	withData := func(vocabLen int, ids ...graph.NodeID) *landmark.Store {
+		s := landmark.NewStore(vocabLen, 10)
+		for _, id := range ids {
+			if err := s.Put(&landmark.Data{Landmark: id, Topical: make([]landmark.List, vocabLen)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	n := graph.NodeID(ds.Graph.NumNodes())
+	if adopt(withData(vocabLen, append(slices.Clone(lms), n)...), lms) == nil {
+		t.Error("store holding an out-of-range landmark accepted")
+	}
+	if adopt(withData(vocabLen+1, lms...), lms) == nil {
+		t.Error("store over another vocabulary accepted")
+	}
+	if adopt(nil, append(slices.Clone(lms), n)) == nil {
+		t.Error("out-of-range landmark accepted")
+	}
+}
+
+// TestAdoptedStoreKeepsItsListLength: refreshes write lists of the
+// adopted store's own length whatever Config.StoreTopN says, so the store
+// a compaction republishes reads back.
+func TestAdoptedStoreKeepsItsListLength(t *testing.T) {
+	m, ds := newManager(t, Eager, 4)
+	lms := m.store.Landmarks()
+	short, _ := landmark.Preprocess(m.eng, lms, landmark.PreprocessConfig{TopN: 5})
+	adopted, err := NewManager(ds.Graph, lms, Config{
+		Params:       core.DefaultParams(),
+		Sim:          ds.Sim,
+		StoreTopN:    200,
+		Strategy:     Eager,
+		InitialStore: short,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := lms[0]
+	if err := adopted.Apply([]Update{{Edge: graph.Edge{Src: lm, Dst: (lm + 17) % 60, Label: topics.NewSet(0)}, Add: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if adopted.Stats().Refreshes == 0 {
+		t.Fatal("the batch refreshed no landmark")
+	}
+	for _, l := range lms {
+		d := adopted.store.Get(l)
+		for _, list := range append(append([]landmark.List{}, d.Topical...), d.TopoTop) {
+			if list.Len() > short.TopN() {
+				t.Fatalf("landmark %d holds a list of %d entries, the store's length is %d", l, list.Len(), short.TopN())
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := store.WriteLandmarks(&buf, adopted.store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.ReadLandmarks(&buf); err != nil {
+		t.Fatalf("republished store does not read back: %v", err)
 	}
 }

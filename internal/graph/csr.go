@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topics"
 )
@@ -44,9 +45,10 @@ func (g *Graph) CSR() CSRData {
 //
 // The structural invariants (array lengths, monotone row starts) are
 // always checked; they are O(n) and touch only the start arrays. When
-// checkEdges is set the O(m) content invariants are verified too: every
-// endpoint in range, rows strictly ascending, and every node and edge
-// label drawn from the vocabulary. Callers that already trust the bytes
+// checkEdges is set the O(m log d) content invariants are verified too:
+// every endpoint in range, rows strictly ascending, the in-rows the
+// transpose of the out-rows, and every node and edge label drawn from
+// the vocabulary. Callers that already trust the bytes
 // (e.g. a checksummed snapshot) may skip the edge scan to keep cold-start
 // time independent of the edge count.
 func NewFromCSR(vocab *topics.Vocabulary, d CSRData, checkEdges bool) (*Graph, error) {
@@ -107,7 +109,8 @@ func checkStarts(side string, starts []uint32, m int) error {
 	return nil
 }
 
-// checkEdgeInvariants runs the O(m) content validation of NewFromCSR.
+// checkEdgeInvariants runs the O(m log d) content validation of
+// NewFromCSR.
 func (g *Graph) checkEdgeInvariants() error {
 	n := NodeID(g.NumNodes())
 	valid := topics.Set(1)<<uint(g.vocab.Len()) - 1
@@ -130,6 +133,15 @@ func (g *Graph) checkEdgeInvariants() error {
 			}
 			if lbl[i]&^valid != 0 {
 				return fmt.Errorf("graph: edge (%d,%d) labeled with out-of-vocabulary topics", u, v)
+			}
+			// The in-rows must be the transpose of the out-rows: each
+			// out-edge has its twin, same label, in the ascending in-row
+			// of v. Rows are duplicate-free and both sides hold m edges,
+			// so the twins cover every in-entry.
+			src, slbl := g.In(v)
+			j, found := slices.BinarySearch(src, u)
+			if !found || slbl[j] != lbl[i] {
+				return fmt.Errorf("graph: out-edge (%d,%d) has no matching in-edge", u, v)
 			}
 		}
 		src, slbl := g.In(u)

@@ -1,7 +1,6 @@
 package landmark
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -109,23 +108,5 @@ func BenchmarkSelect(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkStoreSerialize(b *testing.B) {
-	eng, ds := benchSetup(b, 2000)
-	lms, _ := Select(ds.Graph, InDeg, 10, DefaultSelectConfig())
-	store, _ := Preprocess(eng, lms, PreprocessConfig{TopN: 1000})
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if _, err := store.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ReadStore(&buf); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(buf.Len()))
 	}
 }

@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/authority"
@@ -145,7 +146,7 @@ func TestPreprocessBuildsSortedLists(t *testing.T) {
 			if lst.Len() > 7 {
 				t.Fatalf("list longer than topN: %d", lst.Len())
 			}
-			if !checkSorted(lst) {
+			if !sort.SliceIsSorted(lst.Sigma, func(i, j int) bool { return lst.Sigma[i] > lst.Sigma[j] }) {
 				t.Fatalf("landmark %d topic %d list unsorted", l, ti)
 			}
 			// Stored values must match a fresh exploration.

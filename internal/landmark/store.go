@@ -2,7 +2,6 @@ package landmark
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -253,10 +252,4 @@ func truncList(l List, n int) List {
 		Sigma: append([]float64(nil), l.Sigma[:n]...),
 		Topo:  append([]float64(nil), l.Topo[:n]...),
 	}
-}
-
-// checkSorted verifies a list is ranked by decreasing sigma; used by
-// deserialization to validate input.
-func checkSorted(l List) bool {
-	return sort.SliceIsSorted(l.Sigma, func(i, j int) bool { return l.Sigma[i] > l.Sigma[j] })
 }

@@ -1,8 +1,8 @@
 // api.go binds the versioned /v1 JSON surface to its single wire
-// contract, internal/client: every request/response type and error code
-// here is an alias of the client package's definition, so the server
+// contract, internal/client: the server encodes and decodes the client
+// package's request/response types and error codes themselves, so it
 // cannot drift from what the typed client (and its SSE reader) decodes.
-// The decoded RecommendRequest shared by GET /v1/recommend, POST
+// The decoded client.RecommendRequest shared by GET /v1/recommend, POST
 // /v1/recommend:batch and POST /v1/subscribe goes through the one
 // validation path below.
 package server
@@ -16,26 +16,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/graph"
 )
-
-// Error codes carried by the /v1 error envelope, re-exported from the
-// wire contract.
-const (
-	CodeBadRequest       = client.CodeBadRequest
-	CodeUnknownTopic     = client.CodeUnknownTopic
-	CodeUnknownMethod    = client.CodeUnknownMethod
-	CodeNotFound         = client.CodeNotFound
-	CodeMethodNotAllowed = client.CodeMethodNotAllowed
-	CodeOverloaded       = client.CodeOverloaded
-	CodeDeadline         = client.CodeDeadline
-	CodeInternal         = client.CodeInternal
-)
-
-// ErrorBody is the uniform error envelope of the /v1 API: every
-// non-2xx JSON response is {"error": {"code": ..., "message": ...}}.
-type ErrorBody = client.ErrorBody
-
-// errorResponse wraps an ErrorBody for encoding.
-type errorResponse = client.ErrorEnvelope
 
 // httpError pairs an HTTP status with an envelope body; handlers thread
 // it instead of writing responses from arbitrary depths.
@@ -56,32 +36,27 @@ func (s *Server) writeError(w http.ResponseWriter, e *httpError) {
 	if e.status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, e.status, errorResponse{Error: ErrorBody{Code: e.code, Message: e.msg}})
+	writeJSON(w, e.status, client.ErrorEnvelope{Error: client.ErrorBody{Code: e.code, Message: e.msg}})
 }
 
-// RecommendRequest is the decoded form of one recommendation query — the
-// single place query parameters, batch items and subscription bodies are
-// parsed into, and the single input of validation.
-type RecommendRequest = client.RecommendRequest
-
 // recommendRequestFromQuery decodes GET /v1/recommend query parameters.
-func recommendRequestFromQuery(q url.Values) (RecommendRequest, *httpError) {
-	var req RecommendRequest
+func recommendRequestFromQuery(q url.Values) (client.RecommendRequest, *httpError) {
+	var req client.RecommendRequest
 	uid, err := strconv.Atoi(q.Get("user"))
 	if err != nil {
-		return req, errf(http.StatusBadRequest, CodeBadRequest, "bad user %q (want an integer)", q.Get("user"))
+		return req, errf(http.StatusBadRequest, client.CodeBadRequest, "bad user %q (want an integer)", q.Get("user"))
 	}
 	req.User = uid
 	req.Topic = q.Get("topic")
 	if ns := q.Get("n"); ns != "" {
 		n, err := strconv.Atoi(ns)
 		if err != nil {
-			return req, errf(http.StatusBadRequest, CodeBadRequest, "bad n %q (want an integer)", ns)
+			return req, errf(http.StatusBadRequest, client.CodeBadRequest, "bad n %q (want an integer)", ns)
 		}
 		if n == 0 {
 			// An explicit n=0 is an error; only an omitted n means the
 			// default (0 is the "unset" value of the decoded form).
-			return req, errf(http.StatusBadRequest, CodeBadRequest, "bad n 0 (want 1..1000)")
+			return req, errf(http.StatusBadRequest, client.CodeBadRequest, "bad n 0 (want 1..1000)")
 		}
 		req.N = n
 	}
@@ -92,22 +67,22 @@ func recommendRequestFromQuery(q url.Values) (RecommendRequest, *httpError) {
 // validateRecommend checks one decoded request against the served graph
 // and vocabulary and normalizes it into the cache/coalesce key. All
 // validation for the single and batch endpoints happens here.
-func (s *Server) validateRecommend(req RecommendRequest) (cacheKey, *httpError) {
+func (s *Server) validateRecommend(req client.RecommendRequest) (cacheKey, *httpError) {
 	g := s.mgr.Graph()
 	if req.User < 0 || req.User >= g.NumNodes() {
-		return cacheKey{}, errf(http.StatusBadRequest, CodeBadRequest,
+		return cacheKey{}, errf(http.StatusBadRequest, client.CodeBadRequest,
 			"bad user %d (want 0..%d)", req.User, g.NumNodes()-1)
 	}
 	t, ok := s.vocab.Lookup(req.Topic)
 	if !ok {
-		return cacheKey{}, errf(http.StatusBadRequest, CodeUnknownTopic, "unknown topic %q", req.Topic)
+		return cacheKey{}, errf(http.StatusBadRequest, client.CodeUnknownTopic, "unknown topic %q", req.Topic)
 	}
 	n := req.N
 	if n == 0 {
 		n = 10
 	}
 	if n < 1 || n > 1000 {
-		return cacheKey{}, errf(http.StatusBadRequest, CodeBadRequest, "bad n %d (want 1..1000)", req.N)
+		return cacheKey{}, errf(http.StatusBadRequest, client.CodeBadRequest, "bad n %d (want 1..1000)", req.N)
 	}
 	method := req.Method
 	if method == "" {
@@ -116,7 +91,7 @@ func (s *Server) validateRecommend(req RecommendRequest) (cacheKey, *httpError) 
 	switch method {
 	case "tr", "landmark", "katz", "twitterrank":
 	default:
-		return cacheKey{}, errf(http.StatusBadRequest, CodeUnknownMethod,
+		return cacheKey{}, errf(http.StatusBadRequest, client.CodeUnknownMethod,
 			"unknown method %q (tr, landmark, katz, twitterrank)", method)
 	}
 	k := cacheKey{user: graph.NodeID(req.User), topic: t, n: n, method: method}

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/graph"
 	"repro/internal/ranking"
 )
@@ -116,7 +117,7 @@ func TestServerCacheHeader(t *testing.T) {
 		t.Errorf("second request X-Cache = %q, want hit", got)
 	}
 	// An update invalidates.
-	postJSON(t, srv.URL+"/v1/update", UpdateRequest{Updates: []UpdateItem{
+	postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{
 		{Src: 3, Dst: 4, Topics: []string{"technology"}},
 	}}, http.StatusOK, nil)
 	r3, err := http.Get(url)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/ranking"
 )
 
@@ -75,22 +76,22 @@ func TestErrorEnvelopeUniformity(t *testing.T) {
 		wantCode   string
 	}{
 		// Method not allowed, across resource styles.
-		{"method/recommend", http.MethodDelete, "/v1/recommend?user=1&topic=technology", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"method/update", http.MethodGet, "/v1/update", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"method/subscribe", http.MethodGet, "/v1/subscribe", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"method/subscribe-id", http.MethodGet, "/v1/subscribe/s1", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"method/events", http.MethodPost, "/v1/subscribe/s1/events", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"method/recommend", http.MethodDelete, "/v1/recommend?user=1&topic=technology", "", http.StatusMethodNotAllowed, client.CodeMethodNotAllowed},
+		{"method/update", http.MethodGet, "/v1/update", "", http.StatusMethodNotAllowed, client.CodeMethodNotAllowed},
+		{"method/subscribe", http.MethodGet, "/v1/subscribe", "", http.StatusMethodNotAllowed, client.CodeMethodNotAllowed},
+		{"method/subscribe-id", http.MethodGet, "/v1/subscribe/s1", "", http.StatusMethodNotAllowed, client.CodeMethodNotAllowed},
+		{"method/events", http.MethodPost, "/v1/subscribe/s1/events", "", http.StatusMethodNotAllowed, client.CodeMethodNotAllowed},
 		// Malformed bodies on every POST route.
-		{"body/update", http.MethodPost, "/v1/update", "{", http.StatusBadRequest, CodeBadRequest},
-		{"body/batch", http.MethodPost, "/v1/recommend:batch", "{", http.StatusBadRequest, CodeBadRequest},
-		{"body/subscribe", http.MethodPost, "/v1/subscribe", "{", http.StatusBadRequest, CodeBadRequest},
+		{"body/update", http.MethodPost, "/v1/update", "{", http.StatusBadRequest, client.CodeBadRequest},
+		{"body/batch", http.MethodPost, "/v1/recommend:batch", "{", http.StatusBadRequest, client.CodeBadRequest},
+		{"body/subscribe", http.MethodPost, "/v1/subscribe", "{", http.StatusBadRequest, client.CodeBadRequest},
 		// Unknown subscription ids, both verbs and both event modes.
-		{"id/unsubscribe", http.MethodDelete, "/v1/subscribe/nope", "", http.StatusNotFound, CodeNotFound},
-		{"id/events-sse", http.MethodGet, "/v1/subscribe/nope/events", "", http.StatusNotFound, CodeNotFound},
-		{"id/events-poll", http.MethodGet, "/v1/subscribe/nope/events?mode=poll", "", http.StatusNotFound, CodeNotFound},
+		{"id/unsubscribe", http.MethodDelete, "/v1/subscribe/nope", "", http.StatusNotFound, client.CodeNotFound},
+		{"id/events-sse", http.MethodGet, "/v1/subscribe/nope/events", "", http.StatusNotFound, client.CodeNotFound},
+		{"id/events-poll", http.MethodGet, "/v1/subscribe/nope/events?mode=poll", "", http.StatusNotFound, client.CodeNotFound},
 		// Unknown routes fall through to the catch-all.
-		{"route/unknown", http.MethodGet, "/v1/nope", "", http.StatusNotFound, CodeNotFound},
-		{"route/unversioned", http.MethodGet, "/recommend?user=1&topic=technology", "", http.StatusNotFound, CodeNotFound},
+		{"route/unknown", http.MethodGet, "/v1/nope", "", http.StatusNotFound, client.CodeNotFound},
+		{"route/unversioned", http.MethodGet, "/recommend?user=1&topic=technology", "", http.StatusNotFound, client.CodeNotFound},
 	}
 	for _, c := range cases {
 		resp := doRaw(t, c.method, srv.URL+c.path, c.body)
@@ -123,7 +124,7 @@ func TestErrorEnvelopeShed(t *testing.T) {
 	waitFor(t, "leader to occupy the pool", func() bool { return execs.Load() == 1 })
 
 	resp := doRaw(t, http.MethodGet, base+"/v1/recommend?user=12&topic=technology&n=5", "")
-	assertEnvelope(t, "shed/recommend", resp, http.StatusTooManyRequests, CodeOverloaded)
+	assertEnvelope(t, "shed/recommend", resp, http.StatusTooManyRequests, client.CodeOverloaded)
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed/recommend: 429 without Retry-After")
 	}

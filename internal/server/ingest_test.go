@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/ingest"
@@ -79,7 +80,7 @@ func TestUpdateStreamingPath(t *testing.T) {
 	if got := mgr.Stats().EdgesAdded; got == 0 {
 		t.Fatal("flushed updates did not reach the manager")
 	}
-	var st StatsResponse
+	var st client.StatsResponse
 	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &st)
 	if st.Ingest == nil {
 		t.Fatal("/v1/stats omits ingest block under WithIngest")
@@ -101,7 +102,7 @@ func TestUpdateStreamingValidationStaysSync(t *testing.T) {
 	t.Cleanup(func() { pipe.Close() }) //nolint:errcheck
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta, WithMetrics(reg), WithIngest(pipe)))
 
-	body, _ := json.Marshal(UpdateRequest{Updates: []UpdateItem{{Src: 1, Dst: 1, Topics: []string{"technology"}}}})
+	body, _ := json.Marshal(client.UpdateRequest{Updates: []client.UpdateItem{{Src: 1, Dst: 1, Topics: []string{"technology"}}}})
 	resp, err := http.Post(srv.URL+"/v1/update", "application/json", bytes.NewBuffer(body))
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/ranking"
@@ -73,7 +74,7 @@ func TestCoalescingSingleExecution(t *testing.T) {
 
 	const clients = 8
 	var wg sync.WaitGroup
-	responses := make([]RecommendResponse, clients)
+	responses := make([]client.RecommendResponse, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -113,7 +114,7 @@ func TestCoalescingSingleExecution(t *testing.T) {
 		t.Errorf("coalesce_hits_total = %d, want %d", got, clients-1)
 	}
 	// The leader populated the cache: the same query now answers from it.
-	var again RecommendResponse
+	var again client.RecommendResponse
 	getJSON(t, base+"/v1/recommend?user=11&topic=technology&n=5&method=landmark",
 		http.StatusOK, &again)
 	if again.Cache != "hit" {
@@ -156,8 +157,8 @@ func TestSheddingWhenSaturated(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if e.Error.Code != CodeOverloaded {
-		t.Errorf("error code = %q, want %q", e.Error.Code, CodeOverloaded)
+	if e.Error.Code != client.CodeOverloaded {
+		t.Errorf("error code = %q, want %q", e.Error.Code, client.CodeOverloaded)
 	}
 	if got := reg.Counter("requests_shed_total", "").Value(); got != 1 {
 		t.Errorf("requests_shed_total = %d, want 1", got)
@@ -179,7 +180,7 @@ func TestDegradedFallback(t *testing.T) {
 	_, base, reg := loadTestServer(t,
 		WithRequestTimeout(5*time.Millisecond), WithDegradeBudget(10*time.Second))
 
-	var resp RecommendResponse
+	var resp client.RecommendResponse
 	getJSON(t, base+"/v1/recommend?user=11&topic=technology&n=5&method=tr", http.StatusOK, &resp)
 	if !resp.Degraded {
 		t.Fatal("exact query under an impossible deadline was not degraded")
@@ -196,7 +197,7 @@ func TestDegradedFallback(t *testing.T) {
 
 	// The degraded result was computed and cached under the landmark key:
 	// a plain landmark query for the same (user, topic, n) hits the cache.
-	var lm RecommendResponse
+	var lm client.RecommendResponse
 	getJSON(t, base+"/v1/recommend?user=11&topic=technology&n=5&method=landmark", http.StatusOK, &lm)
 	if lm.Cache != "hit" {
 		t.Errorf("landmark query after degraded tr: cache source %q, want hit", lm.Cache)

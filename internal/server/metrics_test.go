@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -41,7 +42,7 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 	url := srv.URL + "/v1/recommend?user=11&topic=technology&n=5&method=tr"
 	getJSON(t, url, http.StatusOK, nil) // miss
 	getJSON(t, url, http.StatusOK, nil) // hit
-	postJSON(t, srv.URL+"/v1/update", UpdateRequest{Updates: []UpdateItem{
+	postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{
 		{Src: 1, Dst: 2, Topics: []string{"technology"}},
 	}}, http.StatusOK, nil)
 	getJSON(t, srv.URL+"/v1/recommend?user=11&topic=technology&n=5&method=katz", http.StatusOK, nil)
@@ -106,8 +107,8 @@ func TestRequestDeadline(t *testing.T) {
 
 	var e errEnvelope
 	getJSON(t, srv.URL+"/v1/recommend?user=11&topic=technology&method=tr", http.StatusGatewayTimeout, &e)
-	if e.Error.Code != CodeDeadline {
-		t.Errorf("error code = %q, want %q", e.Error.Code, CodeDeadline)
+	if e.Error.Code != client.CodeDeadline {
+		t.Errorf("error code = %q, want %q", e.Error.Code, client.CodeDeadline)
 	}
 	if !strings.Contains(e.Error.Message, "deadline") {
 		t.Errorf("error message = %q, want a deadline message", e.Error.Message)

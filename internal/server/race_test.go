@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -194,7 +195,7 @@ func TestConcurrentRecommendAndUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				if w == 0 && i%3 == 0 {
-					postJSON(t, srv.URL+"/v1/update", UpdateRequest{Updates: []UpdateItem{
+					postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{
 						{Src: uint32(i + 1), Dst: uint32(i + 50), Topics: []string{"technology"}},
 					}}, 200, nil)
 					continue

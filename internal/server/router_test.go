@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/authority"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/gen"
@@ -49,7 +50,7 @@ func shardTier(t *testing.T, ds *gen.Dataset, parts int) [][]string {
 	return groups
 }
 
-func recommendInto(t *testing.T, base string, q string, out *RecommendResponse) *http.Response {
+func recommendInto(t *testing.T, base string, q string, out *client.RecommendResponse) *http.Response {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/recommend?" + q)
 	if err != nil {
@@ -83,7 +84,7 @@ func TestRouterMatchesLocalEngine(t *testing.T) {
 			"user=117&topic=sports&n=15",
 			"user=542&topic=politics&n=15",
 		} {
-			var want, got RecommendResponse
+			var want, got client.RecommendResponse
 			recommendInto(t, local.URL, q, &want)
 			recommendInto(t, routed.URL, q, &got)
 			if got.Degraded {
@@ -140,7 +141,7 @@ func TestRouterShardTimeoutDegrades(t *testing.T) {
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
 		WithMetrics(reg), WithShardRouter(router)))
 
-	var resp RecommendResponse
+	var resp client.RecommendResponse
 	recommendInto(t, srv.URL, "user=117&topic=sports", &resp)
 	if !resp.Degraded {
 		t.Error("partial gather must be marked degraded")
@@ -199,7 +200,7 @@ func TestRouterTotalFailureFallsBackLocal(t *testing.T) {
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
 		WithMetrics(reg), WithShardRouter(router)))
 
-	var routed RecommendResponse
+	var routed client.RecommendResponse
 	recommendInto(t, srv.URL, "user=117&topic=sports&n=10", &routed)
 	if !routed.Degraded {
 		t.Error("local fallback must be marked degraded")
@@ -210,7 +211,7 @@ func TestRouterTotalFailureFallsBackLocal(t *testing.T) {
 
 	// The fallback must be the local landmark answer.
 	local := newTestHTTP(t, New(mgr, core.DefaultParams().Beta))
-	var want RecommendResponse
+	var want client.RecommendResponse
 	recommendInto(t, local.URL, "user=117&topic=sports&n=10", &want)
 	if !reflect.DeepEqual(routed.Results, want.Results) {
 		t.Error("fallback results differ from the local landmark answer")
@@ -237,7 +238,7 @@ func TestRouterHedgesToReplica(t *testing.T) {
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
 		WithMetrics(reg), WithShardRouter(router)))
 
-	var resp RecommendResponse
+	var resp client.RecommendResponse
 	recommendInto(t, srv.URL, "user=3&topic=technology&n=5", &resp)
 	if resp.Degraded {
 		t.Error("hedged success must not be degraded")
@@ -267,7 +268,7 @@ func TestRouterEpochScopesCacheKeys(t *testing.T) {
 
 	get := func(q string) string {
 		t.Helper()
-		var resp RecommendResponse
+		var resp client.RecommendResponse
 		recommendInto(t, srv.URL, q, &resp)
 		return resp.Cache
 	}
@@ -353,7 +354,7 @@ func TestRouterFastPrimaryNoHedge(t *testing.T) {
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
 		WithMetrics(reg), WithShardRouter(router)))
 
-	var resp RecommendResponse
+	var resp client.RecommendResponse
 	recommendInto(t, srv.URL, "user=3&topic=technology", &resp)
 	if resp.Degraded {
 		t.Fatal("fast primary answer marked degraded")

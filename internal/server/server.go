@@ -375,7 +375,7 @@ func (s *Server) Handler() http.Handler {
 			}
 			if h == nil {
 				w.Header().Set("Allow", allow)
-				s.writeError(w, errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+				s.writeError(w, errf(http.StatusMethodNotAllowed, client.CodeMethodNotAllowed,
 					"%s is not allowed on %s (allowed: %s)", r.Method, rt.pattern, allow))
 				return
 			}
@@ -388,7 +388,7 @@ func (s *Server) Handler() http.Handler {
 			mux.HandleFunc(route, s.instrument(route, func(w http.ResponseWriter, r *http.Request) {
 				if r.Method != method && !(r.Method == http.MethodHead && method == http.MethodGet) {
 					w.Header().Set("Allow", method)
-					s.writeError(w, errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+					s.writeError(w, errf(http.StatusMethodNotAllowed, client.CodeMethodNotAllowed,
 						"%s is not allowed on %s (allowed: %s)", r.Method, route, method))
 					return
 				}
@@ -411,7 +411,7 @@ func (s *Server) Handler() http.Handler {
 	// Everything else — including the sunset aliases when legacy routing
 	// is off — gets the envelope, not the mux's plain-text 404.
 	mux.HandleFunc("/", s.instrument("unmatched", func(w http.ResponseWriter, r *http.Request) {
-		s.writeError(w, errf(http.StatusNotFound, CodeNotFound,
+		s.writeError(w, errf(http.StatusNotFound, client.CodeNotFound,
 			"no route %s %s (the API is versioned under /v1; see API.md)", r.Method, r.URL.Path))
 	}))
 	return mux
@@ -431,17 +431,11 @@ func (s *Server) handleTopics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"topics": s.vocab.Names()})
 }
 
-// StatsResponse summarizes the served dataset and maintenance state.
-type StatsResponse = client.StatsResponse
-
-// IngestStats is the /v1/stats view of the streaming pipeline.
-type IngestStats = client.IngestStats
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	g := s.mgr.Graph()
 	st := graph.ComputeStats(g)
 	ms := s.mgr.Stats()
-	resp := StatsResponse{
+	resp := client.StatsResponse{
 		Nodes:        st.Nodes,
 		Edges:        st.Edges,
 		AvgOutDegree: st.AvgOut,
@@ -456,7 +450,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.pipe != nil {
 		ist := s.pipe.Stats()
-		resp.Ingest = &IngestStats{
+		resp.Ingest = &client.IngestStats{
 			QueueDepth: ist.Depth, QueueCap: ist.Cap,
 			Enqueued: ist.Enqueued, Applied: ist.Applied,
 			Rejected: ist.Rejected, Batches: ist.Batches,
@@ -466,12 +460,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.Subscriptions = &subs
 	writeJSON(w, http.StatusOK, resp)
 }
-
-// Recommendation is one entry of a recommendation response.
-type Recommendation = client.Recommendation
-
-// RecommendResponse is the /v1/recommend payload.
-type RecommendResponse = client.RecommendResponse
 
 // requestCtx applies the configured per-request deadline.
 func (s *Server) requestCtx(ctx context.Context) (context.Context, context.CancelFunc) {
@@ -503,43 +491,39 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// BatchResult is one element of the /v1/recommend:batch response; items
-// fail independently, carrying either a response or an error envelope.
-type BatchResult = client.BatchResult
-
-// handleRecommendBatch accepts a JSON array of RecommendRequest and
+// handleRecommendBatch accepts a JSON array of client.RecommendRequest and
 // answers each through the same validated, coalesced, admission-gated
 // path as the single endpoint — duplicate items within one batch (or
 // across concurrent batches) share one computation via the coalescer and
 // the result cache.
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
-	var reqs []RecommendRequest
+	var reqs []client.RecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-		s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "bad JSON: %v", err))
+		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "bad JSON: %v", err))
 		return
 	}
 	if len(reqs) == 0 {
-		s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "empty batch"))
+		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "empty batch"))
 		return
 	}
 	if len(reqs) > maxBatchSize {
-		s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest,
+		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest,
 			"batch of %d exceeds the %d-item limit", len(reqs), maxBatchSize))
 		return
 	}
 	ctx, cancel := s.requestCtx(r.Context())
 	defer cancel()
-	results := make([]BatchResult, len(reqs))
+	results := make([]client.BatchResult, len(reqs))
 	for i, req := range reqs {
 		key, herr := s.validateRecommend(req)
 		if herr == nil {
-			var resp *RecommendResponse
+			var resp *client.RecommendResponse
 			if resp, herr = s.serveRecommend(ctx, key); herr == nil {
-				results[i] = BatchResult{Response: resp}
+				results[i] = client.BatchResult{Response: resp}
 				continue
 			}
 		}
-		results[i] = BatchResult{Error: &ErrorBody{Code: herr.code, Message: herr.msg}}
+		results[i] = client.BatchResult{Error: &client.ErrorBody{Code: herr.code, Message: herr.msg}}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }
@@ -547,7 +531,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 // serveRecommend answers one validated query through the load-managed
 // path: degradation decision, result cache, then the coalesced,
 // admission-gated computation.
-func (s *Server) serveRecommend(ctx context.Context, key cacheKey) (*RecommendResponse, *httpError) {
+func (s *Server) serveRecommend(ctx context.Context, key cacheKey) (*client.RecommendResponse, *httpError) {
 	start := time.Now()
 	effKey := key
 	degraded := false
@@ -591,7 +575,7 @@ func (s *Server) serveRecommend(ctx context.Context, key cacheKey) (*RecommendRe
 	}
 
 	g := s.mgr.Graph()
-	resp := &RecommendResponse{
+	resp := &client.RecommendResponse{
 		Method:   key.method,
 		Topic:    s.vocab.Name(key.topic),
 		Degraded: degraded,
@@ -599,7 +583,7 @@ func (s *Server) serveRecommend(ctx context.Context, key cacheKey) (*RecommendRe
 		TookUS:   time.Since(start).Microseconds(),
 	}
 	for _, sc := range scored {
-		resp.Results = append(resp.Results, Recommendation{
+		resp.Results = append(resp.Results, client.Recommendation{
 			User:    uint32(sc.Node),
 			Score:   sc.Score,
 			Topics:  splitTopics(s.vocab, g.NodeTopics(sc.Node)),
@@ -678,14 +662,14 @@ func (s *Server) computeError(method string, err error) *httpError {
 	switch {
 	case errors.Is(err, errOverloaded):
 		s.shedReqs.Inc()
-		return errf(http.StatusTooManyRequests, CodeOverloaded,
+		return errf(http.StatusTooManyRequests, client.CodeOverloaded,
 			"server overloaded, retry later")
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.timeouts.Inc()
-		return errf(http.StatusGatewayTimeout, CodeDeadline,
+		return errf(http.StatusGatewayTimeout, client.CodeDeadline,
 			"%s recommendation exceeded the %s deadline", method, s.reqTimeout)
 	default:
-		return errf(http.StatusInternalServerError, CodeInternal,
+		return errf(http.StatusInternalServerError, client.CodeInternal,
 			"%s recommendation failed: %v", method, err)
 	}
 }
@@ -738,25 +722,16 @@ func (s *Server) recordRebuild(method string, took time.Duration) {
 	s.rebuildSecs.With(method).ObserveDuration(took)
 }
 
-// UpdateRequest is the /v1/update payload: a batch of follow/unfollow
-// changes.
-type UpdateRequest = client.UpdateRequest
-
-// UpdateItem is one change. At optionally carries the event's Unix
-// nanosecond timestamp for the time-decayed ingestion path; 0 lets the
-// manager stamp arrival time.
-type UpdateItem = client.UpdateItem
-
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
+	var req client.UpdateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.updatesRejected.Inc()
-		s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "bad JSON: %v", err))
+		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "bad JSON: %v", err))
 		return
 	}
 	if len(req.Updates) == 0 {
 		s.updatesRejected.Inc()
-		s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "empty update batch"))
+		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "empty update batch"))
 		return
 	}
 	g := s.mgr.Graph()
@@ -764,23 +739,23 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	for i, item := range req.Updates {
 		if int(item.Src) >= g.NumNodes() || int(item.Dst) >= g.NumNodes() {
 			s.updatesRejected.Inc()
-			s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "update %d references unknown user", i))
+			s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "update %d references unknown user", i))
 			return
 		}
 		if item.Src == item.Dst {
 			s.updatesRejected.Inc()
-			s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "update %d is a self-follow", i))
+			s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "update %d is a self-follow", i))
 			return
 		}
 		lbl, err := s.vocab.SetOf(item.Topics...)
 		if err != nil {
 			s.updatesRejected.Inc()
-			s.writeError(w, errf(http.StatusBadRequest, CodeUnknownTopic, "update %d: %v", i, err))
+			s.writeError(w, errf(http.StatusBadRequest, client.CodeUnknownTopic, "update %d: %v", i, err))
 			return
 		}
 		if lbl.IsEmpty() && !item.Remove {
 			s.updatesRejected.Inc()
-			s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "update %d: a follow needs at least one topic", i))
+			s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "update %d: a follow needs at least one topic", i))
 			return
 		}
 		batch = append(batch, dynamic.Update{
@@ -797,11 +772,11 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, ingest.ErrFull) {
 				w.Header().Set("Retry-After", "1")
 				s.updatesRejected.Add(uint64(len(batch)))
-				s.writeError(w, errf(http.StatusTooManyRequests, CodeOverloaded,
+				s.writeError(w, errf(http.StatusTooManyRequests, client.CodeOverloaded,
 					"ingestion queue full, retry later"))
 				return
 			}
-			s.writeError(w, errf(http.StatusInternalServerError, CodeInternal, "enqueuing updates: %v", err))
+			s.writeError(w, errf(http.StatusInternalServerError, client.CodeInternal, "enqueuing updates: %v", err))
 			return
 		}
 		// No cache invalidation here: the manager's batch hook
@@ -810,7 +785,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		// pre-update results until the queue drains.
 		s.updatesApplied.Add(uint64(len(batch)))
 		ist := s.pipe.Stats()
-		writeJSON(w, http.StatusAccepted, &UpdateResponse{
+		writeJSON(w, http.StatusAccepted, &client.UpdateResponse{
 			Accepted:   len(batch),
 			QueueDepth: ist.Depth,
 			QueueCap:   ist.Cap,
@@ -821,18 +796,15 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// query marking), so by the time this returns, reads are already at
 	// the new generation.
 	if err := s.mgr.Apply(batch); err != nil {
-		s.writeError(w, errf(http.StatusInternalServerError, CodeInternal, "applying updates: %v", err))
+		s.writeError(w, errf(http.StatusInternalServerError, client.CodeInternal, "applying updates: %v", err))
 		return
 	}
 	s.updatesApplied.Add(uint64(len(batch)))
 	st := s.mgr.Stats()
-	writeJSON(w, http.StatusOK, &UpdateResponse{
+	writeJSON(w, http.StatusOK, &client.UpdateResponse{
 		Applied:   len(batch),
 		Refreshes: st.Refreshes,
 		Stale:     st.StaleNow,
 		Epoch:     st.Epoch,
 	})
 }
-
-// UpdateResponse is the POST /v1/update payload.
-type UpdateResponse = client.UpdateResponse

@@ -117,7 +117,7 @@ func TestHealthAndTopics(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	srv, ds := testServer(t)
-	var st StatsResponse
+	var st client.StatsResponse
 	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &st)
 	if st.Nodes != ds.Graph.NumNodes() || st.Edges != ds.Graph.NumEdges() {
 		t.Errorf("stats = %+v", st)
@@ -127,7 +127,7 @@ func TestStats(t *testing.T) {
 func TestRecommendMethods(t *testing.T) {
 	srv, _ := testServer(t)
 	for _, method := range []string{"landmark", "tr", "katz", "twitterrank"} {
-		var resp RecommendResponse
+		var resp client.RecommendResponse
 		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=11&topic=technology&n=5&method=%s", srv.URL, method),
 			http.StatusOK, &resp)
 		if resp.Method != method {
@@ -143,7 +143,7 @@ func TestRecommendMethods(t *testing.T) {
 		}
 	}
 	// Default method is landmark.
-	var resp RecommendResponse
+	var resp client.RecommendResponse
 	getJSON(t, srv.URL+"/v1/recommend?user=11&topic=technology", http.StatusOK, &resp)
 	if resp.Method != "landmark" {
 		t.Errorf("default method = %q", resp.Method)
@@ -152,7 +152,7 @@ func TestRecommendMethods(t *testing.T) {
 
 // errEnvelope mirrors the uniform /v1 error shape for decoding.
 type errEnvelope struct {
-	Error ErrorBody `json:"error"`
+	Error client.ErrorBody `json:"error"`
 }
 
 func TestRecommendErrors(t *testing.T) {
@@ -161,17 +161,17 @@ func TestRecommendErrors(t *testing.T) {
 		path string
 		code string
 	}{
-		{"/v1/recommend?user=abc&topic=technology", CodeBadRequest},
-		{"/v1/recommend?user=999999&topic=technology", CodeBadRequest},
-		{"/v1/recommend?user=-1&topic=technology", CodeBadRequest},
-		{"/v1/recommend?topic=technology", CodeBadRequest}, // user missing entirely
-		{"/v1/recommend?user=1", CodeUnknownTopic},         // topic missing entirely
-		{"/v1/recommend?user=1&topic=nope", CodeUnknownTopic},
-		{"/v1/recommend?user=1&topic=technology&n=0", CodeBadRequest},
-		{"/v1/recommend?user=1&topic=technology&n=-3", CodeBadRequest},
-		{"/v1/recommend?user=1&topic=technology&n=99999", CodeBadRequest},
-		{"/v1/recommend?user=1&topic=technology&n=five", CodeBadRequest},
-		{"/v1/recommend?user=1&topic=technology&method=magic", CodeUnknownMethod},
+		{"/v1/recommend?user=abc&topic=technology", client.CodeBadRequest},
+		{"/v1/recommend?user=999999&topic=technology", client.CodeBadRequest},
+		{"/v1/recommend?user=-1&topic=technology", client.CodeBadRequest},
+		{"/v1/recommend?topic=technology", client.CodeBadRequest}, // user missing entirely
+		{"/v1/recommend?user=1", client.CodeUnknownTopic},         // topic missing entirely
+		{"/v1/recommend?user=1&topic=nope", client.CodeUnknownTopic},
+		{"/v1/recommend?user=1&topic=technology&n=0", client.CodeBadRequest},
+		{"/v1/recommend?user=1&topic=technology&n=-3", client.CodeBadRequest},
+		{"/v1/recommend?user=1&topic=technology&n=99999", client.CodeBadRequest},
+		{"/v1/recommend?user=1&topic=technology&n=five", client.CodeBadRequest},
+		{"/v1/recommend?user=1&topic=technology&method=magic", client.CodeUnknownMethod},
 	}
 	for _, c := range cases {
 		var e errEnvelope
@@ -195,23 +195,23 @@ func TestDeprecatedAliasesForward(t *testing.T) {
 	if health["status"] != "ok" {
 		t.Errorf("deprecated /health = %v", health)
 	}
-	var st StatsResponse
+	var st client.StatsResponse
 	getJSON(t, srv.URL+"/stats", http.StatusOK, &st)
 	if st.Nodes != ds.Graph.NumNodes() {
 		t.Errorf("deprecated /stats nodes = %d", st.Nodes)
 	}
-	var resp RecommendResponse
+	var resp client.RecommendResponse
 	getJSON(t, srv.URL+"/recommend?user=11&topic=technology&n=5", http.StatusOK, &resp)
 	if resp.Method != "landmark" || len(resp.Results) == 0 {
 		t.Errorf("deprecated /recommend = %+v", resp)
 	}
-	postJSON(t, srv.URL+"/updates", UpdateRequest{Updates: []UpdateItem{
+	postJSON(t, srv.URL+"/updates", client.UpdateRequest{Updates: []client.UpdateItem{
 		{Src: 2, Dst: 3, Topics: []string{"technology"}},
 	}}, http.StatusOK, nil)
 	// Deprecated errors use the same envelope.
 	var e errEnvelope
 	getJSON(t, srv.URL+"/recommend?user=1&topic=nope", http.StatusBadRequest, &e)
-	if e.Error.Code != CodeUnknownTopic {
+	if e.Error.Code != client.CodeUnknownTopic {
 		t.Errorf("deprecated route error code = %q", e.Error.Code)
 	}
 	// Every alias response carries the deprecation trio.
@@ -248,14 +248,14 @@ func TestLegacyRoutesOffByDefault(t *testing.T) {
 	for _, path := range []string{"/health", "/topics", "/stats", "/recommend?user=1&topic=technology", "/metrics"} {
 		var e errEnvelope
 		getJSON(t, srv.URL+path, http.StatusNotFound, &e)
-		if e.Error.Code != CodeNotFound {
-			t.Errorf("%s: error code %q, want %q", path, e.Error.Code, CodeNotFound)
+		if e.Error.Code != client.CodeNotFound {
+			t.Errorf("%s: error code %q, want %q", path, e.Error.Code, client.CodeNotFound)
 		}
 	}
 	var e errEnvelope
-	postJSON(t, srv.URL+"/updates", UpdateRequest{}, http.StatusNotFound, &e)
-	if e.Error.Code != CodeNotFound {
-		t.Errorf("/updates: error code %q, want %q", e.Error.Code, CodeNotFound)
+	postJSON(t, srv.URL+"/updates", client.UpdateRequest{}, http.StatusNotFound, &e)
+	if e.Error.Code != client.CodeNotFound {
+		t.Errorf("/updates: error code %q, want %q", e.Error.Code, client.CodeNotFound)
 	}
 }
 
@@ -298,8 +298,8 @@ func TestMethodNotAllowed(t *testing.T) {
 			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, http.StatusMethodNotAllowed)
 			continue
 		}
-		if derr != nil || e.Error.Code != CodeMethodNotAllowed {
-			t.Errorf("%s %s: envelope %+v (decode err %v), want code %q", c.method, c.path, e, derr, CodeMethodNotAllowed)
+		if derr != nil || e.Error.Code != client.CodeMethodNotAllowed {
+			t.Errorf("%s %s: envelope %+v (decode err %v), want code %q", c.method, c.path, e, derr, client.CodeMethodNotAllowed)
 		}
 		if resp.Header.Get("Allow") == "" {
 			t.Errorf("%s %s: missing Allow header", c.method, c.path)
@@ -309,34 +309,34 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestUpdatesFlow(t *testing.T) {
 	srv, ds := testServer(t)
-	var before StatsResponse
+	var before client.StatsResponse
 	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &before)
 
 	// A new follow appears...
-	var applied UpdateResponse
-	postJSON(t, srv.URL+"/v1/update", UpdateRequest{Updates: []UpdateItem{
+	var applied client.UpdateResponse
+	postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{
 		{Src: 1, Dst: 500, Topics: []string{"technology"}},
 	}}, http.StatusOK, &applied)
 	if applied.Applied != 1 {
 		t.Errorf("applied = %+v", applied)
 	}
-	var after StatsResponse
+	var after client.StatsResponse
 	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &after)
 	if after.Edges != before.Edges+1 || after.Batches != before.Batches+1 {
 		t.Errorf("stats before %+v after %+v", before, after)
 	}
 	// ...and is immediately visible to exact recommendations from user 1.
-	var resp RecommendResponse
+	var resp client.RecommendResponse
 	getJSON(t, srv.URL+"/v1/recommend?user=1&topic=technology&method=tr&n=600", http.StatusOK, &resp)
 
 	// Baselines rebuild after updates without error.
 	getJSON(t, srv.URL+"/v1/recommend?user=1&topic=technology&method=katz&n=5", http.StatusOK, &resp)
 
 	// Then the follow is removed again.
-	postJSON(t, srv.URL+"/v1/update", UpdateRequest{Updates: []UpdateItem{
+	postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{
 		{Src: 1, Dst: 500, Remove: true},
 	}}, http.StatusOK, nil)
-	var final StatsResponse
+	var final client.StatsResponse
 	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &final)
 	if final.Edges != before.Edges {
 		t.Errorf("edges = %d, want %d after add+remove", final.Edges, before.Edges)
@@ -350,9 +350,9 @@ func TestUpdatesFlow(t *testing.T) {
 func TestRecommendBatch(t *testing.T) {
 	srv, _ := testServer(t)
 	var out struct {
-		Results []BatchResult `json:"results"`
+		Results []client.BatchResult `json:"results"`
 	}
-	postJSON(t, srv.URL+"/v1/recommend:batch", []RecommendRequest{
+	postJSON(t, srv.URL+"/v1/recommend:batch", []client.RecommendRequest{
 		{User: 11, Topic: "technology", N: 5},
 		{User: 11, Topic: "technology", N: 5}, // duplicate: served from cache
 		{User: -1, Topic: "technology"},
@@ -370,11 +370,11 @@ func TestRecommendBatch(t *testing.T) {
 	if dup.Response == nil || dup.Response.Cache != "hit" {
 		t.Errorf("duplicate item = %+v, want a cache hit", dup)
 	}
-	if e := out.Results[2].Error; e == nil || e.Code != CodeBadRequest {
-		t.Errorf("item 2 error = %+v, want %s", out.Results[2].Error, CodeBadRequest)
+	if e := out.Results[2].Error; e == nil || e.Code != client.CodeBadRequest {
+		t.Errorf("item 2 error = %+v, want %s", out.Results[2].Error, client.CodeBadRequest)
 	}
-	if e := out.Results[3].Error; e == nil || e.Code != CodeUnknownTopic {
-		t.Errorf("item 3 error = %+v, want %s", out.Results[3].Error, CodeUnknownTopic)
+	if e := out.Results[3].Error; e == nil || e.Code != client.CodeUnknownTopic {
+		t.Errorf("item 3 error = %+v, want %s", out.Results[3].Error, client.CodeUnknownTopic)
 	}
 	if r := out.Results[4].Response; r == nil || len(r.Results) == 0 || len(r.Results) > 10 {
 		t.Errorf("item 4 = %+v, want up to 10 default results", out.Results[4])
@@ -382,10 +382,10 @@ func TestRecommendBatch(t *testing.T) {
 
 	// Batch-level validation: empty and oversized batches are rejected
 	// whole, as is a malformed body.
-	postJSON(t, srv.URL+"/v1/recommend:batch", []RecommendRequest{}, http.StatusBadRequest, nil)
-	big := make([]RecommendRequest, maxBatchSize+1)
+	postJSON(t, srv.URL+"/v1/recommend:batch", []client.RecommendRequest{}, http.StatusBadRequest, nil)
+	big := make([]client.RecommendRequest, maxBatchSize+1)
 	for i := range big {
-		big[i] = RecommendRequest{User: 1, Topic: "technology"}
+		big[i] = client.RecommendRequest{User: 1, Topic: "technology"}
 	}
 	postJSON(t, srv.URL+"/v1/recommend:batch", big, http.StatusBadRequest, nil)
 	resp, err := http.Post(srv.URL+"/v1/recommend:batch", "application/json", bytes.NewReader([]byte("{")))
@@ -400,12 +400,12 @@ func TestRecommendBatch(t *testing.T) {
 
 func TestUpdatesValidation(t *testing.T) {
 	srv, _ := testServer(t)
-	cases := []UpdateRequest{
+	cases := []client.UpdateRequest{
 		{},
-		{Updates: []UpdateItem{{Src: 1, Dst: 1, Topics: []string{"technology"}}}},
-		{Updates: []UpdateItem{{Src: 1, Dst: 999999, Topics: []string{"technology"}}}},
-		{Updates: []UpdateItem{{Src: 1, Dst: 2, Topics: []string{"nope"}}}},
-		{Updates: []UpdateItem{{Src: 1, Dst: 2}}}, // follow without topics
+		{Updates: []client.UpdateItem{{Src: 1, Dst: 1, Topics: []string{"technology"}}}},
+		{Updates: []client.UpdateItem{{Src: 1, Dst: 999999, Topics: []string{"technology"}}}},
+		{Updates: []client.UpdateItem{{Src: 1, Dst: 2, Topics: []string{"nope"}}}},
+		{Updates: []client.UpdateItem{{Src: 1, Dst: 2}}}, // follow without topics
 	}
 	for i, c := range cases {
 		postJSON(t, srv.URL+"/v1/update", c, http.StatusBadRequest, nil)

@@ -28,9 +28,9 @@ const (
 // twitterrank baselines rebuild globally per batch, so "which
 // neighborhoods moved" cannot bound their re-scores.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
+	var req client.RecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "bad JSON: %v", err))
+		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "bad JSON: %v", err))
 		return
 	}
 	key, herr := s.validateRecommend(req)
@@ -39,18 +39,18 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if key.method != "tr" && key.method != "landmark" {
-		s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest,
+		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest,
 			"method %q does not support subscriptions (tr, landmark)", key.method))
 		return
 	}
 	id, err := s.hub.Register(subscribe.Key{User: key.user, Topic: key.topic, N: key.n, Method: key.method})
 	if err != nil {
 		if errors.Is(err, subscribe.ErrLimit) {
-			s.writeError(w, errf(http.StatusTooManyRequests, CodeOverloaded,
+			s.writeError(w, errf(http.StatusTooManyRequests, client.CodeOverloaded,
 				"subscription limit reached, retry later"))
 			return
 		}
-		s.writeError(w, errf(http.StatusInternalServerError, CodeInternal, "registering subscription: %v", err))
+		s.writeError(w, errf(http.StatusInternalServerError, client.CodeInternal, "registering subscription: %v", err))
 		return
 	}
 	writeJSON(w, http.StatusCreated, client.Subscription{
@@ -65,7 +65,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.hub.Unsubscribe(id); err != nil {
-		s.writeError(w, errf(http.StatusNotFound, CodeNotFound, "unknown subscription %q", id))
+		s.writeError(w, errf(http.StatusNotFound, client.CodeNotFound, "unknown subscription %q", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "unsubscribed": true})
@@ -85,7 +85,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
 		v, err := strconv.ParseUint(lei, 10, 64)
 		if err != nil {
-			s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "bad Last-Event-ID %q", lei))
+			s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "bad Last-Event-ID %q", lei))
 			return
 		}
 		after = v
@@ -93,7 +93,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if as := q.Get("after"); as != "" {
 		v, err := strconv.ParseUint(as, 10, 64)
 		if err != nil {
-			s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "bad after %q", as))
+			s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "bad after %q", as))
 			return
 		}
 		after = v
@@ -103,7 +103,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if ws := q.Get("wait"); ws != "" {
 			d, err := time.ParseDuration(ws)
 			if err != nil || d < 0 {
-				s.writeError(w, errf(http.StatusBadRequest, CodeBadRequest, "bad wait %q (want a duration)", ws))
+				s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "bad wait %q (want a duration)", ws))
 				return
 			}
 			wait = min(d, maxPollWait)
@@ -124,7 +124,7 @@ func (s *Server) servePollEvents(w http.ResponseWriter, r *http.Request, id stri
 	for {
 		events, notify, err := s.hub.EventsSince(id, after, true)
 		if err != nil {
-			s.writeError(w, errf(http.StatusNotFound, CodeNotFound, "unknown subscription %q", id))
+			s.writeError(w, errf(http.StatusNotFound, client.CodeNotFound, "unknown subscription %q", id))
 			return
 		}
 		if len(events) > 0 {
@@ -147,7 +147,7 @@ func (s *Server) servePollEvents(w http.ResponseWriter, r *http.Request, id stri
 func (s *Server) serveSSEEvents(w http.ResponseWriter, r *http.Request, id string, after uint64) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		s.writeError(w, errf(http.StatusInternalServerError, CodeInternal, "streaming unsupported by this connection"))
+		s.writeError(w, errf(http.StatusInternalServerError, client.CodeInternal, "streaming unsupported by this connection"))
 		return
 	}
 	// Probe before committing to the stream so an unknown id still gets
@@ -156,7 +156,7 @@ func (s *Server) serveSSEEvents(w http.ResponseWriter, r *http.Request, id strin
 	// failing the reconnect.
 	events, notify, err := s.hub.EventsSince(id, after, true)
 	if err != nil {
-		s.writeError(w, errf(http.StatusNotFound, CodeNotFound, "unknown subscription %q", id))
+		s.writeError(w, errf(http.StatusNotFound, client.CodeNotFound, "unknown subscription %q", id))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -29,7 +29,7 @@ func flushHub(t *testing.T, s *Server) {
 }
 
 // resultIDs projects a recommendation list to its ranked user ids.
-func resultIDs(results []Recommendation) []uint32 {
+func resultIDs(results []client.Recommendation) []uint32 {
 	out := make([]uint32, len(results))
 	for i, r := range results {
 		out[i] = r.User

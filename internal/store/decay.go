@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
 	"repro/internal/graph"
@@ -56,7 +57,7 @@ type DecayState struct {
 // WriteDecayFile writes the sidecar atomically (temp file + rename +
 // dir fsync), mirroring the snapshot write contract.
 func WriteDecayFile(path string, s *DecayState) (int64, error) {
-	return atomicWriteFile(path, func(f *os.File) (int64, error) {
+	return atomicWriteFile(path, func(w io.Writer) (int64, error) {
 		n := decayHeaderLen + len(s.Edges)*decayEdgeLen
 		buf := make([]byte, n)
 		le := binary.LittleEndian
@@ -73,7 +74,7 @@ func WriteDecayFile(path string, s *DecayState) (int64, error) {
 			p = p[decayEdgeLen:]
 		}
 		le.PutUint32(buf[8:], crc32.Checksum(buf[16:], castagnoli))
-		if _, err := f.Write(buf); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			return 0, err
 		}
 		return int64(n), nil

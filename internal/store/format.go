@@ -20,7 +20,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -343,77 +342,66 @@ func setBytes(s []topics.Set) []byte {
 	return u32Bytes(unsafe.Slice((*uint32)(unsafe.Pointer(&s[0])), len(s)))
 }
 
-// sectionWriter lays sections down one after another, page-padding
-// between them and accumulating the table for the header.
-type sectionWriter struct {
-	w        *bufio.Writer
-	off      uint64 // next write offset in the file
-	sections []section
-	err      error
-}
-
-func newSectionWriter(w io.Writer) *sectionWriter {
-	return &sectionWriter{w: bufio.NewWriterSize(w, 1<<20), off: headerLen}
-}
-
-// add writes one section (already positioned at s.off == current offset)
-// and records its table entry.
-func (sw *sectionWriter) add(b []byte) {
-	if sw.err != nil {
-		return
-	}
-	s := section{off: sw.off, len: uint64(len(b)), crc: crc32.Checksum(b, castagnoli)}
-	if _, err := sw.w.Write(b); err != nil {
-		sw.err = err
-		return
-	}
-	sw.off += uint64(len(b))
-	if pad := (pageSize - sw.off%pageSize) % pageSize; pad != 0 {
-		if _, err := sw.w.Write(make([]byte, pad)); err != nil {
-			sw.err = err
-			return
-		}
-		sw.off += pad
-	}
-	sw.sections = append(sw.sections, s)
-}
-
-func (sw *sectionWriter) flush() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	return sw.w.Flush()
-}
-
-// writeSnapshotSections writes the body, then seeks back to stamp the
-// header: the caller provides the file opened for writing and the header
-// skeleton (magic/flags/meta); the section table and CRC are filled here.
-func writeSections(f *os.File, h *header, body func(sw *sectionWriter)) (int64, error) {
-	if _, err := f.Seek(headerLen, io.SeekStart); err != nil {
-		return 0, err
-	}
-	sw := newSectionWriter(f)
-	body(sw)
-	if err := sw.flush(); err != nil {
-		return int64(sw.off), err
-	}
+// writeImage writes a snapshot image to w in one pass. Every section is
+// already an in-memory slice, so the section table and CRCs are computed
+// first; then the checksummed header page goes out, followed by each
+// section padded to the next page boundary. The count returned is the
+// bytes w accepted, also on error.
+func writeImage(w io.Writer, h *header, secs [][]byte) (int64, error) {
 	h.version = formatVersion
-	h.sections = sw.sections
+	h.sections = make([]section, len(secs))
+	off := uint64(headerLen)
+	for i, b := range secs {
+		h.sections[i] = section{off: off, len: uint64(len(b)), crc: crc32.Checksum(b, castagnoli)}
+		off += uint64(len(b) + pagePad(len(b)))
+	}
 	page, err := h.encode()
 	if err != nil {
-		return int64(sw.off), err
+		return 0, err
 	}
-	if _, err := f.WriteAt(page, 0); err != nil {
-		return int64(sw.off), err
+	var n int64
+	write := func(b []byte) error {
+		if len(b) == 0 {
+			return nil
+		}
+		k, err := w.Write(b)
+		n += int64(k)
+		return err
 	}
-	return int64(sw.off), nil
+	if err := write(page); err != nil {
+		return n, err
+	}
+	var zeros [pageSize]byte
+	for _, b := range secs {
+		if err := write(b); err != nil {
+			return n, err
+		}
+		if err := write(zeros[:pagePad(len(b))]); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// pagePad is the zero padding that follows a section of n bytes.
+func pagePad(n int) int { return (pageSize - n%pageSize) % pageSize }
+
+// readImage reads a whole snapshot image from r into the heap. Heap
+// slices this large are at least 8-byte aligned, so the page-aligned
+// section offsets keep every typed cast aligned.
+func readImage(r io.Reader) (*mapping, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: reading image: %w", err)
+	}
+	return &mapping{data: data}, nil
 }
 
 // atomicWriteFile writes a snapshot through a temp file in the same
 // directory and renames it into place, fsyncing file and directory, so a
 // crash mid-write can never leave a half-written snapshot under the
 // published name.
-func atomicWriteFile(path string, write func(f *os.File) (int64, error)) (int64, error) {
+func atomicWriteFile(path string, write func(w io.Writer) (int64, error)) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

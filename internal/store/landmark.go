@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/graph"
@@ -23,11 +24,10 @@ import (
 //	4 sigma    E × f64            σ column
 //	5 topo     E × f64            topo_β column
 //
-// Where the legacy LMK2 stream interleaves per-entry (node, σ, topo)
-// triplets that must be read element-by-element into heap lists, LMK3
-// stores the three columns contiguously: an open casts each column once
-// and every list is a subslice — the bulk of a multi-GB store is never
-// copied, only the O(L) per-landmark headers go on the heap.
+// The three entry columns are stored contiguously: an open casts each
+// column once and every list is a subslice — the bulk of a multi-GB
+// store is never copied, only the O(L) per-landmark headers go on the
+// heap.
 const (
 	lmkSecIDs = iota
 	lmkSecIters
@@ -38,8 +38,9 @@ const (
 	lmkSections
 )
 
-// WriteLandmarks writes s as an LMK3 store into f.
-func WriteLandmarks(f *os.File, s *landmark.Store) (int64, error) {
+// WriteLandmarks writes s as an LMK3 image to w, returning the bytes w
+// accepted.
+func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 	lms := s.Landmarks()
 	vocabLen := s.VocabLen()
 	listsPer := vocabLen + 1
@@ -74,13 +75,13 @@ func WriteLandmarks(f *os.File, s *landmark.Store) (int64, error) {
 			total,
 		},
 	}
-	return writeSections(f, h, func(sw *sectionWriter) {
-		sw.add(u32Bytes(ids))
-		sw.add(u32Bytes(iters))
-		sw.add(u64Bytes(idx))
-		sw.add(nodeBytes(nodes))
-		sw.add(f64Bytes(sigma))
-		sw.add(f64Bytes(topo))
+	return writeImage(w, h, [][]byte{
+		u32Bytes(ids),
+		u32Bytes(iters),
+		u64Bytes(idx),
+		nodeBytes(nodes),
+		f64Bytes(sigma),
+		f64Bytes(topo),
 	})
 }
 
@@ -99,9 +100,23 @@ func forEachList(s *landmark.Store, f func(lmIdx, listIdx int, l *landmark.List)
 // WriteLandmarksFile writes an LMK3 store atomically (temp + rename +
 // dir fsync).
 func WriteLandmarksFile(path string, s *landmark.Store) (int64, error) {
-	return atomicWriteFile(path, func(f *os.File) (int64, error) {
-		return WriteLandmarks(f, s)
+	return atomicWriteFile(path, func(w io.Writer) (int64, error) {
+		return WriteLandmarks(w, s)
 	})
+}
+
+// ReadLandmarks reads an LMK3 image from r into the heap and decodes it
+// with the deep integrity pass on (OpenOptions.Verify).
+func ReadLandmarks(r io.Reader) (*landmark.Store, error) {
+	m, err := readImage(r)
+	if err != nil {
+		return nil, err
+	}
+	ls, err := newLandmarks(m, int64(len(m.data)), OpenOptions{Verify: true})
+	if err != nil {
+		return nil, err
+	}
+	return ls.Store(), nil
 }
 
 // Landmarks is an opened LMK3 file: a landmark.Store whose list columns
@@ -232,7 +247,7 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 	return &Landmarks{m: m, s: s, bytes: size}, nil
 }
 
-// sortedBySigma mirrors the LMK2 reader's ranking check.
+// sortedBySigma reports whether a list is ranked best σ first.
 func sortedBySigma(s []float64) bool {
 	for i := 1; i < len(s); i++ {
 		if s[i] > s[i-1] {

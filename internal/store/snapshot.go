@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/graph"
@@ -43,10 +44,10 @@ const (
 )
 
 // WriteSnapshot writes g (and, when non-nil, a node permutation) as a
-// TRG2 snapshot into f, returning the bytes written. The file is laid
-// down body-first; the checksummed header is stamped last, so a torn
-// write is detected by the header CRC.
-func WriteSnapshot(f *os.File, g *graph.Graph, perm *graph.Permutation) (int64, error) {
+// TRG2 image to w, returning the bytes w accepted. The image streams in
+// file order, header page first; a torn copy is rejected on open because
+// its sections outrun it.
+func WriteSnapshot(w io.Writer, g *graph.Graph, perm *graph.Permutation) (int64, error) {
 	if perm != nil && perm.Len() != g.NumNodes() {
 		return 0, fmt.Errorf("store: permutation over %d nodes, graph has %d", perm.Len(), g.NumNodes())
 	}
@@ -59,37 +60,51 @@ func WriteSnapshot(f *os.File, g *graph.Graph, perm *graph.Permutation) (int64, 
 			uint64(g.Vocabulary().Len()),
 		},
 	}
+	secs := [][]byte{
+		encodeVocab(g.Vocabulary()),
+		setBytes(d.NodeTopics),
+		u32Bytes(d.OutStart),
+		nodeBytes(d.OutDst),
+		setBytes(d.OutLbl),
+		u32Bytes(d.InStart),
+		nodeBytes(d.InSrc),
+		setBytes(d.InLbl),
+	}
 	if perm != nil {
 		h.flags |= flagHasPerm
+		secs = append(secs, nodeBytes(perm.Forward()))
 	}
-	return writeSections(f, h, func(sw *sectionWriter) {
-		sw.add(encodeVocab(g.Vocabulary()))
-		sw.add(setBytes(d.NodeTopics))
-		sw.add(u32Bytes(d.OutStart))
-		sw.add(nodeBytes(d.OutDst))
-		sw.add(setBytes(d.OutLbl))
-		sw.add(u32Bytes(d.InStart))
-		sw.add(nodeBytes(d.InSrc))
-		sw.add(setBytes(d.InLbl))
-		if perm != nil {
-			sw.add(nodeBytes(perm.Forward()))
-		}
-	})
+	return writeImage(w, h, secs)
 }
 
 // WriteSnapshotFile writes a TRG2 snapshot atomically: temp file in the
 // same directory, fsync, rename, directory fsync. A reader (or a crash)
 // can never observe a partial snapshot under path.
 func WriteSnapshotFile(path string, g *graph.Graph, perm *graph.Permutation) (int64, error) {
-	return atomicWriteFile(path, func(f *os.File) (int64, error) {
-		return WriteSnapshot(f, g, perm)
+	return atomicWriteFile(path, func(w io.Writer) (int64, error) {
+		return WriteSnapshot(w, g, perm)
 	})
+}
+
+// ReadSnapshot reads a TRG2 image from r into the heap and decodes it
+// with the deep integrity pass on (OpenOptions.Verify). An embedded
+// permutation is validated and dropped.
+func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
+	m, err := readImage(r)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newSnapshot(m, int64(len(m.data)), OpenOptions{Verify: true})
+	if err != nil {
+		return nil, err
+	}
+	return s.Graph(), nil
 }
 
 // OpenOptions tunes snapshot opening.
 type OpenOptions struct {
 	// Verify runs the deep integrity pass: every section's CRC-32C plus
-	// the O(m) CSR content invariants. Off by default — the open path
+	// the O(m log d) CSR content invariants. Off by default — the open path
 	// then touches only the header and the O(n) row-start arrays, which
 	// is what makes cold starts milliseconds at paper scale.
 	Verify bool

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -150,6 +152,37 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if _, err := newSnapshot(&mapping{data: clean[:n]}, int64(n), OpenOptions{}); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
+	}
+}
+
+// TestSnapshotRejectsUntransposedInRows: Verify checks that the in-rows
+// are the transpose of the out-rows. An image whose one in-row label was
+// changed, with every CRC recomputed, passes the per-row checks and the
+// checksums, and only that check rejects it.
+func TestSnapshotRejectsUntransposedInRows(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := WriteSnapshot(&buf, testGraph(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	h, err := decodeHeader(img, snapshotMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := &h.sections[secInLbl]
+	lbl := img[sec.off : sec.off+sec.len]
+	lbl[0] ^= 1 // the first in-edge's label, still inside the vocabulary
+	sec.crc = crc32.Checksum(lbl, castagnoli)
+	page, err := h.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(img, page)
+	if _, err := newSnapshot(&mapping{data: img}, int64(len(img)), OpenOptions{}); err != nil {
+		t.Fatalf("structural open rejected the image: %v", err)
+	}
+	if _, err := newSnapshot(&mapping{data: img}, int64(len(img)), OpenOptions{Verify: true}); err == nil {
+		t.Fatal("Verify accepted in-rows that are not the transpose of the out-rows")
 	}
 }
 

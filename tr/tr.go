@@ -34,6 +34,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/ranking"
+	"repro/internal/store"
 	"repro/internal/topics"
 )
 
@@ -70,8 +71,8 @@ type (
 var (
 	// NewGraphBuilder starts a graph over a vocabulary.
 	NewGraphBuilder = graph.NewBuilder
-	// ReadGraph loads a graph written by Graph.WriteTo.
-	ReadGraph = graph.ReadGraph
+	// ReadGraph loads a graph written by WriteGraph (a TRG2 image).
+	ReadGraph = store.ReadSnapshot
 	// NewVocabulary builds a topic vocabulary.
 	NewVocabulary = topics.NewVocabulary
 	// WebTaxonomy is the 18-topic web taxonomy used for Twitter-like data.
@@ -85,6 +86,12 @@ var (
 	// TopicsOf builds a TopicSet from ids.
 	TopicsOf = topics.NewSet
 )
+
+// WriteGraph writes g as a TRG2 image, the format ReadGraph reads and
+// trserver -snapshot maps, returning the bytes w accepted.
+func WriteGraph(w io.Writer, g *Graph) (int64, error) {
+	return store.WriteSnapshot(w, g, nil)
+}
 
 // Landmark selection strategies (Table 4 of the paper).
 var (
@@ -193,35 +200,35 @@ func (s *System) BuildIndex(k int) error {
 	if err != nil {
 		return err
 	}
-	store, _ := landmark.Preprocess(s.eng, lms, landmark.PreprocessConfig{TopN: s.opts.IndexTopN})
-	return s.adoptStore(store)
+	idx, _ := landmark.Preprocess(s.eng, lms, landmark.PreprocessConfig{TopN: s.opts.IndexTopN})
+	return s.adoptStore(idx)
 }
 
-func (s *System) adoptStore(store *landmark.Store) error {
-	appr, err := landmark.NewApprox(s.eng, store, s.opts.QueryDepth)
+func (s *System) adoptStore(idx *landmark.Store) error {
+	appr, err := landmark.NewApprox(s.eng, idx, s.opts.QueryDepth)
 	if err != nil {
 		return err
 	}
-	s.store, s.appr = store, appr
+	s.store, s.appr = idx, appr
 	return nil
 }
 
-// SaveIndex persists the landmark index.
+// SaveIndex persists the landmark index as an LMK3 image.
 func (s *System) SaveIndex(w io.Writer) error {
 	if s.store == nil {
 		return fmt.Errorf("tr: no index built")
 	}
-	_, err := s.store.WriteTo(w)
+	_, err := store.WriteLandmarks(w, s.store)
 	return err
 }
 
-// LoadIndex adopts a previously saved landmark index.
+// LoadIndex adopts a landmark index saved by SaveIndex.
 func (s *System) LoadIndex(r io.Reader) error {
-	store, err := landmark.ReadStore(r)
+	idx, err := store.ReadLandmarks(r)
 	if err != nil {
 		return err
 	}
-	return s.adoptStore(store)
+	return s.adoptStore(idx)
 }
 
 // Recommend returns the top-n accounts for user u on topic t, using the

@@ -193,7 +193,7 @@ func TestPublicGraphBuilding(t *testing.T) {
 	}
 	// Graph round trip through the public alias.
 	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
+	if _, err := tr.WriteGraph(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.ReadGraph(&buf); err != nil {
