@@ -19,8 +19,13 @@ test:
 # preprocessing workers sharing one read-only in-adjacency and the
 # overlay-equivalence differential suites (plus the fuzzers' seed
 # corpora); a full -race run over the repository is `make race-all`.
+# The ./internal/dynamic/ run includes the reader/writer stress test
+# (four readers beside a writer applying 20 batches); the manager's
+# lock-discipline tests then run again at GOMAXPROCS 1 and 2.
+DYNAMIC_LOCK_TESTS = ^Test(ReadersDoNotWaitForReaders|WriterExcludesReaders|ReadersBesideWriterMatchFreshManager)$$
 race:
 	$(GO) test -race ./internal/server/... ./internal/subscribe/... ./internal/client/... ./internal/metrics/... ./internal/dynamic/... ./internal/landmark/... ./internal/eval/... ./internal/graph/... ./internal/core/... ./internal/distrib/... ./internal/store/... ./internal/ingest/...
+	$(GO) test -race -cpu 1,2 -run '$(DYNAMIC_LOCK_TESTS)' ./internal/dynamic/
 
 .PHONY: race-all
 race-all:

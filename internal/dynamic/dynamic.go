@@ -9,7 +9,8 @@
 // and the overlay stack is folded back into a fresh frozen graph only
 // when its accumulated delta crosses a compaction threshold. Each Apply
 // installs a new immutable epoch (view + authority + engine) under the
-// manager's lock, so readers always see a consistent snapshot. The
+// manager's write lock; queries share its read lock, so readers run in
+// parallel and always see a consistent snapshot. The
 // authority table is maintained incrementally and exactly for any batch
 // size (authority.ApplyDelta), and the landmarks whose stored
 // recommendations may have changed are identified. Three refresh
@@ -260,11 +261,27 @@ type BatchEffect struct {
 }
 
 // Manager maintains a queryable recommendation state under updates.
-// Every method is safe for concurrent use: they serialize on mu (Graph
-// alone reads a lock-free published view), so the ingest worker applies
-// batches beside live queries.
+// Every method is safe for concurrent use, so the ingest worker applies
+// batches beside live queries. mu is a reader/writer lock:
+//
+//   - Read lock (shared): Recommend when no stale landmark awaits a
+//     query-driven refresh, RecommendExact/RecommendExactCtx, Stats,
+//     QueryStaleness and the refresh-backoff gauge. Readers run side by
+//     side: the engine is immutable and safe for concurrent use, and the
+//     store, authority table and view change only under the write lock,
+//     so no reader sees a half-applied batch.
+//   - Write lock (exclusive): Apply, Replay, SetBatchHook, Instrument,
+//     every refresh, and Recommend when stale landmarks exist under the
+//     Lazy strategy or the priority scheduler (the query refreshes them
+//     or records them as traffic).
+//
+// Graph and Neighborhood read a lock-free published view instead.
+//
+// No method may take mu again while it holds mu: a recursive RLock
+// deadlocks behind a waiting writer. Batch hooks fire after the lock is
+// released for this reason.
 type Manager struct {
-	mu   sync.Mutex
+	mu   sync.RWMutex
 	cfg  Config
 	view graph.View // current epoch: the bottom CSR or an overlay stack
 	// viewPub is the lock-free published copy of view. Views are
@@ -544,15 +561,15 @@ func (m *Manager) Graph() graph.View {
 	if b := m.viewPub.Load(); b != nil {
 		return b.view
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return m.view
 }
 
 // Stats returns maintenance counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return m.statsLocked()
 }
 
@@ -1032,8 +1049,8 @@ func (m *Manager) tryRefreshLocked(lms []graph.NodeID) {
 // backoffRemaining returns how much of the refresh-backoff window is
 // left (0 when the manager is not backing off).
 func (m *Manager) backoffRemaining() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	if m.nextRefresh.IsZero() {
 		return 0
 	}
@@ -1080,11 +1097,19 @@ func (m *Manager) refreshLocked(lms []graph.NodeID) error {
 
 // Recommend answers a query through the landmark approximation, first
 // refreshing any stale landmark the query exploration would meet (Lazy
-// strategy; a no-op otherwise since Apply already refreshed).
+// strategy; a no-op otherwise since Apply already refreshed). Without
+// such stale landmarks it answers under the read lock, beside other
+// readers; otherwise it takes the write lock for the refresh.
 func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Scored, error) {
+	m.mu.RLock()
+	if !m.queryRefreshesLocked() {
+		defer m.mu.RUnlock()
+		return m.approxLocked(u, t, n)
+	}
+	m.mu.RUnlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.stale) > 0 && (m.cfg.Strategy == Lazy || m.cfg.Scheduler == SchedPriority) {
+	if m.queryRefreshesLocked() {
 		// One bounded BFS over the query's vicinity serves two policies:
 		// Lazy refreshes the stale landmarks the query would read, and
 		// the priority scheduler records them as traffic evidence (a
@@ -1104,6 +1129,19 @@ func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Score
 			m.tryRefreshLocked(need)
 		}
 	}
+	return m.approxLocked(u, t, n)
+}
+
+// queryRefreshesLocked reports whether a query must write the manager:
+// stale landmarks exist and the Lazy strategy refreshes them on query or
+// the priority scheduler counts their query hits. Caller holds mu.
+func (m *Manager) queryRefreshesLocked() bool {
+	return len(m.stale) > 0 && (m.cfg.Strategy == Lazy || m.cfg.Scheduler == SchedPriority)
+}
+
+// approxLocked answers through the landmark approximation over the
+// current engine and store. Caller holds mu, shared or exclusive.
+func (m *Manager) approxLocked(u graph.NodeID, t topics.ID, n int) ([]ranking.Scored, error) {
 	ap, err := landmark.NewApprox(m.eng, m.store, m.cfg.QueryDepth)
 	if err != nil {
 		return nil, err
@@ -1123,8 +1161,8 @@ func (m *Manager) RecommendExact(u graph.NodeID, t topics.ID, n int) []ranking.S
 // returned, so a caller-imposed deadline bounds even convergence-depth
 // queries.
 func (m *Manager) RecommendExactCtx(ctx context.Context, u graph.NodeID, t topics.ID, n int) ([]ranking.Scored, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	var opts []core.RecommenderOption
 	if m.reg != nil {
 		opts = append(opts, core.WithMetrics(m.reg))

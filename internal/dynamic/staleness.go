@@ -17,10 +17,11 @@ import (
 //
 // This is a diagnostic/benchmark surface, not a serving-path call: it
 // re-explores every met landmark (the exact work a refresh would do) to
-// obtain the fresh reference.
+// obtain the fresh reference. It preprocesses into a scratch store and
+// never writes the manager, so it runs under the read lock.
 func (m *Manager) QueryStaleness(u graph.NodeID, t topics.ID, topK int) (float64, int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	var met []graph.NodeID
 	graph.BFSOut(m.view, u, m.cfg.QueryDepth, func(v graph.NodeID, depth int) bool {
 		if m.store.Get(v) != nil {

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"repro/internal/authority"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/store"
 )
@@ -18,9 +20,9 @@ import (
 // codec every tool shares; these tests drive its stream forms
 // (store.WriteLandmarks / store.ReadLandmarks) with preprocessed stores.
 
-// preprocessed selects k In-Deg landmarks on a random graph and
-// preprocesses them into top-topN lists.
-func preprocessed(tb testing.TB, nodes, edges int, seed uint64, k, topN int) *landmark.Store {
+// randomLandmarks builds an engine over a random graph and selects k
+// In-Deg landmarks on it.
+func randomLandmarks(tb testing.TB, nodes, edges int, seed uint64, k int) (*core.Engine, []graph.NodeID) {
 	tb.Helper()
 	ds := gen.RandomWith(nodes, edges, seed)
 	p := core.DefaultParams()
@@ -33,6 +35,14 @@ func preprocessed(tb testing.TB, nodes, edges int, seed uint64, k, topN int) *la
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return eng, lms
+}
+
+// preprocessed preprocesses k In-Deg landmarks of a random graph into
+// top-topN lists.
+func preprocessed(tb testing.TB, nodes, edges int, seed uint64, k, topN int) *landmark.Store {
+	tb.Helper()
+	eng, lms := randomLandmarks(tb, nodes, edges, seed, k)
 	s, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: topN})
 	return s
 }
@@ -89,6 +99,29 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameStore(t, s, got)
+}
+
+// TestParallelPreprocessKeepsInputOrder: parallel workers finish in any
+// order, yet the store lists the landmarks in the order they were asked
+// for, so the LMK3 image of a parallel run is byte-identical from run to
+// run and to a single-worker run.
+func TestParallelPreprocessKeepsInputOrder(t *testing.T) {
+	eng, lms := randomLandmarks(t, 300, 3000, 5, 16)
+	// Reverse the selection so the input order is not the cost order.
+	for i, j := 0, len(lms)-1; i < j; i, j = i+1, j-1 {
+		lms[i], lms[j] = lms[j], lms[i]
+	}
+	seq, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: 20, Workers: 1})
+	want := encode(t, seq)
+	for run := 0; run < 5; run++ {
+		s, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: 20, Workers: 4})
+		if got := s.Landmarks(); !slices.Equal(got, lms) {
+			t.Fatalf("run %d: Landmarks() = %v, want the input order %v", run, got, lms)
+		}
+		if !bytes.Equal(encode(t, s), want) {
+			t.Fatalf("run %d: Workers=4 image differs from the Workers=1 image", run)
+		}
+	}
 }
 
 // Header page layout: meta scalars from byte 24 (LMK3's meta[0] is the

@@ -105,11 +105,12 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 		stats.LayoutTime = time.Since(start)
 	}
 	type result struct {
+		i        int // index in landmarks
 		data     *Data
 		cost     time.Duration
 		fellBack bool
 	}
-	jobs := make(chan graph.NodeID)
+	jobs := make(chan int)
 	results := make(chan result)
 	var wg sync.WaitGroup
 	explored := time.Now()
@@ -121,7 +122,8 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 			scratch := pool.Get()
 			defer pool.Put(scratch)
 			lists := newListBuilder(vocabLen, cfg.TopN)
-			for l := range jobs {
+			for i := range jobs {
+				l := landmarks[i]
 				t0 := time.Now()
 				var x *core.Exploration
 				if in != nil {
@@ -131,13 +133,13 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 				if x == nil {
 					x = eng.ExploreOpts(l, nil, core.ExploreOptions{Scratch: scratch})
 				}
-				results <- result{data: lists.build(l, x), cost: time.Since(t0), fellBack: fellBack}
+				results <- result{i: i, data: lists.build(l, x), cost: time.Since(t0), fellBack: fellBack}
 			}
 		}()
 	}
 	go func() {
-		for _, l := range landmarks {
-			jobs <- l
+		for i := range landmarks {
+			jobs <- i
 		}
 		close(jobs)
 		wg.Wait()
@@ -150,8 +152,12 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 			"Per-landmark exploration time in seconds (Table 5's comput. column, live).",
 			nil)
 	}
+	// Workers finish in any order; the store keeps the input order, so
+	// Landmarks() and the serialized store are the same for any worker
+	// count.
+	data := make([]*Data, len(landmarks))
 	for r := range results {
-		store.Put(r.data) //nolint:errcheck // vocabLen matches by construction
+		data[r.i] = r.data
 		stats.ComputeTime += r.cost
 		stats.Landmarks++
 		if r.fellBack {
@@ -160,6 +166,9 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 		if computeHist != nil {
 			computeHist.ObserveDuration(r.cost)
 		}
+	}
+	for _, d := range data {
+		store.Put(d) //nolint:errcheck // vocabLen matches by construction
 	}
 	stats.WallTime = time.Since(start)
 	exploring := time.Since(explored)

@@ -52,8 +52,10 @@ const DefaultRequestTimeout = 30 * time.Second
 // maxBatchSize caps one /v1/recommend:batch request.
 const maxBatchSize = 64
 
-// Server is the HTTP facade. It is safe for concurrent requests; updates
-// are serialized by the underlying dynamic.Manager.
+// Server is the HTTP facade. It is safe for concurrent requests: queries
+// share the underlying dynamic.Manager's read lock and run in parallel up
+// to the admission pool's bound, while updates take its write lock and
+// are serialized.
 type Server struct {
 	mgr        *dynamic.Manager
 	vocab      *topics.Vocabulary
