@@ -34,6 +34,54 @@ type Scratch struct {
 	resIn               []bool
 	resList             []graph.NodeID
 	resK                int
+
+	// fold is the node-indexed sum of landmark folds, allocated on first
+	// use so scratches that only explore never pay for it.
+	fold Fold
+}
+
+// Fold is a node-indexed dense sum with a first-touch list: the buffer
+// landmark queries and shard partials fold list entries into. Every
+// added term must be positive, so a node's sum is non-zero exactly when
+// the node has been touched; Touched then lists each node once, in
+// first-touch order, and a reset costs O(touched). A Fold borrowed
+// through Scratch.Fold is all-zero; ScratchPool.Put clears it before the
+// scratch goes back.
+type Fold struct {
+	val     []float64
+	touched []graph.NodeID
+}
+
+// Add adds d (> 0) to v's sum.
+func (f *Fold) Add(v graph.NodeID, d float64) {
+	p := &f.val[v]
+	if *p == 0 {
+		f.touched = append(f.touched, v)
+	}
+	*p += d
+}
+
+// At returns v's sum (0 for an untouched node).
+func (f *Fold) At(v graph.NodeID) float64 { return f.val[v] }
+
+// Touched returns the nodes holding a sum, in first-touch order. The
+// slice is valid until the fold's next Add or reset.
+func (f *Fold) Touched() []graph.NodeID { return f.touched }
+
+// reset zeroes the touched entries.
+func (f *Fold) reset() {
+	for _, v := range f.touched {
+		f.val[v] = 0
+	}
+	f.touched = f.touched[:0]
+}
+
+// Fold returns the scratch's fold buffer, sized for its n nodes.
+func (s *Scratch) Fold() *Fold {
+	if s.fold.val == nil {
+		s.fold.val = make([]float64, s.n)
+	}
+	return &s.fold
 }
 
 // resetResult prepares the result arrays for a fresh exploration of topic

@@ -125,6 +125,27 @@ func TestScratchReuseIsClean(t *testing.T) {
 	}
 }
 
+// TestFoldClearedOnPut: a fold buffer lists each touched node once, in
+// first-touch order, and goes back to the pool all-zero.
+func TestFoldClearedOnPut(t *testing.T) {
+	p := newScratchPool(10, 2)
+	s := p.Get()
+	f := s.Fold()
+	f.Add(7, 0.5)
+	f.Add(2, 0.25)
+	f.Add(7, 0.125)
+	if got := f.Touched(); !slices.Equal(got, []graph.NodeID{7, 2}) {
+		t.Fatalf("touched %v, want [7 2]", got)
+	}
+	if f.At(7) != 0.625 || f.At(2) != 0.25 || f.At(3) != 0 {
+		t.Fatalf("sums %v %v %v", f.At(7), f.At(2), f.At(3))
+	}
+	p.Put(s)
+	if len(f.Touched()) != 0 || slices.ContainsFunc(f.val, func(x float64) bool { return x != 0 }) {
+		t.Fatal("fold buffer went back to the pool dirty")
+	}
+}
+
 // TestScratchWrongSizeFallsBack: a scratch sized for another graph is not
 // used — the exploration borrows a fitting one and copies its results out
 // — so it matches the exploration through a fitting scratch.

@@ -31,10 +31,12 @@ func newScratchPool(n, k int) *ScratchPool {
 // Get returns a scratch sized for the pool's dimensions.
 func (p *ScratchPool) Get() *Scratch { return p.pool.Get().(*Scratch) }
 
-// Put returns a scratch to the pool. Scratches that do not fit the pool's
-// dimensions (or nil) are dropped.
+// Put returns a scratch to the pool, its fold buffer cleared in
+// O(touched). Scratches that do not fit the pool's dimensions (or nil) are
+// dropped.
 func (p *ScratchPool) Put(s *Scratch) {
 	if s.fits(p.n, p.k) {
+		s.fold.reset()
 		p.pool.Put(s)
 	}
 }

@@ -36,7 +36,6 @@ package distrib
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -74,26 +73,14 @@ type Shard struct {
 	Depth int
 
 	// ownedList holds this partition's candidate nodes in ascending id
-	// order: the output scan visits only these instead of the full
-	// accumulator, so the readout cost partitions with everything else.
+	// order: the output scan visits only these instead of the whole fold
+	// buffer, so the readout cost partitions with everything else.
 	ownedList []graph.NodeID
-	// isLandmark backs Prune as a flat bool table; the fold's met-landmark
-	// scan also filters on it first — it is small enough to stay
-	// L1-resident across the scan, where probing lmData directly would
-	// take a pointer-table cache miss per reached node.
-	isLandmark []bool
-	// lmData indexes the store's per-landmark data by node id (nil for
-	// non-landmarks), replacing a map probe per reached node with an
-	// indexed load.
-	lmData []*landmark.Data
-
-	// accPool recycles the dense score accumulator across Partial calls.
-	// A landmark's inverted list spans candidates across the whole graph,
-	// so the accumulator is the one per-query structure that does NOT
-	// shrink with the partition count; keeping it a flat array makes each
-	// folded entry a single indexed add instead of a map probe, and the
-	// node-ordered readout falls out of the final scan for free.
-	accPool sync.Pool
+	// data is the fold's landmark lookup (landmark.FoldLists): a flat
+	// bool table filters every reached node first — small enough to stay
+	// L1-resident across the scan — and only landmarks take the load from
+	// the node-indexed data table, instead of a map probe per reached node.
+	data func(graph.NodeID) *landmark.Data
 }
 
 // NewShard assembles one worker's query state from an assignment. The
@@ -103,7 +90,9 @@ type Shard struct {
 // Construction verifies both directions of the ownership contract: the
 // store must cover every landmark (a missing one would silently drop its
 // terms for this worker's candidates), and no list may score a foreign
-// candidate (its owner would fold the same term again).
+// candidate (its owner would fold the same term again). Before either,
+// every list entry must name a node of the engine's graph
+// (landmark.Store.CheckNodes).
 func NewShard(eng *core.Engine, store *landmark.Store, assign Assignment, part int,
 	allLandmarks []graph.NodeID, depth int) (*Shard, error) {
 	if err := assign.Validate(eng.Graph()); err != nil {
@@ -117,6 +106,9 @@ func NewShard(eng *core.Engine, store *landmark.Store, assign Assignment, part i
 	}
 	if store.VocabLen() != eng.Graph().Vocabulary().Len() {
 		return nil, fmt.Errorf("distrib: store vocabulary mismatch")
+	}
+	if err := store.CheckNodes(eng.Graph().NumNodes()); err != nil {
+		return nil, err
 	}
 	for _, lm := range allLandmarks {
 		d := store.Get(lm)
@@ -140,29 +132,31 @@ func NewShard(eng *core.Engine, store *landmark.Store, assign Assignment, part i
 	// node, so both sit on the query hot path — an indexed load each, not
 	// a map probe.
 	n := eng.Graph().NumNodes()
-	prune := make([]bool, n)
+	isLandmark := make([]bool, n)
+	lmData := make([]*landmark.Data, n)
 	for _, lm := range allLandmarks {
-		prune[lm] = true
+		isLandmark[lm] = true
+		lmData[lm] = store.Get(lm)
 	}
 	of := assign.Of
 	s := &Shard{
-		Eng:        eng,
-		Store:      store,
-		Prune:      func(v graph.NodeID) bool { return prune[v] },
-		Owns:       func(v graph.NodeID) bool { return of[v] == part },
-		Depth:      depth,
-		isLandmark: prune,
+		Eng:   eng,
+		Store: store,
+		Prune: func(v graph.NodeID) bool { return isLandmark[v] },
+		Owns:  func(v graph.NodeID) bool { return of[v] == part },
+		Depth: depth,
+		data: func(v graph.NodeID) *landmark.Data {
+			if !isLandmark[v] {
+				return nil
+			}
+			return lmData[v]
+		},
 	}
 	for v := 0; v < n; v++ {
 		if of[v] == part {
 			s.ownedList = append(s.ownedList, graph.NodeID(v))
 		}
 	}
-	s.lmData = make([]*landmark.Data, n)
-	for _, lm := range allLandmarks {
-		s.lmData[lm] = store.Get(lm)
-	}
-	s.accPool.New = func() any { return make([]float64, n) }
 	return s, nil
 }
 
@@ -170,9 +164,10 @@ func NewShard(eng *core.Engine, store *landmark.Store, assign Assignment, part i
 // (u, t): direct exploration scores of owned reached nodes plus the
 // Proposition 4 combination of every met landmark's owned-candidate
 // sublist. Entries are sorted by node id so the gather side is
-// deterministic. The computation mirrors landmark.Approx restricted to
-// owned candidates — partials are disjoint across partitions and
-// concatenate to the single-machine score map.
+// deterministic. The exploration is the call landmark.Approx makes and
+// the list fold is landmark.FoldLists, the function Approx folds
+// through, so partials are disjoint across partitions and concatenate to
+// the single-machine scores bit for bit.
 func (s *Shard) Partial(u graph.NodeID, t topics.ID) []PartialEntry {
 	return s.PartialAppend(u, t, nil)
 }
@@ -183,10 +178,11 @@ func (s *Shard) Partial(u graph.NodeID, t topics.ID) []PartialEntry {
 // slice through this variant instead of allocating per query.
 func (s *Shard) PartialAppend(u graph.NodeID, t topics.ID, buf []PartialEntry) []PartialEntry {
 	// The exploration is the worker's replicated (per-shard constant)
-	// cost, and the same one landmark.Approx runs. Its scores stay in a
-	// scratch borrowed from the engine's pool — one topic wide, so its rows
-	// stay cache-resident — and the Exploration aliases it, so it goes back
-	// only after the fold below has read everything out.
+	// cost. Its scores stay in a scratch borrowed from the engine's pool —
+	// one topic wide, so its rows stay cache-resident — and the
+	// Exploration aliases it; the fold sums into the same scratch's dense
+	// fold buffer, which the pool clears when the scratch goes back after
+	// the readout.
 	pool := s.Eng.Scratches()
 	scr := pool.Get()
 	defer pool.Put(scr)
@@ -196,70 +192,35 @@ func (s *Shard) PartialAppend(u graph.NodeID, t topics.ID, buf []PartialEntry) [
 		Scratch:  scr,
 	})
 
-	// The fold accumulates into a pooled dense array: each list entry is
-	// one indexed add, and scanning the array in node order afterwards
-	// yields the sorted output directly. The per-node accumulation order
-	// is landmark.Approx's (reached nodes first, then landmark lists in
-	// reached order), so partials are bit-identical to its scores.
-	// count tracks first touches during the fold so the output can be
-	// exact-sized without a separate counting scan over the accumulator.
-	// Direct scores: only owned candidates can take one, so the scan
-	// walks the owned list (O(n/P)) instead of filtering the full reached
-	// set (O(reached), replicated on every shard) — Sigma answers 0 for
-	// nodes the exploration never touched. The source itself is never a
-	// candidate, even when a cycle carries mass back to it.
-	acc := s.accPool.Get().([]float64)
-	count := 0
+	// Direct scores first, as landmark.Approx adds them: only owned
+	// candidates can take one, so the scan walks the owned list (O(n/P))
+	// instead of filtering the full reached set (O(reached), replicated
+	// on every shard) — Sigma answers 0 for nodes the exploration never
+	// touched. The source itself is never a candidate, even when a cycle
+	// carries mass back to it.
+	acc := scr.Fold()
 	for _, v := range s.ownedList {
 		if v == u {
 			continue
 		}
 		if sc := x.Sigma(v, 0); sc > 0 {
-			acc[v] = sc
-			count++
+			acc.Add(v, sc)
 		}
 	}
-	for _, v := range x.Reached {
-		if !s.isLandmark[v] {
-			continue
-		}
-		d := s.lmData[v]
-		sigmaUL := x.Sigma(v, 0) // σ(u, λ, t)
-		topoUL := x.TopoAB(v)    // topo_βα(u, λ)
-		lst := &d.Topical[t]
-		for i, w := range lst.Nodes {
-			if w == u {
-				continue
-			}
-			// Zero contributions are skipped rather than added: x+0 is
-			// bit-identical to x for these non-negative scores, and the
-			// skip keeps the first-touch count exact.
-			delta := sigmaUL*lst.Topo[i] + topoUL*lst.Sigma[i]
-			if delta == 0 {
-				continue
-			}
-			if acc[w] == 0 {
-				count++
-			}
-			acc[w] += delta
-		}
-	}
+	landmark.FoldLists(acc, x, u, t, s.data)
 
+	count := len(acc.Touched())
 	if cap(buf) < count {
 		buf = make([]PartialEntry, 0, count)
 	}
 	out := buf[:0]
 	// Only owned candidates can hold scores, so the readout walks the
-	// ascending owned list — sorted output for 1/P of a full scan. The
-	// scan doubles as the accumulator reset: zeroing the entries it just
-	// read returns acc to the pool clean without a full memclr.
+	// ascending owned list: sorted output for 1/P of a full scan.
 	for _, v := range s.ownedList {
-		if sc := acc[v]; sc > 0 {
+		if sc := acc.At(v); sc > 0 {
 			out = append(out, PartialEntry{Node: v, Score: sc})
-			acc[v] = 0
 		}
 	}
-	s.accPool.Put(acc) //nolint:staticcheck // slice header boxing is fine here
 	return out
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -253,4 +255,91 @@ func TestShardServerHTTP(t *testing.T) {
 	if stats.Landmarks != sub.Len() {
 		t.Fatalf("stats landmarks %d, want %d", stats.Landmarks, sub.Len())
 	}
+}
+
+// A store listing node n (one built for a larger graph) must be rejected
+// at construction, not panic on the ownership check or the fold.
+func TestNewShardRejectsOutOfRangeEntries(t *testing.T) {
+	eng, store, ds := setup(t, 7)
+	assign := HashPartition(ds.Graph, 2)
+	bad := store.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == 0 })
+	d := *bad.Get(bad.Landmarks()[0])
+	d.Topical = slices.Clone(d.Topical)
+	d.Topical[0] = landmark.List{Nodes: []graph.NodeID{graph.NodeID(ds.Graph.NumNodes())}, Sigma: []float64{0.5}, Topo: []float64{0.5}}
+	if err := bad.Put(&d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewShard(eng, bad, assign, 0, store.Landmarks(), 2); err == nil {
+		t.Fatal("shard accepted a store listing node n")
+	}
+}
+
+// TestConcurrentFoldsMatchSerial: landmark queries and shard partials on
+// one engine borrow their scratches, fold buffers included, from the
+// engine's one pool, and the manager's readers run them side by side.
+// Four goroutines interleave Approx.Query and Shard.PartialAppend over
+// shared engines; every answer must equal the serial one bit for bit.
+func TestConcurrentFoldsMatchSerial(t *testing.T) {
+	eng, store, ds := setup(t, 9)
+	lms := store.Landmarks()
+	ap, err := landmark.NewApprox(eng, store, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := HashPartition(ds.Graph, 2)
+	shards := make([]*Shard, assign.Parts)
+	for p := range shards {
+		sub := store.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == p })
+		if shards[p], err = NewShard(eng, sub, assign, p, lms, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type key struct {
+		u  graph.NodeID
+		tp topics.ID
+	}
+	vocab := ds.Graph.Vocabulary().Len()
+	keys := make([]key, 40)
+	for i := range keys {
+		keys[i] = key{graph.NodeID(i * 97 % ds.Graph.NumNodes()), topics.ID(i % vocab)}
+	}
+	wantQ := make([]landmark.QueryResult, len(keys))
+	wantP := make([][][]PartialEntry, len(keys))
+	for i, k := range keys {
+		wantQ[i] = ap.Query(k.u, k.tp, 50)
+		for _, sh := range shards {
+			wantP[i] = append(wantP[i], sh.Partial(k.u, k.tp))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []PartialEntry
+			for r := 0; r < 2; r++ {
+				for j := range keys {
+					i := (j + g*len(keys)/4) % len(keys)
+					k := keys[i]
+					if (g+j)%2 == 0 {
+						got := ap.Query(k.u, k.tp, 50)
+						if got.LandmarksMet != wantQ[i].LandmarksMet || !slices.Equal(got.Scores, wantQ[i].Scores) {
+							t.Errorf("goroutine %d u=%d t=%d: concurrent query differs from serial", g, k.u, k.tp)
+							return
+						}
+						continue
+					}
+					for p, sh := range shards {
+						buf = sh.PartialAppend(k.u, k.tp, buf)
+						if !slices.Equal(buf, wantP[i][p]) {
+							t.Errorf("goroutine %d u=%d t=%d shard %d: concurrent partial differs from serial", g, k.u, k.tp, p)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

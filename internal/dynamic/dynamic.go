@@ -423,9 +423,11 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 
 // landmarkMarks marks lms by node id. It rejects ids outside g and, when
 // an initial store is adopted, a store whose landmark set is not exactly
-// lms or whose vocabulary differs from g's: a stored landmark outside lms
+// lms, whose vocabulary differs from g's or whose lists name nodes
+// outside g (landmark.Store.CheckNodes): a stored landmark outside lms
 // would be folded into every answer and never refreshed, since
-// invalidation only marks lms.
+// invalidation only marks lms, and an out-of-range entry would be
+// recommended or index past the fold's node-sized buffer.
 func landmarkMarks(g *graph.Graph, lms []graph.NodeID, s *landmark.Store) ([]bool, error) {
 	n := g.NumNodes()
 	marks := make([]bool, n)
@@ -441,10 +443,10 @@ func landmarkMarks(g *graph.Graph, lms []graph.NodeID, s *landmark.Store) ([]boo
 	if s.VocabLen() != g.Vocabulary().Len() {
 		return nil, fmt.Errorf("dynamic: initial store has %d topics, the graph %d", s.VocabLen(), g.Vocabulary().Len())
 	}
+	if err := s.CheckNodes(n); err != nil {
+		return nil, fmt.Errorf("dynamic: initial store: %w", err)
+	}
 	for _, lm := range s.Landmarks() {
-		if int(lm) >= n {
-			return nil, fmt.Errorf("dynamic: initial store holds landmark %d outside the %d-node graph", lm, n)
-		}
 		if !marks[lm] {
 			return nil, fmt.Errorf("dynamic: initial store holds landmark %d, not in the manager's landmark set", lm)
 		}

@@ -442,7 +442,7 @@ func TestInstrumentSameRegistryTwiceIsIdempotent(t *testing.T) {
 
 // TestNewManagerRejectsMismatchedStore: an adopted store must hold
 // exactly the manager's landmark set, in range, over the graph's
-// vocabulary. A stored landmark outside lms would be folded into every
+// vocabulary, and list only the graph's nodes. A stored landmark outside lms would be folded into every
 // answer and never refreshed.
 func TestNewManagerRejectsMismatchedStore(t *testing.T) {
 	m, ds := newManager(t, Lazy, 3)
@@ -496,6 +496,18 @@ func TestNewManagerRejectsMismatchedStore(t *testing.T) {
 	}
 	if adopt(withData(vocabLen+1, lms...), lms) == nil {
 		t.Error("store over another vocabulary accepted")
+	}
+	// A list entry naming node n: the store of a larger graph would
+	// recommend an account that does not exist.
+	listing := m.store.Subset(func(graph.NodeID) bool { return true })
+	d := *listing.Get(lms[0])
+	d.Topical = slices.Clone(d.Topical)
+	d.Topical[0] = landmark.List{Nodes: []graph.NodeID{n}, Sigma: []float64{0.5}, Topo: []float64{0.5}}
+	if err := listing.Put(&d); err != nil {
+		t.Fatal(err)
+	}
+	if adopt(listing, lms) == nil {
+		t.Error("store listing node n accepted")
 	}
 	if adopt(nil, append(slices.Clone(lms), n)) == nil {
 		t.Error("out-of-range landmark accepted")

@@ -19,6 +19,12 @@ import (
 //
 // Nodes met directly by the exploration also keep their directly-computed
 // scores (Example 3's node r2).
+//
+// A query borrows one scratch from the engine's pool: the exploration's
+// scores are read in place from it, and the scores sum into its dense
+// node-indexed fold buffer (core.Fold), whose top-n read visits only the
+// touched nodes. Approx itself holds no per-query state, so one value
+// serves concurrent queries.
 type Approx struct {
 	eng   *core.Engine
 	store *Store
@@ -55,43 +61,53 @@ type QueryResult struct {
 // union of directly-explored nodes and landmark-recommended nodes,
 // best-first.
 func (a *Approx) Query(u graph.NodeID, t topics.ID, n int) QueryResult {
-	acc, met := a.scores(u, t)
+	pool := a.eng.Scratches()
+	s := pool.Get()
+	defer pool.Put(s)
+	acc, met := a.fold(s, u, t)
 	top := ranking.NewTopN(n)
-	for v, s := range acc {
-		if v != u && s > 0 {
-			top.Insert(v, s)
-		}
+	for _, v := range acc.Touched() {
+		top.Insert(v, acc.At(v))
 	}
 	return QueryResult{Scores: top.List(), LandmarksMet: met}
 }
 
-// scores runs the pruned exploration and the landmark combination,
-// returning the full approximate score map. The exploration's scores are
-// read in place from a scratch borrowed from the engine's pool, which goes
-// back once the fold has read them.
-func (a *Approx) scores(u graph.NodeID, t topics.ID) (map[graph.NodeID]float64, int) {
-	pool := a.eng.Scratches()
-	s := pool.Get()
-	defer pool.Put(s)
+// fold runs the pruned exploration in s and sums the approximate scores
+// into s's fold buffer, returning it and the number of landmarks met. The
+// exploration's scores are read in place; both stay valid until s goes
+// back to the engine's pool, which clears the fold.
+func (a *Approx) fold(s *core.Scratch, u graph.NodeID, t topics.ID) (*core.Fold, int) {
 	x := a.eng.ExploreOpts(u, []topics.ID{t}, core.ExploreOptions{
 		MaxDepth: a.depth,
 		Stop:     a.store.Contains,
 		Scratch:  s,
 	})
-
+	acc := s.Fold()
 	// Start from the exploration's own scores.
-	acc := make(map[graph.NodeID]float64, len(x.Reached)*2)
 	for _, v := range x.Reached {
-		if s := x.Sigma(v, 0); s > 0 {
-			acc[v] = s
+		if sc := x.Sigma(v, 0); sc > 0 {
+			acc.Add(v, sc)
 		}
 	}
+	return acc, FoldLists(acc, x, u, t, a.store.Get)
+}
 
-	// Combine every encountered landmark's stored lists (Algorithm 2,
-	// lines 2–7).
+// FoldLists adds to acc the Proposition 4 terms of every landmark the
+// exploration x (from u, on topic t alone) met — Algorithm 2, lines 2–7.
+// Landmarks are taken in x.Reached order, data giving each reached node's
+// lists (nil for a non-landmark), and each list in rank order; for every
+// entry w ≠ u of λ's topic-t list it adds
+//
+//	σ(u,λ,t)·topo_β(λ,w) + topo_βα(u,λ)·σ(λ,w,t)
+//
+// skipping zero terms, which leave a non-negative sum bit-identical. It
+// returns the number of landmarks met. landmark.Approx and
+// distrib.Shard both fold through it, so a node's sum follows the same
+// order on either path.
+func FoldLists(acc *core.Fold, x *core.Exploration, u graph.NodeID, t topics.ID, data func(graph.NodeID) *Data) int {
 	met := 0
 	for _, v := range x.Reached {
-		d := a.store.Get(v)
+		d := data(v)
 		if d == nil {
 			continue
 		}
@@ -103,10 +119,12 @@ func (a *Approx) scores(u graph.NodeID, t topics.ID) (map[graph.NodeID]float64, 
 			if w == u {
 				continue
 			}
-			acc[w] += sigmaUL*lst.Topo[i] + topoUL*lst.Sigma[i]
+			if delta := sigmaUL*lst.Topo[i] + topoUL*lst.Sigma[i]; delta != 0 {
+				acc.Add(w, delta)
+			}
 		}
 	}
-	return acc, met
+	return met
 }
 
 // Recommend returns the top-n approximate recommendations for u on t.
@@ -118,10 +136,13 @@ func (a *Approx) Recommend(u graph.NodeID, t topics.ID, n int) []ranking.Scored 
 // candidates outside both the exploration and every met landmark's lists
 // score 0.
 func (a *Approx) ScoreCandidates(u graph.NodeID, t topics.ID, cands []graph.NodeID) []float64 {
-	acc, _ := a.scores(u, t)
+	pool := a.eng.Scratches()
+	s := pool.Get()
+	defer pool.Put(s)
+	acc, _ := a.fold(s, u, t)
 	out := make([]float64, len(cands))
 	for i, c := range cands {
-		out[i] = acc[c]
+		out[i] = acc.At(c)
 	}
 	return out
 }

@@ -65,8 +65,9 @@ func BenchmarkPreprocessRefresh(b *testing.B) {
 
 // BenchmarkApproxQuery is the Table 6 "time" column: the depth-2
 // landmark-combined query. Its allocs/op is gated by `make kernel-gate`:
-// the exploration's scores are read in place from a pooled scratch, so
-// what remains is the fold's score map and the top-n list.
+// the exploration's scores are read in place from a pooled scratch and
+// the fold sums into that scratch's dense fold buffer, so what remains is
+// the exploration's result header and the top-n list.
 func BenchmarkApproxQuery(b *testing.B) {
 	eng, ds := benchSetup(b, 3000)
 	lms, err := Select(ds.Graph, InDeg, 30, DefaultSelectConfig())

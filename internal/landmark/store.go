@@ -95,6 +95,38 @@ func (s *Store) Put(d *Data) error {
 	return nil
 }
 
+// CheckNodes verifies a store adopted from outside its graph (an LMK3
+// file, a partition's view) against an n-node graph: every landmark and
+// every list entry must name a node below n, and every score must be
+// non-negative. A larger graph's store would otherwise recommend accounts
+// that do not exist, or index past a node-sized table; the fold's
+// first-touch list relies on positive terms. It costs one pass over the
+// entries, so it runs once when a store is adopted, not per query.
+func (s *Store) CheckNodes(n int) error {
+	for _, lm := range s.order {
+		if int(lm) >= n {
+			return fmt.Errorf("landmark: landmark %d outside the %d-node graph", lm, n)
+		}
+		d := s.data[lm]
+		// Lists 0..T-1 are the topical ones, list T the topological one.
+		for li := 0; li <= len(d.Topical); li++ {
+			l := &d.TopoTop
+			if li < len(d.Topical) {
+				l = &d.Topical[li]
+			}
+			for i, w := range l.Nodes {
+				if int(w) >= n {
+					return fmt.Errorf("landmark: landmark %d list %d names node %d outside the %d-node graph", lm, li, w, n)
+				}
+				if !(l.Sigma[i] >= 0 && l.Topo[i] >= 0) {
+					return fmt.Errorf("landmark: landmark %d list %d scores node %d σ=%v topo=%v, want non-negative", lm, li, w, l.Sigma[i], l.Topo[i])
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Bytes estimates the in-memory footprint of the stored lists (the paper
 // reports ≈1.4 MB per landmark for top-1000 lists over all topics).
 func (s *Store) Bytes() int {

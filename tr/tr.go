@@ -222,11 +222,16 @@ func (s *System) SaveIndex(w io.Writer) error {
 	return err
 }
 
-// LoadIndex adopts a landmark index saved by SaveIndex.
+// LoadIndex adopts a landmark index saved by SaveIndex. An index whose
+// lists name accounts outside the system's graph (one built for a larger
+// graph) is rejected.
 func (s *System) LoadIndex(r io.Reader) error {
 	idx, err := store.ReadLandmarks(r)
 	if err != nil {
 		return err
+	}
+	if err := idx.CheckNodes(s.g.NumNodes()); err != nil {
+		return fmt.Errorf("tr: %w", err)
 	}
 	return s.adoptStore(idx)
 }

@@ -2,9 +2,13 @@ package tr_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/landmark"
+	"repro/internal/store"
 	"repro/tr"
 )
 
@@ -115,6 +119,50 @@ func TestSystemIndexRoundTrip(t *testing.T) {
 		if before[i] != after[i] {
 			t.Fatal("reloaded index changed results")
 		}
+	}
+}
+
+// TestLoadIndexRejectsForeignNodes: an index naming an account the
+// system's graph lacks (one built for a larger graph) is rejected, and
+// the index already loaded keeps answering.
+func TestLoadIndexRejectsForeignNodes(t *testing.T) {
+	sys, tech := buildSystem(t, 8)
+	var buf bytes.Buffer
+	if err := sys.SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := store.ReadLandmarks(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := idx.Landmarks()[0]
+	d := *idx.Get(lm)
+	d.Topical = slices.Clone(d.Topical)
+	d.Topical[tech] = landmark.List{
+		Nodes: []graph.NodeID{graph.NodeID(sys.Graph().NumNodes())},
+		Sigma: []float64{1},
+		Topo:  []float64{1},
+	}
+	if err := idx.Put(&d); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := store.WriteLandmarks(&buf, idx); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.Recommend(5, tech, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadIndex(&buf); err == nil {
+		t.Fatal("index listing node n loaded")
+	}
+	after, err := sys.Recommend(5, tech, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, after) {
+		t.Fatal("a rejected index changed results")
 	}
 }
 
