@@ -71,7 +71,7 @@ func (e *Engine) InAdjacency() *InAdjacency {
 	}
 	in.simTab = append(make([]float64, 0, (1+min(64, n))*T), e.ones...)
 	var labelOff map[topics.Set]uint32
-	if e.simc != nil {
+	if e.params.Variant == TrFull || e.params.Variant == TrNoAuth {
 		labelOff = make(map[topics.Set]uint32)
 	}
 	fill := make([]uint32, n) // next free slot of each row
@@ -88,7 +88,8 @@ func (e *Engine) InAdjacency() *InAdjacency {
 				if !ok {
 					off = uint32(len(in.simTab))
 					labelOff[lbls[i]] = off
-					in.simTab = append(in.simTab, e.simc.row(lbls[i])...)
+					in.simTab = append(in.simTab, make([]float64, T)...)
+					e.simTab.MaxSims(in.simTab[off:], lbls[i], in.all)
 				}
 				in.sim[p] = off
 			}
@@ -105,15 +106,16 @@ func (e *Engine) InAdjacency() *InAdjacency {
 
 // Explore runs a converged all-topic exploration from src in factored form
 // (see the identity above) with the engine's MaxDepth and Tol, into s's
-// flat result arrays: the Exploration aliases s, as one given
-// ExploreOptions.Scratch does, and is valid until s's next exploration. It
-// returns nil when pass 1 or pass 3 does not converge within MaxDepth hops
-// (β near 1/σ_max); the caller then keeps the hop recurrence.
+// rows: the Exploration aliases s, as one given ExploreOptions.Scratch
+// does, and is valid until s's next exploration. It returns nil when pass
+// 1 or pass 3 does not converge within MaxDepth hops (β near 1/σ_max);
+// the caller then keeps the hop recurrence.
 //
-// The pass buffers are s's two dense hop arrays, so a pooled scratch
-// grows nothing. Every pass rewrites every node's entry, so no frontier
-// flags are kept: all terms are nonnegative, and a node is on a pass's
-// frontier iff its entry there is positive.
+// The pass buffers are the rows' spare floats and s's front buffer, so a
+// pooled scratch grows nothing past one whole-graph frontier. Every pass
+// rewrites every node's entry, so no frontier flags are kept: all terms
+// are nonnegative, and a node is on a pass's frontier iff its entry there
+// is positive.
 func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 	e := in.e
 	n, k := e.g.NumNodes(), len(in.all)
@@ -123,25 +125,50 @@ func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 	p := e.params
 	beta, ab := p.Beta, p.Alpha*p.Beta
 	off, srcs := in.off, in.src
-	s.resetResult(k)
-	resSigma, resTopoB, resTopoAB, resIn := s.resSigma, s.resTopoB, s.resTopoAB, s.resIn
-	record := func(v int) {
-		if !resIn[v] {
-			resIn[v] = true
-			s.resList = append(s.resList, graph.NodeID(v))
+	// A row holds the mark and the totals: σ for each topic, topo_β,
+	// topo_βα. The rows' remaining n×(k+2) floats are one pass buffer.
+	S := k + 3
+	s.reset(src, 0, S)
+	rows := s.rows
+	tB, tAB := 1+k, 2+k // offsets of the topo totals in a row
+	width := k + 1      // pass columns: σ for each topic, then the topo_β delta
+	passBuf := rows[n*S : n*S+n*width]
+	defer clear(passBuf) // leave every row not reached all-zero
+	srcIn := false
+	reach := func(v int) {
+		if graph.NodeID(v) == src {
+			srcIn = true
+		} else {
+			s.reached = append(s.reached, graph.NodeID(v))
 		}
+	}
+	// record reaches v unless its row is marked already.
+	record := func(v int) {
+		if m := &rows[v*S]; *m == 0 {
+			*m = -1
+			reach(v)
+		}
+	}
+	scored := func() int {
+		if srcIn {
+			return len(s.reached) + 1
+		}
+		return len(s.reached)
 	}
 	// converged is Algorithm 1's test: the last hop reached nothing, or
 	// its mass per reached node is under Tol.
 	converged := func(hits int, mass float64) bool {
-		return hits == 0 || mass/float64(max(1, len(s.resList))) < p.Tol
+		return hits == 0 || mass/float64(max(1, scored())) < p.Tol
 	}
 
 	// Pass 1: topo_β, one scalar per node, in flat arrays carved from the
-	// hop buffers. Every length-h path weighs β^h in topo_β and (αβ)^h in
+	// front buffer, its totals too: they move into the rows once the pass
+	// is done. Every length-h path weighs β^h in topo_β and (αβ)^h in
 	// topo_αβ, so the hop-h topo_αβ delta is α^h times the topo_β one.
-	cb, nb := s.cur, s.next // cb[:n] holds the last hop's deltas
-	clear(cb[:n])
+	front := s.frontBuf(max(n*width, 4*n))
+	cb, nb := front[:n], front[n:2*n] // cb holds the last hop's deltas
+	totB, totAB := front[2*n:3*n], front[3*n:4*n]
+	clear(front[:4*n])
 	cb[src] = 1
 	hops1, alphaH := 0, 1.0
 	for {
@@ -150,39 +177,51 @@ func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 		}
 		hops1++
 		alphaH *= p.Alpha
-		bc, bn := cb[:n], nb[:n]
 		hits, mass := 0, 0.0
 		for v := 0; v < n; v++ {
 			var b float64
 			for _, w := range srcs[off[v]:off[v+1]] {
-				b += bc[w]
+				b += cb[w]
 			}
 			b *= beta
-			bn[v] = b
+			nb[v] = b
 			if b == 0 {
 				continue
 			}
 			hits++
 			mass += b
-			record(v)
-			resTopoB[v] += b
-			resTopoAB[v] += alphaH * b
+			if totB[v] == 0 { // v's first hit: every b is positive
+				reach(v)
+			}
+			totB[v] += b
+			totAB[v] += alphaH * b
 		}
 		cb, nb = nb, cb
 		if converged(hits, mass) {
 			break
 		}
 	}
+	toRow := func(v graph.NodeID) {
+		r := rows[int(v)*S : int(v)*S+S : int(v)*S+S]
+		r[0], r[tB], r[tAB] = -1, totB[v], totAB[v]
+	}
+	if srcIn {
+		toRow(src)
+	}
+	for _, v := range s.reached {
+		toRow(v)
+	}
 
-	// Passes 2 and 3 carry k+1 columns per node: σ for each topic, then the
-	// topo_β delta continuing pass 1, so topo covers the same paths as σ.
-	stride, width := k+2, k+1
+	// Passes 2 and 3 carry width columns per node: σ for each topic, then
+	// the topo_β delta continuing pass 1, so topo covers the same paths as
+	// σ. The two pass buffers are the rows' spare floats and the front
+	// buffer, both compact at stride width.
 	perTopic := s.perTopic[:k]
 	var topoMass float64
-	// fold scales row (σ by scale, topo by β) into x's row for v and into
-	// the totals, and reports whether v is on the frontier.
+	// fold scales row (σ by scale, topo by β) in place and into v's
+	// totals, and reports whether v is on the frontier.
 	fold := func(v int, row []float64, scale float64) int {
-		res := resSigma[v*k : v*k+k : v*k+k]
+		res := rows[v*S+1 : v*S+1+k : v*S+1+k]
 		var sum float64
 		for j := range res {
 			d := scale * row[j]
@@ -197,19 +236,19 @@ func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 			return 0
 		}
 		topoMass += b
-		resTopoB[v] += b
-		resTopoAB[v] += alphaH * b
+		rows[v*S+tB] += b
+		rows[v*S+tAB] += alphaH * b
 		record(v)
 		return 1
 	}
 	// Pass 2: x_0 = G, injected from every source with a positive pass-1
-	// topo_αβ total (the empty path makes src one), written beside pass
-	// 1's last deltas, which it still reads. The rows are folded only once
-	// all are injected, so no row reads a total another row just grew.
-	x, y := nb, cb
+	// topo_αβ total (the empty path makes src one), beside pass 1's last
+	// deltas, which it still reads. The rows are folded only once all are
+	// injected, so no row reads a total another row just grew.
+	x, y := passBuf, front
 	for v := 0; v < n; v++ {
-		row := x[v*stride : v*stride+width : v*stride+width]
-		row[k] = in.inject(row[:k], v, src, resTopoAB, cb[:n])
+		row := x[v*width : v*width+width : v*width+width]
+		row[k] = in.inject(row[:k], v, src, totAB, cb)
 		ar := e.authRow(graph.NodeID(v))[:k]
 		for j := range ar {
 			row[j] *= ar[j]
@@ -219,7 +258,7 @@ func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 	alphaH *= p.Alpha
 	hits := 0
 	for v := 0; v < n; v++ {
-		hits += fold(v, x[v*stride:v*stride+width:v*stride+width], ab)
+		hits += fold(v, x[v*width:v*width+width:v*width+width], ab)
 	}
 
 	// Pass 3: β-gather hops x ← β·Pᵀx, folded into σ and topo.
@@ -234,27 +273,21 @@ func (in *InAdjacency) Explore(src graph.NodeID, s *Scratch) *Exploration {
 		alphaH *= p.Alpha
 		hits = 0
 		for v := 0; v < n; v++ {
-			row := y[v*stride : v*stride+width : v*stride+width]
-			gather(row, x, srcs[off[v]:off[v+1]], stride)
+			row := y[v*width : v*width+width : v*width+width]
+			gather(row, x, srcs[off[v]:off[v+1]], width)
 			hits += fold(v, row, beta)
 		}
 		x, y = y, x
 	}
 
-	xp := &Exploration{
+	return &Exploration{
 		Src: src, Topics: in.all, k: k,
 		Iterations: hops1 + 1 + hops3,
 		Converged:  true,
-		dSigma:     resSigma, dTopoB: resTopoB, dTopoAB: resTopoAB, dIn: resIn,
-		dScored: len(s.resList),
-		Reached: make([]graph.NodeID, 0, len(s.resList)),
+		rows:       rows, stride: S, tot: 1,
+		dScored: scored(),
+		Reached: s.reached,
 	}
-	for _, v := range s.resList {
-		if v != src {
-			xp.Reached = append(xp.Reached, v)
-		}
-	}
-	return xp
 }
 
 // inject sets row to Σ_{w→v} topo_αβ(w)·decay(w→v)·maxsim(label, ·) over

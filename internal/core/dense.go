@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/topics"
 )
@@ -14,26 +17,35 @@ import (
 type Scratch struct {
 	n, k int
 
-	// cur and next hold the per-hop deltas interleaved per node with
-	// stride kq+2 for a call of kq topics: σ for each topic, then topo_β,
-	// then topo_βα. One node's whole row lives on (at most two) cache
-	// lines, so the edge relaxation takes one memory touch per target
-	// instead of three — the propagation is bandwidth-bound, and the σ/topo
-	// values of a target are always written together.
-	cur, next         []float64 // n × (k+2)
-	inCur, inNext     []bool
+	// rows holds one row per node at the call's topic width q. A hop
+	// recurrence's row holds the hop deltas (σ for each topic, topo_β,
+	// topo_βα), a mark at q+2 and the running totals in the deltas' order
+	// from q+3, padded to whole cache lines where the scratch has room.
+	// The mark is 0 until a hop touches the node, then ±h for the last
+	// hop h that touched it, negative once the node is reached (a hop's
+	// deltas were summed into its totals). Relaxing an edge touches the
+	// target's deltas and mark only, which sit together; summing a hop
+	// reads a row once. The factored form keeps only a mark and the
+	// totals, stride q+3, and uses the rest as a pass buffer.
+	rows []float64 // n × (2k+5)
+	// front holds the expanding frontier's deltas in frontier order, q+2
+	// per node, so a hop reads its sources sequentially and writes only
+	// target rows. It grows on demand to the largest frontier expanded;
+	// the factored form uses it as its second pass buffer.
+	front             []float64
 	curList, nextList []graph.NodeID
 	perTopic          []float64   // per-hop topic-mass accumulator, len k
+	sims              []float64   // one edge's similarity factors, len k
 	acols             [][]float64 // per-query authority columns, len k
 
-	// Result arrays: accumulated scores, σ at stride kq. resList records
-	// the touched nodes so the next exploration resets in O(touched); resK
-	// is the row width the last exploration wrote.
-	resSigma            []float64 // n × k
-	resTopoB, resTopoAB []float64
-	resIn               []bool
-	resList             []graph.NodeID
-	resK                int
+	// reached lists the nodes holding a row other than src, the last
+	// exploration's source, in first-reach order; the Exploration's
+	// Reached aliases it. stride is the row width that exploration wrote
+	// and lo the offset in each row from which it left floats non-zero, so
+	// the next one clears exactly those.
+	reached    []graph.NodeID
+	src        graph.NodeID
+	stride, lo int
 
 	// fold is the node-indexed sum of landmark folds, allocated on first
 	// use so scratches that only explore never pay for it.
@@ -61,6 +73,38 @@ func (f *Fold) Add(v graph.NodeID, d float64) {
 	*p += d
 }
 
+// AddList adds a·topo[i] + b·sigma[i] to the sum of nodes[i] for every
+// entry but skip's, skipping zero terms: Proposition 4's fold of one
+// landmark list. topo and sigma must be at least as long as nodes, a and
+// b non-negative, and skip must hold no sum. The loop takes no branch per
+// entry: skip's term is zeroed, every term is added (a zero leaves a sum
+// bit-identical), and the entry's node is written past the touched list,
+// which keeps it only when a non-zero term lands on a zero sum.
+func (f *Fold) AddList(nodes []graph.NodeID, topo, sigma []float64, a, b float64, skip graph.NodeID) {
+	topo, sigma = topo[:len(nodes)], sigma[:len(nodes)]
+	f.touched = slices.Grow(f.touched, len(nodes))
+	val, touched, m := f.val, f.touched[:cap(f.touched)], len(f.touched)
+	for i, w := range nodes {
+		d := a*topo[i] + b*sigma[i]
+		if w == skip {
+			d = 0
+		}
+		p := &val[w]
+		old := *p
+		*p = old + d
+		touched[m] = w
+		first := 0
+		if old == 0 {
+			first = 1
+		}
+		if d == 0 {
+			first = 0
+		}
+		m += first
+	}
+	f.touched = touched[:m]
+}
+
 // At returns v's sum (0 for an untouched node).
 func (f *Fold) At(v graph.NodeID) float64 { return f.val[v] }
 
@@ -84,19 +128,36 @@ func (s *Scratch) Fold() *Fold {
 	return &s.fold
 }
 
-// resetResult prepares the result arrays for a fresh exploration of topic
-// width k, zeroing only the rows the previous exploration touched, at the
-// width it wrote them.
-func (s *Scratch) resetResult(k int) {
-	for _, v := range s.resList {
-		base := int(v) * s.resK
-		clear(s.resSigma[base : base+s.resK])
-		s.resTopoB[v] = 0
-		s.resTopoAB[v] = 0
-		s.resIn[v] = false
+// reset prepares the rows for an exploration from src with rows of
+// stride w, of which the call may leave non-zero the floats from offset
+// lo on. It zeroes those of the previous call's reached rows and source
+// row, at the stride it wrote them, with plain stores: a clear call per
+// row would cost more than the row. Every other row is all-zero already.
+func (s *Scratch) reset(src graph.NodeID, lo, w int) {
+	if s.stride > 0 {
+		zero := func(v graph.NodeID) {
+			r := s.rows[int(v)*s.stride+s.lo : int(v)*s.stride+s.stride]
+			for i := 0; i < len(r); i++ {
+				r[i] = 0
+			}
+		}
+		zero(s.src)
+		for _, v := range s.reached {
+			zero(v)
+		}
 	}
-	s.resList = s.resList[:0]
-	s.resK = k
+	s.reached = s.reached[:0]
+	s.src, s.lo, s.stride = src, lo, w
+}
+
+// frontBuf returns the front buffer grown to at least m entries. It
+// doubles up to the n×(k+2) a whole-graph frontier takes, so a converged
+// exploration reallocates a few times on a fresh scratch and never after.
+func (s *Scratch) frontBuf(m int) []float64 {
+	if cap(s.front) < m {
+		s.front = make([]float64, max(m, min(2*cap(s.front), s.n*(s.k+2))))
+	}
+	return s.front[:cap(s.front)]
 }
 
 // NewScratch sizes a scratch for the engine's graph and full vocabulary.
@@ -108,13 +169,9 @@ func NewScratch(e *Engine) *Scratch {
 func newScratchDims(n, k int) *Scratch {
 	return &Scratch{
 		n: n, k: k,
-		cur: make([]float64, n*(k+2)), next: make([]float64, n*(k+2)),
-		inCur: make([]bool, n), inNext: make([]bool, n),
-		perTopic:  make([]float64, k),
-		resSigma:  make([]float64, n*k),
-		resTopoB:  make([]float64, n),
-		resTopoAB: make([]float64, n),
-		resIn:     make([]bool, n),
+		rows:     make([]float64, n*(2*k+5)),
+		perTopic: make([]float64, k),
+		sims:     make([]float64, k),
 	}
 }
 
@@ -140,65 +197,48 @@ func frontierOutBound(v graph.View, frontier []graph.NodeID, n int) int {
 // seconds, so a per-hop check alone would make cancellation too coarse.
 const cancelCheckStride = 4096
 
-// exploreDense is the hop recurrence of ExploreOpts over s's arrays: the
-// per-hop deltas live in the interleaved hop rows with an explicit
-// frontier list, and the scores accumulate into s's result arrays, which
-// the returned Exploration aliases. Each node's sums follow hop order and,
-// within a hop, the frontier's first-touch order.
+// exploreDense is the hop recurrence of ExploreOpts over s's rows: each
+// hop reads the frontier's deltas from s's front buffer in frontier order
+// and sums the next hop's deltas into the target rows, which then fold
+// them into their totals; the returned Exploration aliases the rows. Each
+// node's sums follow hop order and, within a hop, the frontier's
+// first-touch order.
 func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, opts ExploreOptions, s *Scratch) *Exploration {
 	stop := opts.Stop
 	k := len(ts)
 	n := e.g.NumNodes()
-	s.resetResult(k)
-	x := &Exploration{
-		Src:     src,
-		Topics:  ts,
-		k:       k,
-		dSigma:  s.resSigma,
-		dTopoB:  s.resTopoB,
-		dTopoAB: s.resTopoAB,
-		dIn:     s.resIn,
-	}
+	fw := k + 2         // deltas per node
+	mk, tot := fw, fw+1 // offsets of the mark and the totals
+	// A row spans 2k+5 floats, padded to whole 64-byte lines where the
+	// scratch has room: a one-topic row is then one line.
+	stride := min((2*k+5+7)&^7, 2*s.k+5)
+	s.reset(src, mk, stride)
+	rows := s.rows
+	x := &Exploration{Src: src, Topics: ts, k: k, rows: rows, stride: stride, tot: tot}
 
 	beta, alpha := e.params.Beta, e.params.Alpha
 	ab := alpha * beta
 
 	// Authority is read per edge target for the query's fixed topics, so
-	// hoist the per-topic columns: random accesses then hit one
-	// n-float column each instead of striding through the n×T row-major
-	// table (a miss per edge at serving sizes). A nil column is the
-	// unit-authority variant; sr[t]*1 is bit-identical to sr[t], so the
-	// two paths score identically.
+	// hoist the per-topic columns: random accesses then hit one n-float
+	// column each instead of striding through the n×T row-major table. A
+	// nil column is the unit-authority variant; sf*1 is bit-identical to
+	// sf, so the two paths score identically.
 	acols := s.acols[:0]
 	for _, t := range ts {
 		acols = append(acols, e.authCol(t))
 	}
 	s.acols = acols
+	simTab, sims := e.simTab, s.sims[:k]
 
-	// Row layout of the interleaved hop arrays at this call's width: σ
-	// occupies the first k slots of a node's row, topo_β and topo_βα the
-	// two after it.
-	stride := k + 2
-	bOff, abOff := k, k+1
-
-	// Seed the frontier with the source.
-	s.curList = s.curList[:0]
+	// Seed the frontier with the source: σ 0, topo_β and topo_βα 1.
+	front := s.frontBuf(fw)
+	clear(front[:k])
+	front[k], front[k+1] = 1, 1
+	s.curList = append(s.curList[:0], src)
 	s.nextList = s.nextList[:0]
-	s.curList = append(s.curList, src)
-	s.inCur[src] = true
-	base := int(src) * stride
-	clear(s.cur[base : base+k])
-	s.cur[base+bOff] = 1
-	s.cur[base+abOff] = 1
 
-	clearCur := func() {
-		for _, u := range s.curList {
-			s.inCur[u] = false
-		}
-		s.curList = s.curList[:0]
-	}
-	defer clearCur() // leave the scratch clean for the next call
-
+	scored := 0 // nodes holding a row, including a revisited src
 	peakFrontier := 1
 	for depth := 1; depth <= maxDepth && len(s.curList) > 0; depth++ {
 		if ctxDone(opts.Ctx) {
@@ -212,8 +252,9 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 		if need := frontierOutBound(e.g, s.curList, n); cap(s.nextList) < need {
 			s.nextList = make([]graph.NodeID, 0, need)
 		}
+		fd := float64(depth)
 		expanded := 0
-		for _, w := range s.curList {
+		for i, w := range s.curList {
 			if opts.Ctx != nil {
 				if expanded++; expanded%cancelCheckStride == 0 && ctxDone(opts.Ctx) {
 					x.Cancelled = true
@@ -223,42 +264,48 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 			if stop != nil && w != src && stop(w) {
 				continue
 			}
-			wBase := int(w) * stride
-			wTopoAB := s.cur[wBase+abOff]
-			wTopoB := s.cur[wBase+bOff]
+			wd := front[i*fw : i*fw+fw : i*fw+fw]
+			wTopoB, wTopoAB := wd[k], wd[k+1]
 			dsts, lbls := e.g.Out(w)
 			wrow := e.outWeights(w)
-			for i, v := range dsts {
-				vBase := int(v) * stride
-				if !s.inNext[v] {
-					s.inNext[v] = true
+			for j, v := range dsts {
+				vb := int(v) * stride
+				row := rows[vb : vb+fw+1 : vb+fw+1] // deltas, then the mark
+				if m := row[mk]; math.Abs(m) != fd {
+					// First touch this hop. A hop starts with every mark
+					// 0 or negative, and the sign carries over.
+					row[mk] = math.Copysign(fd, m)
 					s.nextList = append(s.nextList, v)
-					clear(s.next[vBase : vBase+stride])
 				}
-				sr := e.simRow(lbls[i])
 				// Decay weight of this edge: scales the topical unit, not
 				// the topo recurrences (see Engine.wts).
 				ew := 1.0
 				if wrow != nil {
-					ew = float64(wrow[i])
+					ew = float64(wrow[j])
 				}
-				for ti, t := range ts {
-					unit := sr[t] * ew
+				simTab.MaxSims(sims, lbls[j], ts)
+				d, sf := row[:k:k], sims
+				for ti := range d {
+					unit := sf[ti] * ew
 					if ac := acols[ti]; ac != nil {
 						unit *= ac[v]
 					}
-					s.next[vBase+ti] += beta*s.cur[wBase+ti] + wTopoAB*(ab*unit)
+					d[ti] += beta*wd[ti] + wTopoAB*(ab*unit)
 				}
-				s.next[vBase+abOff] += ab * wTopoAB
-				s.next[vBase+bOff] += beta * wTopoB
+				row[k+1] += ab * wTopoAB
+				row[k] += beta * wTopoB
 			}
 		}
 		if x.Cancelled {
 			// The hop was abandoned midway: its partial deltas are not
-			// accumulated, and the next-frontier marks must be wiped so
-			// the scratch stays clean for reuse.
-			for _, u := range s.nextList {
-				s.inNext[u] = false
+			// accumulated, and its marks are undone, so the rows stay
+			// clean for reuse.
+			for _, v := range s.nextList {
+				row := rows[int(v)*stride:]
+				clear(row[:fw])
+				if row[mk] > 0 {
+					row[mk] = 0
+				}
 			}
 			s.nextList = s.nextList[:0]
 			break
@@ -270,45 +317,43 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 		// Accumulate the hop and test convergence: average new per-topic
 		// mass per reached node under Tol (Algorithm 1 l. 15), with the
 		// topological mass as an additional guard for the TopoOnly variant
-		// whose σ mass equals it anyway.
+		// whose σ mass equals it anyway. The deltas move to the front
+		// buffer, in nextList order, for the next hop to expand.
 		var topoMass float64
 		perTopic := s.perTopic[:k]
 		clear(perTopic)
-		for _, v := range s.nextList {
-			vBase := int(v) * stride
-			rBase := int(v) * k
-			if !s.resIn[v] {
-				s.resIn[v] = true
-				s.resList = append(s.resList, v)
+		front = s.frontBuf(len(s.nextList) * fw)
+		for i, v := range s.nextList {
+			row := rows[int(v)*stride : int(v)*stride+stride : int(v)*stride+stride]
+			if row[mk] > 0 {
+				row[mk] = -fd
+				scored++
 				if v != src {
-					x.Reached = append(x.Reached, v)
+					s.reached = append(s.reached, v)
 				}
 			}
+			d, r := row[:fw:fw], row[tot:tot+fw:tot+fw]
 			for ti := 0; ti < k; ti++ {
-				d := s.next[vBase+ti]
-				s.resSigma[rBase+ti] += d
-				perTopic[ti] += d
+				r[ti] += d[ti]
+				perTopic[ti] += d[ti]
 			}
-			s.resTopoB[v] += s.next[vBase+bOff]
-			s.resTopoAB[v] += s.next[vBase+abOff]
-			topoMass += s.next[vBase+bOff]
+			r[k] += d[k]
+			r[k+1] += d[k+1]
+			topoMass += d[k]
+			copy(front[i*fw:i*fw+fw], d)
+			clear(d)
 		}
-		x.dScored = len(s.resList)
 		x.Iterations = depth
-		denom := float64(max(1, x.dScored))
+		denom := float64(max(1, scored))
 		converged := maxOf(perTopic)/denom < e.params.Tol && topoMass/denom < e.params.Tol
 
-		// Swap frontiers.
-		clearCur()
 		s.curList, s.nextList = s.nextList, s.curList
-		s.cur, s.next = s.next, s.cur
-		s.inCur, s.inNext = s.inNext, s.inCur
-
 		if converged {
 			x.Converged = true
 			break
 		}
 	}
+	x.Reached, x.dScored = s.reached, scored
 	exploreMetrics(opts.Metrics, x, peakFrontier)
 	return x
 }

@@ -27,7 +27,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/authority"
 	"repro/internal/graph"
@@ -106,57 +105,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// simCache memoizes, per distinct edge label, the vector
-// max_{t'∈label} sim(t', t) for every topic t. Edge labels repeat
-// massively (they are small intersections of profiles), so this turns the
-// per-edge-per-topic bit scan of Equation 3 into one lookup per edge.
-//
-// base is frozen at construction with every label of the engine's graph;
-// extra memoizes labels that appear later — overlay-only labels from
-// dynamic edge batches, or hand-made paths on other graphs — behind a
-// sync.Map so concurrent queries never recompute a row more than a
-// handful of times and never race. A cache is shared across every engine
-// derived from the same base (the rows depend only on the similarity
-// matrix, not on the graph), so attaching an overlay reuses all prior
-// rows and only ever extends the cache.
-type simCache struct {
-	sim   *topics.SimMatrix
-	T     int
-	base  map[topics.Set][]float64
-	extra sync.Map // topics.Set -> []float64
-}
-
-func (c *simCache) compute(lbl topics.Set) []float64 {
-	row := make([]float64, c.T)
-	for t := 0; t < c.T; t++ {
-		row[t] = c.sim.MaxSim(lbl, topics.ID(t))
-	}
-	return row
-}
-
-// row returns the memoized per-topic similarity factors of lbl.
-func (c *simCache) row(lbl topics.Set) []float64 {
-	if r, ok := c.base[lbl]; ok {
-		return r
-	}
-	if r, ok := c.extra.Load(lbl); ok {
-		return r.([]float64)
-	}
-	r, _ := c.extra.LoadOrStore(lbl, c.compute(lbl))
-	return r.([]float64)
-}
-
-// ensure precomputes lbl's row if absent (overlay attach path).
-func (c *simCache) ensure(lbl topics.Set) {
-	if _, ok := c.base[lbl]; ok {
-		return
-	}
-	if _, ok := c.extra.Load(lbl); ok {
-		return
-	}
-	c.extra.LoadOrStore(lbl, c.compute(lbl))
-}
-
 // Engine scores candidates over one immutable graph View — a frozen CSR
 // or an overlay snapshot. An Engine is immutable and safe for concurrent
 // use; per-call scratch buffers are either passed in explicitly or
@@ -167,12 +115,13 @@ type Engine struct {
 	sim    *topics.SimMatrix
 	params Params
 
-	// simc caches per-label similarity rows; nil when the variant ignores
-	// similarity. Shared, not copied, by engines derived via Derive.
-	simc *simCache
 	// ones is the all-ones row used by variants without a similarity or
 	// authority factor.
 	ones []float64
+	// simTab answers the similarity factor maxsim(label, t): the
+	// matrix's byte table, or one that scores every label 1 for variants
+	// without a similarity factor.
+	simTab *topics.ByteTable
 	// wts, when non-nil, scales each edge's topical factor by a per-edge
 	// weight (the streaming tier's time-decay recency weights). The
 	// purely topological scores (topo_β, topo_αβ) stay unweighted — only
@@ -218,27 +167,17 @@ func NewEngine(g graph.View, auth *authority.Table, sim *topics.SimMatrix, param
 	for i := range e.ones {
 		e.ones[i] = 1
 	}
+	e.simTab = unitSim
 	if needSim {
-		e.simc = &simCache{sim: sim, T: T, base: make(map[topics.Set][]float64)}
-		for u := 0; u < g.NumNodes(); u++ {
-			_, lbls := g.Out(graph.NodeID(u))
-			for _, lbl := range lbls {
-				if _, ok := e.simc.base[lbl]; !ok {
-					e.simc.base[lbl] = e.simc.compute(lbl)
-				}
-			}
-		}
+		e.simTab = sim.ByteTable()
 	}
 	return e, nil
 }
 
 // Derive builds an engine over another View of the same vocabulary —
 // typically an overlay snapshot layered over (a descendant of) the
-// engine's graph — reusing the similarity-row cache instead of rescanning
-// every edge. When v is an overlay, the rows its delta rebuilt are the
-// only place a label unseen by the cache can hide, so exactly those are
-// scanned; anything missed beyond that is memoized on first use. auth is
-// the authority table matching v (nil keeps the engine's, for variants
+// engine's graph — sharing its similarity matrix and scratch pool. auth
+// is the authority table matching v (nil keeps the engine's, for variants
 // that ignore authority).
 func (e *Engine) Derive(v graph.View, auth *authority.Table) (*Engine, error) {
 	if v.Vocabulary().Len() != e.g.Vocabulary().Len() {
@@ -256,14 +195,9 @@ func (e *Engine) Derive(v graph.View, auth *authority.Table) (*Engine, error) {
 	// with one specific view, and v's rows differ.
 	// The owner re-attaches a matching set via WithEdgeWeights
 	// (dynamic.Manager layers one per overlay epoch).
-	ne := &Engine{g: v, auth: auth, sim: e.sim, params: e.params, simc: e.simc, ones: e.ones, pool: e.pool}
+	ne := &Engine{g: v, auth: auth, sim: e.sim, params: e.params, ones: e.ones, simTab: e.simTab, pool: e.pool}
 	if v.NumNodes() != e.g.NumNodes() {
 		ne.pool = newScratchPool(v.NumNodes(), len(e.ones))
-	}
-	if ne.simc != nil {
-		if ov, ok := v.(*graph.Overlay); ok {
-			ov.PatchedLabels(ne.simc.ensure)
-		}
 	}
 	return ne, nil
 }
@@ -287,14 +221,9 @@ func (e *Engine) outWeights(u graph.NodeID) []float32 {
 	return e.wts.OutWeights(u)
 }
 
-// simRow returns the per-topic similarity factors of an edge label (ones
-// when the variant ignores similarity).
-func (e *Engine) simRow(lbl topics.Set) []float64 {
-	if e.simc == nil {
-		return e.ones
-	}
-	return e.simc.row(lbl)
-}
+// unitSim scores every label 1: the similarity factor of the variants
+// without one.
+var unitSim = topics.ConstTable(1)
 
 // authRow returns the per-topic authority factors of a node (ones when
 // the variant ignores authority).
@@ -340,7 +269,7 @@ func (e *Engine) Similarity() *topics.SimMatrix { return e.sim }
 // built on top of the exploration recurrence (e.g. the distributed
 // simulation).
 func (e *Engine) EdgeUnit(label topics.Set, end graph.NodeID, t topics.ID) float64 {
-	return e.simRow(label)[t] * e.authRow(end)[t]
+	return e.simTab.Max(label, t) * e.authRow(end)[t]
 }
 
 // edgeTopicWeight returns the topical factor of one edge for topic t:

@@ -4,8 +4,8 @@ package core
 // observationally equivalent to the graph the legacy Builder path would
 // rebuild — same adjacency, same labels, same follower counts — and every
 // engine variant must score bit-identically over the two, whether the
-// engine is built from scratch or derived from the base engine with the
-// shared similarity cache.
+// engine is built from scratch or derived from the base engine, whose
+// similarity byte table it shares.
 
 import (
 	"math/rand/v2"
@@ -157,7 +157,7 @@ func equivalenceParams(v Variant) Params {
 // snapshot/delta design: for every engine variant, scoring over an
 // overlay stack must be bit-identical to scoring over the graph the
 // legacy full rebuild produces — including engines derived from a base
-// engine that shares the similarity cache.
+// engine, sharing its similarity byte table.
 func TestOverlayScoresMatchRebuild(t *testing.T) {
 	for _, variant := range []Variant{TrFull, TrNoAuth, TrNoSim, TopoOnly} {
 		t.Run(variant.String(), func(t *testing.T) {

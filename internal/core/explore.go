@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -30,24 +31,34 @@ type Exploration struct {
 	k       int // len(Topics)
 	dScored int // nodes holding a row, including a revisited Src
 
-	// Scores live in a scratch's flat result arrays, indexed by node id
-	// (σ at stride k) and valid only until the scratch's next exploration,
-	// or, once detached, in the maps below.
-	dSigma          []float64
-	dTopoB, dTopoAB []float64
-	dIn             []bool
-	sigma           map[graph.NodeID][]float64
-	topoB           map[graph.NodeID]float64
-	topoAB          map[graph.NodeID]float64
+	// Scores live in a scratch's rows (see Scratch.rows), indexed by
+	// node id and valid only until the scratch's next exploration, or,
+	// once detached, in the maps below.
+	rows        []float64
+	stride, tot int // row stride; offset of the totals, the mark just before
+	sigma       map[graph.NodeID][]float64
+	topoB       map[graph.NodeID]float64
+	topoAB      map[graph.NodeID]float64
+}
+
+// totals returns v's running totals in the scratch's rows — σ for each
+// topic, topo_β, topo_βα — or nil when v was never reached.
+func (x *Exploration) totals(v graph.NodeID) []float64 {
+	base := int(v) * x.stride
+	row := x.rows[base : base+x.stride : base+x.stride]
+	if row[x.tot-1] >= 0 {
+		return nil
+	}
+	return row[x.tot : x.tot+x.k+2]
 }
 
 // Sigma returns σ(Src, v, Topics[ti]).
 func (x *Exploration) Sigma(v graph.NodeID, ti int) float64 {
-	if x.dSigma != nil {
-		if !x.dIn[v] {
-			return 0
+	if x.rows != nil {
+		if r := x.totals(v); r != nil {
+			return r[ti]
 		}
-		return x.dSigma[int(v)*x.k+ti]
+		return 0
 	}
 	if row, ok := x.sigma[v]; ok {
 		return row[ti]
@@ -58,40 +69,40 @@ func (x *Exploration) Sigma(v graph.NodeID, ti int) float64 {
 // SigmaRow returns the per-topic scores of v in Topics order (nil if v was
 // never reached). The slice aliases internal storage.
 func (x *Exploration) SigmaRow(v graph.NodeID) []float64 {
-	if x.dSigma != nil {
-		if !x.dIn[v] {
-			return nil
+	if x.rows != nil {
+		if r := x.totals(v); r != nil {
+			return r[:x.k:x.k]
 		}
-		base := int(v) * x.k
-		return x.dSigma[base : base+x.k]
+		return nil
 	}
 	return x.sigma[v]
 }
 
 // TopoB returns the Katz score topo_β(Src, v) (Equation 2).
 func (x *Exploration) TopoB(v graph.NodeID) float64 {
-	if x.dTopoB != nil {
-		if !x.dIn[v] {
-			return 0
+	if x.rows != nil {
+		if r := x.totals(v); r != nil {
+			return r[x.k]
 		}
-		return x.dTopoB[v]
+		return 0
 	}
 	return x.topoB[v]
 }
 
 // TopoAB returns topo_αβ(Src, v), the topological score with decay α·β.
 func (x *Exploration) TopoAB(v graph.NodeID) float64 {
-	if x.dTopoAB != nil {
-		if !x.dIn[v] {
-			return 0
+	if x.rows != nil {
+		if r := x.totals(v); r != nil {
+			return r[x.k+1]
 		}
-		return x.dTopoAB[v]
+		return 0
 	}
 	return x.topoAB[v]
 }
 
-// detach copies x's scores out of the scratch it aliases into maps of its
-// own, so x outlives the scratch's next exploration.
+// detach copies x's scores and Reached list out of the scratch it
+// aliases into storage of its own, so x outlives the scratch's next
+// exploration.
 func (x *Exploration) detach() *Exploration {
 	k := x.k
 	rows := make([]float64, x.dScored*k)
@@ -99,20 +110,23 @@ func (x *Exploration) detach() *Exploration {
 	x.topoB = make(map[graph.NodeID]float64, x.dScored)
 	x.topoAB = make(map[graph.NodeID]float64, x.dScored)
 	keep := func(v graph.NodeID) {
+		r := x.totals(v)
+		if r == nil {
+			return
+		}
 		row := rows[:k:k]
 		rows = rows[k:]
-		copy(row, x.dSigma[int(v)*k:])
+		copy(row, r)
 		x.sigma[v] = row
-		x.topoB[v] = x.dTopoB[v]
-		x.topoAB[v] = x.dTopoAB[v]
+		x.topoB[v] = r[k]
+		x.topoAB[v] = r[k+1]
 	}
-	if x.dIn[x.Src] {
-		keep(x.Src)
-	}
+	keep(x.Src)
 	for _, v := range x.Reached {
 		keep(v)
 	}
-	x.dSigma, x.dTopoB, x.dTopoAB, x.dIn = nil, nil, nil, nil
+	x.Reached = slices.Clone(x.Reached)
+	x.rows = nil
 	return x
 }
 

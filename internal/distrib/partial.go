@@ -36,6 +36,7 @@ package distrib
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -76,11 +77,6 @@ type Shard struct {
 	// order: the output scan visits only these instead of the whole fold
 	// buffer, so the readout cost partitions with everything else.
 	ownedList []graph.NodeID
-	// data is the fold's landmark lookup (landmark.FoldLists): a flat
-	// bool table filters every reached node first — small enough to stay
-	// L1-resident across the scan — and only landmarks take the load from
-	// the node-indexed data table, instead of a map probe per reached node.
-	data func(graph.NodeID) *landmark.Data
 }
 
 // NewShard assembles one worker's query state from an assignment. The
@@ -124,33 +120,22 @@ func NewShard(eng *core.Engine, store *landmark.Store, assign Assignment, part i
 			}
 		}
 	}
-	if store.Len() != len(allLandmarks) {
-		return nil, fmt.Errorf("distrib: store holds %d landmarks, deployment has %d", store.Len(), len(allLandmarks))
+	for _, lm := range store.Landmarks() {
+		if !slices.Contains(allLandmarks, lm) {
+			return nil, fmt.Errorf("distrib: store holds landmark %d, which the deployment does not", lm)
+		}
 	}
-	// Dense membership tables: the exploration consults Prune on every
-	// expansion candidate and the fold consults Owns on every reached
-	// node, so both sit on the query hot path — an indexed load each, not
-	// a map probe.
+	// The store covers exactly the deployment's landmarks, so its
+	// node-indexed lookups are the exploration's pruning test and the
+	// fold's landmark lookup. Owns is a flat table read too.
 	n := eng.Graph().NumNodes()
-	isLandmark := make([]bool, n)
-	lmData := make([]*landmark.Data, n)
-	for _, lm := range allLandmarks {
-		isLandmark[lm] = true
-		lmData[lm] = store.Get(lm)
-	}
 	of := assign.Of
 	s := &Shard{
 		Eng:   eng,
 		Store: store,
-		Prune: func(v graph.NodeID) bool { return isLandmark[v] },
+		Prune: store.Contains,
 		Owns:  func(v graph.NodeID) bool { return of[v] == part },
 		Depth: depth,
-		data: func(v graph.NodeID) *landmark.Data {
-			if !isLandmark[v] {
-				return nil
-			}
-			return lmData[v]
-		},
 	}
 	for v := 0; v < n; v++ {
 		if of[v] == part {
@@ -207,7 +192,7 @@ func (s *Shard) PartialAppend(u graph.NodeID, t topics.ID, buf []PartialEntry) [
 			acc.Add(v, sc)
 		}
 	}
-	landmark.FoldLists(acc, x, u, t, s.data)
+	landmark.FoldLists(acc, x, u, t, s.Store.Get)
 
 	count := len(acc.Touched())
 	if cap(buf) < count {

@@ -208,18 +208,6 @@ func (o *Overlay) Bottom() *Graph {
 	}
 }
 
-// PatchedLabels calls f for every edge label occurring in the overlay's
-// rebuilt rows (a superset of the labels new to this delta). Engines
-// extend their per-label similarity cache from exactly these rows instead
-// of rescanning the whole graph.
-func (o *Overlay) PatchedLabels(f func(topics.Set)) {
-	for _, row := range o.out {
-		for _, l := range row.lbl {
-			f(l)
-		}
-	}
-}
-
 // PatchedOut calls f for every out-row this overlay layer rebuilt, with
 // the row's merged neighbor ids (sorted ascending, as Out serves them).
 // The weight-maintenance path uses it to compute decay weights for

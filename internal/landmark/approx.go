@@ -100,11 +100,15 @@ func (a *Approx) fold(s *core.Scratch, u graph.NodeID, t topics.ID) (*core.Fold,
 //
 //	σ(u,λ,t)·topo_β(λ,w) + topo_βα(u,λ)·σ(λ,w,t)
 //
-// skipping zero terms, which leave a non-negative sum bit-identical. It
-// returns the number of landmarks met. landmark.Approx and
-// distrib.Shard both fold through it, so a node's sum follows the same
-// order on either path.
+// skipping zero terms, which leave a non-negative sum bit-identical, with
+// the one list kernel core.Fold.AddList. acc must hold no sum for u (the
+// query node is never a candidate). It returns the number of landmarks
+// met. landmark.Approx and distrib.Shard both fold through it, so a
+// node's sum follows the same order on either path.
 func FoldLists(acc *core.Fold, x *core.Exploration, u graph.NodeID, t topics.ID, data func(graph.NodeID) *Data) int {
+	if acc.At(u) != 0 {
+		panic(fmt.Sprintf("landmark: fold holds a sum for query node %d", u))
+	}
 	met := 0
 	for _, v := range x.Reached {
 		d := data(v)
@@ -112,17 +116,9 @@ func FoldLists(acc *core.Fold, x *core.Exploration, u graph.NodeID, t topics.ID,
 			continue
 		}
 		met++
-		sigmaUL := x.Sigma(v, 0) // σ(u, λ, t)
-		topoUL := x.TopoAB(v)    // topo_βα(u, λ)
 		lst := &d.Topical[t]
-		for i, w := range lst.Nodes {
-			if w == u {
-				continue
-			}
-			if delta := sigmaUL*lst.Topo[i] + topoUL*lst.Sigma[i]; delta != 0 {
-				acc.Add(w, delta)
-			}
-		}
+		// σ(u, λ, t) scales λ's topo_β column, topo_βα(u, λ) its σ one.
+		acc.AddList(lst.Nodes, lst.Topo, lst.Sigma, x.Sigma(v, 0), x.TopoAB(v), u)
 	}
 	return met
 }

@@ -64,25 +64,40 @@ func BenchmarkPreprocessRefresh(b *testing.B) {
 }
 
 // BenchmarkApproxQuery is the Table 6 "time" column: the depth-2
-// landmark-combined query. Its allocs/op is gated by `make kernel-gate`:
-// the exploration's scores are read in place from a pooled scratch and
-// the fold sums into that scratch's dense fold buffer, so what remains is
-// the exploration's result header and the top-n list.
+// landmark-combined query, on the 3000-node graph with top-1000 lists and
+// on the serving shape of the whole-stack benchmark's query-cold workload
+// (8000 nodes, top-500 lists, n=10). Both use 30 In-Deg landmarks. Its
+// allocs/op is gated by `make kernel-gate`: the exploration's scores are
+// read in place from a pooled scratch and the fold sums into that
+// scratch's dense fold buffer, so what remains is the exploration's
+// result header and the top-n list.
 func BenchmarkApproxQuery(b *testing.B) {
-	eng, ds := benchSetup(b, 3000)
-	lms, err := Select(ds.Graph, InDeg, 30, DefaultSelectConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, _ := Preprocess(eng, lms, PreprocessConfig{TopN: 1000})
-	ap, err := NewApprox(eng, store, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ap.Query(graph.NodeID(i%3000), topics.ID(i%18), 100)
+	for _, c := range []struct {
+		name        string
+		nodes, topN int
+		n           int
+	}{
+		{"g3k", 3000, 1000, 100},
+		{"g8k", 8000, 500, 10},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			eng, ds := benchSetup(b, c.nodes)
+			lms, err := Select(ds.Graph, InDeg, 30, DefaultSelectConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			store, _ := Preprocess(eng, lms, PreprocessConfig{TopN: c.topN})
+			ap, err := NewApprox(eng, store, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vocab := ds.Graph.Vocabulary().Len()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ap.Query(graph.NodeID(i%c.nodes), topics.ID(i%vocab), c.n)
+			}
+		})
 	}
 }
 

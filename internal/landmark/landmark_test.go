@@ -1,6 +1,8 @@
 package landmark
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -323,6 +325,35 @@ func TestStorePutValidation(t *testing.T) {
 	}
 	if !s.Contains(1) || s.Contains(2) {
 		t.Error("Contains wrong")
+	}
+}
+
+// TestStoreLookupPastLastLandmark: the store indexes its data by node id
+// up to its largest landmark; ids below it that are no landmark, and ids
+// past it, up to the largest NodeID, are absent, and a replaced landmark
+// is listed once.
+func TestStoreLookupPastLastLandmark(t *testing.T) {
+	s := NewStore(2, 10)
+	for _, l := range []graph.NodeID{9, 3, 9} {
+		if err := s.Put(&Data{Landmark: l, Topical: make([]List, 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != 2 || !slices.Equal(s.Landmarks(), []graph.NodeID{9, 3}) {
+		t.Fatalf("landmarks %v, want [9 3]", s.Landmarks())
+	}
+	for _, id := range []graph.NodeID{0, 4, 8, 10, 11, 1 << 20, math.MaxUint32} {
+		if s.Contains(id) || s.Get(id) != nil {
+			t.Errorf("id %d: Contains %v, Get %v; want false, nil", id, s.Contains(id), s.Get(id))
+		}
+	}
+	for _, id := range []graph.NodeID{3, 9} {
+		if d := s.Get(id); !s.Contains(id) || d == nil || d.Landmark != id {
+			t.Errorf("landmark %d not found", id)
+		}
+	}
+	if empty := NewStore(2, 10); empty.Contains(0) || empty.Get(0) != nil {
+		t.Error("empty store holds node 0")
 	}
 }
 

@@ -46,18 +46,17 @@ type Data struct {
 type Store struct {
 	vocabLen int
 	topN     int
-	data     map[graph.NodeID]*Data
-	order    []graph.NodeID // insertion order, for deterministic iteration
+	// data is indexed by node id up to the largest landmark: a query
+	// asks it about every node its exploration reaches, and a slice load
+	// answers where a map probe would hash.
+	data  []*Data
+	order []graph.NodeID // insertion order, for deterministic iteration
 }
 
 // NewStore creates an empty store for lists of length topN over a
 // vocabulary of vocabLen topics.
 func NewStore(vocabLen, topN int) *Store {
-	return &Store{
-		vocabLen: vocabLen,
-		topN:     topN,
-		data:     make(map[graph.NodeID]*Data),
-	}
+	return &Store{vocabLen: vocabLen, topN: topN}
 }
 
 // VocabLen returns the number of topics per landmark.
@@ -67,7 +66,7 @@ func (s *Store) VocabLen() int { return s.vocabLen }
 func (s *Store) TopN() int { return s.topN }
 
 // Len returns the number of landmarks stored.
-func (s *Store) Len() int { return len(s.data) }
+func (s *Store) Len() int { return len(s.order) }
 
 // Landmarks returns the stored landmarks in insertion order.
 func (s *Store) Landmarks() []graph.NodeID {
@@ -75,21 +74,26 @@ func (s *Store) Landmarks() []graph.NodeID {
 }
 
 // Contains reports whether λ is a stored landmark.
-func (s *Store) Contains(l graph.NodeID) bool {
-	_, ok := s.data[l]
-	return ok
-}
+func (s *Store) Contains(l graph.NodeID) bool { return s.Get(l) != nil }
 
 // Get returns the data of landmark λ, or nil.
-func (s *Store) Get(l graph.NodeID) *Data { return s.data[l] }
+func (s *Store) Get(l graph.NodeID) *Data {
+	if int(l) >= len(s.data) {
+		return nil
+	}
+	return s.data[l]
+}
 
 // Put inserts (or replaces) a landmark's data.
 func (s *Store) Put(d *Data) error {
 	if len(d.Topical) != s.vocabLen {
 		return fmt.Errorf("landmark: data for %d has %d topical lists, want %d", d.Landmark, len(d.Topical), s.vocabLen)
 	}
-	if _, exists := s.data[d.Landmark]; !exists {
+	if s.Get(d.Landmark) == nil {
 		s.order = append(s.order, d.Landmark)
+	}
+	if need := int(d.Landmark) + 1; need > len(s.data) {
+		s.data = append(s.data, make([]*Data, need-len(s.data))...)
 	}
 	s.data[d.Landmark] = d
 	return nil
@@ -131,7 +135,8 @@ func (s *Store) CheckNodes(n int) error {
 // reports ≈1.4 MB per landmark for top-1000 lists over all topics).
 func (s *Store) Bytes() int {
 	total := 0
-	for _, d := range s.data {
+	for _, l := range s.order {
+		d := s.data[l]
 		for i := range d.Topical {
 			total += d.Topical[i].Len() * (4 + 8 + 8)
 		}

@@ -151,6 +151,14 @@ func OpenLandmarks(path string, opts OpenOptions) (*Landmarks, error) {
 	return ls, nil
 }
 
+// maxLandmarkID bounds the landmark ids an LMK3 image may name.
+// landmark.Store indexes its data by node id up to its largest landmark,
+// so an unchecked id would size that table from the file: the bound caps
+// it at 128 MB, for graphs of up to 16.7M nodes (7.7× the paper's Twitter
+// crawl). Entry ids are checked against the graph on adoption
+// (landmark.Store.CheckNodes).
+const maxLandmarkID = 1 << 24
+
 // newLandmarks decodes a mapped LMK3 image.
 func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) {
 	h, err := decodeHeader(m.data, landmarkMagic)
@@ -212,6 +220,9 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 	}
 	s := landmark.NewStore(int(vocabLen), int(topN))
 	for i := uint64(0); i < numLm; i++ {
+		if ids[i] >= maxLandmarkID {
+			return nil, fmt.Errorf("store: landmark id %d not below %d", ids[i], maxLandmarkID)
+		}
 		d := &landmark.Data{
 			Landmark:   graph.NodeID(ids[i]),
 			Iterations: int(iters[i]),

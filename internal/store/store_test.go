@@ -528,3 +528,29 @@ func TestParseSyncPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestLandmarkIDBound: an LMK3 image naming a landmark id at or past
+// maxLandmarkID is rejected before the store sizes its node-indexed table
+// from it; the same image with a smaller new id decodes.
+func TestLandmarkIDBound(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := WriteLandmarks(&buf, testLandmarkStore(t)); err != nil {
+		t.Fatal(err)
+	}
+	ids := []byte{4, 0, 0, 0, 9, 0, 0, 0, 17, 0, 0, 0} // lmIDs: 4, 9, 17
+	at := bytes.Index(buf.Bytes(), ids)
+	if at < 0 {
+		t.Fatal("lmIDs section not found")
+	}
+	for _, c := range []struct {
+		id uint32
+		ok bool
+	}{{1000, true}, {maxLandmarkID, false}, {1<<32 - 1, false}} {
+		img := bytes.Clone(buf.Bytes())
+		img[at+8], img[at+9], img[at+10], img[at+11] = byte(c.id), byte(c.id>>8), byte(c.id>>16), byte(c.id>>24)
+		_, err := newLandmarks(&mapping{data: img}, int64(len(img)), OpenOptions{})
+		if (err == nil) != c.ok {
+			t.Errorf("landmark id %d: err %v, want accepted %v", c.id, err, c.ok)
+		}
+	}
+}

@@ -1,6 +1,11 @@
 package topics
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Taxonomy is a rooted tree over category nodes. Every topic of a
 // vocabulary is attached to exactly one node (usually a leaf). Semantic
@@ -153,9 +158,14 @@ func (t *Taxonomy) SimMatrix() *SimMatrix {
 }
 
 // SimMatrix is a symmetric topic-similarity matrix with triangular storage.
+// Beside the values it keeps a byte table that answers MaxSim one label
+// byte at a time (ByteTable), built on first use after the last Set. A
+// SimMatrix must not be Set while it is being read.
 type SimMatrix struct {
-	n    int
-	vals []float64 // row-major upper triangle including the diagonal
+	n     int
+	vals  []float64 // row-major upper triangle including the diagonal
+	mu    sync.Mutex
+	table atomic.Pointer[ByteTable]
 }
 
 // NewSimMatrix allocates an n×n symmetric matrix initialized to zero.
@@ -176,7 +186,10 @@ func (m *SimMatrix) idx(a, b ID) int {
 }
 
 // Set stores the similarity of (a, b); symmetric.
-func (m *SimMatrix) Set(a, b ID, v float64) { m.vals[m.idx(a, b)] = v }
+func (m *SimMatrix) Set(a, b ID, v float64) {
+	m.vals[m.idx(a, b)] = v
+	m.table.Store(nil)
+}
 
 // At returns the similarity of (a, b).
 func (m *SimMatrix) At(a, b ID) float64 { return m.vals[m.idx(a, b)] }
@@ -186,7 +199,7 @@ func (m *SimMatrix) At(a, b ID) float64 { return m.vals[m.idx(a, b)] }
 //
 //	max_{t' ∈ labelE(e)} sim(t', t)
 //
-// It returns 0 for the empty set.
+// It returns 0 for the empty set. ByteTable answers the same bit for bit.
 func (m *SimMatrix) MaxSim(s Set, t ID) float64 {
 	best := 0.0
 	s.ForEach(func(x ID) {
@@ -195,6 +208,80 @@ func (m *SimMatrix) MaxSim(s Set, t ID) float64 {
 		}
 	})
 	return best
+}
+
+// ByteTable returns the matrix's byte table, building it on first use.
+func (m *SimMatrix) ByteTable() *ByteTable {
+	if tb := m.table.Load(); tb != nil {
+		return tb
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if tb := m.table.Load(); tb != nil {
+		return tb
+	}
+	// MaxSim(·, t) only ever answers 0 or a stored positive sim(x, t):
+	// those, ascending, are the values topic t's ranks stand for.
+	tb := new(ByteTable)
+	all := Set(1<<m.n - 1) // the vocabulary's bits (uint32 wraps at 32)
+	for t := 0; t < m.n; t++ {
+		vals := []float64{0}
+		for x := 0; x < m.n; x++ {
+			if v := m.At(ID(x), ID(t)); v > 0 {
+				vals = append(vals, v)
+			}
+		}
+		slices.Sort(vals)
+		vals = slices.Compact(vals)
+		copy(tb.vals[t][:], vals)
+		for row := range tb.ranks {
+			s := Set(row%256) << (8 * (row / 256)) & all
+			r, _ := slices.BinarySearch(vals, m.MaxSim(s, ID(t)))
+			tb.ranks[row][t] = uint8(r)
+		}
+	}
+	m.table.Store(tb)
+	return tb
+}
+
+// ByteTable answers MaxSim(s, t) from four table entries, one per byte
+// of the label s. Row 256·b + x holds, for every topic t, the rank of the
+// MaxSim on t of the topics byte b of a label holds when it is x, among
+// the at most MaxTopics+1 values MaxSim(·, t) can take, kept ascending. A
+// label's maximum is the value of the largest of its four bytes' ranks,
+// exactly, since max is exact. The table takes 48 KB: a row holds every
+// topic's rank in 32 bytes, so an exploration of any topic width reads
+// four rows per edge from an L1-sized table, and no lookup needs a bounds
+// check.
+type ByteTable struct {
+	ranks [4 * 256][MaxTopics]uint8
+	vals  [MaxTopics][2 * MaxTopics]float64 // vals[t][rank]
+}
+
+// ConstTable returns a byte table that scores every label and topic v.
+func ConstTable(v float64) *ByteTable {
+	tb := new(ByteTable)
+	for t := range tb.vals {
+		tb.vals[t][0] = v
+	}
+	return tb
+}
+
+// MaxSims sets dst[i] to MaxSim(s, ts[i]) for every i < len(dst).
+func (tb *ByteTable) MaxSims(dst []float64, s Set, ts []ID) {
+	r0, r1 := &tb.ranks[uint8(s)], &tb.ranks[256+int(uint8(s>>8))]
+	r2, r3 := &tb.ranks[512+int(uint8(s>>16))], &tb.ranks[768+int(uint8(s>>24))]
+	for i, t := range ts[:len(dst)] {
+		t &= MaxTopics - 1
+		dst[i] = tb.vals[t][max(r0[t], r1[t], r2[t], r3[t])&(2*MaxTopics-1)]
+	}
+}
+
+// Max returns MaxSim(s, t).
+func (tb *ByteTable) Max(s Set, t ID) float64 {
+	t &= MaxTopics - 1
+	r := &tb.ranks
+	return tb.vals[t][max(r[uint8(s)][t], r[256+int(uint8(s>>8))][t], r[512+int(uint8(s>>16))][t], r[768+int(uint8(s>>24))][t])&(2*MaxTopics-1)]
 }
 
 // Bytes returns the in-memory size of the packed values, used to report the

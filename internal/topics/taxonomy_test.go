@@ -1,6 +1,8 @@
 package topics
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +208,63 @@ func TestTaxonomyFor(t *testing.T) {
 	}
 	if got := flat.WuPalmer(2, 2); !feq(got, 1) {
 		t.Errorf("flat self-sim = %g, want 1", got)
+	}
+}
+
+// requireTableIsMaxSim checks that m's byte table answers MaxSim(s, t)
+// bit for bit for every topic t of m, through MaxSims and Max.
+func requireTableIsMaxSim(t *testing.T, label string, m *SimMatrix, s Set) {
+	t.Helper()
+	tb := m.ByteTable()
+	all := make([]ID, m.Len())
+	for tp := range all {
+		all[tp] = ID(tp)
+	}
+	got := make([]float64, m.Len())
+	tb.MaxSims(got, s, all)
+	for tp, g := range got {
+		want := m.MaxSim(s, ID(tp))
+		if one := tb.Max(s, ID(tp)); math.Float64bits(g) != math.Float64bits(want) || math.Float64bits(one) != math.Float64bits(want) {
+			t.Fatalf("%s: label %#x topic %d: MaxSims %v, Max %v, MaxSim %v", label, uint32(s), tp, g, one, want)
+		}
+	}
+}
+
+// TestByteTableMatchesMaxSim: the byte table answers MaxSim exactly — on
+// every label of the 18-topic web vocabulary, the empty one included,
+// and on 10^5 random labels over a MaxTopics-wide matrix of random
+// similarities, before and after Set overwrites some of them.
+func TestByteTableMatchesMaxSim(t *testing.T) {
+	web := WebTaxonomy().SimMatrix()
+	for s := Set(0); s < 1<<web.Len(); s++ {
+		requireTableIsMaxSim(t, "web", web, s)
+	}
+
+	rng := rand.New(rand.NewSource(32))
+	wide := NewSimMatrix(MaxTopics)
+	for a := 0; a < MaxTopics; a++ {
+		for b := a; b < MaxTopics; b++ {
+			v := rng.Float64()
+			if rng.Intn(8) == 0 {
+				v = 0.5 // ties across topics
+			}
+			wide.Set(ID(a), ID(b), v)
+		}
+	}
+	labels := make([]Set, 100000)
+	for i := range labels {
+		labels[i] = Set(rng.Uint32())
+		if i%4 == 0 {
+			labels[i] &= Set(rng.Uint32()) // sparser labels
+		}
+	}
+	for _, s := range labels {
+		requireTableIsMaxSim(t, "wide", wide, s)
+	}
+	for i := 0; i < 40; i++ {
+		wide.Set(ID(rng.Intn(MaxTopics)), ID(rng.Intn(MaxTopics)), rng.Float64()/4)
+	}
+	for _, s := range labels[:20000] {
+		requireTableIsMaxSim(t, "wide after Set", wide, s)
 	}
 }
