@@ -35,7 +35,7 @@ race-all:
 vet:
 	$(GO) vet ./...
 
-check: build vet fmt-check test race kernel-gate bench-build
+check: build vet fmt-check test race kernel-gate bench-build orphans
 
 # bench-build compiles the whole-stack benchmark (bench/, the separate
 # module repro/bench) and its tests against this tree: an exported-API
@@ -43,6 +43,19 @@ check: build vet fmt-check test race kernel-gate bench-build
 # that runs BENCHMARK.json.
 bench-build:
 	$(GO) vet -C bench ./...
+
+# orphans fails when a package under internal/ is linked into nothing
+# that ships: it must be in the dependency closure of the commands, the
+# examples, the public tr packages, the root package or the benchmark
+# module (bench/). A package that only its own tests import is code no
+# program runs; delete it or wire it into a program.
+.PHONY: orphans
+orphans:
+	@pkgs="$$($(GO) list ./internal/...)" && \
+	used="$$($(GO) list -deps ./cmd/... ./examples/... ./tr/... . && $(GO) list -C bench -deps .)" && \
+	out="$$( { printf '%s\n' "$$used"; printf 'pkg %s\n' $$pkgs; } | \
+		awk '$$1 == "pkg" { if (!($$2 in used)) print $$2; next } { used[$$1] = 1 }')" && \
+	if [ -n "$$out" ]; then echo "orphans: packages no shipped program links:"; echo "$$out"; exit 1; fi
 
 # fmt-check fails when any file is not gofmt-clean.
 fmt-check:

@@ -263,12 +263,10 @@ func (e *Engine) Authority() *authority.Table { return e.auth }
 // Similarity returns the engine's similarity matrix (may be nil).
 func (e *Engine) Similarity() *topics.SimMatrix { return e.sim }
 
-// EdgeUnit returns the topical factor of one edge for topic t —
+// edgeUnit returns the topical factor of one edge for topic t —
 // maxsim(label, t) · auth(end, t) under the engine's variant — the
-// quantity β·α multiplies in the edge score ω_e(t). Exposed for engines
-// built on top of the exploration recurrence (e.g. the distributed
-// simulation).
-func (e *Engine) EdgeUnit(label topics.Set, end graph.NodeID, t topics.ID) float64 {
+// quantity β·α multiplies in the edge score ω_e(t).
+func (e *Engine) edgeUnit(label topics.Set, end graph.NodeID, t topics.ID) float64 {
 	return e.simTab.Max(label, t) * e.authRow(end)[t]
 }
 

@@ -63,7 +63,7 @@ func (e *Engine) Explain(u, v graph.NodeID, t topics.ID, opts ExplainOptions) ([
 			budget--
 			ap := alphaPow * alpha
 			bp := betaPow * beta
-			ps := partial + ap*e.EdgeUnit(lbls[i], w, t)
+			ps := partial + ap*e.edgeUnit(lbls[i], w, t)
 			prefix = append(prefix, w)
 			if w == v {
 				p := make(Path, len(prefix))

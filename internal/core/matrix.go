@@ -50,7 +50,7 @@ func (e *Engine) MatrixExplore(src graph.NodeID, t topics.ID, iters int) []float
 				// (βA)·R term.
 				rNext[v] += beta * ru
 				// (βα)·S·T term.
-				rNext[v] += ab * e.EdgeUnit(lbls[i], v, t) * tu
+				rNext[v] += ab * e.edgeUnit(lbls[i], v, t) * tu
 				// T recurrence.
 				tNext[v] += ab * tu
 			}

@@ -185,8 +185,8 @@ func TestEdgeUnitMatchesEdgeTopicWeight(t *testing.T) {
 		e := f.engine(t, p)
 		lbl, _ := f.g.EdgeLabel(f.A, f.B)
 		for _, tt := range []topics.ID{f.tech, f.science, f.social} {
-			if got, want := e.EdgeUnit(lbl, f.B, tt), e.edgeTopicWeight(lbl, f.B, tt); !almostEqual(got, want, 1e-15) {
-				t.Fatalf("%v: EdgeUnit %g vs edgeTopicWeight %g", variant, got, want)
+			if got, want := e.edgeUnit(lbl, f.B, tt), e.edgeTopicWeight(lbl, f.B, tt); !almostEqual(got, want, 1e-15) {
+				t.Fatalf("%v: edgeUnit %g vs edgeTopicWeight %g", variant, got, want)
 			}
 		}
 	}

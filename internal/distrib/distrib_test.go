@@ -1,15 +1,12 @@
 package distrib
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/authority"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/landmark"
-	"repro/internal/topics"
 )
 
 func setup(t *testing.T, seed uint64) (*core.Engine, *landmark.Store, *gen.Dataset) {
@@ -76,98 +73,5 @@ func TestConnectivityBeatsHashOnCut(t *testing.T) {
 	conn := CutEdges(ds.Graph, ConnectivityPartition(ds.Graph, parts, 3))
 	if conn >= hash {
 		t.Errorf("connectivity cut %d must beat hash cut %d", conn, hash)
-	}
-}
-
-func TestClusterMatchesSingleMachine(t *testing.T) {
-	eng, store, ds := setup(t, 2)
-	ap, err := landmark.NewApprox(eng, store, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{2, 5} {
-		cl, err := NewCluster(eng, ConnectivityPartition(ds.Graph, parts, 1), store, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, u := range []graph.NodeID{3, 117, 542} {
-			for _, tt := range []topics.ID{0, 6} {
-				want := ap.Recommend(u, tt, 20)
-				got, _ := cl.Query(u, tt, 20)
-				if len(got) != len(want) {
-					t.Fatalf("parts=%d u=%d t=%d: %d vs %d results", parts, u, tt, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Node != want[i].Node {
-						t.Fatalf("parts=%d u=%d: rank %d node %d vs %d", parts, u, i, got[i].Node, want[i].Node)
-					}
-					if math.Abs(got[i].Score-want[i].Score) > 1e-9*math.Max(1, want[i].Score) {
-						t.Fatalf("parts=%d u=%d: rank %d score %g vs %g", parts, u, i, got[i].Score, want[i].Score)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSinglePartitionHasNoTraffic(t *testing.T) {
-	eng, store, ds := setup(t, 3)
-	cl, err := NewCluster(eng, HashPartition(ds.Graph, 1), store, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats := cl.Query(10, 0, 10)
-	if stats.Records != 0 || stats.Messages != 0 || stats.Bytes != 0 {
-		t.Errorf("one partition must not produce exploration traffic: %+v", stats)
-	}
-	if stats.GatherBytes == 0 {
-		t.Error("result gathering still costs bytes")
-	}
-}
-
-func TestConnectivityReducesQueryTraffic(t *testing.T) {
-	eng, store, ds := setup(t, 4)
-	const parts = 6
-	hash, err := NewCluster(eng, HashPartition(ds.Graph, parts), store, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := NewCluster(eng, ConnectivityPartition(ds.Graph, parts, 1), store, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hashBytes, connBytes int
-	queries := 0
-	for u := graph.NodeID(0); u < 800; u += 37 {
-		if ds.Graph.OutDegree(u) == 0 {
-			continue
-		}
-		_, hs := hash.Query(u, 0, 10)
-		_, cs := conn.Query(u, 0, 10)
-		hashBytes += hs.Bytes
-		connBytes += cs.Bytes
-		queries++
-	}
-	if queries == 0 {
-		t.Skip("no queries")
-	}
-	if connBytes >= hashBytes {
-		t.Errorf("connectivity partitioning moved %d bytes, hash %d — expected a reduction", connBytes, hashBytes)
-	}
-}
-
-func TestNewClusterValidation(t *testing.T) {
-	eng, store, ds := setup(t, 5)
-	bad := Assignment{Of: make([]int, 3), Parts: 2}
-	if _, err := NewCluster(eng, bad, store, 2); err == nil {
-		t.Error("short assignment must error")
-	}
-	if _, err := NewCluster(eng, HashPartition(ds.Graph, 2), store, 0); err == nil {
-		t.Error("zero depth must error")
-	}
-	a := HashPartition(ds.Graph, 2)
-	a.Of[5] = 9
-	if _, err := NewCluster(eng, a, store, 2); err == nil {
-		t.Error("out-of-range partition must error")
 	}
 }

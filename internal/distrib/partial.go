@@ -1,8 +1,8 @@
 // partial.go is the serving-tier form of the distributed computation: one
 // worker's additive share of a landmark-approximate query, and the exact
-// gather-side merge. Where cluster.go simulates BSP supersteps with
-// per-hop message exchange, the serving tier trades a little duplicated
-// exploration for zero mid-query coordination:
+// gather-side merge. The tier trades a little duplicated exploration for
+// zero mid-query coordination: no score mass crosses a partition boundary
+// during a query, only the finished partials do:
 //
 //   - every worker holds the full graph topology (cheap: the CSR is a
 //     fraction of the landmark store's size) and runs the depth-bounded

@@ -10,16 +10,15 @@
 //   - graph partitioning: a hash baseline and a connectivity-aware
 //     partitioner (balanced multi-seed BFS growth) with cut-edge
 //     accounting;
-//   - a simulated cluster: one worker goroutine per partition, each owning
-//     its nodes' out-edges and the landmark lists of the landmarks placed
-//     on it; queries run as BSP supersteps, score mass crossing partition
-//     boundaries is exchanged in counted messages;
-//   - network-cost metrics per query (records, messages, bytes), the
-//     quantity the paper says a distributed deployment must minimize.
+//   - the serving tier's worker (Shard, partial.go): each partition
+//     scores its own candidates after a locally replicated exploration,
+//     and Merge gathers the disjoint partials;
+//   - the shard RPC (shardserve.go) and its binary partial frame
+//     (wire.go), which cmd/trshard serves and the trserver router calls.
 //
-// The distributed computation is score-equivalent to the single-machine
-// landmark approximation (landmark.Approx) — tests assert equality — so
-// the only thing distribution changes is where the work and the bytes go.
+// The merged partials equal the single-machine landmark approximation
+// (landmark.Approx) bit for bit — tests assert equality — so the only
+// thing distribution changes is where the work and the bytes go.
 package distrib
 
 import (
@@ -58,7 +57,7 @@ func (a Assignment) Sizes() []int {
 }
 
 // CutEdges counts edges whose endpoints live on different partitions —
-// every such edge is a potential network transfer during exploration.
+// the quantity a connectivity-aware partitioner minimizes.
 func CutEdges(g graph.View, a Assignment) int {
 	cut := 0
 	for u := 0; u < g.NumNodes(); u++ {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -106,6 +107,35 @@ func TestNewShardRejectsBadStores(t *testing.T) {
 	sub := half.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == 0 })
 	if _, err := NewShard(eng, sub, assign, 0, lms, 2); err == nil {
 		t.Fatal("shard 0 accepted a store missing landmarks")
+	}
+
+	// The scalar inputs and the vocabulary: each case is otherwise a
+	// valid shard, so the error must name the one bad input.
+	own := store.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == 0 })
+	if _, err := NewShard(eng, own, assign, 0, lms, 2); err != nil {
+		t.Fatalf("valid shard rejected: %v", err)
+	}
+	wide := landmark.NewStore(own.VocabLen()+1, own.TopN())
+	for _, lm := range own.Landmarks() {
+		d := *own.Get(lm)
+		d.Topical = append(slices.Clone(d.Topical), landmark.List{})
+		if err := wide.Put(&d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, c := range map[string]struct {
+		store       *landmark.Store
+		part, depth int
+		want        string
+	}{
+		"zero depth":          {own, 0, 0, "depth"},
+		"partition past end":  {own, assign.Parts, 2, "shard 2 of 2"},
+		"vocabulary mismatch": {wide, 0, 2, "vocabulary"},
+	} {
+		_, err := NewShard(eng, c.store, assign, c.part, lms, c.depth)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, c.want)
+		}
 	}
 }
 

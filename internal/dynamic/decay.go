@@ -97,9 +97,9 @@ func (d *decayState) export() *store.DecayState {
 	return s
 }
 
-// note records a batch's applied timestamps. An unstamped add (At == 0,
-// e.g. replayed from a version-1 log) decays from the origin — never
-// from the replay clock, which would break deterministic recovery.
+// note records a batch's applied timestamps. An unstamped add (At == 0:
+// its caller supplied no event time) decays from the origin — never from
+// the replay clock, which would break deterministic recovery.
 func (d *decayState) note(batch []Update) {
 	for _, up := range batch {
 		k := graph.KeyOf(up.Edge.Src, up.Edge.Dst)

@@ -258,6 +258,11 @@ func TestExtensionExperiments(t *testing.T) {
 	if conn.CutEdges >= hash.CutEdges {
 		t.Errorf("connectivity cut (%d) must beat hash (%d)", conn.CutEdges, hash.CutEdges)
 	}
+	// Partials are disjoint and cover the same candidate set under any
+	// partitioner, so the wire bill cannot depend on the scheme.
+	if conn.BytesPerQuery != hash.BytesPerQuery || hash.BytesPerQuery == 0 {
+		t.Errorf("bytes/query: connectivity %g, hash %g; want equal and positive", conn.BytesPerQuery, hash.BytesPerQuery)
+	}
 	if !strings.Contains(dist.String(), "bytes/query") {
 		t.Error("rendering incomplete")
 	}

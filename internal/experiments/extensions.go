@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -107,24 +108,31 @@ func (d *DynamicResult) String() string {
 }
 
 // DistribResult reports the partitioned-deployment experiment (the
-// paper's second future-work direction): cut edges and per-query network
-// traffic for connectivity-aware vs hash partitioning.
+// paper's second future-work direction) on the serving tier cmd/trshard
+// runs: per partitioning scheme, the cut, the partial-response bytes one
+// query ships to the router and how evenly the shards share the scoring.
 type DistribResult struct {
-	Parts int
-	Rows  []DistribRow
+	Parts   int
+	Queries int
+	Rows    []DistribRow
 }
 
-// DistribRow is one partitioning scheme's network bill.
+// DistribRow is one partitioning scheme's bill.
 type DistribRow struct {
-	Scheme        string
-	CutEdges      int
-	CutFraction   float64
+	Scheme      string
+	CutEdges    int
+	CutFraction float64
+	// BytesPerQuery is the encoded partial responses of all shards
+	// (distrib.EncodePartial), averaged over the sampled queries.
 	BytesPerQuery float64
-	RecordsPer    float64
-	GatherPer     float64
+	// MaxShardShare is the largest shard's share of all partial entries.
+	MaxShardShare float64
 }
 
-// ExtDistrib compares partitioning schemes on the simulated cluster.
+// ExtDistrib compares partitioning schemes on the shard tier: one
+// distrib.Shard per partition, every sampled query answered by the
+// shards' partials and distrib.Merge. It fails unless every merged
+// ranking equals the single-process landmark.Approx one.
 func (r *Runner) ExtDistrib() (*DistribResult, error) {
 	tw, err := r.TwitterDataset()
 	if err != nil {
@@ -139,6 +147,10 @@ func (r *Runner) ExtDistrib() (*DistribResult, error) {
 		return nil, err
 	}
 	store, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: 200})
+	ap, err := landmark.NewApprox(eng, store, r.cfg.ApproxDepth)
+	if err != nil {
+		return nil, err
+	}
 
 	const parts = 8
 	res := &DistribResult{Parts: parts}
@@ -150,33 +162,45 @@ func (r *Runner) ExtDistrib() (*DistribResult, error) {
 		{"connectivity", distrib.ConnectivityPartition(tw.Graph, parts, r.cfg.Seed)},
 	}
 	for _, s := range schemes {
-		cl, err := distrib.NewCluster(eng, s.assign, store, r.cfg.ApproxDepth)
-		if err != nil {
-			return nil, err
+		shards := make([]*distrib.Shard, parts)
+		for p := range shards {
+			sub := store.SubsetNodes(func(v graph.NodeID) bool { return s.assign.Of[v] == p })
+			if shards[p], err = distrib.NewShard(eng, sub, s.assign, p, lms, r.cfg.ApproxDepth); err != nil {
+				return nil, err
+			}
 		}
-		cut := distrib.CutEdges(tw.Graph, s.assign)
-		var bytes, records, gather, queries int
+		partials := make([][]distrib.PartialEntry, parts)
+		entries := make([]int, parts)
+		bytes, total, queries := 0, 0, 0
 		for u := 0; u < tw.Graph.NumNodes() && queries < r.cfg.QueryNodes; u += 97 {
 			uid := graph.NodeID(u)
 			if tw.Graph.OutDegree(uid) < 3 {
 				continue
 			}
-			_, st := cl.Query(uid, topics.ID(u%tw.Vocabulary().Len()), 100)
-			bytes += st.Bytes
-			records += st.Records
-			gather += st.GatherBytes
+			t := topics.ID(u % tw.Vocabulary().Len())
+			for p, sh := range shards {
+				partials[p] = sh.PartialAppend(uid, t, partials[p])
+				entries[p] += len(partials[p])
+				total += len(partials[p])
+				bytes += len(distrib.EncodePartial(&distrib.PartialResponse{Shard: p, Parts: parts, Entries: partials[p]}))
+			}
+			got, want := distrib.Merge(partials, uid, 100), ap.Recommend(uid, t, 100)
+			if !slices.Equal(got, want) {
+				return nil, fmt.Errorf("ext-distrib: %s merge for user %d topic %d differs from the single-process ranking", s.name, u, t)
+			}
 			queries++
 		}
 		if queries == 0 {
 			return nil, fmt.Errorf("ext-distrib: no query nodes")
 		}
+		res.Queries = queries
+		cut := distrib.CutEdges(tw.Graph, s.assign)
 		res.Rows = append(res.Rows, DistribRow{
 			Scheme:        s.name,
 			CutEdges:      cut,
 			CutFraction:   float64(cut) / float64(tw.Graph.NumEdges()),
 			BytesPerQuery: float64(bytes) / float64(queries),
-			RecordsPer:    float64(records) / float64(queries),
-			GatherPer:     float64(gather) / float64(queries),
+			MaxShardShare: float64(slices.Max(entries)) / float64(max(1, total)),
 		})
 	}
 	return res, nil
@@ -185,11 +209,11 @@ func (r *Runner) ExtDistrib() (*DistribResult, error) {
 // String renders the scheme comparison.
 func (d *DistribResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "partitions: %d\n", d.Parts)
-	fmt.Fprintf(&b, "%-14s %10s %8s %14s %12s %14s\n", "Scheme", "cut-edges", "cut-%", "bytes/query", "records/q", "gather-B/q")
+	fmt.Fprintf(&b, "partitions: %d, queries: %d (merged rankings equal the single-process ones)\n", d.Parts, d.Queries)
+	fmt.Fprintf(&b, "%-14s %10s %8s %14s %12s\n", "Scheme", "cut-edges", "cut-%", "bytes/query", "max-shard-%")
 	for _, row := range d.Rows {
-		fmt.Fprintf(&b, "%-14s %10d %7.1f%% %14.0f %12.1f %14.0f\n",
-			row.Scheme, row.CutEdges, row.CutFraction*100, row.BytesPerQuery, row.RecordsPer, row.GatherPer)
+		fmt.Fprintf(&b, "%-14s %10d %7.1f%% %14.0f %11.1f%%\n",
+			row.Scheme, row.CutEdges, row.CutFraction*100, row.BytesPerQuery, row.MaxShardShare*100)
 	}
 	return b.String()
 }

@@ -43,51 +43,3 @@ func bfs(g View, src NodeID, maxDepth int, visit Visit, adj func(NodeID) ([]Node
 		frontier = next
 	}
 }
-
-// Vicinity returns Υk(u): the set of nodes reachable from u in at most k
-// hops along follow edges, excluding u itself.
-func Vicinity(g View, u NodeID, k int) []NodeID {
-	var out []NodeID
-	BFSOut(g, u, k, func(v NodeID, depth int) bool {
-		if depth > 0 {
-			out = append(out, v)
-		}
-		return true
-	})
-	return out
-}
-
-// ReachableCount returns how many distinct nodes are reachable from u
-// within k hops (excluding u).
-func ReachableCount(g View, u NodeID, k int) int {
-	n := 0
-	BFSOut(g, u, k, func(v NodeID, depth int) bool {
-		if depth > 0 {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// CountPaths enumerates, by exhaustive DFS, the number of distinct paths
-// from u to v of each length 1..maxLen. Intended for tests and tiny graphs
-// only: cost grows with out-degree^maxLen.
-func CountPaths(g View, u, v NodeID, maxLen int) []int {
-	counts := make([]int, maxLen+1)
-	var walk func(cur NodeID, depth int)
-	walk = func(cur NodeID, depth int) {
-		if depth >= maxLen {
-			return
-		}
-		dst, _ := g.Out(cur)
-		for _, w := range dst {
-			if w == v {
-				counts[depth+1]++
-			}
-			walk(w, depth+1)
-		}
-	}
-	walk(u, 0)
-	return counts
-}

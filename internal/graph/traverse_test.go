@@ -70,34 +70,6 @@ func TestBFSIn(t *testing.T) {
 	}
 }
 
-func TestVicinity(t *testing.T) {
-	g := chainPlus(t)
-	v1 := Vicinity(g, 0, 1)
-	if len(v1) != 2 {
-		t.Errorf("Υ1(0) = %v, want 2 nodes", v1)
-	}
-	if n := ReachableCount(g, 0, 10); n != 3 {
-		t.Errorf("reachable from 0 = %d, want 3", n)
-	}
-}
-
-func TestCountPaths(t *testing.T) {
-	g := chainPlus(t)
-	counts := CountPaths(g, 0, 2, 3)
-	// Length 1: 0→2. Length 2: 0→1→2. Length 3: 0→2→3→0→? no; 3-hop paths
-	// to 2: 0→2→3→0 no (ends at 0)... enumerate: length-3 ending at 2:
-	// 0→1→2→3 ends 3; 0→2→3→0 ends 0; none.
-	if counts[1] != 1 || counts[2] != 1 || counts[3] != 0 {
-		t.Errorf("path counts = %v", counts)
-	}
-	// Cyclic walks count as longer paths: the only 4-edge walk 0 ❀ 2 is
-	// 0→2→3→0→2.
-	counts = CountPaths(g, 0, 2, 4)
-	if counts[4] != 1 {
-		t.Errorf("4-hop walk count = %d, want 1", counts[4])
-	}
-}
-
 func TestStatsAndDistribution(t *testing.T) {
 	g := build(t, 5, []Edge{
 		{0, 1, topics.NewSet(0)},

@@ -93,27 +93,3 @@ func Combine(lists [][]Scored, weights []float64) []Scored {
 	SortDesc(out)
 	return out
 }
-
-// CombMNZ is the multiply-by-nonzero-count metasearch variant: the
-// weighted sum is further multiplied by the number of lists containing
-// the candidate, rewarding consensus across topics.
-func CombMNZ(lists [][]Scored, weights []float64) []Scored {
-	sum := make(map[graph.NodeID]float64)
-	cnt := make(map[graph.NodeID]int)
-	for i, list := range lists {
-		w := 1.0
-		if i < len(weights) {
-			w = weights[i]
-		}
-		for _, s := range list {
-			sum[s.Node] += w * s.Score
-			cnt[s.Node]++
-		}
-	}
-	out := make([]Scored, 0, len(sum))
-	for n, sc := range sum {
-		out = append(out, Scored{Node: n, Score: sc * float64(cnt[n])})
-	}
-	SortDesc(out)
-	return out
-}

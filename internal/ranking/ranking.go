@@ -191,21 +191,3 @@ func (t *TopN) List() []Scored {
 	SortDesc(out)
 	return out
 }
-
-// Drain returns the retained entries best-first without copying them: the
-// slice aliases the accumulator, which must not be used afterwards.
-func (t *TopN) Drain() []Scored {
-	SortDesc(t.heap)
-	return t.heap
-}
-
-// RankOf returns the 1-based rank of node in a best-first list, or 0 if
-// absent.
-func RankOf(list []Scored, node graph.NodeID) int {
-	for i, s := range list {
-		if s.Node == node {
-			return i + 1
-		}
-	}
-	return 0
-}

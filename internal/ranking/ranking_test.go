@@ -60,13 +60,6 @@ func TestSortDescDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestRankOf(t *testing.T) {
-	list := []Scored{{Node: 9, Score: 2}, {Node: 2, Score: 1}}
-	if RankOf(list, 2) != 2 || RankOf(list, 9) != 1 || RankOf(list, 7) != 0 {
-		t.Error("RankOf wrong")
-	}
-}
-
 // TestTopNProperty: for random inputs and capacities, the accumulator
 // equals sort-then-truncate.
 func TestTopNProperty(t *testing.T) {
@@ -179,18 +172,6 @@ func TestCombine(t *testing.T) {
 	}
 }
 
-func TestCombMNZ(t *testing.T) {
-	lists := [][]Scored{
-		{{1, 1.0}, {2, 0.6}},
-		{{2, 0.6}},
-	}
-	got := CombMNZ(lists, nil)
-	// 2 → (0.6+0.6)×2 = 2.4 beats 1 → 1.0×1.
-	if got[0].Node != 2 {
-		t.Errorf("CombMNZ should reward consensus: %v", got)
-	}
-}
-
 func TestListsAreSortedInvariant(t *testing.T) {
 	r := rand.New(rand.NewPCG(11, 17))
 	top := NewTopN(10)
@@ -204,7 +185,7 @@ func TestListsAreSortedInvariant(t *testing.T) {
 }
 
 // TestSelectTopMatchesTopN: selection returns exactly what a TopN of n
-// fed every entry drains to — on random inputs with heavy score ties
+// fed every entry lists — on random inputs with heavy score ties
 // (broken by node id), on presorted, constant and duplicate inputs, and
 // with n at, around and beyond the input length.
 func TestSelectTopMatchesTopN(t *testing.T) {
@@ -238,7 +219,7 @@ func TestSelectTopMatchesTopN(t *testing.T) {
 				for _, s := range items {
 					top.Insert(s.Node, s.Score)
 				}
-				want := top.Drain()
+				want := top.List()
 				got := SelectTop(append([]Scored(nil), items...), n)
 				if len(got) != len(want) {
 					t.Fatalf("%s, %d items, n=%d: %d selected, TopN keeps %d", name, size, n, len(got), len(want))

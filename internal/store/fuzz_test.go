@@ -144,23 +144,19 @@ func FuzzScanWAL(f *testing.F) {
 	flip[walHeaderLen+walFrameLen+1] ^= 0x01
 	f.Add(flip)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Both frame layouts must hold against arbitrary bytes: the
-		// timestamped v2 decoder and the legacy v1 width.
-		for _, dlen := range []int{deltaLenV1, deltaLenV2} {
-			batches, valid := scanWAL(data, dlen)
-			if valid < walHeaderLen || valid > int64(len(data)) {
-				// A sub-header file never reaches scanWAL in production
-				// (OpenWAL rejects it), but the cut must still be sane.
-				if len(data) >= walHeaderLen {
-					t.Fatalf("dlen %d: cut offset %d outside [%d,%d]", dlen, valid, walHeaderLen, len(data))
-				}
+		batches, valid := scanWAL(data)
+		if valid < walHeaderLen || valid > int64(len(data)) {
+			// A sub-header file never reaches scanWAL in production
+			// (OpenWAL rejects it), but the cut must still be sane.
+			if len(data) >= walHeaderLen {
+				t.Fatalf("cut offset %d outside [%d,%d]", valid, walHeaderLen, len(data))
 			}
-			// Every returned batch must be non-empty: Append refuses empty
-			// batches, so a decoded empty one means a forged frame slipped by.
-			for i, b := range batches {
-				if len(b) == 0 {
-					t.Fatalf("dlen %d: batch %d decoded empty", dlen, i)
-				}
+		}
+		// Every returned batch must be non-empty: Append refuses empty
+		// batches, so a decoded empty one means a forged frame slipped by.
+		for i, b := range batches {
+			if len(b) == 0 {
+				t.Fatalf("batch %d decoded empty", i)
 			}
 		}
 	})

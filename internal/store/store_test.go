@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -506,6 +508,41 @@ func TestWALRejectsForeignFile(t *testing.T) {
 	}
 	if _, _, err := OpenWAL(path, SyncOS); err == nil {
 		t.Fatal("foreign file accepted as WAL")
+	}
+}
+
+// A version-1 log (untimestamped 13-byte deltas) has no reader: OpenWAL
+// must name the version and leave every byte in place rather than treat
+// the records as a torn tail and truncate them.
+func TestWALRejectsVersion1(t *testing.T) {
+	le := binary.LittleEndian
+	data := le.AppendUint32(nil, walMagic)
+	data = le.AppendUint32(data, 1)
+	payload := le.AppendUint32(nil, 1) // one delta: src, dst, label, add
+	payload = le.AppendUint32(payload, 1)
+	payload = le.AppendUint32(payload, 2)
+	payload = le.AppendUint32(payload, uint32(topics.NewSet(0)))
+	payload = append(payload, 1)
+	frame := le.AppendUint64(nil, 0) // seq ++ payload, the CRC's input
+	frame = append(frame, payload...)
+	data = le.AppendUint32(data, uint32(len(payload)))
+	data = le.AppendUint32(data, crc32.Checksum(frame, castagnoli))
+	data = append(data, frame...)
+
+	path := filepath.Join(t.TempDir(), "v1.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenWAL(path, SyncOS)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("OpenWAL on a version-1 log: %v, want an error naming version 1", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatalf("version-1 log changed: %d bytes before, %d after", len(data), len(after))
 	}
 }
 

@@ -25,16 +25,14 @@ import (
 //	    crc        u32   CRC-32C over seq ++ payload
 //	    seq        u64   record index, contiguous from 0
 //	    payload:   count u32, then count deltas:
-//	        version 1: {src u32, dst u32, label u32, add u8}
-//	        version 2: {src u32, dst u32, label u32, add u8, at i64}
+//	        {src u32, dst u32, label u32, add u8, at i64}
 //
-// Version 2 frames stamp every delta with its event time (Unix
-// nanoseconds), which the streaming tier's time-decayed weights need for
-// replay-correct decay: a recovered manager re-derives each edge's decay
-// weight from the logged timestamp, not from the replay wall clock. New
-// logs are created at version 2; version-1 logs stay readable (their
-// deltas replay unstamped) and keep appending version-1 frames so one
-// file never mixes layouts.
+// Every delta carries its event time (Unix nanoseconds), which the
+// streaming tier's time-decayed weights need for replay-correct decay: a
+// recovered manager re-derives each edge's decay weight from the logged
+// timestamp, not from the replay wall clock. The layout is version 2;
+// OpenWAL refuses any other version (the untimestamped version 1 has no
+// reader) and leaves such a file as it found it.
 //
 // Records are self-checking: replay stops at the first frame whose CRC,
 // sequence number or length does not hold and truncates the file there —
@@ -77,7 +75,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // EdgeDelta is one durable edge change: the WAL's unit of payload,
 // mirroring dynamic.Update without importing it (the dependency points
 // the other way). At is the event's Unix-nanosecond timestamp (0 =
-// unstamped, e.g. a delta recovered from a version-1 log).
+// unstamped: the caller supplied no event time).
 type EdgeDelta struct {
 	Src, Dst graph.NodeID
 	Label    topics.Set
@@ -88,10 +86,8 @@ type EdgeDelta struct {
 const (
 	walHeaderLen = 8
 	walFrameLen  = 16 // payloadLen + crc + seq
-	deltaLenV1   = 13 // src + dst + label + add
-	deltaLenV2   = 21 // src + dst + label + add + at
-	// walVersion is the layout written into new logs (timestamped
-	// deltas); version-1 files remain readable and appendable.
+	deltaLen     = 21 // src + dst + label + add + at
+	// walVersion is the one layout OpenWAL reads and writes.
 	walVersion = 2
 	// maxWalPayload bounds one record so a corrupt length cannot force a
 	// giant allocation on replay.
@@ -105,17 +101,12 @@ const (
 type WAL struct {
 	f       *os.File
 	policy  SyncPolicy
-	dlen    int           // per-delta encoding width (deltaLenV1 or deltaLenV2)
 	size    atomic.Int64  // current valid length (next append offset)
 	seq     atomic.Uint64 // next record sequence number
 	buf     []byte        // reused append encoding buffer
 	appends atomic.Uint64
 	bytes   atomic.Uint64
 }
-
-// Timestamped reports whether the log's layout carries per-delta event
-// timestamps (version 2). Decay-correct recovery requires it.
-func (w *WAL) Timestamped() bool { return w.dlen == deltaLenV2 }
 
 // OpenWAL opens (creating if absent) the log at path and replays its
 // records: the returned batches are every durable batch in append order,
@@ -146,7 +137,7 @@ func OpenWAL(path string, policy SyncPolicy) (w *WAL, batches [][]EdgeDelta, err
 		if err := f.Sync(); err != nil {
 			return nil, nil, err
 		}
-		w = &WAL{f: f, policy: policy, dlen: deltaLenV2}
+		w = &WAL{f: f, policy: policy}
 		w.size.Store(walHeaderLen)
 		return w, nil, nil
 	}
@@ -159,16 +150,10 @@ func OpenWAL(path string, policy SyncPolicy) (w *WAL, batches [][]EdgeDelta, err
 		binary.LittleEndian.Uint32(data[0:]) != walMagic {
 		return nil, nil, fmt.Errorf("store: %s is not a WAL (bad header)", path)
 	}
-	dlen := 0
-	switch binary.LittleEndian.Uint32(data[4:]) {
-	case 1:
-		dlen = deltaLenV1
-	case walVersion:
-		dlen = deltaLenV2
-	default:
-		return nil, nil, fmt.Errorf("store: %s is not a WAL (bad header)", path)
+	if v := binary.LittleEndian.Uint32(data[4:]); v != walVersion {
+		return nil, nil, fmt.Errorf("store: %s is WAL version %d, want %d", path, v, walVersion)
 	}
-	batches, valid := scanWAL(data, dlen)
+	batches, valid := scanWAL(data)
 	if valid < int64(len(data)) {
 		// Torn or corrupt tail: drop it so the next append starts at the
 		// last record boundary the CRCs vouch for.
@@ -179,7 +164,7 @@ func OpenWAL(path string, policy SyncPolicy) (w *WAL, batches [][]EdgeDelta, err
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		return nil, nil, err
 	}
-	w = &WAL{f: f, policy: policy, dlen: dlen}
+	w = &WAL{f: f, policy: policy}
 	w.size.Store(valid)
 	w.seq.Store(uint64(len(batches)))
 	return w, batches, nil
@@ -187,9 +172,8 @@ func OpenWAL(path string, policy SyncPolicy) (w *WAL, batches [][]EdgeDelta, err
 
 // scanWAL walks records from the header on, returning the decoded
 // batches and the byte offset of the first frame that fails validation
-// (== len(data) when the whole file holds). dlen is the per-delta width
-// of the file's version.
-func scanWAL(data []byte, dlen int) (batches [][]EdgeDelta, valid int64) {
+// (== len(data) when the whole file holds).
+func scanWAL(data []byte) (batches [][]EdgeDelta, valid int64) {
 	off := int64(walHeaderLen)
 	for {
 		if int64(len(data))-off < walFrameLen {
@@ -209,7 +193,7 @@ func scanWAL(data []byte, dlen int) (batches [][]EdgeDelta, valid int64) {
 		if crc32.Checksum(frame, castagnoli) != crc {
 			return batches, off
 		}
-		batch, ok := decodeBatch(data[off+walFrameLen:off+walFrameLen+int64(plen)], dlen)
+		batch, ok := decodeBatch(data[off+walFrameLen : off+walFrameLen+int64(plen)])
 		if !ok {
 			return batches, off
 		}
@@ -218,14 +202,14 @@ func scanWAL(data []byte, dlen int) (batches [][]EdgeDelta, valid int64) {
 	}
 }
 
-// decodeBatch parses one record payload of the given per-delta width.
-func decodeBatch(p []byte, dlen int) ([]EdgeDelta, bool) {
+// decodeBatch parses one record payload.
+func decodeBatch(p []byte) ([]EdgeDelta, bool) {
 	if len(p) < 4 {
 		return nil, false
 	}
 	count := binary.LittleEndian.Uint32(p)
 	// Append never writes an empty batch, so a zero count is forgery.
-	if count == 0 || uint64(len(p)-4) != uint64(count)*uint64(dlen) {
+	if count == 0 || uint64(len(p)-4) != uint64(count)*deltaLen {
 		return nil, false
 	}
 	p = p[4:]
@@ -237,14 +221,12 @@ func decodeBatch(p []byte, dlen int) ([]EdgeDelta, bool) {
 			Dst:   graph.NodeID(le.Uint32(p[4:])),
 			Label: topics.Set(le.Uint32(p[8:])),
 			Add:   p[12] != 0,
+			At:    int64(le.Uint64(p[13:])),
 		}
 		if p[12] > 1 {
 			return nil, false
 		}
-		if dlen == deltaLenV2 {
-			out[i].At = int64(le.Uint64(p[13:]))
-		}
-		p = p[dlen:]
+		p = p[deltaLen:]
 	}
 	return out, true
 }
@@ -257,7 +239,7 @@ func (w *WAL) Append(batch []EdgeDelta) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	plen := 4 + len(batch)*w.dlen
+	plen := 4 + len(batch)*deltaLen
 	need := walFrameLen + plen
 	if plen > maxWalPayload {
 		return fmt.Errorf("store: batch of %d deltas exceeds the record bound", len(batch))
@@ -280,10 +262,8 @@ func (w *WAL) Append(batch []EdgeDelta) error {
 		} else {
 			p[12] = 0
 		}
-		if w.dlen == deltaLenV2 {
-			le.PutUint64(p[13:], uint64(d.At))
-		}
-		p = p[w.dlen:]
+		le.PutUint64(p[13:], uint64(d.At))
+		p = p[deltaLen:]
 	}
 	le.PutUint32(buf[4:], crc32.Checksum(buf[8:], castagnoli))
 	if _, err := w.f.WriteAt(buf, w.size.Load()); err != nil {

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/lda"
-	"repro/internal/textgen"
 	"repro/internal/topics"
 )
 
@@ -186,80 +184,5 @@ func TestEmptyTopicTeleportsUniformly(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		t.Fatalf("unused-topic mass = %g, want 1", sum)
-	}
-}
-
-func TestInputFromLDA(t *testing.T) {
-	cfg := gen.DefaultTwitterConfig()
-	cfg.Nodes = 300
-	ds, err := gen.Twitter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ds.Graph
-	profiles := make([]topics.Set, g.NumNodes())
-	for u := range profiles {
-		profiles[u] = g.NodeTopics(graph.NodeID(u))
-	}
-	tcfg := textgen.DefaultConfig()
-	tcfg.PostsPerUserMin, tcfg.PostsPerUserMax = 4, 10
-	corpus := textgen.Generate(g.Vocabulary(), profiles, tcfg)
-	lcfg := lda.DefaultConfig(g.Vocabulary().Len())
-	lcfg.Iterations = 20
-	in, err := InputFromLDA(g, corpus, lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	T := g.Vocabulary().Len()
-	if len(in.TopicDist) != g.NumNodes()*T {
-		t.Fatalf("TopicDist size %d", len(in.TopicDist))
-	}
-	// Rows are distributions (users always have posts here).
-	for u := 0; u < g.NumNodes(); u++ {
-		sum := 0.0
-		for _, p := range in.TopicDist[u*T : (u+1)*T] {
-			if p < 0 {
-				t.Fatal("negative topic mass")
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			t.Fatalf("user %d DT sums to %g", u, sum)
-		}
-		if in.Tweets[u] != float64(len(corpus.Posts[u])) {
-			t.Fatal("tweet counts must be actual post counts")
-		}
-	}
-	// The LDA-driven matrix should put a user's dominant mass on a topic
-	// of (or semantically near) their true profile for most users.
-	sim := ds.Sim
-	good := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		row := in.TopicDist[u*T : (u+1)*T]
-		best := 0
-		for ti := 1; ti < T; ti++ {
-			if row[ti] > row[best] {
-				best = ti
-			}
-		}
-		if sim.MaxSim(profiles[u], topics.ID(best)) >= 0.5 {
-			good++
-		}
-	}
-	if frac := float64(good) / float64(g.NumNodes()); frac < 0.7 {
-		t.Errorf("only %.2f of users have LDA mass near their profile", frac)
-	}
-	// The input drives TwitterRank without error.
-	r, err := New(in, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rank(0)) != g.NumNodes() {
-		t.Fatal("rank vector wrong size")
-	}
-	// Mismatched corpus is rejected.
-	small := textgen.Generate(g.Vocabulary(), profiles[:10], tcfg)
-	if _, err := InputFromLDA(g, small, lcfg); err == nil {
-		t.Error("mismatched corpus must error")
 	}
 }
