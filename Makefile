@@ -83,11 +83,18 @@ fmt-check:
 # 5 + 2. It took 14 while Reached was allocated per query, 30 when the
 # fold summed into a per-query map, 122 when the exploration's scores
 # were copied into maps.
+# The served landmark request (BenchmarkServeRecommend/handler: GET
+# /v1/recommend through Server.Handler() on the 8000-node serving shape,
+# every key a cache miss) took 63-65 allocs/op when it was added, against 6
+# for the query alone (/manager): the request, the recorder, the metrics
+# middleware, the deadline, the cache insertion, the response and its JSON
+# encoding. It is gated at 64 + 2.
 KERNEL_GATE_DENSE_ALLOCS ?= 135
 KERNEL_GATE_CONVERGED_ALLOCS ?= 8
 KERNEL_GATE_REFRESH1_ALLOCS ?= 300
 KERNEL_GATE_REFRESH27_ALLOCS ?= 2600
 KERNEL_GATE_QUERY_ALLOCS ?= 7
+KERNEL_GATE_SERVE_ALLOCS ?= 66
 .PHONY: kernel-gate
 kernel-gate:
 	$(GO) test -run='^$$' -bench='^BenchmarkExplore(Dense|Converged)$$' -benchmem ./internal/core/ | \
@@ -103,6 +110,11 @@ kernel-gate:
 		/^BenchmarkApproxQuery\// { seenQ++; if ($$7+0 > query) { printf "kernel-gate: landmark query %s %d allocs/op exceeds baseline %d\n", $$1, $$7, query; bad = 1 } } \
 		/^FAIL/ { bad = 1 } \
 		END { if (!seen1 || !seen27 || seenQ != 2) { print "kernel-gate: landmark benchmarks did not run"; bad = 1 } exit bad }'
+	$(GO) test -run='^$$' -bench='^BenchmarkServeRecommend$$' -benchmem ./internal/server/ | \
+	awk -v serve=$(KERNEL_GATE_SERVE_ALLOCS) '{ print } \
+		/^BenchmarkServeRecommend\/handler-/ { seenS = 1; if ($$7+0 > serve) { printf "kernel-gate: served request %d allocs/op exceeds baseline %d\n", $$7, serve; bad = 1 } } \
+		/^FAIL/ { bad = 1 } \
+		END { if (!seenS) { print "kernel-gate: serving benchmark did not run"; bad = 1 } exit bad }'
 
 # bench watches the hot path: the Explore microbenchmarks (allocs/op is
 # the regression guard for the exploration loop; BenchmarkExploreConverged
@@ -137,9 +149,10 @@ bench-diff:
 # fuzz smoke-runs the equivalence fuzzers (random edge deltas must leave
 # the overlay observationally identical to a full rebuild and the
 # incrementally maintained authority table bit-identical to a recompute)
-# and the storage-format fuzzers: arbitrary snapshot/landmark/WAL bytes must
-# decode or error, never panic, index outside the mapping, or yield a
-# forged batch.
+# and the decoder fuzzers: arbitrary snapshot/landmark/WAL/decay bytes
+# must decode or error, never panic, index outside the mapping, or yield
+# a forged batch, and an arbitrary shard partial frame must decode or
+# error and, when it decodes, round-trip.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOverlayEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDeltaExact -fuzztime=10s ./internal/authority/
@@ -147,6 +160,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOpenLandmarks -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzScanWAL -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecay -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=10s ./internal/distrib/
 
 .PHONY: bench-all
 bench-all:

@@ -33,6 +33,15 @@
 //	curl -N localhost:8080/v1/subscribe/s1/events            # SSE stream
 //	curl 'localhost:8080/v1/subscribe/s1/events?mode=poll'   # long-poll
 //
+// Router mode scatters landmark queries to cmd/trshard workers and
+// merges their partial lists. It is read-only: POST /v1/update and POST
+// /v1/subscribe answer 409 read_only, and -shards excludes the write-side
+// flags (-wal, -ingest-queue, -half-life, -decay-path). The router and
+// every shard must load the same dataset (-nodes and -seed) or -snapshot
+// and the same landmark flags; redeploying means restarting them together:
+//
+//	trserver -shards localhost:7171,localhost:7172 -nodes 1500 -landmarks 8 -store-topn 50
+//
 // The pre-versioning unversioned routes (/recommend, /updates, ...)
 // answer 404 unless -enable-legacy-routes re-enables them as sunset
 // aliases stamping Deprecation/Sunset headers. See API.md for the full
@@ -92,6 +101,10 @@ func main() {
 	flag.IntVar(&admission.MaxInflight, "max-inflight", admission.MaxInflight, "concurrent recommendation computations (0 disables admission control)")
 	flag.IntVar(&admission.MaxQueue, "max-queue", admission.MaxQueue, "computations that may queue for a slot before requests are shed with 429")
 	flag.Parse()
+
+	if *shards != "" && (*walPath != "" || *queueCap > 0 || *halfLife > 0 || *decayPath != "") {
+		log.Fatal("router mode is read-only: -shards excludes -wal, -ingest-queue, -half-life and -decay-path")
+	}
 
 	policy, err := store.ParseSyncPolicy(*walSync)
 	if err != nil {

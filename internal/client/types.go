@@ -18,6 +18,7 @@ const (
 	CodeOverloaded       = "overloaded"
 	CodeDeadline         = "deadline_exceeded"
 	CodeInternal         = "internal"
+	CodeReadOnly         = "read_only"
 )
 
 // ErrorBody is the uniform error envelope of the /v1 API: every non-2xx

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -143,7 +144,6 @@ func TestPartialWireRoundTrip(t *testing.T) {
 	in := &PartialResponse{
 		Shard: 2,
 		Parts: 4,
-		Epoch: 77,
 		Entries: []PartialEntry{
 			{Node: 0, Score: 1.25},
 			{Node: 41, Score: 3.5e-12},
@@ -154,7 +154,7 @@ func TestPartialWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Shard != in.Shard || out.Parts != in.Parts || out.Epoch != in.Epoch {
+	if out.Shard != in.Shard || out.Parts != in.Parts {
 		t.Fatalf("header round-trip: %+v vs %+v", out, in)
 	}
 	if len(out.Entries) != len(in.Entries) {
@@ -166,7 +166,7 @@ func TestPartialWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	empty, err := DecodePartial(EncodePartial(&PartialResponse{Shard: 1, Parts: 2, Epoch: 3}))
+	empty, err := DecodePartial(EncodePartial(&PartialResponse{Shard: 1, Parts: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,50 @@ func TestPartialWireRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodePartial: the router decodes frames another process wrote, so
+// arbitrary bytes must decode or error, never panic. A frame that decodes
+// is canonical up to the reserved word: re-encoding it reproduces the
+// input with that word zeroed, and decoding the re-encoding gives the same
+// response, scores compared bit for bit (NaN included).
+func FuzzDecodePartial(f *testing.F) {
+	many := make([]PartialEntry, 300)
+	for i := range many {
+		many[i] = PartialEntry{Node: graph.NodeID(3 * i), Score: 1 / float64(i+1)}
+	}
+	for _, r := range []*PartialResponse{
+		{Shard: 0, Parts: 1},
+		{Shard: 1, Parts: 2, Entries: []PartialEntry{{Node: 7, Score: 0.5}}},
+		{Shard: 3, Parts: 8, Entries: many},
+	} {
+		f.Add(EncodePartial(r))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := DecodePartial(data)
+		if err != nil {
+			return
+		}
+		re := EncodePartial(out)
+		want := slices.Clone(data)
+		clear(want[8:16])
+		if !bytes.Equal(re, want) {
+			t.Fatalf("re-encoding differs from the input beyond the reserved word")
+		}
+		back, err := DecodePartial(re)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if back.Shard != out.Shard || back.Parts != out.Parts || len(back.Entries) != len(out.Entries) {
+			t.Fatalf("header round-trip: %+v vs %+v", back, out)
+		}
+		for i, e := range out.Entries {
+			b := back.Entries[i]
+			if b.Node != e.Node || math.Float64bits(b.Score) != math.Float64bits(e.Score) {
+				t.Fatalf("entry %d: %+v vs %+v", i, b, e)
+			}
+		}
+	})
+}
+
 // End-to-end over real HTTP: the worker's RPC must return exactly what
 // the in-process Partial computes, and reject malformed queries.
 func TestShardServerHTTP(t *testing.T) {
@@ -196,8 +240,7 @@ func TestShardServerHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := uint64(42)
-	ss := NewShardServer(sh, 0, 2, ShardServerConfig{Epoch: func() uint64 { return epoch }})
+	ss := NewShardServer(sh, 0, 2, ShardServerConfig{})
 	srv := httptest.NewServer(ss)
 	defer srv.Close()
 
@@ -221,7 +264,7 @@ func TestShardServerHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Shard != 0 || pr.Parts != 2 || pr.Epoch != epoch {
+	if pr.Shard != 0 || pr.Parts != 2 {
 		t.Fatalf("header %+v", pr)
 	}
 	want := sh.Partial(117, 6)
@@ -257,13 +300,13 @@ func TestShardServerHTTP(t *testing.T) {
 	var health struct {
 		Status string `json:"status"`
 		Shard  int    `json:"shard"`
-		Epoch  uint64 `json:"epoch"`
+		Parts  int    `json:"parts"`
 	}
 	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if health.Status != "ok" || health.Shard != 0 || health.Epoch != epoch {
+	if health.Status != "ok" || health.Shard != 0 || health.Parts != 2 {
 		t.Fatalf("health %+v", health)
 	}
 

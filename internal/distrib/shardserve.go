@@ -27,9 +27,6 @@ type ShardServerConfig struct {
 	// deep relative to the router's per-shard timeout so transient bursts
 	// queue instead of shedding).
 	MaxQueue int
-	// Epoch reports the graph epoch partials are computed against; nil
-	// means a static graph (epoch 0).
-	Epoch func() uint64
 	// Metrics receives worker-side series; nil disables.
 	Metrics *metrics.Registry
 }
@@ -43,7 +40,6 @@ type ShardServer struct {
 	shard *Shard
 	part  int
 	parts int
-	epoch func() uint64
 	slots chan struct{} // inflight tokens
 	queue chan struct{} // waiting tokens (inflight + queued)
 	mux   *http.ServeMux
@@ -79,14 +75,10 @@ func NewShardServer(shard *Shard, part, parts int, cfg ShardServerConfig) *Shard
 		shard:     shard,
 		part:      part,
 		parts:     parts,
-		epoch:     cfg.Epoch,
 		slots:     make(chan struct{}, cfg.MaxInflight),
 		queue:     make(chan struct{}, cfg.MaxInflight+cfg.MaxQueue),
 		partialNs: nopMetric{},
 		shedCtr:   nopMetric{},
-	}
-	if s.epoch == nil {
-		s.epoch = func() uint64 { return 0 }
 	}
 	if cfg.Metrics != nil {
 		s.partialNs = cfg.Metrics.Histogram("shard_worker_partial_seconds",
@@ -154,7 +146,6 @@ func (s *ShardServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 		scratch = b
 	}
 	entries := s.shard.PartialAppend(req.User, req.Topic, scratch)
-	epoch := s.epoch()
 	<-s.slots // release before encoding: the slot guards compute, not I/O
 	s.partialNs.Observe(time.Since(start).Seconds())
 	s.served.Add(1)
@@ -162,7 +153,6 @@ func (s *ShardServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 	buf := EncodePartial(&PartialResponse{
 		Shard:   s.part,
 		Parts:   s.parts,
-		Epoch:   epoch,
 		Entries: entries,
 	})
 	s.bufPool.Put(entries[:0]) //nolint:staticcheck // slice header boxing is fine here
@@ -177,7 +167,6 @@ func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status": "ok",
 		"shard":  s.part,
 		"parts":  s.parts,
-		"epoch":  s.epoch(),
 	})
 }
 
@@ -186,7 +175,6 @@ func (s *ShardServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
 		"shard":     s.part,
 		"parts":     s.parts,
-		"epoch":     s.epoch(),
 		"landmarks": s.shard.Store.Len(),
 		"depth":     s.shard.Depth,
 		"served":    s.served.Load(),

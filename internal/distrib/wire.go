@@ -22,7 +22,10 @@ const PartialContentType = "application/x-tr-partial"
 // partialMagic identifies a partial response frame ("TRP1").
 var partialMagic = [4]byte{'T', 'R', 'P', '1'}
 
-// partialHeaderLen is magic(4) + shard(2) + parts(2) + epoch(8) + count(4).
+// partialHeaderLen is magic(4) + shard(2) + parts(2) + reserved(8) +
+// count(4). The reserved word is written as 0 and ignored on decode: a
+// router and its shards serve one snapshot, so there is no graph version
+// to stamp.
 const partialHeaderLen = 4 + 2 + 2 + 8 + 4
 
 // partialEntryLen is node(4) + score(8).
@@ -39,11 +42,10 @@ type PartialRequest struct {
 }
 
 // PartialResponse is one worker's answer: which shard of how many it is,
-// the graph epoch its answer was computed against, and the partial list.
+// and the partial list.
 type PartialResponse struct {
 	Shard   int
 	Parts   int
-	Epoch   uint64
 	Entries []PartialEntry
 }
 
@@ -53,7 +55,6 @@ func EncodePartial(r *PartialResponse) []byte {
 	copy(buf[0:4], partialMagic[:])
 	binary.LittleEndian.PutUint16(buf[4:6], uint16(r.Shard))
 	binary.LittleEndian.PutUint16(buf[6:8], uint16(r.Parts))
-	binary.LittleEndian.PutUint64(buf[8:16], r.Epoch)
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(r.Entries)))
 	off := partialHeaderLen
 	for _, e := range r.Entries {
@@ -75,7 +76,6 @@ func DecodePartial(buf []byte) (*PartialResponse, error) {
 	r := &PartialResponse{
 		Shard: int(binary.LittleEndian.Uint16(buf[4:6])),
 		Parts: int(binary.LittleEndian.Uint16(buf[6:8])),
-		Epoch: binary.LittleEndian.Uint64(buf[8:16]),
 	}
 	count := int(binary.LittleEndian.Uint32(buf[16:20]))
 	if want := partialHeaderLen + count*partialEntryLen; len(buf) != want {

@@ -94,12 +94,5 @@ func (s *Server) validateRecommend(req client.RecommendRequest) (cacheKey, *http
 		return cacheKey{}, errf(http.StatusBadRequest, client.CodeUnknownMethod,
 			"unknown method %q (tr, landmark, katz, twitterrank)", method)
 	}
-	k := cacheKey{user: graph.NodeID(req.User), topic: t, n: n, method: method}
-	if s.router != nil {
-		// Scope the key to the shard tier's cluster epoch: a shard applying
-		// updates changes the key, so stale cached answers become
-		// unreachable instead of wrong.
-		k.shardEpoch = s.router.Epoch()
-	}
-	return k, nil
+	return cacheKey{user: graph.NodeID(req.User), topic: t, n: n, method: method}, nil
 }

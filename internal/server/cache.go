@@ -15,12 +15,6 @@ type cacheKey struct {
 	topic  topics.ID
 	n      int
 	method string
-	// shardEpoch scopes the key to the shard tier's cluster epoch when the
-	// server runs in router mode (always 0 otherwise): a shard applying
-	// updates advances its graph epoch, which changes the key, so cached
-	// and in-flight answers from the previous cluster state can no longer
-	// be served or joined.
-	shardEpoch uint64
 }
 
 // resultCache is a small LRU over recommendation results. Entries carry

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/distrib"
@@ -46,7 +45,6 @@ type ShardRouter struct {
 	client  *http.Client
 	timeout time.Duration
 	hedge   time.Duration
-	epochs  []atomic.Uint64
 
 	scatters   *metrics.Counter
 	partialLat *metrics.HistogramVec
@@ -99,38 +97,11 @@ func NewShardRouter(groups [][]string, timeout, hedge time.Duration) *ShardRoute
 		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
 		timeout: timeout,
 		hedge:   hedge,
-		epochs:  make([]atomic.Uint64, len(groups)),
 	}
 }
 
 // Shards returns the partition count.
 func (r *ShardRouter) Shards() int { return len(r.groups) }
-
-// Epoch folds the last-seen per-shard graph epochs into one cluster
-// epoch. Cache and coalesce keys carry it, so a shard advancing its graph
-// invalidates exactly the cached answers that could now differ.
-//
-// The fold is FNV-64a over each shard's epoch in shard order, not a plain
-// sum: a sum is position-blind, so opposite moves cancel — e.g. a
-// restarted shard rewinding to 0 while another advances leaves the sum
-// unchanged and stale cached answers keep serving. Hashing position and
-// value makes any single-shard change alter the cluster epoch.
-func (r *ShardRouter) Epoch() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := range r.epochs {
-		e := r.epochs[i].Load()
-		for b := 0; b < 8; b++ {
-			h ^= e & 0xff
-			h *= fnvPrime
-			e >>= 8
-		}
-	}
-	return h
-}
 
 // instrument resolves the router's metric handles in reg.
 func (r *ShardRouter) instrument(reg *metrics.Registry) {
@@ -304,10 +275,10 @@ func (r *ShardRouter) post(ctx context.Context, ep string, shard int, body []byt
 	if err != nil {
 		return nil, err
 	}
-	if pr.Shard != shard {
-		return nil, fmt.Errorf("endpoint %s answered as shard %d, want %d (mis-wired -shards?)", ep, pr.Shard, shard)
+	if pr.Shard != shard || pr.Parts != len(r.groups) {
+		return nil, fmt.Errorf("endpoint %s answered as shard %d of %d, want %d of %d (mis-wired -shards?)",
+			ep, pr.Shard, pr.Parts, shard, len(r.groups))
 	}
-	r.epochs[shard].Store(pr.Epoch)
 	r.partialLat.With(strconv.Itoa(shard)).Observe(time.Since(start).Seconds())
 	return pr.Entries, nil
 }

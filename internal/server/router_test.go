@@ -108,6 +108,94 @@ func TestRouterMatchesLocalEngine(t *testing.T) {
 	}
 }
 
+// routerQueries are the keys TestRouterMatchesLocalEngine asks.
+var routerQueries = []string{
+	"user=3&topic=technology&n=15",
+	"user=117&topic=sports&n=15",
+	"user=542&topic=politics&n=15",
+}
+
+// A shard answering as the right index of a different partition count
+// owns a different candidate split: merged with the others, some
+// candidates go missing and others are summed twice, and the answer looks
+// whole. The router must count it as a failed shard: the gather is served
+// degraded, never cached.
+func TestRouterRejectsMisWiredPartitionCount(t *testing.T) {
+	reg := metrics.NewRegistry()
+	mgr, ds := testManager(t, reg)
+	groups := shardTier(t, ds, 2)
+	groups[1] = shardTier(t, ds, 4)[1]
+	router := NewShardRouter(groups, 5*time.Second, 0)
+	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
+		WithMetrics(reg), WithShardRouter(router)))
+
+	for _, q := range routerQueries {
+		for range 2 {
+			var resp client.RecommendResponse
+			recommendInto(t, srv.URL, q, &resp)
+			if !resp.Degraded {
+				t.Fatalf("%s: gather over a shard of another partition count not marked degraded", q)
+			}
+			if resp.Cache != "miss" {
+				t.Fatalf("%s: cache %q, want miss (degraded results must not be cached)", q, resp.Cache)
+			}
+		}
+	}
+}
+
+// Router mode is read-only: a write or a subscription gets 409 read_only,
+// and neither the scattered landmark answers nor the local exact answers
+// move. An applied write would move the exact answers and never the
+// landmark ones.
+func TestRouterRefusesWrites(t *testing.T) {
+	reg := metrics.NewRegistry()
+	mgr, ds := testManager(t, reg)
+	router := NewShardRouter(shardTier(t, ds, 2), 5*time.Second, 0)
+	// Cache size 0: the answers after the write are recomputed.
+	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
+		WithMetrics(reg), WithShardRouter(router), WithCacheSize(0)))
+
+	rankings := func() map[string][]client.Recommendation {
+		out := map[string][]client.Recommendation{}
+		for _, q := range routerQueries {
+			for _, m := range []string{"landmark", "tr"} {
+				var resp client.RecommendResponse
+				recommendInto(t, srv.URL, q+"&method="+m, &resp)
+				out[q+"&method="+m] = resp.Results
+			}
+		}
+		return out
+	}
+	before := rankings()
+
+	var upd client.UpdateRequest
+	for dst := 100; dst < 140; dst++ {
+		upd.Updates = append(upd.Updates, client.UpdateItem{Src: 3, Dst: uint32(dst), Topics: []string{"technology"}})
+	}
+	body, err := json.Marshal(upd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEnvelope(t, "update", doRaw(t, http.MethodPost, srv.URL+"/v1/update", string(body)),
+		http.StatusConflict, client.CodeReadOnly)
+	if got := mgr.Stats().Batches; got != 0 {
+		t.Fatalf("manager applied %d batches behind a 409", got)
+	}
+
+	after := rankings()
+	for k, want := range before {
+		if !reflect.DeepEqual(after[k], want) {
+			t.Errorf("%s moved after a refused write:\n before %+v\n after  %+v", k, want, after[k])
+		}
+	}
+
+	for _, m := range []string{"landmark", "tr"} {
+		sub := `{"user":3,"topic":"technology","n":5,"method":"` + m + `"}`
+		assertEnvelope(t, "subscribe/"+m, doRaw(t, http.MethodPost, srv.URL+"/v1/subscribe", sub),
+			http.StatusConflict, client.CodeReadOnly)
+	}
+}
+
 // fakeShard is a scripted shard endpoint for failure-mode tests.
 func fakeShard(t *testing.T, h http.HandlerFunc) string {
 	t.Helper()
@@ -116,9 +204,9 @@ func fakeShard(t *testing.T, h http.HandlerFunc) string {
 	return srv.URL
 }
 
-func encodedPartial(shard, parts int, epoch uint64, entries []distrib.PartialEntry) []byte {
+func encodedPartial(shard, parts int, entries []distrib.PartialEntry) []byte {
 	return distrib.EncodePartial(&distrib.PartialResponse{
-		Shard: shard, Parts: parts, Epoch: epoch, Entries: entries,
+		Shard: shard, Parts: parts, Entries: entries,
 	})
 }
 
@@ -232,7 +320,7 @@ func TestRouterHedgesToReplica(t *testing.T) {
 	})
 	replica := fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", distrib.PartialContentType)
-		w.Write(encodedPartial(0, 1, 0, entries)) //nolint:errcheck
+		w.Write(encodedPartial(0, 1, entries)) //nolint:errcheck
 	})
 	router := NewShardRouter([][]string{{slow, replica}}, 2*time.Second, 20*time.Millisecond)
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
@@ -251,84 +339,11 @@ func TestRouterHedgesToReplica(t *testing.T) {
 	}
 }
 
-// Cache and coalesce keys carry the cluster epoch: when a shard advances
-// its graph, previously cached answers become unreachable.
-func TestRouterEpochScopesCacheKeys(t *testing.T) {
-	reg := metrics.NewRegistry()
-	mgr, _ := testManager(t, reg)
-	var epoch atomic.Uint64
-	shard := fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", distrib.PartialContentType)
-		w.Write(encodedPartial(0, 1, epoch.Load(), //nolint:errcheck
-			[]distrib.PartialEntry{{Node: 7, Score: 1}}))
-	})
-	router := NewShardRouter([][]string{{shard}}, time.Second, 0)
-	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
-		WithMetrics(reg), WithShardRouter(router)))
-
-	get := func(q string) string {
-		t.Helper()
-		var resp client.RecommendResponse
-		recommendInto(t, srv.URL, q, &resp)
-		return resp.Cache
-	}
-	const qa = "user=3&topic=technology"
-	if c := get(qa); c != "miss" {
-		t.Fatalf("first query: cache %q, want miss", c)
-	}
-	// The first scatter taught the router epoch 0 → the second query hits.
-	if c := get(qa); c != "hit" {
-		t.Fatalf("repeat query: cache %q, want hit", c)
-	}
-
-	// The shard applies updates and advances its epoch; the next scatter
-	// (a different query) observes it, after which the old cached answer
-	// is unreachable — the original query misses and recomputes.
-	epoch.Store(1)
-	if c := get("user=4&topic=technology"); c != "miss" {
-		t.Fatalf("other query: cache %q, want miss", c)
-	}
-	if c := get(qa); c != "miss" {
-		t.Fatalf("query after epoch advance: cache %q, want miss (stale key must not hit)", c)
-	}
-}
-
 // getJSONBody decodes an http.Response JSON body.
 func getJSONBody(t *testing.T, resp *http.Response, out any) {
 	t.Helper()
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEpochRestartDistinguished: the cluster epoch must change whenever
-// any single shard's epoch moves — including the restart scenario where
-// one shard rewinds to 0 while another advances, which keeps a plain sum
-// (the old fold) unchanged and would have served stale cached answers.
-func TestEpochRestartDistinguished(t *testing.T) {
-	router := NewShardRouter([][]string{{"a"}, {"b"}}, time.Second, 0)
-	set := func(a, b uint64) uint64 {
-		router.epochs[0].Store(a)
-		router.epochs[1].Store(b)
-		return router.Epoch()
-	}
-	seen := map[uint64][2]uint64{}
-	for _, tc := range [][2]uint64{
-		{0, 0},
-		{2, 3}, {3, 2}, // swap: same sum
-		{0, 5}, {5, 0}, // restart rewind: same sum
-		{1, 4}, {4, 1}, // another equal-sum pair
-		{0, 1}, {1, 0},
-	} {
-		e := set(tc[0], tc[1])
-		if prev, dup := seen[e]; dup {
-			t.Fatalf("epochs %v and %v fold to the same cluster epoch %#x", prev, tc, e)
-		}
-		seen[e] = tc
-	}
-	// And the fold must be stable: same per-shard epochs, same key.
-	if set(2, 3) != set(2, 3) {
-		t.Fatal("cluster epoch not deterministic")
 	}
 }
 
@@ -340,14 +355,14 @@ func TestRouterFastPrimaryNoHedge(t *testing.T) {
 	mgr, _ := testManager(t, reg)
 	primary := fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", distrib.PartialContentType)
-		w.Write(encodedPartial(0, 1, 0, //nolint:errcheck
+		w.Write(encodedPartial(0, 1, //nolint:errcheck
 			[]distrib.PartialEntry{{Node: 7, Score: 1}}))
 	})
 	var replicaHits atomic.Uint64
 	replica := fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
 		replicaHits.Add(1)
 		w.Header().Set("Content-Type", distrib.PartialContentType)
-		w.Write(encodedPartial(0, 1, 0, nil)) //nolint:errcheck
+		w.Write(encodedPartial(0, 1, nil)) //nolint:errcheck
 	})
 	const hedge = 30 * time.Millisecond
 	router := NewShardRouter([][]string{{primary, replica}}, time.Second, hedge)

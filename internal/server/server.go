@@ -146,7 +146,9 @@ func WithDegradeBudget(d time.Duration) Option {
 // WithShardRouter puts the server in scatter/gather mode: landmark-method
 // queries (including degraded exact-Tr queries) fan out to the router's
 // partition workers and merge exactly; the local engine only answers them
-// when every shard fails.
+// when every shard fails. The merge is exact only while the shards and the
+// local manager score one graph, so router mode is read-only:
+// POST /v1/update and POST /v1/subscribe answer 409 read_only.
 func WithShardRouter(r *ShardRouter) Option {
 	return func(s *Server) { s.router = r }
 }
@@ -286,9 +288,6 @@ func (s *Server) onBatchEffect(fx dynamic.BatchEffect) {
 // GET /v1/recommend share one execution and return identical rankings.
 func (s *Server) hubCompute(ctx context.Context, k subscribe.Key) (subscribe.Result, error) {
 	key := cacheKey{user: k.User, topic: k.Topic, n: k.N, method: k.Method}
-	if s.router != nil {
-		key.shardEpoch = s.router.Epoch()
-	}
 	ctx, cancel := s.requestCtx(ctx)
 	defer cancel()
 	effKey := key
@@ -724,7 +723,24 @@ func (s *Server) recordRebuild(method string, took time.Duration) {
 	s.rebuildSecs.With(method).ObserveDuration(took)
 }
 
+// refuseInRouterMode answers a write-side request with 409 read_only when
+// the server routes to a shard tier and reports whether it did. The
+// shards serve one fixed snapshot, so an applied write would move the
+// local exact answers and never the scattered landmark ones, and a
+// standing query could never see a write land.
+func (s *Server) refuseInRouterMode(w http.ResponseWriter, what string) bool {
+	if s.router == nil {
+		return false
+	}
+	s.writeError(w, errf(http.StatusConflict, client.CodeReadOnly,
+		"%s refused: router mode serves one fixed snapshot (redeploy the router and its shards together to change it)", what))
+	return true
+}
+
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
+	if s.refuseInRouterMode(w, "updates") {
+		return
+	}
 	var req client.UpdateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.updatesRejected.Inc()

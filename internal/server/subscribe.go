@@ -26,8 +26,12 @@ const (
 // RecommendRequest the query endpoints take, validated by the same path;
 // only the incremental methods accept subscriptions — the katz and
 // twitterrank baselines rebuild globally per batch, so "which
-// neighborhoods moved" cannot bound their re-scores.
+// neighborhoods moved" cannot bound their re-scores. A router refuses
+// every subscription: no write reaches it, so no standing query can move.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+	if s.refuseInRouterMode(w, "subscriptions") {
+		return
+	}
 	var req client.RecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest, "bad JSON: %v", err))
