@@ -122,13 +122,13 @@ kernel-gate:
 # landmark refresh on a decay-weighted overlay engine, the landmark query
 # on the 3000-node Twitter graph and the 8000-node serving shape, the
 # overlay-vs-rebuild delta apply, the per-update cost of Manager.Apply at
-# batch sizes 1/4/16/64 on the streaming 8000-node manager, and the
-# evaluation sweep at parallelism 1 and GOMAXPROCS. The whole stack is
+# batch sizes 1/4/16/64 on the streaming 8000-node manager and its
+# invalidation pass alone on 16-update batches, and the evaluation sweep at parallelism 1 and GOMAXPROCS. The whole stack is
 # measured by bench-e2e below.
 bench:
 	$(GO) test -bench=BenchmarkExplore -benchmem ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkPreprocessRefresh|BenchmarkApproxQuery' -benchmem ./internal/landmark/
-	$(GO) test -run='^$$' -bench=BenchmarkApplyBatch -benchmem ./internal/dynamic/
+	$(GO) test -run='^$$' -bench='BenchmarkApplyBatch|BenchmarkAffectedLandmarks' -benchmem ./internal/dynamic/
 	$(GO) test -bench=BenchmarkWithoutEdges -benchmem ./internal/graph/
 	$(GO) test -bench=BenchmarkLinkPrediction -benchmem ./internal/eval/
 

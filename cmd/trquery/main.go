@@ -4,7 +4,8 @@
 //
 // By default it builds everything in-process over a generated dataset.
 // With -server it becomes a thin console over a running trserver,
-// speaking the typed /v1 client:
+// speaking the typed /v1 client; the server answers only exact and
+// landmark Tr, so the remote mode shows those two:
 //
 //	trquery -server http://localhost:8080 -query "42 technology"
 //	trquery -server http://localhost:8080 -watch "42 technology"
@@ -180,7 +181,7 @@ func remote(base string, topN int, oneshot, watch string) {
 			fmt.Println(err)
 			return
 		}
-		for _, method := range []string{"tr", "landmark", "katz", "twitterrank"} {
+		for _, method := range []string{"tr", "landmark"} {
 			resp, err := c.Recommend(ctx, client.RecommendRequest{
 				User: uid, Topic: topic, N: topN, Method: method,
 			})

@@ -183,8 +183,8 @@ func (c *Client) Update(ctx context.Context, items []UpdateItem) (*UpdateRespons
 	return &out, nil
 }
 
-// Subscribe registers a standing query (POST /v1/subscribe). Only the
-// incremental methods ("landmark", "tr") accept subscriptions.
+// Subscribe registers a standing query (POST /v1/subscribe) for either
+// served method, "landmark" or "tr".
 func (c *Client) Subscribe(ctx context.Context, req RecommendRequest) (*Subscription, error) {
 	var out Subscription
 	if err := c.call(ctx, http.MethodPost, "/v1/subscribe", req, &out); err != nil {

@@ -35,10 +35,6 @@ const partialEntryLen = 4 + 8
 type PartialRequest struct {
 	User  graph.NodeID `json:"user"`
 	Topic topics.ID    `json:"topic"`
-	// Depth optionally overrides the worker's configured exploration
-	// depth; 0 means "use the worker's default". The router leaves it 0 so
-	// depth stays a deployment property, not a per-query one.
-	Depth int `json:"depth,omitempty"`
 }
 
 // PartialResponse is one worker's answer: which shard of how many it is,

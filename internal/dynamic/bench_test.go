@@ -77,14 +77,12 @@ func BenchmarkFullRepreprocess(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyBatch measures what one update costs on the write path
-// of the streaming configuration the end-to-end benchmark serves: the
-// 8000-node Twitter graph, 30 In-Deg landmarks, decay on, Lazy strategy
-// with no reader (so no refresh runs), no WAL. Each batch toggles
-// follow edges drawn from a fixed random pool. ns/update is the mean and
-// carries the compaction every 32nd batch pays; p50-ns/update is the
-// median batch, which does not.
-func BenchmarkApplyBatch(b *testing.B) {
+// g8kStream builds the streaming configuration the end-to-end benchmark
+// serves: the 8000-node Twitter graph (gen seed 1), 30 In-Deg landmarks,
+// decay on, Lazy strategy with no reader (so no refresh runs), no WAL. It
+// returns the manager and a fixed random pool of follow edges that
+// nextBatch toggles.
+func g8kStream(b *testing.B) (*Manager, []Update) {
 	cfg := gen.DefaultTwitterConfig()
 	cfg.Nodes = 8000
 	ds, err := gen.Twitter(cfg)
@@ -95,36 +93,52 @@ func BenchmarkApplyBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	m, err := NewManager(ds.Graph, lms, Config{
+		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 500, QueryDepth: 2,
+		Strategy: Lazy, Scheduler: SchedPriority, RefreshBudget: 4, HalfLife: 24 * time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]Update, 8192)
+	for i := range pool {
+		src := graph.NodeID(rng.Intn(cfg.Nodes))
+		dst := graph.NodeID(rng.Intn(cfg.Nodes - 1))
+		if dst >= src {
+			dst++
+		}
+		pool[i].Edge = graph.Edge{Src: src, Dst: dst, Label: topics.NewSet(topics.ID(rng.Intn(ds.Graph.Vocabulary().Len())))}
+	}
+	return m, pool
+}
+
+// nextBatch fills batch with the pool's next updates from *next on, each
+// toggling its edge (an add, then its removal).
+func nextBatch(batch, pool []Update, next *int) {
+	for j := range batch {
+		up := &pool[*next%len(pool)]
+		up.Add = !up.Add
+		batch[j] = *up
+		*next++
+	}
+}
+
+// BenchmarkApplyBatch measures what one update costs on the write path
+// of the streaming configuration (g8kStream). Each batch toggles follow
+// edges drawn from a fixed random pool. ns/update is the mean and
+// carries the compaction every 32nd batch pays; p50-ns/update is the
+// median batch, which does not.
+func BenchmarkApplyBatch(b *testing.B) {
 	for _, size := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			m, err := NewManager(ds.Graph, lms, Config{
-				Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 500, QueryDepth: 2,
-				Strategy: Lazy, Scheduler: SchedPriority, RefreshBudget: 4, HalfLife: 24 * time.Hour,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			pool := make([]Update, 8192)
-			for i := range pool {
-				src := graph.NodeID(rng.Intn(cfg.Nodes))
-				dst := graph.NodeID(rng.Intn(cfg.Nodes - 1))
-				if dst >= src {
-					dst++
-				}
-				pool[i].Edge = graph.Edge{Src: src, Dst: dst, Label: topics.NewSet(topics.ID(rng.Intn(ds.Graph.Vocabulary().Len())))}
-			}
+			m, pool := g8kStream(b)
 			batch := make([]Update, size)
 			took := make([]time.Duration, 0, b.N)
 			next := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range batch {
-					up := &pool[next%len(pool)]
-					up.Add = !up.Add
-					batch[j] = *up
-					next++
-				}
+				nextBatch(batch, pool, &next)
 				start := time.Now()
 				if err := m.Apply(batch); err != nil {
 					b.Fatal(err)
@@ -137,4 +151,35 @@ func BenchmarkApplyBatch(b *testing.B) {
 			b.ReportMetric(float64(took[len(took)/2].Nanoseconds())/float64(size), "p50-ns/update")
 		})
 	}
+}
+
+// BenchmarkAffectedLandmarks times Apply's invalidation pass alone: the
+// multi-source reverse BFS that marks the landmarks a 16-update batch
+// may have staled, on the streaming configuration (g8kStream) with the
+// overlay warmed by 16 applied batches. Each iteration runs the pass for
+// a fresh batch from the pool without applying it. visited/batch is the
+// nodes the pass reached, landmarks/batch the landmarks it returned.
+func BenchmarkAffectedLandmarks(b *testing.B) {
+	const size = 16
+	m, pool := g8kStream(b)
+	batch := make([]Update, size)
+	next := 0
+	for i := 0; i < 16; i++ {
+		nextBatch(batch, pool, &next)
+		if err := m.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	visited0 := m.stats.InvalidationVisited
+	found := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nextBatch(batch, pool, &next)
+		found += len(m.affectedLandmarks(batch))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.stats.InvalidationVisited-visited0)/float64(b.N), "visited/batch")
+	b.ReportMetric(float64(found)/float64(b.N), "landmarks/batch")
 }

@@ -112,13 +112,16 @@ type Config struct {
 	// refresh attempts. 0 uses 500ms. The remaining window is exported
 	// as the dynamic_refresh_backoff_seconds gauge.
 	RefreshBackoff time.Duration
-	// Scheduler picks which stale landmarks a refresh opportunity
-	// repairs (see SchedulerKind). The zero value SchedAll is the
-	// legacy refresh-everything policy.
+	// Scheduler picks which stale landmarks a refresh opportunity of
+	// the Eager and Threshold strategies repairs (see SchedulerKind). The
+	// zero value SchedAll is the legacy refresh-everything policy. Under
+	// Lazy a query refreshes every stale landmark in its vicinity
+	// whatever the scheduler; SchedPriority then only counts query hits.
 	Scheduler SchedulerKind
 	// RefreshBudget caps how many landmarks the budgeted schedulers
-	// (SchedRoundRobin, SchedPriority) refresh per opportunity. <= 0
-	// uses 4. SchedAll ignores it.
+	// (SchedRoundRobin, SchedPriority) refresh per opportunity under
+	// Eager and Threshold. <= 0 uses 4. SchedAll and Lazy's query-time
+	// refresh ignore it.
 	RefreshBudget int
 	// HalfLife enables time-decayed edge weights: an edge's topical
 	// contribution halves per HalfLife of age (see decay.go for the

@@ -144,6 +144,64 @@ func TestLazyRefreshOnQuery(t *testing.T) {
 	}
 }
 
+// TestLazyRefreshIgnoresBudget pins that RefreshBudget does not bound
+// Lazy maintenance: Apply never schedules under Lazy, and one query
+// refreshes every stale landmark in its depth-2 vicinity, however small
+// the priority scheduler's budget.
+func TestLazyRefreshIgnoresBudget(t *testing.T) {
+	ds := gen.RandomWith(60, 600, 3)
+	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 6, landmark.DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(ds.Graph, lms, Config{
+		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 200, QueryDepth: 2,
+		Strategy: Lazy, Scheduler: SchedPriority, RefreshBudget: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Update, 0, len(lms))
+	for _, lm := range lms {
+		batch = append(batch, Update{Edge: graph.Edge{Src: lm, Dst: (lm + 29) % 60, Label: topics.NewSet(1)}, Add: true})
+	}
+	if err := m.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Refreshes != 0 {
+		t.Fatal("lazy strategy must not refresh at Apply time")
+	}
+	// The querier whose depth-2 vicinity meets the most stale landmarks.
+	stale := m.Stats().StaleNow
+	var querier graph.NodeID
+	best := 0
+	for u := 0; u < ds.Graph.NumNodes(); u++ {
+		met := 0
+		graph.BFSOut(m.Graph(), graph.NodeID(u), 2, func(v graph.NodeID, _ int) bool {
+			if m.stale[v] {
+				met++
+			}
+			return true
+		})
+		if met > best {
+			querier, best = graph.NodeID(u), met
+		}
+	}
+	if best < 3 {
+		t.Fatalf("best querier meets %d of %d stale landmarks, want >= 3", best, stale)
+	}
+	if _, err := m.Recommend(querier, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.Refreshes != best {
+		t.Errorf("one query refreshed %d landmarks, want all %d it met (budget 1)", st.Refreshes, best)
+	}
+	if st.StaleNow != stale-best {
+		t.Errorf("%d landmarks stale after the query, want %d", st.StaleNow, stale-best)
+	}
+}
+
 // TestStaleLandmarksSorted: a batch reports the landmarks it staled in
 // node-id order, not in map-iteration order.
 func TestStaleLandmarksSorted(t *testing.T) {

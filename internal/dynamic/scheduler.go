@@ -12,7 +12,8 @@ import (
 // at once — correct but bursty, and under a sustained update stream the
 // burst grows without bound. The budgeted schedulers refresh at most
 // RefreshBudget landmarks per opportunity and differ in how they pick
-// them:
+// them (the opportunities are Apply's under Eager and Threshold; a Lazy
+// query refreshes every stale landmark it would read, unbudgeted):
 //
 //   - round-robin: oldest stale mark first (FIFO) — the fairness
 //     baseline;

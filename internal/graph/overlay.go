@@ -181,9 +181,6 @@ func Remove(base View, removed []Edge) *Overlay {
 	return o
 }
 
-// Base returns the view this overlay layers over.
-func (o *Overlay) Base() View { return o.base }
-
 // Depth returns the number of overlay layers above the bottom CSR graph.
 func (o *Overlay) Depth() int { return o.depth }
 

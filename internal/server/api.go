@@ -88,11 +88,9 @@ func (s *Server) validateRecommend(req client.RecommendRequest) (cacheKey, *http
 	if method == "" {
 		method = "landmark"
 	}
-	switch method {
-	case "tr", "landmark", "katz", "twitterrank":
-	default:
+	if method != "tr" && method != "landmark" {
 		return cacheKey{}, errf(http.StatusBadRequest, client.CodeUnknownMethod,
-			"unknown method %q (tr, landmark, katz, twitterrank)", method)
+			"unknown method %q (tr, landmark)", method)
 	}
 	return cacheKey{user: graph.NodeID(req.User), topic: t, n: n, method: method}, nil
 }

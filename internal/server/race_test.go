@@ -3,14 +3,10 @@ package server
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/ranking"
 	"repro/internal/topics"
 )
@@ -100,86 +96,6 @@ func TestResultCacheChurn(t *testing.T) {
 	wg.Wait()
 	if n := c.len(); n > 16 {
 		t.Errorf("cache exceeded capacity after churn: %d", n)
-	}
-}
-
-// TestBaselineRebuildRace rebuilds Katz/TwitterRank baselines from
-// parallel request goroutines while update batches concurrently advance
-// the graph generation. Every returned recommender must be non-nil and
-// the generation bookkeeping must settle on the final batch count.
-func TestBaselineRebuildRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds TwitterRank repeatedly")
-	}
-	reg := metrics.NewRegistry()
-	mgr, ds := testManager(t, reg)
-	s := New(mgr, core.DefaultParams().Beta, WithMetrics(reg))
-	vocab := ds.Vocabulary()
-	tech := vocab.MustLookup("technology")
-
-	const updates = 6
-	var wg sync.WaitGroup
-	var rebuilt atomic.Int64
-	// Writer: apply follow updates, each bumping the generation.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < updates; i++ {
-			err := mgr.Apply([]dynamic.Update{{
-				Edge: graph.Edge{Src: graph.NodeID(i + 1), Dst: graph.NodeID(i + 100), Label: topics.NewSet(tech)},
-				Add:  true,
-			}})
-			if err != nil {
-				t.Errorf("apply %d: %v", i, err)
-			}
-			s.cache.invalidate()
-		}
-	}()
-	// Readers: force baseline rebuilds across generations.
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			method := "katz"
-			if w%2 == 1 {
-				method = "twitterrank"
-			}
-			for i := 0; i < 8; i++ {
-				rec, err := s.baseline(method)
-				if err != nil {
-					t.Errorf("baseline(%s): %v", method, err)
-					return
-				}
-				if rec == nil {
-					t.Errorf("baseline(%s) returned nil recommender", method)
-					return
-				}
-				rebuilt.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// After the dust settles one more call must observe the final
-	// generation and serve a usable recommender.
-	rec, err := s.baseline("katz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Recommend(1, tech, 3); len(got) == 0 {
-		t.Error("final baseline returned no recommendations")
-	}
-	s.mu.Lock()
-	gen := s.baseGen
-	s.mu.Unlock()
-	if want := mgr.Stats().Batches; gen != want {
-		t.Errorf("baseline generation = %d, want %d", gen, want)
-	}
-	if rebuilt.Load() == 0 {
-		t.Error("no baselines were ever built")
-	}
-	if got := reg.CounterVec("baseline_rebuilds_total", "", "method").With("katz").Value(); got == 0 {
-		t.Error("baseline_rebuilds_total{method=katz} = 0 after rebuilds")
 	}
 }
 

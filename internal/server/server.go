@@ -1,10 +1,13 @@
 // Package server exposes the recommendation system as an HTTP/JSON
 // service — the deployment shape the paper describes for Twitter's
 // Who-to-Follow ("hosted on a single server"). The service answers
-// recommendation queries with any of the implemented methods (exact Tr,
-// landmark-approximate Tr, Katz, TwitterRank), reports dataset and
-// landmark-store statistics, and accepts follow/unfollow updates which it
-// maintains through the dynamic landmark-refresh machinery.
+// recommendation queries with the two methods the dynamic manager keeps
+// current under updates (exact Tr and landmark-approximate Tr), reports
+// dataset and landmark-store statistics, and accepts follow/unfollow
+// updates which it maintains through the dynamic landmark-refresh
+// machinery. The paper's offline baselines (Katz, TwitterRank) are not
+// served; they run in internal/eval, the experiments and trquery's local
+// mode.
 //
 // The HTTP surface is versioned under /v1 (see API.md; the sunset
 // unversioned aliases only answer behind WithLegacyRoutes), and the
@@ -35,12 +38,10 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/ingest"
-	"repro/internal/katz"
 	"repro/internal/metrics"
 	"repro/internal/ranking"
 	"repro/internal/subscribe"
 	"repro/internal/topics"
-	"repro/internal/twitterrank"
 )
 
 // DefaultRequestTimeout bounds one /v1/recommend request unless
@@ -59,7 +60,6 @@ const maxBatchSize = 64
 type Server struct {
 	mgr        *dynamic.Manager
 	vocab      *topics.Vocabulary
-	beta       float64
 	cache      *resultCache
 	cacheCap   int
 	flight     *coalescer
@@ -103,15 +103,8 @@ type Server struct {
 	shedReqs        *metrics.Counter
 	degradedReqs    *metrics.Counter
 	timeouts        *metrics.Counter
-	rebuilds        *metrics.CounterVec
-	rebuildSecs     *metrics.HistogramVec
 	updatesApplied  *metrics.Counter
 	updatesRejected *metrics.Counter
-
-	mu      sync.Mutex
-	baseGen int // update-batch count the cached baselines were built at
-	katzRec ranking.Recommender
-	twrRec  ranking.Recommender
 }
 
 // Option customizes a Server.
@@ -194,15 +187,14 @@ func WithLegacyRoutes(on bool) Option {
 	return func(s *Server) { s.legacy = on }
 }
 
-// New builds a server over a dynamic manager. beta is the Katz decay used
-// for the baseline. Results are served from a small LRU that updates
-// invalidate wholesale. The manager is instrumented into the server's
-// registry, so GET /v1/metrics covers the whole serving stack.
+// New builds a server over a dynamic manager. beta is unused; it stays
+// only because existing callers pass it. Results are served from a small
+// LRU that updates invalidate wholesale. The manager is instrumented into
+// the server's registry, so GET /v1/metrics covers the whole serving stack.
 func New(mgr *dynamic.Manager, beta float64, opts ...Option) *Server {
 	s := &Server{
 		mgr:           mgr,
 		vocab:         mgr.Graph().Vocabulary(),
-		beta:          beta,
 		cacheCap:      4096,
 		reqTimeout:    DefaultRequestTimeout,
 		degradeBudget: DefaultDegradeBudget,
@@ -237,10 +229,6 @@ func New(mgr *dynamic.Manager, beta float64, opts ...Option) *Server {
 		"Requests served with a degraded answer (landmark fallback or partial shard gather).")
 	s.timeouts = s.reg.Counter("request_timeouts_total",
 		"Recommendation requests cancelled by the per-request deadline.")
-	s.rebuilds = s.reg.CounterVec("baseline_rebuilds_total",
-		"Baseline recommender rebuilds after graph updates, by method.", "method")
-	s.rebuildSecs = s.reg.HistogramVec("baseline_rebuild_seconds",
-		"Time to rebuild a baseline recommender, by method.", nil, "method")
 	s.updatesApplied = s.reg.Counter("updates_applied_total", "Follow/unfollow changes applied.")
 	s.updatesRejected = s.reg.Counter("updates_rejected_total", "Update items rejected by validation.")
 	s.reg.GaugeFunc("cache_entries", "Live entries in the recommendation cache.",
@@ -614,24 +602,16 @@ func (s *Server) compute(ctx context.Context, key cacheKey) (computed, error) {
 		scored, err := s.computeHook(ctx, key)
 		return computed{scored: scored}, err
 	}
-	switch key.method {
-	case "landmark":
+	if key.method == "landmark" {
 		scored, err := s.mgr.Recommend(key.user, key.topic, key.n)
 		return computed{scored: scored}, err
-	case "tr":
-		t0 := time.Now()
-		scored, err := s.mgr.RecommendExactCtx(ctx, key.user, key.topic, key.n)
-		if err == nil {
-			s.trLat.observe(time.Since(t0))
-		}
-		return computed{scored: scored}, err
-	default: // katz, twitterrank — validated upstream
-		rec, err := s.baseline(key.method)
-		if err != nil {
-			return computed{}, err
-		}
-		return computed{scored: rec.Recommend(key.user, key.topic, key.n)}, nil
 	}
+	t0 := time.Now()
+	scored, err := s.mgr.RecommendExactCtx(ctx, key.user, key.topic, key.n)
+	if err == nil {
+		s.trLat.observe(time.Since(t0))
+	}
+	return computed{scored: scored}, err
 }
 
 // computeSharded answers one landmark query by scatter/gather. All shards
@@ -679,48 +659,6 @@ func splitTopics(v *topics.Vocabulary, s topics.Set) []string {
 	out := make([]string, 0, s.Len())
 	s.ForEach(func(t topics.ID) { out = append(out, v.Name(t)) })
 	return out
-}
-
-// baseline returns the cached Katz/TwitterRank recommender, rebuilding it
-// when updates changed the graph since it was built.
-func (s *Server) baseline(method string) (ranking.Recommender, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gen := s.mgr.Stats().Batches
-	if gen != s.baseGen {
-		s.katzRec, s.twrRec = nil, nil
-		s.baseGen = gen
-	}
-	switch method {
-	case "katz":
-		if s.katzRec == nil {
-			start := time.Now()
-			rec, err := katz.New(s.mgr.Graph(), s.beta, 0)
-			if err != nil {
-				return nil, err
-			}
-			s.katzRec = rec
-			s.recordRebuild("katz", time.Since(start))
-		}
-		return s.katzRec, nil
-	default:
-		if s.twrRec == nil {
-			start := time.Now()
-			rec, err := twitterrank.New(twitterrank.InputFromProfiles(s.mgr.Graph()), twitterrank.DefaultParams())
-			if err != nil {
-				return nil, err
-			}
-			s.twrRec = rec
-			s.recordRebuild("twitterrank", time.Since(start))
-		}
-		return s.twrRec, nil
-	}
-}
-
-// recordRebuild counts one baseline rebuild and its duration.
-func (s *Server) recordRebuild(method string, took time.Duration) {
-	s.rebuilds.With(method).Inc()
-	s.rebuildSecs.With(method).ObserveDuration(took)
 }
 
 // refuseInRouterMode answers a write-side request with 409 read_only when

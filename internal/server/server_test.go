@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -126,7 +127,7 @@ func TestStats(t *testing.T) {
 
 func TestRecommendMethods(t *testing.T) {
 	srv, _ := testServer(t)
-	for _, method := range []string{"landmark", "tr", "katz", "twitterrank"} {
+	for _, method := range []string{"landmark", "tr"} {
 		var resp client.RecommendResponse
 		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=11&topic=technology&n=5&method=%s", srv.URL, method),
 			http.StatusOK, &resp)
@@ -181,6 +182,26 @@ func TestRecommendErrors(t *testing.T) {
 		}
 		if e.Error.Message == "" {
 			t.Errorf("%s: missing error message", c.path)
+		}
+	}
+}
+
+// TestBaselineMethodsNotServed pins the served method set: the paper's
+// offline baselines answer 400 unknown_method on both the query and the
+// subscription endpoint, and the message names the two served methods.
+func TestBaselineMethodsNotServed(t *testing.T) {
+	srv, _ := testServer(t)
+	for _, m := range []string{"katz", "twitterrank"} {
+		var e errEnvelope
+		getJSON(t, srv.URL+"/v1/recommend?user=11&topic=technology&method="+m, http.StatusBadRequest, &e)
+		if e.Error.Code != client.CodeUnknownMethod || !strings.Contains(e.Error.Message, "(tr, landmark)") {
+			t.Errorf("recommend method=%s: %+v, want %s naming tr and landmark", m, e.Error, client.CodeUnknownMethod)
+		}
+		e = errEnvelope{}
+		postJSON(t, srv.URL+"/v1/subscribe", client.RecommendRequest{User: 11, Topic: "technology", Method: m},
+			http.StatusBadRequest, &e)
+		if e.Error.Code != client.CodeUnknownMethod {
+			t.Errorf("subscribe method=%s: %+v, want %s", m, e.Error, client.CodeUnknownMethod)
 		}
 	}
 }
@@ -328,9 +349,6 @@ func TestUpdatesFlow(t *testing.T) {
 	// ...and is immediately visible to exact recommendations from user 1.
 	var resp client.RecommendResponse
 	getJSON(t, srv.URL+"/v1/recommend?user=1&topic=technology&method=tr&n=600", http.StatusOK, &resp)
-
-	// Baselines rebuild after updates without error.
-	getJSON(t, srv.URL+"/v1/recommend?user=1&topic=technology&method=katz&n=5", http.StatusOK, &resp)
 
 	// Then the follow is removed again.
 	postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{

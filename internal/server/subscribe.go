@@ -23,11 +23,9 @@ const (
 )
 
 // handleSubscribe registers a standing query. The body is the same
-// RecommendRequest the query endpoints take, validated by the same path;
-// only the incremental methods accept subscriptions — the katz and
-// twitterrank baselines rebuild globally per batch, so "which
-// neighborhoods moved" cannot bound their re-scores. A router refuses
-// every subscription: no write reaches it, so no standing query can move.
+// RecommendRequest the query endpoints take, validated by the same path.
+// A router refuses every subscription: no write reaches it, so no
+// standing query can move.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if s.refuseInRouterMode(w, "subscriptions") {
 		return
@@ -40,11 +38,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	key, herr := s.validateRecommend(req)
 	if herr != nil {
 		s.writeError(w, herr)
-		return
-	}
-	if key.method != "tr" && key.method != "landmark" {
-		s.writeError(w, errf(http.StatusBadRequest, client.CodeBadRequest,
-			"method %q does not support subscriptions (tr, landmark)", key.method))
 		return
 	}
 	id, err := s.hub.Register(subscribe.Key{User: key.user, Topic: key.topic, N: key.n, Method: key.method})

@@ -107,12 +107,11 @@ func TestSubscribeLifecycle(t *testing.T) {
 		t.Errorf("double unsubscribe: %v, want 404", err)
 	}
 
-	// Baseline methods cannot subscribe: their global rebuilds defeat the
-	// affected-index bound.
+	// The offline baselines are not served, so they cannot subscribe.
 	for _, m := range []string{"katz", "twitterrank"} {
 		_, err := c.Subscribe(ctx, client.RecommendRequest{User: 11, Topic: "technology", Method: m})
-		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-			t.Errorf("subscribe method=%s: %v, want 400", m, err)
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != client.CodeUnknownMethod {
+			t.Errorf("subscribe method=%s: %v, want 400 %s", m, err, client.CodeUnknownMethod)
 		}
 	}
 	// Validation runs the shared path.

@@ -99,13 +99,12 @@ const (
 // under its own lock — but the size/records accessors are atomic so a
 // metrics exposition can read them while an append is in flight.
 type WAL struct {
-	f       *os.File
-	policy  SyncPolicy
-	size    atomic.Int64  // current valid length (next append offset)
-	seq     atomic.Uint64 // next record sequence number
-	buf     []byte        // reused append encoding buffer
-	appends atomic.Uint64
-	bytes   atomic.Uint64
+	f      *os.File
+	policy SyncPolicy
+	size   atomic.Int64  // current valid length (next append offset)
+	seq    atomic.Uint64 // next record sequence number
+	buf    []byte        // reused append encoding buffer
+	bytes  atomic.Uint64
 }
 
 // OpenWAL opens (creating if absent) the log at path and replays its
@@ -276,7 +275,6 @@ func (w *WAL) Append(batch []EdgeDelta) error {
 	}
 	w.size.Add(int64(need))
 	w.seq.Add(1)
-	w.appends.Add(1)
 	w.bytes.Add(uint64(need))
 	return nil
 }
@@ -302,10 +300,6 @@ func (w *WAL) Size() int64 { return w.size.Load() }
 
 // Records returns the number of batches the log currently holds.
 func (w *WAL) Records() uint64 { return w.seq.Load() }
-
-// Appends returns the batches appended through this handle (for
-// metrics).
-func (w *WAL) Appends() uint64 { return w.appends.Load() }
 
 // AppendedBytes returns the bytes appended through this handle.
 func (w *WAL) AppendedBytes() uint64 { return w.bytes.Load() }
