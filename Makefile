@@ -20,10 +20,11 @@ test:
 # preprocessing workers sharing one read-only in-adjacency and the
 # overlay-equivalence differential suites (plus the fuzzers' seed
 # corpora); a full -race run over the repository is `make race-all`.
-# The ./internal/dynamic/ run includes the reader/writer stress test
-# (four readers beside a writer applying 20 batches); the manager's
-# lock-discipline tests then run again at GOMAXPROCS 1 and 2.
-DYNAMIC_LOCK_TESTS = ^Test(ReadersDoNotWaitForReaders|WriterExcludesReaders|ReadersBesideWriterMatchFreshManager)$$
+# The ./internal/dynamic/ run includes the reader/writer stress tests
+# (four readers beside a writer applying 20 batches, under Eager and under
+# Lazy, where the readers refresh topics); the manager's lock-discipline
+# tests then run again at GOMAXPROCS 1 and 2.
+DYNAMIC_LOCK_TESTS = ^Test(ReadersDoNotWaitForReaders|WriterExcludesReaders|ReadersBesideWriterMatchFreshManager|LazyReadersBesideWriterMatchFreshManager)$$
 race:
 	$(GO) test -race ./internal/server/... ./internal/subscribe/... ./internal/client/... ./internal/metrics/... ./internal/dynamic/... ./internal/landmark/... ./internal/eval/... ./internal/graph/... ./internal/core/... ./internal/distrib/... ./internal/store/... ./internal/ingest/...
 	$(GO) test -race -cpu 1,2 -run '$(DYNAMIC_LOCK_TESTS)' ./internal/dynamic/
@@ -74,7 +75,11 @@ fmt-check:
 # flat result rows + list selection, g2k) is gated the same way: ~120
 # allocs/op for one landmark and ~1730 for 27 (57 of them per landmark are
 # the stored lists themselves), against 775 and 20639 when every
-# exploration spilled three per-node maps.
+# exploration spilled three per-node maps. The per-topic refresh of the
+# same 27 landmarks (landmarks=27,topics=1: factored explorations shared
+# by groups of landmarks, two lists per landmark) took 235-245 allocs/op
+# when it was added, at GOMAXPROCS 2; it is gated at 360, the same half
+# again the whole-landmark bounds leave for worker and group counts.
 # The landmark query (depth-2 pruned exploration read in place from the
 # engine's pooled scratch, plus the fold into the same scratch's dense
 # fold buffer, 30 landmarks; BenchmarkApproxQuery/g3k on 3000 nodes and
@@ -93,6 +98,7 @@ KERNEL_GATE_DENSE_ALLOCS ?= 135
 KERNEL_GATE_CONVERGED_ALLOCS ?= 8
 KERNEL_GATE_REFRESH1_ALLOCS ?= 300
 KERNEL_GATE_REFRESH27_ALLOCS ?= 2600
+KERNEL_GATE_REFRESH27T1_ALLOCS ?= 360
 KERNEL_GATE_QUERY_ALLOCS ?= 7
 KERNEL_GATE_SERVE_ALLOCS ?= 66
 .PHONY: kernel-gate
@@ -104,12 +110,13 @@ kernel-gate:
 		/^FAIL/ { bad = 1 } \
 		END { if (!seenD || seenC != 2) { print "kernel-gate: benchmarks did not run"; bad = 1 } exit bad }'
 	$(GO) test -run='^$$' -bench='^Benchmark(PreprocessRefresh|ApproxQuery)$$' -benchmem ./internal/landmark/ | \
-	awk -v one=$(KERNEL_GATE_REFRESH1_ALLOCS) -v many=$(KERNEL_GATE_REFRESH27_ALLOCS) -v query=$(KERNEL_GATE_QUERY_ALLOCS) '{ print } \
+	awk -v one=$(KERNEL_GATE_REFRESH1_ALLOCS) -v many=$(KERNEL_GATE_REFRESH27_ALLOCS) -v topic=$(KERNEL_GATE_REFRESH27T1_ALLOCS) -v query=$(KERNEL_GATE_QUERY_ALLOCS) '{ print } \
 		/^BenchmarkPreprocessRefresh\/landmarks=1-/ { seen1 = 1; if ($$7+0 > one) { printf "kernel-gate: 1-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, one; bad = 1 } } \
 		/^BenchmarkPreprocessRefresh\/landmarks=27-/ { seen27 = 1; if ($$7+0 > many) { printf "kernel-gate: 27-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, many; bad = 1 } } \
+		/^BenchmarkPreprocessRefresh\/landmarks=27,topics=1-/ { seenT = 1; if ($$7+0 > topic) { printf "kernel-gate: 27-landmark one-topic refresh %d allocs/op exceeds baseline %d\n", $$7, topic; bad = 1 } } \
 		/^BenchmarkApproxQuery\// { seenQ++; if ($$7+0 > query) { printf "kernel-gate: landmark query %s %d allocs/op exceeds baseline %d\n", $$1, $$7, query; bad = 1 } } \
 		/^FAIL/ { bad = 1 } \
-		END { if (!seen1 || !seen27 || seenQ != 2) { print "kernel-gate: landmark benchmarks did not run"; bad = 1 } exit bad }'
+		END { if (!seen1 || !seen27 || !seenT || seenQ != 2) { print "kernel-gate: landmark benchmarks did not run"; bad = 1 } exit bad }'
 	$(GO) test -run='^$$' -bench='^BenchmarkServeRecommend$$' -benchmem ./internal/server/ | \
 	awk -v serve=$(KERNEL_GATE_SERVE_ALLOCS) '{ print } \
 		/^BenchmarkServeRecommend\/handler-/ { seenS = 1; if ($$7+0 > serve) { printf "kernel-gate: served request %d allocs/op exceeds baseline %d\n", $$7, serve; bad = 1 } } \

@@ -85,8 +85,8 @@ func main() {
 			checks++
 		}
 		st := m.Stats()
-		fmt.Printf("%-10s stream %-9s refreshes %-4d stale-at-end %-3d approx/exact top-10 overlap %.2f\n",
-			strat, time.Since(start).Round(time.Millisecond), st.Refreshes, st.StaleNow,
+		fmt.Printf("%-10s stream %-9s refreshes %-4d topic refreshes %-4d stale-at-end %-3d approx/exact top-10 overlap %.2f\n",
+			strat, time.Since(start).Round(time.Millisecond), st.Refreshes, st.TopicRefreshes, st.StaleNow,
 			overlapSum/float64(checks))
 	}
 }

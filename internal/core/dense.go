@@ -26,26 +26,32 @@ type Scratch struct {
 	// deltas were summed into its totals). Relaxing an edge touches the
 	// target's deltas and mark only, which sit together; summing a hop
 	// reads a row once. The factored form keeps only a mark and the
-	// totals, stride q+3, and uses the rest as a pass buffer.
-	rows []float64 // n × (2k+5)
+	// totals per source, stride c·(q+3) for c sources, and uses the rest
+	// as a pass buffer.
+	rows []float64 // n × rowFloats(k)
 	// front holds the expanding frontier's deltas in frontier order, q+2
 	// per node, so a hop reads its sources sequentially and writes only
 	// target rows. It grows on demand to the largest frontier expanded;
 	// the factored form uses it as its second pass buffer.
 	front             []float64
 	curList, nextList []graph.NodeID
-	perTopic          []float64   // per-hop topic-mass accumulator, len k
-	sims              []float64   // one edge's similarity factors, len k
-	acols             [][]float64 // per-query authority columns, len k
+	perTopic          []float64    // per-hop column-mass accumulator, len k+1
+	cols              []bool       // the factored form's live columns, len k+1
+	fsrc              []factSource // the factored form's per-source state
+	sims              []float64    // one edge's similarity factors, len k
+	acols             [][]float64  // per-query authority columns, len k
 
 	// reached lists the nodes holding a row other than src, the last
 	// exploration's source, in first-reach order; the Exploration's
 	// Reached aliases it. stride is the row width that exploration wrote
 	// and lo the offset in each row from which it left floats non-zero, so
 	// the next one clears exactly those.
+	// A factored exploration keeps its reached lists per source and sets
+	// whole instead: the next reset clears rows[:whole].
 	reached    []graph.NodeID
 	src        graph.NodeID
 	stride, lo int
+	whole      int
 
 	// fold is the node-indexed sum of landmark folds, allocated on first
 	// use so scratches that only explore never pay for it.
@@ -132,8 +138,13 @@ func (s *Scratch) Fold() *Fold {
 // stride w, of which the call may leave non-zero the floats from offset
 // lo on. It zeroes those of the previous call's reached rows and source
 // row, at the stride it wrote them, with plain stores: a clear call per
-// row would cost more than the row. Every other row is all-zero already.
+// row would cost more than the row, or, after a factored exploration,
+// its whole result rows. Every other row is all-zero already.
 func (s *Scratch) reset(src graph.NodeID, lo, w int) {
+	if s.whole > 0 {
+		clear(s.rows[:s.whole])
+		s.whole = 0
+	}
 	if s.stride > 0 {
 		zero := func(v graph.NodeID) {
 			r := s.rows[int(v)*s.stride+s.lo : int(v)*s.stride+s.stride]
@@ -160,6 +171,12 @@ func (s *Scratch) frontBuf(m int) []float64 {
 	return s.front[:cap(s.front)]
 }
 
+// rowFloats is the floats per node a scratch's rows hold for k topics:
+// the widest hop-recurrence row (2k+5) plus one, so that a factored
+// exploration of 7 sources over one topic of the 18-topic taxonomy keeps
+// its result rows and a pass buffer there (InAdjacency.MaxSources).
+func rowFloats(k int) int { return 2*k + 6 }
+
 // NewScratch sizes a scratch for the engine's graph and full vocabulary.
 func NewScratch(e *Engine) *Scratch {
 	return newScratchDims(e.g.NumNodes(), e.g.Vocabulary().Len())
@@ -169,8 +186,9 @@ func NewScratch(e *Engine) *Scratch {
 func newScratchDims(n, k int) *Scratch {
 	return &Scratch{
 		n: n, k: k,
-		rows:     make([]float64, n*(2*k+5)),
-		perTopic: make([]float64, k),
+		rows:     make([]float64, n*rowFloats(k)),
+		perTopic: make([]float64, k+1),
+		cols:     make([]bool, k+1),
 		sims:     make([]float64, k),
 	}
 }

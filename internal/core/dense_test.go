@@ -107,7 +107,14 @@ func TestScratchReuseIsClean(t *testing.T) {
 		{"all topics", func(src graph.NodeID, s *Scratch) *Exploration {
 			return e.ExploreOpts(src, nil, ExploreOptions{Scratch: s})
 		}},
-		{"factored", in.Explore},
+		{"factored", func(src graph.NodeID, s *Scratch) *Exploration { return exploreOne(in, src, s) }},
+		{"factored, one topic, many sources", func(src graph.NodeID, s *Scratch) *Exploration {
+			srcs := make([]graph.NodeID, in.MaxSources(1))
+			for i := range srcs {
+				srcs[i] = (src + graph.NodeID(7*i)) % 60
+			}
+			return &in.Explore(srcs, []topics.ID{5}, s)[0]
+		}},
 		{"one topic again", oneTopic(11)},
 	}
 	shared := NewScratch(e)

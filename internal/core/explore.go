@@ -35,7 +35,8 @@ type Exploration struct {
 	// node id and valid only until the scratch's next exploration, or,
 	// once detached, in the maps below.
 	rows        []float64
-	stride, tot int // row stride; offset of the totals, the mark just before
+	off         int // offset of the source's block in a node's row
+	stride, tot int // row stride; offset of the totals in the block, the mark just before
 	sigma       map[graph.NodeID][]float64
 	topoB       map[graph.NodeID]float64
 	topoAB      map[graph.NodeID]float64
@@ -44,12 +45,12 @@ type Exploration struct {
 // totals returns v's running totals in the scratch's rows — σ for each
 // topic, topo_β, topo_βα — or nil when v was never reached.
 func (x *Exploration) totals(v graph.NodeID) []float64 {
-	base := int(v) * x.stride
-	row := x.rows[base : base+x.stride : base+x.stride]
+	base := int(v)*x.stride + x.off
+	row := x.rows[base : base+x.tot+x.k+2 : base+x.tot+x.k+2]
 	if row[x.tot-1] >= 0 {
 		return nil
 	}
-	return row[x.tot : x.tot+x.k+2]
+	return row[x.tot:]
 }
 
 // Sigma returns σ(Src, v, Topics[ti]).

@@ -13,12 +13,13 @@
 // parallel and always see a consistent snapshot. The
 // authority table is maintained incrementally and exactly for any batch
 // size (authority.ApplyDelta), and the landmarks whose stored
-// recommendations may have changed are identified. Three refresh
-// strategies trade staleness for preprocessing work:
+// recommendations may have changed are identified and marked stale on
+// every topic (the marks are kept per landmark and topic, in the landmark
+// store). Three refresh strategies trade staleness for preprocessing work:
 //
 //   - Eager: every affected landmark is re-explored immediately;
-//   - Lazy: affected landmarks are only marked stale; a stale landmark is
-//     refreshed the first time a query meets it;
+//   - Lazy: affected landmarks are only marked stale; a query on topic t
+//     refreshes topic t, and nothing else, on the stale landmarks it meets;
 //   - Threshold: stale landmarks accumulate and are refreshed together
 //     once their number crosses a bound (amortizing rebuild cost).
 //
@@ -56,7 +57,11 @@ type Strategy int
 const (
 	// Eager refreshes every affected landmark at Apply time.
 	Eager Strategy = iota
-	// Lazy refreshes a stale landmark when a query first meets it.
+	// Lazy refreshes a stale landmark's list on topic t when a query on t
+	// first meets it: all the landmarks such a query meets are refreshed
+	// on t together, in one factored pass per group of landmarks
+	// (landmark.PreprocessTopic), and their other topics stay stale until
+	// a query on them arrives.
 	Lazy
 	// Threshold refreshes all stale landmarks once their count passes
 	// StaleBound.
@@ -113,10 +118,11 @@ type Config struct {
 	// as the dynamic_refresh_backoff_seconds gauge.
 	RefreshBackoff time.Duration
 	// Scheduler picks which stale landmarks a refresh opportunity of
-	// the Eager and Threshold strategies repairs (see SchedulerKind). The
-	// zero value SchedAll is the legacy refresh-everything policy. Under
-	// Lazy a query refreshes every stale landmark in its vicinity
-	// whatever the scheduler; SchedPriority then only counts query hits.
+	// the Eager and Threshold strategies repairs, every topic of each
+	// (see SchedulerKind). The zero value SchedAll is the legacy
+	// refresh-everything policy. Under Lazy a query refreshes its topic
+	// on every landmark in its vicinity that is stale on it, whatever
+	// the scheduler; SchedPriority then only counts query hits.
 	Scheduler SchedulerKind
 	// RefreshBudget caps how many landmarks the budgeted schedulers
 	// (SchedRoundRobin, SchedPriority) refresh per opportunity under
@@ -172,8 +178,10 @@ type Config struct {
 	// InitialStore, when non-nil, is adopted as the landmark store
 	// instead of preprocessing one at construction — the recovery path
 	// for a store persisted via LandmarkPath, or a store built offline.
-	// NewManager rejects it unless its landmark set is exactly lms and
-	// its vocabulary matches the graph's.
+	// Its stale marks are adopted with it (a store written at a
+	// compaction carries the marks the manager held then). NewManager
+	// rejects it unless its landmark set is exactly lms and its
+	// vocabulary matches the graph's.
 	InitialStore *landmark.Store
 }
 
@@ -183,15 +191,20 @@ type Stats struct {
 	Batches int
 	// EdgesAdded and EdgesRemoved count applied changes.
 	EdgesAdded, EdgesRemoved int
-	// Refreshes counts landmark re-explorations.
+	// Refreshes counts whole-landmark re-explorations: every topic of a
+	// landmark at once (Eager, Threshold, the schedulers).
 	Refreshes int
+	// TopicRefreshes counts (landmark, topic) lists a Lazy query
+	// refreshed, one topic of one landmark each.
+	TopicRefreshes int
 	// RefreshFailures counts failed refresh runs (absorbed, not
 	// propagated; the affected landmarks stay stale).
 	RefreshFailures int
 	// RefreshDeferred counts refresh opportunities skipped because the
 	// manager was backing off after a failure.
 	RefreshDeferred int
-	// StaleNow is the current number of stale landmarks.
+	// StaleNow is the current number of stale landmarks: those with at
+	// least one stale topic.
 	StaleNow int
 	// Compactions counts overlay stacks folded back into a fresh CSR.
 	Compactions int
@@ -267,16 +280,17 @@ type BatchEffect struct {
 // Every method is safe for concurrent use, so the ingest worker applies
 // batches beside live queries. mu is a reader/writer lock:
 //
-//   - Read lock (shared): Recommend when no stale landmark awaits a
-//     query-driven refresh, RecommendExact/RecommendExactCtx, Stats,
+//   - Read lock (shared): Recommend when no landmark its vicinity meets
+//     is stale on its topic, RecommendExact/RecommendExactCtx, Stats,
 //     QueryStaleness and the refresh-backoff gauge. Readers run side by
 //     side: the engine is immutable and safe for concurrent use, and the
-//     store, authority table and view change only under the write lock,
-//     so no reader sees a half-applied batch.
+//     store, its stale marks, the authority table and the view change
+//     only under the write lock, so no reader sees a half-applied batch.
 //   - Write lock (exclusive): Apply, Replay, SetBatchHook, Instrument,
-//     every refresh, and Recommend when stale landmarks exist under the
-//     Lazy strategy or the priority scheduler (the query refreshes them
-//     or records them as traffic).
+//     every refresh, and Recommend when, under the Lazy strategy, a
+//     landmark its vicinity meets is stale on its topic (the query
+//     refreshes that topic) or, under the priority scheduler, any
+//     landmark is stale (the query records the ones it meets as traffic).
 //
 // Graph and Neighborhood read a lock-free published view instead.
 //
@@ -303,11 +317,13 @@ type Manager struct {
 	isLandmark []bool
 	maxIter    int
 	// inv is affectedLandmarks' scratch, sized once at construction.
-	inv   invalidation
-	stale map[graph.NodeID]bool
+	inv invalidation
+	// allTopics is the vocabulary as a set: Apply marks each affected
+	// landmark stale on all of it. The marks live in the store.
+	allTopics topics.Set
 	// staleMeta carries the scheduling evidence (age, dirty hits, query
-	// traffic) of each stale landmark; entries live exactly as long as
-	// the stale mark (scheduler.go).
+	// traffic) of each stale landmark; an entry lives exactly as long as
+	// the landmark has a stale topic (scheduler.go).
 	staleMeta map[graph.NodeID]*staleMeta
 	stats     Stats
 	// decay is the time-decayed edge-weight bookkeeping; inert unless
@@ -345,6 +361,7 @@ type Manager struct {
 	mEdgesAdded     *metrics.Counter
 	mEdgesRemoved   *metrics.Counter
 	mRefreshes      *metrics.Counter
+	mTopicRefreshes *metrics.Counter
 	mRefreshFails   *metrics.Counter
 	mRefreshDefer   *metrics.Counter
 	mCompactions    *metrics.Counter
@@ -387,12 +404,13 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		return nil, err
 	}
 	m := &Manager{
-		cfg:   cfg,
-		view:  g,
-		lms:   append([]graph.NodeID(nil), lms...),
-		stale: make(map[graph.NodeID]bool),
-		nowFn: func() int64 { return time.Now().UnixNano() },
-		rng:   rand.New(rand.NewSource(time.Now().UnixNano())), //nolint:gosec // jitter, not crypto
+		cfg:       cfg,
+		view:      g,
+		lms:       append([]graph.NodeID(nil), lms...),
+		allTopics: topics.Set(1<<g.Vocabulary().Len() - 1),
+		staleMeta: make(map[graph.NodeID]*staleMeta),
+		nowFn:     func() int64 { return time.Now().UnixNano() },
+		rng:       rand.New(rand.NewSource(time.Now().UnixNano())), //nolint:gosec // jitter, not crypto
 	}
 	m.viewPub.Store(&viewBox{view: g})
 	m.isLandmark = isLandmark
@@ -414,9 +432,16 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 	m.Instrument(cfg.Metrics)
 	if cfg.InitialStore != nil {
 		// Recovery path: adopt the persisted store as-is. Its lists carry
-		// the pre-crash refresh history; the WAL replay that follows
-		// re-runs exactly the refreshes the logged batches triggered.
+		// the pre-crash refresh history and its marks the lists that were
+		// stale then; the WAL replay that follows re-runs exactly the
+		// refreshes the logged batches triggered. The scheduling evidence
+		// of the marks is not persisted: it restarts from zero.
 		m.store = cfg.InitialStore
+		for _, lm := range m.lms {
+			if m.store.Stale(lm) != 0 {
+				m.staleMeta[lm] = &staleMeta{}
+			}
+		}
 	} else {
 		m.store, _ = landmark.Preprocess(m.eng, m.lms, landmark.PreprocessConfig{TopN: cfg.StoreTopN, Metrics: cfg.Metrics})
 	}
@@ -484,7 +509,8 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mBatches = reg.Counter("dynamic_batches_total", "Update batches applied to the graph.")
 	m.mEdgesAdded = reg.Counter("dynamic_edges_added_total", "Follow edges added by updates.")
 	m.mEdgesRemoved = reg.Counter("dynamic_edges_removed_total", "Follow edges removed by updates.")
-	m.mRefreshes = reg.Counter("dynamic_landmark_refreshes_total", "Landmark re-explorations triggered by updates or queries.")
+	m.mRefreshes = reg.Counter("dynamic_landmark_refreshes_total", "Whole-landmark re-explorations (every topic) triggered by updates.")
+	m.mTopicRefreshes = reg.Counter("dynamic_topic_refreshes_total", "Landmark lists refreshed on one topic by a Lazy query that met them stale on it.")
 	m.mRefreshFails = reg.Counter("dynamic_refresh_failures_total", "Failed landmark refresh runs (absorbed; landmarks stay stale).")
 	m.mRefreshDefer = reg.Counter("dynamic_refresh_deferred_total", "Refresh opportunities skipped while backing off after a failure.")
 	m.mCompactions = reg.Counter("dynamic_compactions_total", "Overlay stacks folded back into a fresh frozen graph.")
@@ -498,6 +524,7 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mEdgesAdded.Add(uint64(st.EdgesAdded))
 	m.mEdgesRemoved.Add(uint64(st.EdgesRemoved))
 	m.mRefreshes.Add(uint64(st.Refreshes))
+	m.mTopicRefreshes.Add(uint64(st.TopicRefreshes))
 	m.mRefreshFails.Add(uint64(st.RefreshFailures))
 	m.mRefreshDefer.Add(uint64(st.RefreshDeferred))
 	m.mCompactions.Add(uint64(st.Compactions))
@@ -511,7 +538,7 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	nLms := len(m.lms)
 	m.mu.Unlock()
 	reg.GaugeFunc("dynamic_stale_landmarks",
-		"Landmarks currently marked stale (awaiting refresh).",
+		"Landmarks with at least one topic marked stale (awaiting refresh).",
 		func() float64 { return float64(m.Stats().StaleNow) })
 	reg.GaugeFunc("dynamic_landmarks",
 		"Landmarks maintained by the manager.",
@@ -580,7 +607,7 @@ func (m *Manager) Stats() Stats {
 
 func (m *Manager) statsLocked() Stats {
 	s := m.stats
-	s.StaleNow = len(m.stale)
+	s.StaleNow = m.store.StaleLandmarks()
 	if ov, ok := m.view.(*graph.Overlay); ok {
 		s.OverlayDepth = ov.Depth()
 		s.OverlayDelta = ov.DeltaEdges()
@@ -645,8 +672,9 @@ func (m *Manager) takeEffectsLocked() ([]BatchEffect, func(BatchEffect)) {
 // the landmark approximation (exact=false), the convergence depth
 // Params.MaxDepth for exact Tr (exact=true). The BFS is deliberately
 // unpruned: the approximate path stops exploring at met landmarks, but a
-// re-score refreshes any stale landmark it meets, so the stored lists it
-// reads are recomputed from exactly this region's state. A batch none of
+// re-score on topic t refreshes topic t on every landmark it meets that
+// is stale on t — the only lists it reads — so they are recomputed from
+// exactly this region's state. A batch none of
 // whose BatchEffect nodes intersect this set cannot change the result
 // (unless Global). Lock-free: runs over the published view.
 func (m *Manager) Neighborhood(u graph.NodeID, exact bool) []graph.NodeID {
@@ -856,10 +884,10 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 
 	switch m.cfg.Strategy {
 	case Eager:
-		m.tryRefreshLocked(m.scheduleLocked())
+		m.tryRefreshLocked(m.scheduleLocked(), topics.None)
 	case Threshold:
-		if len(m.stale) >= m.cfg.StaleBound {
-			m.tryRefreshLocked(m.scheduleLocked())
+		if m.store.StaleLandmarks() >= m.cfg.StaleBound {
+			m.tryRefreshLocked(m.scheduleLocked(), topics.None)
 		}
 	}
 
@@ -987,10 +1015,13 @@ func UpdatesFromDeltas(ds []store.EdgeDelta) []Update {
 	return out
 }
 
+// staleList returns the landmarks with a stale topic, in landmark order.
 func (m *Manager) staleList() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m.stale))
-	for lm := range m.stale {
-		out = append(out, lm)
+	out := make([]graph.NodeID, 0, m.store.StaleLandmarks())
+	for _, lm := range m.lms {
+		if m.store.Stale(lm) != 0 {
+			out = append(out, lm)
+		}
 	}
 	return out
 }
@@ -1010,13 +1041,14 @@ func (m *Manager) noteIterationsLocked() {
 	}
 }
 
-// tryRefreshLocked refreshes lms unless the manager is backing off after
-// a refresh failure. Failures are absorbed rather than propagated: the
-// landmarks stay stale (queries keep serving the previous store, updates
-// keep applying) and the next attempt waits out an exponential window —
-// the retry/backoff that keeps a broken refresh path from starving the
+// tryRefreshLocked refreshes lms — on topic t, or on every topic when t is
+// topics.None — unless the manager is backing off after a refresh
+// failure. Failures are absorbed rather than propagated: the landmarks
+// stay stale (queries keep serving the previous store, updates keep
+// applying) and the next attempt waits out an exponential window — the
+// retry/backoff that keeps a broken refresh path from starving the
 // serving path. Caller holds mu.
-func (m *Manager) tryRefreshLocked(lms []graph.NodeID) {
+func (m *Manager) tryRefreshLocked(lms []graph.NodeID, t topics.ID) {
 	if len(lms) == 0 {
 		return
 	}
@@ -1027,7 +1059,18 @@ func (m *Manager) tryRefreshLocked(lms []graph.NodeID) {
 		}
 		return
 	}
-	if err := m.refreshLocked(lms); err != nil {
+	var err error
+	if m.refreshErrHook != nil {
+		err = m.refreshErrHook()
+	}
+	switch {
+	case err != nil:
+	case t == topics.None:
+		err = m.refreshLocked(lms)
+	default:
+		err = m.refreshTopicLocked(lms, t)
+	}
+	if err != nil {
 		m.refreshFails++
 		m.stats.RefreshFailures++
 		if m.mRefreshFails != nil {
@@ -1068,14 +1111,6 @@ func (m *Manager) backoffRemaining() time.Duration {
 // refreshLocked re-explores the given landmarks and clears their stale
 // marks. Caller holds mu.
 func (m *Manager) refreshLocked(lms []graph.NodeID) error {
-	if len(lms) == 0 {
-		return nil
-	}
-	if m.refreshErrHook != nil {
-		if err := m.refreshErrHook(); err != nil {
-			return err
-		}
-	}
 	fresh, _ := landmark.Preprocess(m.eng, lms, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN, Metrics: m.reg})
 	for _, lm := range lms {
 		if d := fresh.Get(lm); d != nil {
@@ -1083,7 +1118,7 @@ func (m *Manager) refreshLocked(lms []graph.NodeID) error {
 				return err
 			}
 		}
-		delete(m.stale, lm)
+		m.store.SetStale(lm, 0)
 		delete(m.staleMeta, lm)
 		m.stats.Refreshes++
 		if m.mRefreshes != nil {
@@ -1100,48 +1135,102 @@ func (m *Manager) refreshLocked(lms []graph.NodeID) error {
 	return nil
 }
 
-// Recommend answers a query through the landmark approximation, first
-// refreshing any stale landmark the query exploration would meet (Lazy
-// strategy; a no-op otherwise since Apply already refreshed). Without
-// such stale landmarks it answers under the read lock, beside other
-// readers; otherwise it takes the write lock for the refresh.
+// refreshTopicLocked recomputes topic t's list (and the topological
+// list) of the given landmarks in shared factored passes and clears their
+// topic-t marks. Caller holds mu.
+func (m *Manager) refreshTopicLocked(lms []graph.NodeID, t topics.ID) error {
+	fresh, _ := landmark.PreprocessTopic(m.eng, lms, t, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN, Metrics: m.reg})
+	for _, tl := range fresh {
+		if err := m.store.PutTopic(t, tl); err != nil {
+			return err
+		}
+		left := m.store.Stale(tl.Landmark).Remove(t)
+		m.store.SetStale(tl.Landmark, left)
+		if left == 0 {
+			delete(m.staleMeta, tl.Landmark)
+		}
+		m.stats.TopicRefreshes++
+		if m.mTopicRefreshes != nil {
+			m.mTopicRefreshes.Inc()
+		}
+	}
+	m.noteIterationsLocked()
+	return nil
+}
+
+// Recommend answers a query through the landmark approximation. Under
+// the Lazy strategy it first refreshes topic t on every landmark in the
+// query's depth-QueryDepth vicinity that is stale on t — the lists the
+// answer reads — and nothing else; the other strategies refreshed at
+// Apply time. When no such landmark exists it answers under the read
+// lock, beside other readers; otherwise it takes the write lock for the
+// refresh.
 func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Scored, error) {
 	m.mu.RLock()
-	if !m.queryRefreshesLocked() {
+	if !m.queryWritesLocked(u, t) {
 		defer m.mu.RUnlock()
 		return m.approxLocked(u, t, n)
 	}
 	m.mu.RUnlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.queryRefreshesLocked() {
+	if m.queryWritesLocked(u, t) {
 		// One bounded BFS over the query's vicinity serves two policies:
-		// Lazy refreshes the stale landmarks the query would read, and
-		// the priority scheduler records them as traffic evidence (a
-		// stale landmark queries keep meeting outranks one nothing
-		// reads). During a failure backoff the query proceeds against
-		// the previous store instead of waiting on (or failing with)
-		// the refresh.
+		// Lazy refreshes topic t on the stale landmarks the query would
+		// read, and the priority scheduler records every stale landmark
+		// met as traffic evidence (a stale landmark queries keep meeting
+		// outranks one nothing reads). During a failure backoff the query
+		// proceeds against the previous store instead of waiting on (or
+		// failing with) the refresh.
 		var need []graph.NodeID
 		graph.BFSOut(m.view, u, m.cfg.QueryDepth, func(v graph.NodeID, depth int) bool {
-			if m.stale[v] {
-				need = append(need, v)
+			if ts := m.store.Stale(v); ts != 0 {
 				m.noteQueryHitLocked(v)
+				if ts.Has(t) {
+					need = append(need, v)
+				}
 			}
 			return true
 		})
 		if m.cfg.Strategy == Lazy {
-			m.tryRefreshLocked(need)
+			m.tryRefreshLocked(need, t)
 		}
 	}
 	return m.approxLocked(u, t, n)
 }
 
-// queryRefreshesLocked reports whether a query must write the manager:
-// stale landmarks exist and the Lazy strategy refreshes them on query or
-// the priority scheduler counts their query hits. Caller holds mu.
-func (m *Manager) queryRefreshesLocked() bool {
-	return len(m.stale) > 0 && (m.cfg.Strategy == Lazy || m.cfg.Scheduler == SchedPriority)
+// queryWritesLocked reports whether a query from u on t must write the
+// manager: under the priority scheduler, some landmark is stale (the
+// query counts the ones it meets); under Lazy, a landmark in the query's
+// vicinity is stale on t (the query refreshes it). Caller holds mu.
+func (m *Manager) queryWritesLocked(u graph.NodeID, t topics.ID) bool {
+	if m.store.StaleLandmarks() == 0 {
+		return false
+	}
+	if m.cfg.Scheduler == SchedPriority {
+		return true
+	}
+	return m.cfg.Strategy == Lazy && m.meetsStaleLocked(u, t, m.cfg.QueryDepth)
+}
+
+// meetsStaleLocked reports whether a landmark within depth hops of u is
+// stale on t. It walks every path from u rather than running a BFS: it
+// allocates nothing and stops at the first stale landmark, and at a
+// query's depth (2) the paths are few. Caller holds mu.
+func (m *Manager) meetsStaleLocked(u graph.NodeID, t topics.ID, depth int) bool {
+	if m.store.Stale(u).Has(t) {
+		return true
+	}
+	if depth == 0 {
+		return false
+	}
+	dsts, _ := m.view.Out(u)
+	for _, v := range dsts {
+		if m.meetsStaleLocked(v, t, depth-1) {
+			return true
+		}
+	}
+	return false
 }
 
 // approxLocked answers through the landmark approximation over the

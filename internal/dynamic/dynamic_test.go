@@ -130,24 +130,27 @@ func TestLazyRefreshOnQuery(t *testing.T) {
 	if err := m.Apply([]Update{{Edge: graph.Edge{Src: lm, Dst: (lm + 29) % 60, Label: topics.NewSet(1)}, Add: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().Refreshes != 0 {
+	if st := m.Stats(); st.Refreshes != 0 || st.TopicRefreshes != 0 {
 		t.Fatal("lazy strategy must not refresh at Apply time")
 	}
-	if m.Stats().StaleNow == 0 {
-		t.Fatal("the touched landmark must be stale")
+	if m.store.Stale(lm) != m.allTopics {
+		t.Fatal("the touched landmark must be stale on every topic")
 	}
 	if _, err := m.Recommend(querier, 0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().Refreshes == 0 {
-		t.Fatal("query meeting a stale landmark must refresh it")
+	if st := m.Stats(); st.TopicRefreshes == 0 || st.Refreshes != 0 {
+		t.Fatalf("query meeting a stale landmark must refresh its topic only: %d topic refreshes, %d whole", st.TopicRefreshes, st.Refreshes)
+	}
+	if m.store.Stale(lm) != m.allTopics.Remove(0) {
+		t.Fatalf("after a topic-0 query the landmark is stale on %v, want every topic but 0", m.store.Stale(lm).Topics())
 	}
 }
 
 // TestLazyRefreshIgnoresBudget pins that RefreshBudget does not bound
 // Lazy maintenance: Apply never schedules under Lazy, and one query
-// refreshes every stale landmark in its depth-2 vicinity, however small
-// the priority scheduler's budget.
+// refreshes its topic on every stale landmark in its depth-2 vicinity,
+// however small the priority scheduler's budget.
 func TestLazyRefreshIgnoresBudget(t *testing.T) {
 	ds := gen.RandomWith(60, 600, 3)
 	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 6, landmark.DefaultSelectConfig())
@@ -168,7 +171,7 @@ func TestLazyRefreshIgnoresBudget(t *testing.T) {
 	if err := m.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().Refreshes != 0 {
+	if st := m.Stats(); st.Refreshes != 0 || st.TopicRefreshes != 0 {
 		t.Fatal("lazy strategy must not refresh at Apply time")
 	}
 	// The querier whose depth-2 vicinity meets the most stale landmarks.
@@ -178,7 +181,7 @@ func TestLazyRefreshIgnoresBudget(t *testing.T) {
 	for u := 0; u < ds.Graph.NumNodes(); u++ {
 		met := 0
 		graph.BFSOut(m.Graph(), graph.NodeID(u), 2, func(v graph.NodeID, _ int) bool {
-			if m.stale[v] {
+			if m.store.Stale(v) != 0 {
 				met++
 			}
 			return true
@@ -194,11 +197,19 @@ func TestLazyRefreshIgnoresBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.Refreshes != best {
-		t.Errorf("one query refreshed %d landmarks, want all %d it met (budget 1)", st.Refreshes, best)
+	if st.TopicRefreshes != best || st.Refreshes != 0 {
+		t.Errorf("one query refreshed topic 0 on %d landmarks and %d whole, want all %d it met (budget 1) and none whole",
+			st.TopicRefreshes, st.Refreshes, best)
 	}
-	if st.StaleNow != stale-best {
-		t.Errorf("%d landmarks stale after the query, want %d", st.StaleNow, stale-best)
+	onTopic := 0
+	for _, lm := range lms {
+		if m.store.Stale(lm).Has(0) {
+			onTopic++
+		}
+	}
+	if onTopic != stale-best || st.StaleNow != stale {
+		t.Errorf("after the query %d landmarks stale on topic 0 and %d on some topic, want %d and %d",
+			onTopic, st.StaleNow, stale-best, stale)
 	}
 }
 
@@ -432,8 +443,8 @@ func TestRefreshBackoffAbsorbsFailures(t *testing.T) {
 		t.Fatalf("query failed alongside the refresh: %v", err)
 	}
 	st := m.Stats()
-	if st.RefreshFailures != 1 || st.Refreshes != 0 {
-		t.Fatalf("failures = %d, refreshes = %d; want 1 and 0", st.RefreshFailures, st.Refreshes)
+	if st.RefreshFailures != 1 || st.TopicRefreshes != 0 {
+		t.Fatalf("failures = %d, topic refreshes = %d; want 1 and 0", st.RefreshFailures, st.TopicRefreshes)
 	}
 	if st.StaleNow == 0 {
 		t.Fatal("failed refresh cleared the stale mark")
@@ -458,11 +469,11 @@ func TestRefreshBackoffAbsorbsFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = m.Stats()
-	if st.Refreshes == 0 {
+	if st.TopicRefreshes == 0 {
 		t.Fatal("refresh did not resume after the backoff window")
 	}
-	if st.StaleNow != 0 {
-		t.Fatalf("%d landmarks still stale after a successful refresh", st.StaleNow)
+	if m.store.Stale(lm).Has(0) {
+		t.Fatal("the queried topic is still stale after a successful refresh")
 	}
 }
 

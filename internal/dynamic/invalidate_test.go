@@ -165,7 +165,7 @@ func TestInvalidationUnreachedLandmarks(t *testing.T) {
 		}
 	}
 	for _, lm := range []graph.NodeID{sink, 33, 48} {
-		if m.stale[lm] {
+		if m.store.Stale(lm) != 0 {
 			t.Fatalf("landmark %d is out of every endpoint's reach, yet stale", lm)
 		}
 	}
@@ -238,9 +238,11 @@ func TestInvalidationVisitedBound(t *testing.T) {
 // records that length as Iterations, which is the invalidation horizon. On
 // a chain, an edge added at a node further from the landmark than the hop
 // recurrence ever reaches — and so further than pass 1 runs — but within
-// Iterations still stales the landmark, and the refreshed lists, which
-// now reach the edge's new endpoint, equal a fresh Preprocess of the new
-// view.
+// Iterations, on the path of the σ column that runs longest, still stales
+// the landmark. Lazy queries on every topic then
+// refresh it topic by topic; the refreshed lists, which now reach the
+// edge's new endpoint, equal a fresh Preprocess of the new view, and no
+// per-topic refresh lowers the recorded horizon below it.
 func TestInvalidationHorizonCoversFactoredPaths(t *testing.T) {
 	tax := topics.WebTaxonomy()
 	T := tax.Vocabulary().Len()
@@ -260,34 +262,57 @@ func TestInvalidationHorizonCoversFactoredPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The new edge leaves the node before the deepest one a topical list
+	// ranks, so the σ column that reached that node reaches the edge's
+	// endpoint at the same hop.
 	horizon := m.store.Get(lm).Iterations
 	hop := m.eng.Explore(lm, nil, 0).Iterations
-	far := graph.NodeID(horizon - 1)
-	if m.maxIter != horizon || int(far) <= hop {
-		t.Fatalf("horizon %d (maxIter %d), hop recurrence %d: no chain node lies between them", horizon, m.maxIter, hop)
+	deepest := graph.NodeID(0)
+	for _, l := range m.store.Get(lm).Topical {
+		for _, v := range l.Nodes {
+			deepest = max(deepest, v)
+		}
 	}
-	inTopo := func(d *landmark.Data) bool { return slices.Contains(d.TopoTop.Nodes, spare) }
-	if inTopo(m.store.Get(lm)) {
+	far := deepest - 1
+	if m.maxIter != horizon || int(far) <= hop || int(far) >= horizon {
+		t.Fatalf("horizon %d (maxIter %d), hop recurrence %d, edge source %d: not between them", horizon, m.maxIter, hop, far)
+	}
+	// listed reports whether any of d's lists ranks the spare node.
+	listed := func(d *landmark.Data) bool {
+		for _, l := range append(slices.Clone(d.Topical), d.TopoTop) {
+			if slices.Contains(l.Nodes, spare) {
+				return true
+			}
+		}
+		return false
+	}
+	if listed(m.store.Get(lm)) {
 		t.Fatal("the spare node is ranked before any edge reaches it")
 	}
 
 	if err := m.Apply([]Update{{Edge: graph.Edge{Src: far, Dst: spare, Label: lbl(7)}, Add: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if !m.stale[lm] {
-		t.Fatalf("an edge %d hops from the landmark, inside its horizon %d, left it fresh", far, horizon)
+	if m.store.Stale(lm) != m.allTopics {
+		t.Fatalf("an edge %d hops from the landmark, inside its horizon %d, left topics %v fresh",
+			far, horizon, (m.allTopics &^ m.store.Stale(lm)).Topics())
 	}
-	if _, err := m.Recommend(querier, 0, 5); err != nil {
-		t.Fatal(err)
+	for tp := 0; tp < T; tp++ {
+		if _, err := m.Recommend(querier, topics.ID(tp), 5); err != nil {
+			t.Fatal(err)
+		}
+		if m.store.Stale(lm).Has(topics.ID(tp)) {
+			t.Fatalf("the querier's lazy refresh left topic %d stale", tp)
+		}
 	}
-	if m.stale[lm] {
-		t.Fatal("the querier's lazy refresh left the landmark stale")
+	if m.store.Stale(lm) != 0 {
+		t.Fatalf("topics %v still stale after a query on each", m.store.Stale(lm).Topics())
 	}
 	got := m.store.Get(lm)
 	want, _ := landmark.Preprocess(m.eng, []graph.NodeID{lm}, landmark.PreprocessConfig{TopN: cfg.StoreTopN})
 	wd := want.Get(lm)
-	if !inTopo(got) || got.Iterations != wd.Iterations {
-		t.Fatalf("refreshed lists: spare node ranked %v, %d iterations; fresh preprocessing %d", inTopo(got), got.Iterations, wd.Iterations)
+	if !listed(got) || got.Iterations < wd.Iterations {
+		t.Fatalf("refreshed lists: spare node ranked %v, horizon %d; fresh preprocessing %d", listed(got), got.Iterations, wd.Iterations)
 	}
 	for ti := 0; ti <= T; ti++ {
 		g, w := got.TopoTop, wd.TopoTop

@@ -12,8 +12,9 @@ import (
 // at once — correct but bursty, and under a sustained update stream the
 // burst grows without bound. The budgeted schedulers refresh at most
 // RefreshBudget landmarks per opportunity and differ in how they pick
-// them (the opportunities are Apply's under Eager and Threshold; a Lazy
-// query refreshes every stale landmark it would read, unbudgeted):
+// them (the opportunities are Apply's under Eager and Threshold, and a
+// scheduled landmark is refreshed on every topic; a Lazy query refreshes
+// its own topic on every stale landmark it would read, unbudgeted):
 //
 //   - round-robin: oldest stale mark first (FIFO) — the fairness
 //     baseline;
@@ -75,18 +76,17 @@ type staleMeta struct {
 	hits  uint64 // queries that met the landmark since it went stale
 }
 
-// markStaleLocked records lm as stale at the current batch clock,
-// accumulating dirty hits on re-marks. Caller holds mu.
+// markStaleLocked marks every topic of lm stale at the current batch
+// clock, accumulating dirty hits on re-marks of a landmark still stale on
+// some topic. Caller holds mu.
 func (m *Manager) markStaleLocked(lm graph.NodeID) {
-	if m.stale[lm] {
+	was := m.store.Stale(lm)
+	m.store.SetStale(lm, m.allTopics)
+	if was != 0 {
 		if meta, ok := m.staleMeta[lm]; ok {
 			meta.dirty++
 		}
 		return
-	}
-	m.stale[lm] = true
-	if m.staleMeta == nil {
-		m.staleMeta = make(map[graph.NodeID]*staleMeta)
 	}
 	m.staleMeta[lm] = &staleMeta{since: uint64(m.stats.Batches)}
 }

@@ -15,14 +15,21 @@ import (
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool
 
-// schedMgr builds a bare manager shell with hand-planted stale state —
-// scheduleLocked is pure bookkeeping, no engine needed.
+// schedMgr builds a bare manager shell over landmarks 0..9 with
+// hand-planted stale state — scheduleLocked is pure bookkeeping, no engine
+// needed.
 func schedMgr(kind SchedulerKind, budget int) *Manager {
-	return &Manager{
+	m := &Manager{
 		cfg:       Config{Scheduler: kind, RefreshBudget: budget},
-		stale:     make(map[graph.NodeID]bool),
+		store:     landmark.NewStore(2, 10),
+		allTopics: topics.NewSet(0, 1),
 		staleMeta: make(map[graph.NodeID]*staleMeta),
 	}
+	for lm := graph.NodeID(0); lm < 10; lm++ {
+		m.lms = append(m.lms, lm)
+		m.store.Put(&landmark.Data{Landmark: lm, Topical: make([]landmark.List, 2)}) //nolint:errcheck // vocabulary matches
+	}
+	return m
 }
 
 func TestParseSchedulerKind(t *testing.T) {
@@ -116,7 +123,7 @@ func TestRefreshClearsStaleMeta(t *testing.T) {
 	m := schedMgr(SchedPriority, 4)
 	m.markStaleLocked(2)
 	m.noteQueryHitLocked(2)
-	delete(m.stale, 2)
+	m.store.SetStale(2, 0)
 	delete(m.staleMeta, 2)
 	// A fresh mark starts from zero evidence.
 	m.stats.Batches = 7

@@ -16,9 +16,10 @@ import (
 // number of landmarks met.
 //
 // This is a diagnostic/benchmark surface, not a serving-path call: it
-// re-explores every met landmark (the exact work a refresh would do) to
-// obtain the fresh reference. It preprocesses into a scratch store and
-// never writes the manager, so it runs under the read lock.
+// re-explores every met landmark on topic t (the exact work a lazy
+// refresh of the query would do, landmark.PreprocessTopic) to obtain the
+// fresh reference. It never writes the manager, so it runs under the
+// read lock.
 func (m *Manager) QueryStaleness(u graph.NodeID, t topics.ID, topK int) (float64, int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -32,12 +33,12 @@ func (m *Manager) QueryStaleness(u graph.NodeID, t topics.ID, topK int) (float64
 	if len(met) == 0 {
 		return 0, 0
 	}
-	fresh, _ := landmark.Preprocess(m.eng, met, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN})
+	fresh, _ := landmark.PreprocessTopic(m.eng, met, t, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN})
 	var sum float64
-	for _, lm := range met {
+	for i, lm := range met {
 		sum += ranking.KendallTopK(
 			topScored(&m.store.Get(lm).Topical[t], topK),
-			topScored(&fresh.Get(lm).Topical[t], topK))
+			topScored(&fresh[i].Topical, topK))
 	}
 	return sum / float64(len(met)), len(met)
 }

@@ -25,11 +25,12 @@ type DynamicResult struct {
 
 // DynamicRow is one refresh strategy's bill for the update stream.
 type DynamicRow struct {
-	Strategy  dynamic.Strategy
-	Updates   int
-	Total     time.Duration // wall time for the whole stream
-	Refreshes int
-	StaleLeft int
+	Strategy       dynamic.Strategy
+	Updates        int
+	Total          time.Duration // wall time for the whole stream
+	Refreshes      int           // whole landmarks re-explored (every topic)
+	TopicRefreshes int           // (landmark, topic) lists a Lazy query refreshed
+	StaleLeft      int
 }
 
 // ExtDynamic streams single-edge updates through each refresh strategy.
@@ -85,11 +86,12 @@ func (r *Runner) ExtDynamic() (*DynamicResult, error) {
 		}
 		st := m.Stats()
 		res.Rows = append(res.Rows, DynamicRow{
-			Strategy:  strat,
-			Updates:   updates,
-			Total:     time.Since(start),
-			Refreshes: st.Refreshes,
-			StaleLeft: st.StaleNow,
+			Strategy:       strat,
+			Updates:        updates,
+			Total:          time.Since(start),
+			Refreshes:      st.Refreshes,
+			TopicRefreshes: st.TopicRefreshes,
+			StaleLeft:      st.StaleNow,
 		})
 	}
 	return res, nil
@@ -99,10 +101,10 @@ func (r *Runner) ExtDynamic() (*DynamicResult, error) {
 func (d *DynamicResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "full preprocessing (baseline): %s\n", d.FullRebuild.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%-10s %8s %14s %10s %10s\n", "Strategy", "updates", "stream time", "refreshes", "stale")
+	fmt.Fprintf(&b, "%-10s %8s %14s %10s %15s %10s\n", "Strategy", "updates", "stream time", "refreshes", "topic refreshes", "stale")
 	for _, row := range d.Rows {
-		fmt.Fprintf(&b, "%-10s %8d %14s %10d %10d\n",
-			row.Strategy, row.Updates, row.Total.Round(time.Millisecond), row.Refreshes, row.StaleLeft)
+		fmt.Fprintf(&b, "%-10s %8d %14s %10d %15d %10d\n",
+			row.Strategy, row.Updates, row.Total.Round(time.Millisecond), row.Refreshes, row.TopicRefreshes, row.StaleLeft)
 	}
 	return b.String()
 }

@@ -44,8 +44,9 @@ func BenchmarkPreprocessPerLandmark(b *testing.B) {
 // BenchmarkPreprocessRefresh is one refresh run of the streaming manager:
 // the engine is derived over a 3-layer overlay and decay-weighted, its
 // scratches come from the engine's pool, and a batch stales either one
-// landmark or 27 of the 30. allocs/op is gated by `make kernel-gate`:
-// per-node result spills would multiply it.
+// landmark or 27 of the 30, refreshed whole (Preprocess) or, as a lazy
+// query refreshes them, on one topic (PreprocessTopic). allocs/op is
+// gated by `make kernel-gate`: per-node result spills would multiply it.
 func BenchmarkPreprocessRefresh(b *testing.B) {
 	eng, ds := benchSetup(b, 2000)
 	lms, err := Select(ds.Graph, InDeg, 27, DefaultSelectConfig())
@@ -61,6 +62,12 @@ func BenchmarkPreprocessRefresh(b *testing.B) {
 			}
 		})
 	}
+	b.Run("landmarks=27,topics=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			PreprocessTopic(eng, lms, topics.ID(i%18), PreprocessConfig{TopN: 500})
+		}
+	})
 }
 
 // BenchmarkApproxQuery is the Table 6 "time" column: the depth-2

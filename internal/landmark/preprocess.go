@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/topics"
 )
 
 // PreprocessConfig controls the preprocessing step.
@@ -34,16 +35,16 @@ type PreprocessStats struct {
 	// LayoutTime is the single-threaded build of the run's in-adjacency.
 	// Zero on the float64 reference path.
 	LayoutTime time.Duration
-	// ComputeTime is the summed per-landmark exploration time (i.e. the
-	// sequential cost; wall-clock is lower with Workers > 1). It excludes
-	// LayoutTime.
+	// ComputeTime is the summed exploration and list-building time of
+	// every landmark (i.e. the sequential cost; wall-clock is lower with
+	// Workers > 1). It excludes LayoutTime.
 	ComputeTime time.Duration
 	// WallTime is the elapsed wall-clock time of the whole step,
 	// in-adjacency build included.
 	WallTime time.Duration
 	// Landmarks is the number of landmarks processed.
 	Landmarks int
-	// Fallbacks counts the explorations whose factored form did not
+	// Fallbacks counts the landmarks whose factored exploration did not
 	// converge within MaxDepth (β near 1/σ_max) and that ran the float64
 	// hop recurrence instead.
 	Fallbacks int
@@ -85,28 +86,86 @@ func Preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 // float64 reference store.
 func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig, factored bool) (*Store, PreprocessStats) {
 	vocabLen := eng.Graph().Vocabulary().Len()
+	data := make([]*Data, len(landmarks))
+	stats := explore(eng, landmarks, nil, cfg, factored, func(i int, lists *listBuilder, x *core.Exploration) {
+		data[i] = lists.build(landmarks[i], x)
+	})
+	// Workers finish in any order; the store keeps the input order, so
+	// Landmarks() and the serialized store are the same for any worker
+	// count.
 	store := NewStore(vocabLen, cfg.TopN)
+	for _, d := range data {
+		store.Put(d) //nolint:errcheck // vocabLen matches by construction
+	}
+	return store, stats
+}
+
+// TopicLists is what a per-topic refresh recomputes for one landmark: its
+// list on the topic, its topological list and the length of the longest
+// paths the exploration behind them holds.
+type TopicLists struct {
+	Landmark   graph.NodeID
+	Topical    List
+	TopoTop    List
+	Iterations int
+}
+
+// PreprocessTopic reruns Algorithm 1 from every landmark for topic t
+// alone and returns, in input order, each landmark's topic-t list and
+// topological list (Store.PutTopic installs them). The landmarks share
+// factored explorations in groups of up to
+// core.InAdjacency.MaxSources(1), spread across the workers with one
+// in-adjacency per call, as Preprocess does. Each (landmark, topic)
+// column converges on its own, so both lists are bit-identical to the
+// ones Preprocess builds over the same engine; Iterations may be shorter,
+// since it covers only the columns this call ran. A group whose factored
+// form does not converge within MaxDepth falls back to the hop recurrence
+// on topic t, landmark by landmark.
+func PreprocessTopic(eng *core.Engine, landmarks []graph.NodeID, t topics.ID, cfg PreprocessConfig) ([]TopicLists, PreprocessStats) {
+	out := make([]TopicLists, len(landmarks))
+	stats := explore(eng, landmarks, []topics.ID{t}, cfg, true, func(i int, lists *listBuilder, x *core.Exploration) {
+		out[i] = TopicLists{
+			Landmark:   landmarks[i],
+			Topical:    lists.list(x, 0),
+			TopoTop:    lists.list(x, topoList),
+			Iterations: x.Iterations,
+		}
+	})
+	return out, stats
+}
+
+// explore runs Algorithm 1 to convergence from every landmark over the
+// topics ts (nil for the whole vocabulary) and hands each exploration to
+// keep, with the list builder of the worker that ran it; keep(i, …) is
+// called once per landmark index, from one worker goroutine at a time per
+// index. The factored explorations run in groups of up to
+// MaxSources(len(ts)) landmarks, as many per worker as keep every worker
+// equally busy; without factored, every landmark runs the hop recurrence.
+func explore(eng *core.Engine, landmarks []graph.NodeID, ts []topics.ID, cfg PreprocessConfig, factored bool, keep func(int, *listBuilder, *core.Exploration)) PreprocessStats {
+	vocabLen := eng.Graph().Vocabulary().Len()
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(landmarks) {
-		workers = len(landmarks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(landmarks)))
 
 	start := time.Now()
 	stats := PreprocessStats{}
 	var in *core.InAdjacency
+	groups := len(landmarks)
 	if factored && len(landmarks) > 0 {
 		in = eng.InAdjacency()
 		stats.LayoutTime = time.Since(start)
+		q := len(ts)
+		if ts == nil {
+			q = vocabLen
+		}
+		share := (len(landmarks) + workers - 1) / workers
+		per := in.MaxSources(q)
+		groups = min(len(landmarks), workers*((share+per-1)/per))
 	}
 	type result struct {
-		i        int // index in landmarks
-		data     *Data
+		size     int
 		cost     time.Duration
 		fellBack bool
 	}
@@ -122,24 +181,27 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 			scratch := pool.Get()
 			defer pool.Put(scratch)
 			lists := newListBuilder(vocabLen, cfg.TopN)
-			for i := range jobs {
-				l := landmarks[i]
+			for g := range jobs {
+				lo, hi := g*len(landmarks)/groups, (g+1)*len(landmarks)/groups
 				t0 := time.Now()
-				var x *core.Exploration
+				var xs []core.Exploration
 				if in != nil {
-					x = in.Explore(l, scratch)
+					xs = in.Explore(landmarks[lo:hi], ts, scratch)
 				}
-				fellBack := in != nil && x == nil
-				if x == nil {
-					x = eng.ExploreOpts(l, nil, core.ExploreOptions{Scratch: scratch})
+				for i := lo; i < hi; i++ {
+					if xs != nil {
+						keep(i, lists, &xs[i-lo])
+						continue
+					}
+					keep(i, lists, eng.ExploreOpts(landmarks[i], ts, core.ExploreOptions{Scratch: scratch}))
 				}
-				results <- result{i: i, data: lists.build(l, x), cost: time.Since(t0), fellBack: fellBack}
+				results <- result{size: hi - lo, cost: time.Since(t0), fellBack: in != nil && xs == nil}
 			}
 		}()
 	}
 	go func() {
-		for i := range landmarks {
-			jobs <- i
+		for g := 0; g < groups; g++ {
+			jobs <- g
 		}
 		close(jobs)
 		wg.Wait()
@@ -152,23 +214,17 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 			"Per-landmark exploration time in seconds (Table 5's comput. column, live).",
 			nil)
 	}
-	// Workers finish in any order; the store keeps the input order, so
-	// Landmarks() and the serialized store are the same for any worker
-	// count.
-	data := make([]*Data, len(landmarks))
 	for r := range results {
-		data[r.i] = r.data
 		stats.ComputeTime += r.cost
-		stats.Landmarks++
+		stats.Landmarks += r.size
 		if r.fellBack {
-			stats.Fallbacks++
+			stats.Fallbacks += r.size
 		}
 		if computeHist != nil {
-			computeHist.ObserveDuration(r.cost)
+			for i := 0; i < r.size; i++ {
+				computeHist.ObserveDuration(r.cost / time.Duration(r.size))
+			}
 		}
-	}
-	for _, d := range data {
-		store.Put(d) //nolint:errcheck // vocabLen matches by construction
 	}
 	stats.WallTime = time.Since(start)
 	exploring := time.Since(explored)
@@ -196,5 +252,5 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 				Set(stats.ComputeTime.Seconds() / (exploring.Seconds() * float64(workers)))
 		}
 	}
-	return store, stats
+	return stats
 }

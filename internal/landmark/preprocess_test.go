@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/ranking"
+	"repro/internal/topics"
 )
 
 // equalStores fails the test unless the two stores hold exactly the same
@@ -302,5 +304,113 @@ func TestPreprocessMetrics(t *testing.T) {
 	_, stats = Preprocess(engineOn(t, ds, 0), lms, PreprocessConfig{TopN: 20, Metrics: reg})
 	if stats.Fallbacks != 0 || fallbacks.Value() != uint64(2*len(lms)) {
 		t.Errorf("default β: %d fallbacks (counter %d), want 0 (counter %d)", stats.Fallbacks, fallbacks.Value(), 2*len(lms))
+	}
+}
+
+// TestPreprocessTopicMatchesPreprocess: a per-topic refresh over many
+// landmarks, whatever the worker count, builds for every topic the
+// topical list and the topological list Preprocess builds over the same
+// engine, bit for bit, with a horizon no longer than Preprocess's — on
+// the 2000-node graph frozen and as a decay-weighted overlay stack, with
+// more landmarks than one factored exploration carries.
+func TestPreprocessTopicMatchesPreprocess(t *testing.T) {
+	frozen, g2k := benchSetup(t, 2000)
+	lms, err := Select(g2k.Graph, InDeg, 15, DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decayed, _ := streamedEngine(t, frozen, 3, true)
+	for _, tc := range []struct {
+		label string
+		eng   *core.Engine
+	}{{"frozen", frozen}, {"decay-weighted overlay", decayed}} {
+		want, _ := Preprocess(tc.eng, lms, PreprocessConfig{TopN: 100})
+		for tp := 0; tp < g2k.Graph.Vocabulary().Len(); tp++ {
+			for _, workers := range []int{1, 0, 4} {
+				got, stats := PreprocessTopic(tc.eng, lms, topics.ID(tp), PreprocessConfig{TopN: 100, Workers: workers})
+				if stats.Landmarks != len(lms) || stats.Fallbacks != 0 {
+					t.Fatalf("%s topic %d: %d landmarks, %d fallbacks", tc.label, tp, stats.Landmarks, stats.Fallbacks)
+				}
+				for i, tl := range got {
+					wd := want.Get(lms[i])
+					if tl.Landmark != lms[i] || tl.Iterations > wd.Iterations || tl.Iterations < 1 {
+						t.Fatalf("%s topic %d: entry %d is landmark %d with %d iterations, want %d with at most %d",
+							tc.label, tp, i, tl.Landmark, tl.Iterations, lms[i], wd.Iterations)
+					}
+					label := fmt.Sprintf("%s workers=%d", tc.label, workers)
+					equalLists(t, label, lms[i], tp, tl.Topical, wd.Topical[tp])
+					equalLists(t, label, lms[i], -1, tl.TopoTop, wd.TopoTop)
+				}
+			}
+		}
+	}
+}
+
+// TestStorePutTopic: installing a per-topic refresh replaces one topical
+// list and the topological list, keeps the others, never lowers the
+// horizon and leaves a store sharing the old data untouched.
+func TestStorePutTopic(t *testing.T) {
+	eng, ds := benchSetup(t, 2000)
+	lms, err := Select(ds.Graph, InDeg, 3, DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := Preprocess(eng, lms, PreprocessConfig{TopN: 50})
+	shared := s.Subset(func(graph.NodeID) bool { return true })
+	old := s.Get(lms[1])
+	fresh := TopicLists{
+		Landmark:   lms[1],
+		Topical:    List{Nodes: []graph.NodeID{7}, Sigma: []float64{1}, Topo: []float64{2}},
+		TopoTop:    List{Nodes: []graph.NodeID{9}, Sigma: []float64{0}, Topo: []float64{3}},
+		Iterations: old.Iterations - 1,
+	}
+	if err := s.PutTopic(4, fresh); err != nil {
+		t.Fatal(err)
+	}
+	d := s.Get(lms[1])
+	if d.Iterations != old.Iterations {
+		t.Fatalf("horizon %d after a shorter refresh, want %d kept", d.Iterations, old.Iterations)
+	}
+	equalLists(t, "refreshed", lms[1], 4, d.Topical[4], fresh.Topical)
+	equalLists(t, "refreshed", lms[1], -1, d.TopoTop, fresh.TopoTop)
+	for ti := range d.Topical {
+		if ti != 4 {
+			equalLists(t, "kept", lms[1], ti, d.Topical[ti], old.Topical[ti])
+		}
+	}
+	if shared.Get(lms[1]) != old || old.Topical[4].Len() == 1 {
+		t.Fatal("PutTopic edited data another store shares")
+	}
+	fresh.Iterations = old.Iterations + 5
+	if err := s.PutTopic(2, fresh); err != nil || s.Get(lms[1]).Iterations != old.Iterations+5 {
+		t.Fatalf("a longer refresh did not raise the horizon (err %v)", err)
+	}
+	if err := s.PutTopic(2, TopicLists{Landmark: 1999}); err == nil {
+		t.Fatal("PutTopic accepted a node that is not a landmark")
+	}
+	if err := s.PutTopic(topics.ID(s.VocabLen()), fresh); err == nil {
+		t.Fatal("PutTopic accepted a topic outside the vocabulary")
+	}
+}
+
+// TestStoreStaleMarks: marks are per landmark and topic, count the
+// landmarks with any stale topic and ignore nodes that are not landmarks.
+func TestStoreStaleMarks(t *testing.T) {
+	s := NewStore(4, 10)
+	for _, lm := range []graph.NodeID{3, 8} {
+		if err := s.Put(&Data{Landmark: lm, Topical: make([]List, 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetStale(8, topics.NewSet(0, 2))
+	s.SetStale(5, topics.NewSet(1))
+	s.SetStale(3, topics.NewSet(1))
+	if s.StaleLandmarks() != 2 || s.Stale(8) != topics.NewSet(0, 2) || s.Stale(5) != 0 || s.Stale(100) != 0 {
+		t.Fatalf("marks: %d stale, λ8 %v, node 5 %v", s.StaleLandmarks(), s.Stale(8), s.Stale(5))
+	}
+	s.SetStale(8, s.Stale(8).Remove(0))
+	s.SetStale(3, 0)
+	if s.StaleLandmarks() != 1 || s.Stale(8) != topics.NewSet(2) || s.Stale(3) != 0 {
+		t.Fatalf("after clearing: %d stale, λ8 %v, λ3 %v", s.StaleLandmarks(), s.Stale(8), s.Stale(3))
 	}
 }

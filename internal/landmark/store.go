@@ -2,10 +2,12 @@ package landmark
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ranking"
+	"repro/internal/topics"
 )
 
 // List is one inverted list of a landmark: recommended nodes with their
@@ -51,6 +53,11 @@ type Store struct {
 	// answers where a map probe would hash.
 	data  []*Data
 	order []graph.NodeID // insertion order, for deterministic iteration
+	// stale holds, per landmark (indexed like data), the topics whose
+	// list no longer matches the graph and awaits a refresh; nStale
+	// counts the landmarks with any.
+	stale  []topics.Set
+	nStale int
 }
 
 // NewStore creates an empty store for lists of length topN over a
@@ -98,6 +105,61 @@ func (s *Store) Put(d *Data) error {
 	s.data[d.Landmark] = d
 	return nil
 }
+
+// PutTopic installs a per-topic refresh of landmark tl.Landmark: its list
+// on topic t and its topological list, keeping its other lists. The data
+// is replaced, not edited, so a store sharing the old data (Subset) keeps
+// it. The recorded horizon only grows: the lists kept may hold longer
+// paths than the refresh's exploration ran.
+func (s *Store) PutTopic(t topics.ID, tl TopicLists) error {
+	old := s.Get(tl.Landmark)
+	if old == nil {
+		return fmt.Errorf("landmark: no landmark %d to refresh", tl.Landmark)
+	}
+	if int(t) >= s.vocabLen {
+		return fmt.Errorf("landmark: topic %d outside the %d-topic store", t, s.vocabLen)
+	}
+	d := &Data{
+		Landmark:   tl.Landmark,
+		Topical:    slices.Clone(old.Topical),
+		TopoTop:    tl.TopoTop,
+		Iterations: max(old.Iterations, tl.Iterations),
+	}
+	d.Topical[t] = tl.Topical
+	s.data[tl.Landmark] = d
+	return nil
+}
+
+// Stale returns the topics whose list of landmark λ is marked stale.
+func (s *Store) Stale(l graph.NodeID) topics.Set {
+	if int(l) >= len(s.stale) {
+		return 0
+	}
+	return s.stale[l]
+}
+
+// SetStale records ts as the stale topics of landmark λ; the empty set
+// marks it fresh. The marks travel with the store (LMK3 persists them),
+// and Subset, SubsetNodes and Truncated copies carry none.
+func (s *Store) SetStale(l graph.NodeID, ts topics.Set) {
+	if s.Get(l) == nil {
+		return
+	}
+	if need := int(l) + 1; need > len(s.stale) {
+		s.stale = append(s.stale, make([]topics.Set, need-len(s.stale))...)
+	}
+	switch old := s.stale[l]; {
+	case old == 0 && ts != 0:
+		s.nStale++
+	case old != 0 && ts == 0:
+		s.nStale--
+	}
+	s.stale[l] = ts
+}
+
+// StaleLandmarks returns how many landmarks have at least one stale
+// topic.
+func (s *Store) StaleLandmarks() int { return s.nStale }
 
 // CheckNodes verifies a store adopted from outside its graph (an LMK3
 // file, a partition's view) against an n-node graph: every landmark and
@@ -157,40 +219,47 @@ func newListBuilder(vocabLen, topN int) *listBuilder {
 	return &listBuilder{vocabLen: vocabLen, topN: topN}
 }
 
-// build ranks x's reached nodes into l's lists: per topic (then for the
-// topological list) it gathers the positive scores once and selects the
-// top n. x must cover the whole vocabulary in topic order.
+// topoList asks list for the topological list.
+const topoList = -1
+
+// build ranks x's reached nodes into l's lists. x must cover the whole
+// vocabulary in topic order.
 func (lb *listBuilder) build(l graph.NodeID, x *core.Exploration) *Data {
-	T := lb.vocabLen
-	d := &Data{Landmark: l, Topical: make([]List, T), Iterations: x.Iterations}
-	for ti := 0; ti <= T; ti++ {
-		lb.cand = lb.cand[:0]
-		for _, v := range x.Reached {
-			sc := x.TopoB(v)
-			if ti < T {
-				sc = x.Sigma(v, ti)
-			}
-			if sc > 0 {
-				lb.cand = append(lb.cand, ranking.Scored{Node: v, Score: sc})
-			}
-		}
-		ranked := ranking.SelectTop(lb.cand, lb.topN)
-		lst := newList(len(ranked))
-		for i, e := range ranked {
-			lst.Nodes[i] = e.Node
-			if ti < T {
-				lst.Sigma[i], lst.Topo[i] = e.Score, x.TopoB(e.Node)
-			} else {
-				lst.Topo[i] = e.Score
-			}
-		}
-		if ti < T {
-			d.Topical[ti] = lst
+	d := &Data{Landmark: l, Topical: make([]List, lb.vocabLen), Iterations: x.Iterations}
+	for ti := range d.Topical {
+		d.Topical[ti] = lb.list(x, ti)
+	}
+	d.TopoTop = lb.list(x, topoList)
+	return d
+}
+
+// list ranks x's reached nodes by σ on x.Topics[ti], or by topo_β for
+// topoList: it gathers the positive scores once and selects the top n.
+// A topical entry carries its node's topo_β beside its σ.
+func (lb *listBuilder) list(x *core.Exploration, ti int) List {
+	lb.cand = lb.cand[:0]
+	for _, v := range x.Reached {
+		var sc float64
+		if ti == topoList {
+			sc = x.TopoB(v)
 		} else {
-			d.TopoTop = lst
+			sc = x.Sigma(v, ti)
+		}
+		if sc > 0 {
+			lb.cand = append(lb.cand, ranking.Scored{Node: v, Score: sc})
 		}
 	}
-	return d
+	ranked := ranking.SelectTop(lb.cand, lb.topN)
+	lst := newList(len(ranked))
+	for i, e := range ranked {
+		lst.Nodes[i] = e.Node
+		if ti != topoList {
+			lst.Sigma[i], lst.Topo[i] = e.Score, x.TopoB(e.Node)
+		} else {
+			lst.Topo[i] = e.Score
+		}
+	}
+	return lst
 }
 
 // newList allocates a list of n zeroed entries (the zero List for n = 0).

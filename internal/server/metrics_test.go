@@ -80,6 +80,7 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 		// Dynamic refresh resilience.
 		"dynamic_refresh_failures_total 0",
 		"dynamic_refresh_deferred_total 0",
+		"dynamic_topic_refreshes_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

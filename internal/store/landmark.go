@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/landmark"
+	"repro/internal/topics"
 )
 
 // LMK3 landmark-store layout, reusing the TRG2 section framing. Header
@@ -23,7 +24,10 @@ import (
 //	3 nodes    E × u32            recommended-node column
 //	4 sigma    E × f64            σ column
 //	5 topo     E × f64            topo_β column
+//	6 stale    L × u32            per landmark, the topics whose list
+//	                               awaits a refresh (bit t for topic t)
 //
+// Section 6 is optional: an image without it opens with nothing stale.
 // The three entry columns are stored contiguously: an open casts each
 // column once and every list is a subslice — the bulk of a multi-GB
 // store is never copied, only the O(L) per-landmark headers go on the
@@ -35,7 +39,8 @@ const (
 	lmkSecNodes
 	lmkSecSigma
 	lmkSecTopo
-	lmkSections
+	lmkSections // the sections every image holds
+	lmkSecStale = lmkSections
 )
 
 // WriteLandmarks writes s as an LMK3 image to w, returning the bytes w
@@ -46,6 +51,7 @@ func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 	listsPer := vocabLen + 1
 	ids := make([]uint32, len(lms))
 	iters := make([]uint32, len(lms))
+	stale := make([]uint32, len(lms))
 	idx := make([]uint64, len(lms)*listsPer+1)
 	var total uint64
 	forEachList(s, func(i, li int, l *landmark.List) {
@@ -59,6 +65,7 @@ func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 		d := s.Get(lm)
 		ids[i] = uint32(lm)
 		iters[i] = uint32(d.Iterations)
+		stale[i] = uint32(s.Stale(lm))
 	}
 	forEachList(s, func(i, li int, l *landmark.List) {
 		nodes = append(nodes, l.Nodes...)
@@ -82,6 +89,7 @@ func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 		nodeBytes(nodes),
 		f64Bytes(sigma),
 		f64Bytes(topo),
+		u32Bytes(stale),
 	})
 }
 
@@ -208,6 +216,22 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 			}
 		}
 	}
+	var stale []uint32
+	if len(h.sections) > lmkSecStale {
+		b, err := m.sectionBytes(h.sections[lmkSecStale], "stale")
+		if err != nil {
+			return nil, err
+		}
+		if uint64(len(b)) != numLm*4 {
+			return nil, fmt.Errorf("store: section stale holds %d bytes, want %d", len(b), numLm*4)
+		}
+		if opts.Verify {
+			if err := m.verifySection(h.sections[lmkSecStale], "stale"); err != nil {
+				return nil, err
+			}
+		}
+		stale = u32Slice(b)
+	}
 	ids := u32Slice(raw[lmkSecIDs])
 	iters := u32Slice(raw[lmkSecIters])
 	idx := u64Slice(raw[lmkSecListIdx])
@@ -253,6 +277,12 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 		}
 		if err := s.Put(d); err != nil {
 			return nil, err
+		}
+		if stale != nil {
+			if stale[i]>>vocabLen != 0 {
+				return nil, fmt.Errorf("store: landmark %d marks a topic outside the %d-topic vocabulary stale", ids[i], vocabLen)
+			}
+			s.SetStale(d.Landmark, topics.Set(stale[i]))
 		}
 	}
 	return &Landmarks{m: m, s: s, bytes: size}, nil

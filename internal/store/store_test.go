@@ -264,6 +264,67 @@ func TestLandmarksIgnoreReservedMeta(t *testing.T) {
 	requireStoresEqual(t, s, ls.Store())
 }
 
+// TestLandmarksStaleMarks: the per-(landmark, topic) stale marks travel
+// with the lists. An image written without the stale section opens with
+// nothing stale, and a mark outside the vocabulary is refused.
+func TestLandmarksStaleMarks(t *testing.T) {
+	s := testLandmarkStore(t)
+	s.SetStale(9, topics.NewSet(0, 2))
+	s.SetStale(17, topics.NewSet(1))
+	path := filepath.Join(t.TempDir(), "l.lmk3")
+	if _, err := WriteLandmarksFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	ls, err := OpenLandmarks(path, OpenOptions{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireStoresEqual(t, s, ls.Store())
+	if got := ls.Store().StaleLandmarks(); got != 2 {
+		t.Fatalf("%d stale landmarks after the round trip, want 2", got)
+	}
+	ls.Close() //nolint:errcheck
+
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(clean, landmarkMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.sections) != lmkSecStale+1 {
+		t.Fatalf("image holds %d sections, want %d", len(h.sections), lmkSecStale+1)
+	}
+	stale := h.sections[lmkSecStale]
+
+	// Without the section: the lists, and nothing stale.
+	old := append([]byte(nil), clean...)
+	h.sections = h.sections[:lmkSecStale]
+	page, err := h.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(old, page)
+	ols, err := newLandmarks(&mapping{data: old}, int64(len(old)), OpenOptions{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lm := range s.Landmarks() {
+		if ols.Store().Stale(lm) != 0 {
+			t.Fatalf("an image without marks opened landmark %d stale", lm)
+		}
+	}
+	ols.Close() //nolint:errcheck
+
+	// A mark on topic 5 of a 3-topic store.
+	bad := append([]byte(nil), clean...)
+	binary.LittleEndian.PutUint32(bad[stale.off:], 1<<5)
+	if _, err := newLandmarks(&mapping{data: bad}, int64(len(bad)), OpenOptions{}); err == nil {
+		t.Fatal("a mark outside the vocabulary was accepted")
+	}
+}
+
 // requireStoresEqual compares two landmark stores list by list.
 func requireStoresEqual(t testing.TB, want, got *landmark.Store) {
 	t.Helper()
@@ -283,6 +344,9 @@ func requireStoresEqual(t testing.TB, want, got *landmark.Store) {
 		}
 		if wd.Iterations != gd.Iterations {
 			t.Fatalf("landmark %d iterations: want %d, got %d", lm, wd.Iterations, gd.Iterations)
+		}
+		if want.Stale(lm) != got.Stale(lm) {
+			t.Fatalf("landmark %d stale topics: want %v, got %v", lm, want.Stale(lm).Topics(), got.Stale(lm).Topics())
 		}
 		lists := func(d *landmark.Data) []landmark.List {
 			return append(append([]landmark.List{}, d.Topical...), d.TopoTop)
