@@ -24,7 +24,7 @@ test:
 # (four readers beside a writer applying 20 batches, under Eager and under
 # Lazy, where the readers refresh topics); the manager's lock-discipline
 # tests then run again at GOMAXPROCS 1 and 2.
-DYNAMIC_LOCK_TESTS = ^Test(ReadersDoNotWaitForReaders|WriterExcludesReaders|ReadersBesideWriterMatchFreshManager|LazyReadersBesideWriterMatchFreshManager)$$
+DYNAMIC_LOCK_TESTS = ^Test(ReadersDoNotWaitForReaders|WriterExcludesReaders|ReadersBesideWriterMatchFreshManager|LazyReadersBesideWriterMatchFreshManager|LazyPriorityQueryReadsUnderReadLock)$$
 race:
 	$(GO) test -race ./internal/server/... ./internal/subscribe/... ./internal/client/... ./internal/metrics/... ./internal/dynamic/... ./internal/landmark/... ./internal/eval/... ./internal/graph/... ./internal/core/... ./internal/distrib/... ./internal/store/... ./internal/ingest/...
 	$(GO) test -race -cpu 1,2 -run '$(DYNAMIC_LOCK_TESTS)' ./internal/dynamic/

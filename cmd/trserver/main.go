@@ -91,7 +91,7 @@ func main() {
 		decayPath = flag.String("decay-path", "", "TRDK decay sidecar path: adopted at boot when present, republished at each compaction (requires -half-life)")
 		queueCap  = flag.Int("ingest-queue", 0, "streaming ingestion queue capacity; POST /v1/update enqueues (202) instead of applying synchronously, rejecting with 429 when full (0 keeps the synchronous path)")
 		batchMax  = flag.Int("ingest-batch", 256, "max updates the ingestion consumer coalesces into one apply")
-		schedFlag = flag.String("refresh-sched", "all", "stale-landmark refresh scheduler for -refresh eager/threshold: all, roundrobin, priority (under lazy a query refreshes every stale landmark it reads; priority only counts query hits)")
+		schedFlag = flag.String("refresh-sched", "all", "stale-landmark refresh scheduler for -refresh eager/threshold: all, roundrobin, priority (unused under lazy, where a query refreshes its topic on every stale landmark it reads)")
 		budget    = flag.Int("refresh-budget", 4, "stale landmarks refreshed per batch under the budgeted schedulers with -refresh eager/threshold (lazy ignores it)")
 		maxSubs   = flag.Int("max-subscriptions", 0, "cap on live standing queries (POST /v1/subscribe; 0 uses the default of 1024)")
 		rescoreB  = flag.Int("rescore-budget", 0, "subscription re-scores per hub worker cycle (0 uses the default of 32)")

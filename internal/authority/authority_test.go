@@ -53,9 +53,36 @@ func TestScoreClosedForm(t *testing.T) {
 			t.Errorf("auth(1,t%d) must be 0", ti)
 		}
 	}
-	// No follower on t2 anywhere: zero even for followed nodes.
+	// No follower on t2 anywhere: zero even for followed nodes, and so is
+	// the topic's global factor.
 	if tab.Score(0, 2) != 0 {
 		t.Error("auth(0,t2) must be 0")
+	}
+	if g := tab.Norm(2); g != 0 {
+		t.Errorf("g(t2) = %g with nobody followed on t2, want 0", g)
+	}
+	requireFinite(t, tab)
+	// The factors: num(0, t0) = (2/2)·log(3) and g(t0) = 1/log(3).
+	if got := tab.Num(0)[0]; !near(got, math.Log(3)) {
+		t.Errorf("num(0,t0) = %g, want log 3", got)
+	}
+	if got := tab.Norm(0); !near(got, 1/math.Log(3)) {
+		t.Errorf("g(t0) = %g, want 1/log 3", got)
+	}
+}
+
+// requireFinite requires every factor of tab to be a finite number.
+func requireFinite(t testing.TB, tab *Table) {
+	t.Helper()
+	for i, x := range tab.num {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("num: topic %d node %d is %v", i/tab.n, i%tab.n, x)
+		}
+	}
+	for i, x := range tab.g {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("g(t%d) is %v", i, x)
+		}
 	}
 }
 
@@ -92,9 +119,8 @@ func TestScoreRange(t *testing.T) {
 	ds := gen.RandomWith(60, 500, 3)
 	tab := Compute(ds.Graph)
 	for u := 0; u < ds.Graph.NumNodes(); u++ {
-		row := tab.Row(graph.NodeID(u))
-		for ti, s := range row {
-			if s < 0 || s > 1 {
+		for ti := 0; ti < ds.Graph.Vocabulary().Len(); ti++ {
+			if s := tab.Score(graph.NodeID(u), topics.ID(ti)); s < 0 || s > 1 {
 				t.Fatalf("auth(%d,%d) = %g out of [0,1]", u, ti, s)
 			}
 		}
@@ -109,14 +135,7 @@ func TestRecomputeAfterRemoval(t *testing.T) {
 	tab2 := Compute(reduced)
 	// Same table recomputed in place must match a fresh one.
 	tab.recompute(reduced)
-	for u := 0; u < reduced.NumNodes(); u++ {
-		a, b := tab.Row(graph.NodeID(u)), tab2.Row(graph.NodeID(u))
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("Recompute mismatch at node %d topic %d", u, i)
-			}
-		}
-	}
+	requireSameTable(t, tab, tab2)
 }
 
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -156,20 +175,17 @@ func TestApplyDeltaSingleRemoval(t *testing.T) {
 	requireSameTable(t, tab, Compute(g2))
 }
 
-// requireSameTable requires got to equal want bit for bit: scores in both
-// layouts, and the counts, in-degrees and maxima they were computed from.
+// requireSameTable requires got to equal want bit for bit: both factors,
+// and the counts, in-degrees and maxima they were computed from.
 func requireSameTable(t testing.TB, got, want *Table) {
 	t.Helper()
-	T := want.vocab.Len()
-	for i := range want.scores {
-		if got.scores[i] != want.scores[i] {
-			t.Fatalf("scores: node %d topic %d: incremental %v, computed %v", i/T, i%T, got.scores[i], want.scores[i])
+	for i := range want.num {
+		if got.num[i] != want.num[i] {
+			t.Fatalf("num: topic %d node %d: incremental %v, computed %v", i/want.n, i%want.n, got.num[i], want.num[i])
 		}
 	}
-	for i := range want.cols {
-		if got.cols[i] != want.cols[i] {
-			t.Fatalf("cols: topic %d node %d: incremental %v, computed %v", i/want.n, i%want.n, got.cols[i], want.cols[i])
-		}
+	if !slices.Equal(got.g, want.g) {
+		t.Fatalf("g: incremental %v, computed %v", got.g, want.g)
 	}
 	if !slices.Equal(got.maxFol, want.maxFol) {
 		t.Fatalf("maxima: incremental %v, computed %v", got.maxFol, want.maxFol)
@@ -180,9 +196,10 @@ func requireSameTable(t testing.TB, got, want *Table) {
 }
 
 // applyChecked layers one delta over view, shows it to tab, and requires
-// the table to equal a fresh Compute of the result and the return value
-// to be the number of per-topic maxima that moved. It returns the new
-// view and that number.
+// the table to equal a fresh Compute of the result, every factor to be
+// finite, and no num entry outside the delta's destination rows to have
+// been written, whether or not a maximum moved. It returns the new view
+// and the number of per-topic maxima that moved.
 func applyChecked(t testing.TB, tab *Table, view graph.View, adds, removes []graph.Edge) (*graph.Overlay, int) {
 	t.Helper()
 	before := slices.Clone(tab.maxFol)
@@ -197,17 +214,36 @@ func applyChecked(t testing.TB, tab *Table, view graph.View, adds, removes []gra
 	for _, e := range removes {
 		dsts = append(dsts, e.Dst)
 	}
-	moved := tab.ApplyDelta(ov, dsts)
-	fresh := Compute(ov)
-	requireSameTable(t, tab, fresh)
-	want := 0
-	for i := range before {
-		if before[i] != fresh.maxFol[i] {
-			want++
+	// Poison every entry outside the destination rows: ApplyDelta may not
+	// write one, so each must come back as the poison, bit for bit.
+	isDst := make([]bool, tab.n)
+	for _, d := range dsts {
+		isDst[d] = true
+	}
+	kept := slices.Clone(tab.num)
+	poison := math.Float64frombits(0x7ff8dead0000beef)
+	for i := range tab.num {
+		if !isDst[i%tab.n] {
+			tab.num[i] = poison
 		}
 	}
-	if moved != want {
-		t.Fatalf("ApplyDelta = %d, want %d (maxima %v -> %v)", moved, want, before, fresh.maxFol)
+	tab.ApplyDelta(ov, dsts)
+	for i, x := range tab.num {
+		if !isDst[i%tab.n] {
+			if math.Float64bits(x) != math.Float64bits(poison) {
+				t.Fatalf("ApplyDelta wrote num(%d, t%d), outside its destination rows", i%tab.n, i/tab.n)
+			}
+			tab.num[i] = kept[i]
+		}
+	}
+	fresh := Compute(ov)
+	requireSameTable(t, tab, fresh)
+	requireFinite(t, tab)
+	moved := 0
+	for i := range before {
+		if before[i] != fresh.maxFol[i] {
+			moved++
+		}
 	}
 	return ov, moved
 }

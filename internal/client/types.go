@@ -110,7 +110,8 @@ type UpdateItem struct {
 // UpdateResponse is the POST /v1/update payload. Zero-valued fields are
 // omitted on the wire: a synchronous apply (200) carries Applied,
 // Refreshes, Stale and Epoch; a streaming-ingestion accept (202) carries
-// Accepted, QueueDepth and QueueCap.
+// Accepted, QueueDepth and QueueCap. Refreshes is StatsResponse.Refreshes
+// after the batch.
 type UpdateResponse struct {
 	Applied   int    `json:"applied,omitempty"`
 	Refreshes int    `json:"refreshes,omitempty"`
@@ -130,8 +131,11 @@ type StatsResponse struct {
 	AvgInDegree  float64 `json:"avg_in_degree"`
 	MaxInDegree  int     `json:"max_in_degree"`
 	Batches      int     `json:"update_batches"`
-	Refreshes    int     `json:"landmark_refreshes"`
-	Stale        int     `json:"stale_landmarks"`
+	// Refreshes counts whole-landmark refreshes (Eager, Threshold; 0
+	// under Lazy), TopicRefreshes the lists a Lazy query refreshed.
+	Refreshes      int `json:"landmark_refreshes"`
+	TopicRefreshes int `json:"topic_refreshes"`
+	Stale          int `json:"stale_landmarks"`
 	// Epoch identifies the graph snapshot served right now; it advances
 	// with every applied batch and every overlay compaction.
 	Epoch        uint64 `json:"epoch"`

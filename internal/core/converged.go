@@ -15,9 +15,10 @@ import (
 //	σ(λ,·,t) = Σ_m (β·Pᵀ)^m · G(·,t),  G(v,t) = αβ·Σ_{w→v} topo_αβ(λ,w)·w_t(w→v)
 //
 // where topo_αβ(λ,w) is the scalar total, including the empty path at λ,
-// and w_t folds similarity × authority of v × decay. A converged
-// exploration from λ therefore runs three pull passes over the view's
-// in-adjacency instead of one T-wide multiply-add recurrence per hop:
+// and w_t folds similarity × num(v, t) × decay, so σ is held as σ/g(t)
+// (Engine.Norm). A converged exploration from λ therefore runs three pull
+// passes over the view's in-adjacency instead of one T-wide multiply-add
+// recurrence per hop:
 //
 //  1. a scalar pass that carries topo_β (and with it topo_αβ) to the
 //     tolerance;
@@ -148,8 +149,8 @@ const (
 //
 // Every column converges on its own: each (source, topic) σ column and
 // each source's topo column stops adding at the first hop where its own
-// mass per node with a positive topo_β total is under Tol. Columns share
-// passes but never a sum, so a column's scores are bit-identical whichever
+// mass per node with a positive topo_β total (a σ column's times g(t)) is
+// under Tol. Columns share passes but never a sum, so a column's scores are bit-identical whichever
 // sources and topics ride along with it: one source over every topic (a
 // landmark's preprocessing) and many sources over one topic (a per-topic
 // refresh) agree exactly on what both compute. A σ column may run past its
@@ -196,6 +197,7 @@ func (in *InAdjacency) Explore(srcs []graph.NodeID, ts []topics.ID, s *Scratch) 
 	st := s.factSources(c)
 	active := s.cols[:W]
 	mass := s.perTopic[:W]
+	ncols, norms := e.authCols(s, ts)
 
 	// reach notes that v's block for source i holds a score.
 	reach := func(i, v int, blk []float64) {
@@ -335,7 +337,11 @@ func (in *InAdjacency) Explore(srcs []graph.NodeID, ts []topics.ID, s *Scratch) 
 			if col < Q {
 				i = col / q
 			}
-			if converged(i, mass[col]) {
+			m := mass[col]
+			if col < Q {
+				m *= norms[col%q]
+			}
+			if converged(i, m) {
 				active[col] = false
 				for v := col; v < len(xb); v += W {
 					xb[v] = 0
@@ -371,11 +377,9 @@ func (in *InAdjacency) Explore(srcs []graph.NodeID, ts []topics.ID, s *Scratch) 
 	for v := 0; v < n; v++ {
 		xr := x[v*W : v*W+W : v*W+W]
 		in.inject(xr[:Q], v, c, ts, tab)
-		ar := e.authRow(graph.NodeID(v))
-		for i := range st {
-			sig := xr[i*q : i*q+q : i*q+q]
-			for j, t := range ts {
-				sig[j] *= ar[t]
+		for j, nc := range ncols {
+			for i := 0; nc != nil && i < c; i++ {
+				xr[i*q+j] *= nc[v]
 			}
 		}
 	}
@@ -455,7 +459,7 @@ func (s *Scratch) factSources(c int) []factSource {
 // Σ_{w→v} topo_αβ(src, w)·decay(w→v)·maxsim(label, t) for every source
 // and topic, with tab the flat pass-1 topo_αβ totals, c per node, the
 // empty path at each source already added; the caller scales them by
-// αβ·auth(v, t). Every column sums in edge order the same products, so
+// αβ·num(v, t). Every column sums in edge order the same products, so
 // its sum does not depend on the sources and topics beside it.
 func (in *InAdjacency) inject(xr []float64, v int, c int, ts []topics.ID, tab []float64) {
 	q, k := len(ts), len(in.all)

@@ -39,7 +39,8 @@ type Scratch struct {
 	cols              []bool       // the factored form's live columns, len k+1
 	fsrc              []factSource // the factored form's per-source state
 	sims              []float64    // one edge's similarity factors, len k
-	acols             [][]float64  // per-query authority columns, len k
+	ncols             [][]float64  // per-call num columns (Engine.authCols), len k
+	norms             []float64    // per-call g(t) (Engine.authCols), len k
 
 	// reached lists the nodes holding a row other than src, the last
 	// exploration's source, in first-reach order; the Exploration's
@@ -190,6 +191,8 @@ func newScratchDims(n, k int) *Scratch {
 		perTopic: make([]float64, k+1),
 		cols:     make([]bool, k+1),
 		sims:     make([]float64, k),
+		ncols:    make([][]float64, 0, k),
+		norms:    make([]float64, 0, k),
 	}
 }
 
@@ -238,15 +241,10 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 	ab := alpha * beta
 
 	// Authority is read per edge target for the query's fixed topics, so
-	// hoist the per-topic columns: random accesses then hit one n-float
-	// column each instead of striding through the n×T row-major table. A
-	// nil column is the unit-authority variant; sf*1 is bit-identical to
-	// sf, so the two paths score identically.
-	acols := s.acols[:0]
-	for _, t := range ts {
-		acols = append(acols, e.authCol(t))
-	}
-	s.acols = acols
+	// hoist the per-topic num columns: random accesses then hit one
+	// n-float column each. A nil column is the unit-authority variant;
+	// sf*1 is bit-identical to sf, so the two paths score identically.
+	ncols, norms := e.authCols(s, ts)
 	simTab, sims := e.simTab, s.sims[:k]
 
 	// Seed the frontier with the source: σ 0, topo_β and topo_βα 1.
@@ -305,8 +303,8 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 				d, sf := row[:k:k], sims
 				for ti := range d {
 					unit := sf[ti] * ew
-					if ac := acols[ti]; ac != nil {
-						unit *= ac[v]
+					if nc := ncols[ti]; nc != nil {
+						unit *= nc[v]
 					}
 					d[ti] += beta*wd[ti] + wTopoAB*(ab*unit)
 				}
@@ -362,6 +360,9 @@ func (e *Engine) exploreDense(src graph.NodeID, ts []topics.ID, maxDepth int, op
 			clear(d)
 		}
 		x.Iterations = depth
+		for ti, g := range norms { // Tol bounds the paper's σ = g(t)·σ/g(t)
+			perTopic[ti] *= g
+		}
 		denom := float64(max(1, scored))
 		converged := maxOf(perTopic)/denom < e.params.Tol && topoMass/denom < e.params.Tol
 

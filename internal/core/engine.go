@@ -115,8 +115,8 @@ type Engine struct {
 	sim    *topics.SimMatrix
 	params Params
 
-	// ones is the all-ones row used by variants without a similarity or
-	// authority factor.
+	// ones is the all-ones similarity row of the variants without a
+	// similarity factor (row 0 of an in-adjacency's similarity table).
 	ones []float64
 	// simTab answers the similarity factor maxsim(label, t): the
 	// matrix's byte table, or one that scores every label 1 for variants
@@ -225,25 +225,32 @@ func (e *Engine) outWeights(u graph.NodeID) []float32 {
 // without one.
 var unitSim = topics.ConstTable(1)
 
-// authRow returns the per-topic authority factors of a node (ones when
-// the variant ignores authority).
-func (e *Engine) authRow(v graph.NodeID) []float64 {
+// Norm returns g(t), the global authority factor of topic t, or 1 for the
+// variants without authority. Explorations fold the local factor num
+// alone, so the paper's σ(·,·,t) is Norm(t) times the scores they hold;
+// authority enters every path score once (Proposition 2), so no ranking
+// within one topic depends on it.
+func (e *Engine) Norm(t topics.ID) float64 {
 	if e.params.Variant == TrNoAuth || e.params.Variant == TopoOnly {
-		return e.ones
+		return 1
 	}
-	return e.auth.Row(v)
+	return e.auth.Norm(t)
 }
 
-// authCol returns auth(·, t) for every node, or nil when the variant
-// ignores authority (callers substitute a unit factor). The dense
-// exploration reads one topic across many random nodes, so the
-// column-major path keeps the working set at one column instead of the
-// whole table.
-func (e *Engine) authCol(t topics.ID) []float64 {
-	if e.params.Variant == TrNoAuth || e.params.Variant == TopoOnly {
-		return nil
+// authCols fills s's per-call authority buffers for the topics ts: each
+// topic's num column, nil when the variant ignores authority (callers
+// substitute a unit factor), and its g(t).
+func (e *Engine) authCols(s *Scratch, ts []topics.ID) ([][]float64, []float64) {
+	s.ncols, s.norms = s.ncols[:0], s.norms[:0]
+	for _, t := range ts {
+		var col []float64
+		if e.params.Variant == TrFull || e.params.Variant == TrNoSim {
+			col = e.auth.Num(t)
+		}
+		s.ncols = append(s.ncols, col)
+		s.norms = append(s.norms, e.Norm(t))
 	}
-	return e.auth.Col(t)
+	return s.ncols, s.norms
 }
 
 // Graph returns the engine's graph.
@@ -257,18 +264,8 @@ func (e *Engine) Scratches() *ScratchPool { return e.pool }
 // Params returns the engine's parameters.
 func (e *Engine) Params() Params { return e.params }
 
-// Authority returns the engine's authority table (may be nil).
-func (e *Engine) Authority() *authority.Table { return e.auth }
-
 // Similarity returns the engine's similarity matrix (may be nil).
 func (e *Engine) Similarity() *topics.SimMatrix { return e.sim }
-
-// edgeUnit returns the topical factor of one edge for topic t —
-// maxsim(label, t) · auth(end, t) under the engine's variant — the
-// quantity β·α multiplies in the edge score ω_e(t).
-func (e *Engine) edgeUnit(label topics.Set, end graph.NodeID, t topics.ID) float64 {
-	return e.simTab.Max(label, t) * e.authRow(end)[t]
-}
 
 // edgeTopicWeight returns the topical factor of one edge for topic t:
 // maxsim(label, t) · auth(end, t), with each factor replaced by 1 when the

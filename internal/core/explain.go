@@ -63,7 +63,7 @@ func (e *Engine) Explain(u, v graph.NodeID, t topics.ID, opts ExplainOptions) ([
 			budget--
 			ap := alphaPow * alpha
 			bp := betaPow * beta
-			ps := partial + ap*e.edgeUnit(lbls[i], w, t)
+			ps := partial + ap*e.edgeTopicWeight(lbls[i], w, t)
 			prefix = append(prefix, w)
 			if w == v {
 				p := make(Path, len(prefix))
@@ -87,7 +87,7 @@ func (e *Engine) Explain(u, v graph.NodeID, t topics.ID, opts ExplainOptions) ([
 	for _, pc := range found {
 		enumerated += pc.Score
 	}
-	exact := e.Explore(u, []topics.ID{t}, 0).Sigma(v, 0)
+	exact := e.Norm(t) * e.Explore(u, []topics.ID{t}, 0).Sigma(v, 0)
 	covered := 1.0
 	if exact > 0 {
 		covered = enumerated / exact

@@ -53,7 +53,8 @@ func (x *Exploration) totals(v graph.NodeID) []float64 {
 	return row[x.tot:]
 }
 
-// Sigma returns σ(Src, v, Topics[ti]).
+// Sigma returns σ(Src, v, t)/g(t) for t = Topics[ti], with g(t) =
+// Engine.Norm(t).
 func (x *Exploration) Sigma(v graph.NodeID, ti int) float64 {
 	if x.rows != nil {
 		if r := x.totals(v); r != nil {
@@ -155,7 +156,8 @@ func (x *Exploration) TopicIndex(t topics.ID) int {
 //	topoBΔ_k(v)  = Σ_{w→v} β·topoBΔ_{k-1}(w)
 //
 // with w_t the edge topical factor (similarity × authority). Accumulated
-// sums over k give σ, topo_αβ and topo_β.
+// sums over k give σ, topo_αβ and topo_β. Authority enters w_t as its
+// local factor num(v, t) alone, so σ is held divided by g(t).
 //
 // The σ recurrence is linear: σΔ_k = β·Pᵀσ_{k-1} + g_k with g_k the
 // authority term above. Summed over k it regroups every path at the one

@@ -72,8 +72,9 @@ func enumeratePaths(e *Engine, src graph.NodeID, ts []topics.ID, maxLen int, sto
 }
 
 // requireMatchesPaths holds x, an exploration of maxLen hops from x.Src
-// with stop, to the path enumeration: the same reached set and every σ,
-// topo_β and topo_αβ within 1e-12, the source's cycles included.
+// with stop, to the path enumeration: the same reached set and every σ
+// (the exploration's σ/g(t) times Engine.Norm(t)), topo_β and topo_αβ
+// within 1e-12, the source's cycles included.
 func requireMatchesPaths(t *testing.T, label string, e *Engine, x *Exploration, maxLen int, stop func(graph.NodeID) bool) {
 	t.Helper()
 	ps := enumeratePaths(e, x.Src, x.Topics, maxLen, stop)
@@ -91,7 +92,7 @@ func requireMatchesPaths(t *testing.T, label string, e *Engine, x *Exploration, 
 			if row := ps.sigma[id]; row != nil {
 				want = row[ti]
 			}
-			if got := x.Sigma(id, ti); !almostEqual(got, want, 1e-12) {
+			if got := e.Norm(x.Topics[ti]) * x.Sigma(id, ti); !almostEqual(got, want, 1e-12) {
 				t.Fatalf("%s: σ(%d, t%d) = %g, want %g", label, v, x.Topics[ti], got, want)
 			}
 		}

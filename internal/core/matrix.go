@@ -14,8 +14,8 @@ import (
 // where A[v][u] = 1 iff u follows v, S_t[v][u] = sim(labelE(u→v), t) ·
 // auth(v, t), and I seeds the source. It performs full matrix-vector
 // products every step — no frontier tracking — so it is the slow
-// reference implementation of Proposition 1's fixpoint, used to
-// cross-validate the optimized exploration engine and to demonstrate the
+// reference implementation of Proposition 1's fixpoint (the paper's σ,
+// not σ/g(t) as an exploration holds it), used to cross-validate the optimized exploration engine and to demonstrate the
 // convergence analysis of Proposition 3 exactly as written.
 //
 // iters <= 0 runs the engine's MaxDepth steps.
@@ -50,7 +50,7 @@ func (e *Engine) MatrixExplore(src graph.NodeID, t topics.ID, iters int) []float
 				// (βA)·R term.
 				rNext[v] += beta * ru
 				// (βα)·S·T term.
-				rNext[v] += ab * e.edgeUnit(lbls[i], v, t) * tu
+				rNext[v] += ab * e.edgeTopicWeight(lbls[i], v, t) * tu
 				// T recurrence.
 				tNext[v] += ab * tu
 			}

@@ -12,7 +12,7 @@ import (
 // TestMatrixFormMatchesExploration cross-validates the two computations
 // of the same fixpoint: Equation 6's matrix iteration and the frontier
 // exploration of Proposition 1 must agree for every node, variant and
-// depth.
+// depth: the matrix form computes the paper's σ, the exploration σ/g(t).
 func TestMatrixFormMatchesExploration(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		ds := gen.RandomWith(20, 120, seed+40)
@@ -35,9 +35,9 @@ func TestMatrixFormMatchesExploration(t *testing.T) {
 				if vid == src {
 					continue
 				}
-				if !almostEqual(mat[v], exp.Sigma(vid, 0), 1e-10) {
+				if got := e.Norm(tt) * exp.Sigma(vid, 0); !almostEqual(mat[v], got, 1e-10) {
 					t.Fatalf("seed %d depth %d variant %v node %d: matrix %g vs exploration %g",
-						seed, depth, p.Variant, v, mat[v], exp.Sigma(vid, 0))
+						seed, depth, p.Variant, v, mat[v], got)
 				}
 			}
 		}

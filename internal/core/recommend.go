@@ -66,10 +66,11 @@ func NewRecommender(eng *Engine, opts ...RecommenderOption) *Recommender {
 // Name returns the variant's name ("Tr", "Tr-auth", "Tr-sim", "Katz").
 func (r *Recommender) Name() string { return r.eng.params.Variant.String() }
 
-// scoreOf reads the ranking score of v from an exploration. For the
-// TopoOnly variant the paper's score degenerates to the Katz topological
-// score (setting ω̄_p(t) = 1 in Definition 1 yields Equation 2), so topo_β
-// is used directly.
+// scoreOf reads the ranking score of v from an exploration, σ/g(t):
+// callers multiply by Engine.Norm(t). For the TopoOnly variant the
+// paper's score degenerates to the Katz topological score (setting
+// ω̄_p(t) = 1 in Definition 1 yields Equation 2), so topo_β is used
+// directly.
 func (r *Recommender) scoreOf(x *Exploration, v graph.NodeID, ti int) float64 {
 	if r.eng.params.Variant == TopoOnly {
 		return x.TopoB(v)
@@ -85,9 +86,10 @@ func (r *Recommender) Engine() *Engine { return r.eng }
 func (r *Recommender) ScoreCandidates(u graph.NodeID, t topics.ID, cands []graph.NodeID) []float64 {
 	x, s := r.explore(u, []topics.ID{t}, nil)
 	defer r.eng.pool.Put(s)
+	g := r.eng.Norm(t)
 	out := make([]float64, len(cands))
 	for i, c := range cands {
-		out[i] = r.scoreOf(x, c, 0)
+		out[i] = g * r.scoreOf(x, c, 0)
 	}
 	return out
 }
@@ -107,6 +109,7 @@ func (r *Recommender) RecommendCtx(ctx context.Context, u graph.NodeID, t topics
 	if x.Cancelled {
 		return nil, ctx.Err()
 	}
+	g := r.eng.Norm(t)
 	top := ranking.NewTopN(n)
 	for _, v := range x.Reached {
 		if v == u {
@@ -115,7 +118,7 @@ func (r *Recommender) RecommendCtx(ctx context.Context, u graph.NodeID, t topics
 		if r.excludeFollowed && r.eng.g.HasEdge(u, v) {
 			continue
 		}
-		if s := r.scoreOf(x, v, 0); s > 0 {
+		if s := g * r.scoreOf(x, v, 0); s > 0 {
 			top.Insert(v, s)
 		}
 	}
@@ -131,11 +134,14 @@ type QueryTopic struct {
 
 // RecommendQuery answers a multi-topic query with the weighted linear
 // combination of per-topic scores (Definition 1's final score, using the
-// metasearch combination the paper references).
+// metasearch combination the paper references). Each topic's weight
+// carries its global authority factor g(t).
 func (r *Recommender) RecommendQuery(u graph.NodeID, query []QueryTopic, n int) []ranking.Scored {
 	ts := make([]topics.ID, len(query))
+	ws := make([]float64, len(query))
 	for i, q := range query {
 		ts[i] = q.Topic
+		ws[i] = q.Weight * r.eng.Norm(q.Topic)
 	}
 	x, s := r.explore(u, ts, nil)
 	defer r.eng.pool.Put(s)
@@ -148,8 +154,8 @@ func (r *Recommender) RecommendQuery(u graph.NodeID, query []QueryTopic, n int) 
 			continue
 		}
 		s := 0.0
-		for i, q := range query {
-			s += q.Weight * r.scoreOf(x, v, i)
+		for i, w := range ws {
+			s += w * r.scoreOf(x, v, i)
 		}
 		if s > 0 {
 			top.Insert(v, s)

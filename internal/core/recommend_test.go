@@ -144,7 +144,7 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Graph() != ds.Graph || e.Authority() != auth || e.Similarity() != ds.Sim {
+	if e.Graph() != ds.Graph || e.Similarity() != ds.Sim {
 		t.Error("accessors broken")
 	}
 	if e.Params().Beta != good.Beta {
@@ -174,20 +174,5 @@ func TestExplorationAccessors(t *testing.T) {
 	}
 	if x.SigmaRow(f.F) != nil {
 		t.Error("unreached node must have nil row")
-	}
-}
-
-func TestEdgeUnitMatchesEdgeTopicWeight(t *testing.T) {
-	f := figure1(t)
-	for _, variant := range []Variant{TrFull, TrNoAuth, TrNoSim, TopoOnly} {
-		p := defaultTestParams()
-		p.Variant = variant
-		e := f.engine(t, p)
-		lbl, _ := f.g.EdgeLabel(f.A, f.B)
-		for _, tt := range []topics.ID{f.tech, f.science, f.social} {
-			if got, want := e.edgeUnit(lbl, f.B, tt), e.edgeTopicWeight(lbl, f.B, tt); !almostEqual(got, want, 1e-15) {
-				t.Fatalf("%v: edgeUnit %g vs edgeTopicWeight %g", variant, got, want)
-			}
-		}
 	}
 }

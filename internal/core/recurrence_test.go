@@ -50,10 +50,7 @@ func refExplore(e *Engine, src graph.NodeID, ts []topics.ID, opts ExploreOptions
 		}
 		return e.sim.MaxSim(lbl, t)
 	}
-	acols := make([][]float64, k)
-	for ti, t := range ts {
-		acols[ti] = e.authCol(t)
-	}
+	acols, _ := e.authCols(NewScratch(e), ts)
 
 	curList = append(curList, src)
 	cur[int(src)*stride+bOff] = 1
@@ -126,6 +123,9 @@ func refExplore(e *Engine, src graph.NodeID, ts []topics.ID, opts ExploreOptions
 			inNext[v] = false
 		}
 		x.Iterations = depth
+		for ti, t := range ts {
+			perTopic[ti] *= e.Norm(t)
+		}
 		denom := float64(max(1, len(resList)))
 		converged := maxOf(perTopic)/denom < e.params.Tol && topoMass/denom < e.params.Tol
 		curList, nextList = nextList, curList

@@ -200,10 +200,12 @@ func (s *Shard) PartialAppend(u graph.NodeID, t topics.ID, buf []PartialEntry) [
 	}
 	out := buf[:0]
 	// Only owned candidates can hold scores, so the readout walks the
-	// ascending owned list: sorted output for 1/P of a full scan.
+	// ascending owned list: sorted output for 1/P of a full scan. Scores
+	// leave times g(t), as landmark.Approx's do.
+	g := s.Eng.Norm(t)
 	for _, v := range s.ownedList {
 		if sc := acc.At(v); sc > 0 {
-			out = append(out, PartialEntry{Node: v, Score: sc})
+			out = append(out, PartialEntry{Node: v, Score: g * sc})
 		}
 	}
 	return out

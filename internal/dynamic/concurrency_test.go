@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/landmark"
 	"repro/internal/ranking"
 	"repro/internal/topics"
 )
@@ -50,6 +53,53 @@ func TestReadersDoNotWaitForReaders(t *testing.T) {
 	returnsWithin(t, "RecommendExact", wait, func() { m.RecommendExact(3, 0, 5) })
 	returnsWithin(t, "Stats", wait, func() { m.Stats() })
 	returnsWithin(t, "QueryStaleness", wait, func() { m.QueryStaleness(3, 0, 5) })
+}
+
+// TestLazyPriorityQueryReadsUnderReadLock: under Lazy nothing schedules,
+// so the priority scheduler's query hits have no reader and a query
+// counts none. Once a query has refreshed its topic on the stale
+// landmarks it meets, they stay stale on other topics, and the same
+// query answers under the read lock: with a read lock held it still
+// returns.
+func TestLazyPriorityQueryReadsUnderReadLock(t *testing.T) {
+	ds := gen.RandomWith(60, 600, 5)
+	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 6, landmark.DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(ds.Graph, lms, Config{
+		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 200, QueryDepth: 2,
+		Strategy: Lazy, Scheduler: SchedPriority,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := lms[0]
+	if err := m.Apply([]Update{{Edge: graph.Edge{Src: lm, Dst: (lm + 29) % 60, Label: topics.NewSet(1)}, Add: true}}); err != nil {
+		t.Fatal(err)
+	}
+	const u, tp = graph.NodeID(3), topics.ID(1)
+	if _, err := m.Recommend(u, tp, 5); err != nil { // refreshes topic 1 where it meets it stale
+		t.Fatal(err)
+	}
+	if m.Stats().StaleNow == 0 {
+		t.Fatal("no landmark stays stale on another topic")
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.meetsStaleLocked(u, tp, m.cfg.QueryDepth) {
+		t.Fatal("the query still meets a landmark stale on its topic")
+	}
+	for lm, meta := range m.staleMeta {
+		if meta.hits != 0 {
+			t.Fatalf("landmark %d counted %d query hits under Lazy", lm, meta.hits)
+		}
+	}
+	returnsWithin(t, "Recommend", 5*time.Second, func() {
+		if _, err := m.Recommend(u, tp, 5); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestWriterExcludesReaders: a Recommend issued while Apply is inside its

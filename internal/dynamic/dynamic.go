@@ -122,7 +122,7 @@ type Config struct {
 	// (see SchedulerKind). The zero value SchedAll is the legacy
 	// refresh-everything policy. Under Lazy a query refreshes its topic
 	// on every landmark in its vicinity that is stale on it, whatever
-	// the scheduler; SchedPriority then only counts query hits.
+	// the scheduler, and nothing schedules: the scheduler is unused.
 	Scheduler SchedulerKind
 	// RefreshBudget caps how many landmarks the budgeted schedulers
 	// (SchedRoundRobin, SchedPriority) refresh per opportunity under
@@ -233,26 +233,23 @@ type Stats struct {
 	// reached (endpoints included) — at most NumNodes per batch, far fewer
 	// when the last landmark is found early.
 	InvalidationVisited int
-	// AuthorityColumnRewrites counts per-topic maxima moved by a batch,
-	// each one authority score column rewritten for every node; batches
-	// that move none keep the change in their destination rows.
-	AuthorityColumnRewrites int
 }
 
 // BatchEffect describes what one applied batch may have changed — the
 // dirty set PR 3's ApplyDelta computes internally, exported so a
 // subscription hub can invert it into an affected-subscription index.
 // The fields are conservative supersets: a recommendation whose
-// dependency set is disjoint from every field is guaranteed unchanged
-// (unless Global is set), while overlap only means "re-score to find
-// out".
+// dependency set is disjoint from every field is guaranteed the same
+// ranking (unless Global is set), its scores at most rescaled by a moved
+// global authority factor g(t), while overlap only means "re-score to
+// find out".
 type BatchEffect struct {
 	// Epoch is the graph epoch installed by this batch (after any
 	// compaction increment).
 	Epoch uint64
 	// Endpoints are the distinct sources and destinations of the batch's
 	// edge changes. Paths through any of them — and the destinations'
-	// authority rows, rewritten by authority.ApplyDelta — may have moved.
+	// num rows, rewritten by authority.ApplyDelta — may have moved.
 	Endpoints []graph.NodeID
 	// StaleLandmarks are the landmarks this batch marked stale: their
 	// stored lists no longer match the graph, so queries meeting them
@@ -264,11 +261,10 @@ type BatchEffect struct {
 	// batches, so it dirties dependents even when the landmark is not in
 	// this batch's StaleLandmarks.
 	Refreshed []graph.NodeID
-	// Global marks effects that are not localized: a batch that moved a
-	// per-topic follower maximum (authority.ApplyDelta then rewrote that
-	// topic's score for every node) and compactions (re-anchored decay
-	// reference). Every standing query must re-score. Batch
-	// size alone never sets it.
+	// Global marks effects that are not localized: compactions
+	// (re-anchored decay reference). Every standing query must re-score.
+	// Neither batch size nor a moved per-topic follower maximum (it
+	// scales a topic's scores alike, by g(t)) sets it.
 	Global bool
 	// OldestAt is the smallest nonzero event timestamp (Unix ns) in the
 	// batch — the ingest-accept anchor for push-latency measurement. 0
@@ -289,8 +285,9 @@ type BatchEffect struct {
 //   - Write lock (exclusive): Apply, Replay, SetBatchHook, Instrument,
 //     every refresh, and Recommend when, under the Lazy strategy, a
 //     landmark its vicinity meets is stale on its topic (the query
-//     refreshes that topic) or, under the priority scheduler, any
-//     landmark is stale (the query records the ones it meets as traffic).
+//     refreshes that topic) or, under Eager or Threshold with the
+//     priority scheduler, any landmark is stale (the query records the
+//     ones it meets as traffic for the next schedule).
 //
 // Graph and Neighborhood read a lock-free published view instead.
 //
@@ -370,7 +367,6 @@ type Manager struct {
 	mSnapshotWrites *metrics.Counter
 	mSnapshotFails  *metrics.Counter
 	mInvVisited     *metrics.Counter
-	mAuthRewrites   *metrics.Counter
 }
 
 // NewManager preprocesses the initial graph and landmark set.
@@ -519,7 +515,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mSnapshotWrites = reg.Counter("dynamic_snapshot_writes_total", "Compactions persisted as TRG2 snapshots (WAL truncated after each).")
 	m.mSnapshotFails = reg.Counter("dynamic_snapshot_failures_total", "Snapshot or WAL-truncate failures (absorbed; retried at the next compaction).")
 	m.mInvVisited = reg.Counter("dynamic_invalidation_visited_nodes_total", "Nodes reached by the per-batch landmark invalidation pass.")
-	m.mAuthRewrites = reg.Counter("dynamic_authority_column_rewrites_total", "Authority score columns rewritten because a batch moved a per-topic follower maximum.")
 	m.mBatches.Add(uint64(st.Batches))
 	m.mEdgesAdded.Add(uint64(st.EdgesAdded))
 	m.mEdgesRemoved.Add(uint64(st.EdgesRemoved))
@@ -533,7 +528,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mSnapshotWrites.Add(uint64(st.SnapshotWrites))
 	m.mSnapshotFails.Add(uint64(st.SnapshotFailures))
 	m.mInvVisited.Add(uint64(st.InvalidationVisited))
-	m.mAuthRewrites.Add(uint64(st.AuthorityColumnRewrites))
 	wal := m.cfg.WAL
 	nLms := len(m.lms)
 	m.mu.Unlock()
@@ -798,23 +792,13 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 	m.stats.Epoch++
 	// Authority maintenance: only the targets of the changed edges have
 	// new follower sets (the paper's local-update observation), so only
-	// their rows change — unless the batch moved a per-topic maximum, which
-	// rescales that topic's score for every node and makes the effect
-	// global.
+	// their rows change, plus g(t) of a moved maximum.
 	if m.auth != nil {
 		dsts := make([]graph.NodeID, len(batch))
 		for i, up := range batch {
 			dsts[i] = up.Edge.Dst
 		}
-		if moved := m.auth.ApplyDelta(m.view, dsts); moved > 0 {
-			m.stats.AuthorityColumnRewrites += moved
-			if m.mAuthRewrites != nil {
-				m.mAuthRewrites.Add(uint64(moved))
-			}
-			if fx := m.collectFx; fx != nil {
-				fx.Global = true
-			}
-		}
+		m.auth.ApplyDelta(m.view, dsts)
 	}
 	eng, err := m.eng.Derive(m.view, m.auth)
 	if err != nil {
@@ -871,9 +855,7 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 
 	// Mark affected landmarks: those that reach an endpoint of a changed
 	// edge within their exploration horizon. A moved per-topic maximum
-	// rescales that topic's authority for every node, which no
-	// reachability test captures; the dominant staleness comes from path
-	// changes, and that residue waits for each landmark's next refresh.
+	// stales none: the lists hold σ/g(t), which does not depend on it.
 	affected := m.affectedLandmarks(batch)
 	for _, lm := range affected {
 		m.markStaleLocked(lm)
@@ -1175,24 +1157,27 @@ func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Score
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.queryWritesLocked(u, t) {
-		// One bounded BFS over the query's vicinity serves two policies:
+		// One bounded BFS over the query's vicinity serves either policy:
 		// Lazy refreshes topic t on the stale landmarks the query would
-		// read, and the priority scheduler records every stale landmark
-		// met as traffic evidence (a stale landmark queries keep meeting
-		// outranks one nothing reads). During a failure backoff the query
-		// proceeds against the previous store instead of waiting on (or
-		// failing with) the refresh.
+		// read, and under Eager or Threshold the priority scheduler
+		// records every stale landmark met as traffic evidence (a stale
+		// landmark queries keep meeting outranks one nothing reads).
+		// During a failure backoff the query proceeds against the
+		// previous store instead of waiting on (or failing with) the
+		// refresh.
+		lazy := m.cfg.Strategy == Lazy
 		var need []graph.NodeID
 		graph.BFSOut(m.view, u, m.cfg.QueryDepth, func(v graph.NodeID, depth int) bool {
 			if ts := m.store.Stale(v); ts != 0 {
-				m.noteQueryHitLocked(v)
-				if ts.Has(t) {
+				if !lazy {
+					m.noteQueryHitLocked(v)
+				} else if ts.Has(t) {
 					need = append(need, v)
 				}
 			}
 			return true
 		})
-		if m.cfg.Strategy == Lazy {
+		if lazy {
 			m.tryRefreshLocked(need, t)
 		}
 	}
@@ -1200,17 +1185,19 @@ func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Score
 }
 
 // queryWritesLocked reports whether a query from u on t must write the
-// manager: under the priority scheduler, some landmark is stale (the
-// query counts the ones it meets); under Lazy, a landmark in the query's
-// vicinity is stale on t (the query refreshes it). Caller holds mu.
+// manager: under Lazy, a landmark in the query's vicinity is stale on t
+// (the query refreshes it); under Eager or Threshold with the priority
+// scheduler, some landmark is stale (the query counts the ones it meets
+// as traffic). Lazy never schedules, so no query counts hits under it.
+// Caller holds mu.
 func (m *Manager) queryWritesLocked(u graph.NodeID, t topics.ID) bool {
 	if m.store.StaleLandmarks() == 0 {
 		return false
 	}
-	if m.cfg.Scheduler == SchedPriority {
-		return true
+	if m.cfg.Strategy == Lazy {
+		return m.meetsStaleLocked(u, t, m.cfg.QueryDepth)
 	}
-	return m.cfg.Strategy == Lazy && m.meetsStaleLocked(u, t, m.cfg.QueryDepth)
+	return m.cfg.Scheduler == SchedPriority
 }
 
 // meetsStaleLocked reports whether a landmark within depth hops of u is

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -86,12 +87,7 @@ func applyAndCompare(t *testing.T, m *Manager, batch []Update) bool {
 	if visited > ball || visited < len(want) {
 		t.Fatalf("batch of %d: visited %d nodes, reference ball holds %d, %d landmarks found", len(batch), visited, ball, len(want))
 	}
-	fresh := authority.Compute(m.view)
-	for u := 0; u < m.view.NumNodes(); u++ {
-		if w, g := fresh.Row(graph.NodeID(u)), m.auth.Row(graph.NodeID(u)); !slices.Equal(w, g) {
-			t.Fatalf("authority row %d after a batch of %d: maintained %v, computed %v", u, len(batch), g, w)
-		}
-	}
+	requireSameAuthority(t, fmt.Sprintf("after a batch of %d, maintained", len(batch)), m.auth, authority.Compute(m.view))
 	return visited == ball
 }
 
@@ -227,9 +223,6 @@ func TestInvalidationVisitedBound(t *testing.T) {
 	}
 	if got := reg.Counter("dynamic_invalidation_visited_nodes_total", "").Value(); got != uint64(st.InvalidationVisited) {
 		t.Fatalf("dynamic_invalidation_visited_nodes_total = %d, Stats.InvalidationVisited = %d", got, st.InvalidationVisited)
-	}
-	if got := reg.Counter("dynamic_authority_column_rewrites_total", "").Value(); got != uint64(st.AuthorityColumnRewrites) {
-		t.Fatalf("dynamic_authority_column_rewrites_total = %d, Stats.AuthorityColumnRewrites = %d", got, st.AuthorityColumnRewrites)
 	}
 }
 

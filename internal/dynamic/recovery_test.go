@@ -42,22 +42,26 @@ func recoveryBatches(g *graph.Graph, n int) [][]Update {
 	return batches
 }
 
-// requireSameRankings compares the authority tables of two managers row
-// by row (and against a from-scratch authority.Compute), then their
+// requireSameAuthority requires got to hold want's authority factors bit
+// for bit: every topic's num column and g(t).
+func requireSameAuthority(t *testing.T, label string, got, want *authority.Table) {
+	t.Helper()
+	for tp := 0; tp < want.Vocabulary().Len(); tp++ {
+		id := topics.ID(tp)
+		if !slices.Equal(got.Num(id), want.Num(id)) || got.Norm(id) != want.Norm(id) {
+			t.Fatalf("%s authority on topic %d: num or g(t) = %v differs from %v", label, tp, got.Norm(id), want.Norm(id))
+		}
+	}
+}
+
+// requireSameRankings compares the authority tables of two managers
+// topic by topic (and against a from-scratch authority.Compute), then their
 // landmark-backed and exact rankings over a spread of (user, topic)
 // queries — all bit-for-bit.
 func requireSameRankings(t *testing.T, want, got *Manager) {
 	t.Helper()
-	fresh := authority.Compute(want.Graph())
-	for u := 0; u < want.Graph().NumNodes(); u++ {
-		w, g := want.auth.Row(graph.NodeID(u)), got.auth.Row(graph.NodeID(u))
-		if !slices.Equal(w, g) {
-			t.Fatalf("authority row %d: %v vs %v", u, w, g)
-		}
-		if !slices.Equal(w, fresh.Row(graph.NodeID(u))) {
-			t.Fatalf("authority row %d: maintained %v, computed %v", u, w, fresh.Row(graph.NodeID(u)))
-		}
-	}
+	requireSameAuthority(t, "recovered", got.auth, want.auth)
+	requireSameAuthority(t, "maintained", want.auth, authority.Compute(want.Graph()))
 	for _, u := range []graph.NodeID{0, 7, 23, 41} {
 		for _, tp := range []topics.ID{0, 1, 2} {
 			wl, err := want.Recommend(u, tp, 10)

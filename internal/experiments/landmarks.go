@@ -123,9 +123,10 @@ func (r *Runner) Table6() (*Table6Result, error) {
 	t0 := time.Now()
 	for i, u := range queries {
 		x := eng.Explore(u, []topics.ID{qtopics[i]}, 0)
+		g := eng.Norm(qtopics[i])
 		top := ranking.NewTopN(100)
 		for _, v := range x.Reached {
-			if s := x.Sigma(v, 0); s > 0 && v != u {
+			if s := g * x.Sigma(v, 0); s > 0 && v != u {
 				top.Insert(v, s)
 			}
 		}

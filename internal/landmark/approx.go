@@ -18,7 +18,8 @@ import (
 //	σ̃_λ(u,v,t) = σ(u,λ,t)·topo_β(λ,v) + topo_βα(u,λ)·σ(λ,v,t)
 //
 // Nodes met directly by the exploration also keep their directly-computed
-// scores (Example 3's node r2).
+// scores (Example 3's node r2). Every term is linear in σ, held as σ/g(t),
+// so each candidate's sum is multiplied by g(t) once, before the top-n.
 //
 // A query borrows one scratch from the engine's pool: the exploration's
 // scores are read in place from it, and the scores sum into its dense
@@ -65,9 +66,10 @@ func (a *Approx) Query(u graph.NodeID, t topics.ID, n int) QueryResult {
 	s := pool.Get()
 	defer pool.Put(s)
 	acc, met := a.fold(s, u, t)
+	g := a.eng.Norm(t)
 	top := ranking.NewTopN(n)
 	for _, v := range acc.Touched() {
-		top.Insert(v, acc.At(v))
+		top.Insert(v, g*acc.At(v))
 	}
 	return QueryResult{Scores: top.List(), LandmarksMet: met}
 }
@@ -136,9 +138,10 @@ func (a *Approx) ScoreCandidates(u graph.NodeID, t topics.ID, cands []graph.Node
 	s := pool.Get()
 	defer pool.Put(s)
 	acc, _ := a.fold(s, u, t)
+	g := a.eng.Norm(t)
 	out := make([]float64, len(cands))
 	for i, c := range cands {
-		out[i] = acc.At(c)
+		out[i] = g * acc.At(c)
 	}
 	return out
 }

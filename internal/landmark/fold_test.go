@@ -14,8 +14,9 @@ import (
 
 // mapFold is the reference fold: Algorithm 2's combination summed into a
 // per-query map, the form landmark queries took before the dense fold
-// buffer. The exploration is copied out of a pooled scratch, so it shares
-// nothing with the fold under test.
+// buffer, each sum multiplied by g(t) once at the end. The exploration is
+// copied out of a pooled scratch, so it shares nothing with the fold
+// under test.
 func mapFold(a *Approx, u graph.NodeID, t topics.ID) (map[graph.NodeID]float64, int) {
 	x := a.eng.ExploreOpts(u, []topics.ID{t}, core.ExploreOptions{MaxDepth: a.depth, Stop: a.store.Contains})
 	acc := make(map[graph.NodeID]float64, len(x.Reached)*2)
@@ -38,6 +39,10 @@ func mapFold(a *Approx, u graph.NodeID, t topics.ID) (map[graph.NodeID]float64, 
 				acc[w] += sigmaUL*lst.Topo[i] + topoUL*lst.Sigma[i]
 			}
 		}
+	}
+	g := a.eng.Norm(t)
+	for v := range acc {
+		acc[v] *= g
 	}
 	return acc, met
 }

@@ -13,7 +13,8 @@ import (
 // List is one inverted list of a landmark: recommended nodes with their
 // recommendation score σ(λ, v, t) and topological score topo_β(λ, v),
 // best-σ first. Both values are kept because the query-time combination
-// (Proposition 4) needs both for every recommended node.
+// (Proposition 4) needs both for every recommended node. Sigma holds
+// σ/g(t) (core.Engine.Norm), so a batch that moves g(t) leaves it exact.
 type List struct {
 	Nodes []graph.NodeID
 	Sigma []float64

@@ -425,17 +425,18 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := graph.ComputeStats(g)
 	ms := s.mgr.Stats()
 	resp := client.StatsResponse{
-		Nodes:        st.Nodes,
-		Edges:        st.Edges,
-		AvgOutDegree: st.AvgOut,
-		AvgInDegree:  st.AvgIn,
-		MaxInDegree:  st.MaxIn,
-		Batches:      ms.Batches,
-		Refreshes:    ms.Refreshes,
-		Stale:        ms.StaleNow,
-		Epoch:        ms.Epoch,
-		OverlayDepth: ms.OverlayDepth,
-		Compactions:  ms.Compactions,
+		Nodes:          st.Nodes,
+		Edges:          st.Edges,
+		AvgOutDegree:   st.AvgOut,
+		AvgInDegree:    st.AvgIn,
+		MaxInDegree:    st.MaxIn,
+		Batches:        ms.Batches,
+		Refreshes:      ms.Refreshes,
+		TopicRefreshes: ms.TopicRefreshes,
+		Stale:          ms.StaleNow,
+		Epoch:          ms.Epoch,
+		OverlayDepth:   ms.OverlayDepth,
+		Compactions:    ms.Compactions,
 	}
 	if s.pipe != nil {
 		ist := s.pipe.Stats()

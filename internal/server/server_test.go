@@ -349,6 +349,17 @@ func TestUpdatesFlow(t *testing.T) {
 	// ...and is immediately visible to exact recommendations from user 1.
 	var resp client.RecommendResponse
 	getJSON(t, srv.URL+"/v1/recommend?user=1&topic=technology&method=tr&n=600", http.StatusOK, &resp)
+	// A landmark query refreshes its topic on the stale landmarks it
+	// meets. The manager runs Lazy, so /v1/stats counts that in
+	// topic_refreshes and no whole-landmark refresh, and so does the
+	// update response.
+	getJSON(t, srv.URL+"/v1/recommend?user=1&topic=technology&method=landmark", http.StatusOK, &resp)
+	var refreshed client.StatsResponse
+	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &refreshed)
+	if refreshed.TopicRefreshes <= before.TopicRefreshes || refreshed.Refreshes != 0 || applied.Refreshes != 0 {
+		t.Errorf("after a lazy query: topic_refreshes %d -> %d, landmark_refreshes %d, update refreshes %d; want topic refreshes only",
+			before.TopicRefreshes, refreshed.TopicRefreshes, refreshed.Refreshes, applied.Refreshes)
+	}
 
 	// Then the follow is removed again.
 	postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{

@@ -47,7 +47,10 @@ const (
 	landmarkMagic = 0x4c4d4b33 // "LMK3"
 	walMagic      = 0x5452574c // "TRWL"
 
-	formatVersion = 1
+	// Header versions; an image at another one is refused at open. LMK3
+	// version 1 held the paper's σ, version 2 holds σ/g(t) (landmark.List).
+	snapshotVersion = 1
+	landmarkVersion = 2
 
 	// maxSections bounds the section table within the header page.
 	maxSections = 16
@@ -130,8 +133,9 @@ func (h *header) encode() ([]byte, error) {
 	return buf, nil
 }
 
-// decodeHeader parses and CRC-verifies a header page.
-func decodeHeader(buf []byte, wantMagic uint32) (*header, error) {
+// decodeHeader parses and CRC-verifies a header page of the given magic
+// and version.
+func decodeHeader(buf []byte, wantMagic, wantVersion uint32) (*header, error) {
 	if len(buf) < headerLen {
 		return nil, fmt.Errorf("store: file shorter than one header page")
 	}
@@ -145,8 +149,8 @@ func decodeHeader(buf []byte, wantMagic uint32) (*header, error) {
 	if h.magic != wantMagic {
 		return nil, fmt.Errorf("store: bad magic %#x, want %#x", h.magic, wantMagic)
 	}
-	if h.version != formatVersion {
-		return nil, fmt.Errorf("store: unsupported format version %d", h.version)
+	if h.version != wantVersion {
+		return nil, fmt.Errorf("store: unsupported format version %d, want %d", h.version, wantVersion)
 	}
 	want := le.Uint32(buf[hdrOffCRC:])
 	scratch := make([]byte, headerLen)
@@ -348,7 +352,6 @@ func setBytes(s []topics.Set) []byte {
 // section padded to the next page boundary. The count returned is the
 // bytes w accepted, also on error.
 func writeImage(w io.Writer, h *header, secs [][]byte) (int64, error) {
-	h.version = formatVersion
 	h.sections = make([]section, len(secs))
 	off := uint64(headerLen)
 	for i, b := range secs {

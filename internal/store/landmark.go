@@ -73,7 +73,8 @@ func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 		topo = append(topo, l.Topo...)
 	})
 	h := &header{
-		magic: landmarkMagic,
+		magic:   landmarkMagic,
+		version: landmarkVersion,
 		meta: [maxMeta]uint64{
 			uint64(vocabLen),
 			uint64(s.TopN()),
@@ -169,7 +170,7 @@ const maxLandmarkID = 1 << 24
 
 // newLandmarks decodes a mapped LMK3 image.
 func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) {
-	h, err := decodeHeader(m.data, landmarkMagic)
+	h, err := decodeHeader(m.data, landmarkMagic, landmarkVersion)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,8 @@ func WriteSnapshot(w io.Writer, g *graph.Graph, perm *graph.Permutation) (int64,
 	}
 	d := g.CSR()
 	h := &header{
-		magic: snapshotMagic,
+		magic:   snapshotMagic,
+		version: snapshotVersion,
 		meta: [maxMeta]uint64{
 			uint64(g.NumNodes()),
 			uint64(g.NumEdges()),
@@ -147,7 +148,7 @@ func OpenSnapshot(path string, opts OpenOptions) (*Snapshot, error) {
 // newSnapshot decodes a mapped TRG2 image (split out so fuzzing can drive
 // it with in-memory corpora).
 func newSnapshot(m *mapping, size int64, opts OpenOptions) (*Snapshot, error) {
-	h, err := decodeHeader(m.data, snapshotMagic)
+	h, err := decodeHeader(m.data, snapshotMagic, snapshotVersion)
 	if err != nil {
 		return nil, err
 	}

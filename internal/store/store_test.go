@@ -167,7 +167,7 @@ func TestSnapshotRejectsUntransposedInRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
-	h, err := decodeHeader(img, snapshotMagic)
+	h, err := decodeHeader(img, snapshotMagic, snapshotVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +230,51 @@ func TestLandmarksRoundTrip(t *testing.T) {
 	requireStoresEqual(t, s, ls.Store())
 }
 
+// TestLandmarksRefuseVersion1: an LMK3 image is written at version 2,
+// whose list σ values are σ/g(t). A version-1 image, whose values are the
+// paper's σ, is refused at open with an error naming its version, even
+// with a valid header checksum, instead of being misread; the same image
+// at version 2 round-trips.
+func TestLandmarksRefuseVersion1(t *testing.T) {
+	s := testLandmarkStore(t)
+	path := filepath.Join(t.TempDir(), "l.lmk3")
+	if _, err := WriteLandmarksFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(buf, landmarkMagic, landmarkVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.version != 2 {
+		t.Fatalf("image written at version %d, want 2", h.version)
+	}
+	h.version = 1
+	page, err := h.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "v1.lmk3")
+	if err := os.WriteFile(old, append(page, buf[len(page):]...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if ls, err := OpenLandmarks(old, OpenOptions{Verify: true}); err == nil || !strings.Contains(err.Error(), "version 1") {
+		if ls != nil {
+			ls.Close() //nolint:errcheck
+		}
+		t.Fatalf("OpenLandmarks on a version-1 image: %v, want an error naming version 1", err)
+	}
+	ls, err := OpenLandmarks(path, OpenOptions{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	requireStoresEqual(t, s, ls.Store())
+}
+
 // TestLandmarksIgnoreReservedMeta: header meta [3] once carried a layout
 // generation, written nonzero by servers that relabeled their engines. A
 // file carrying one still opens, with the same lists.
@@ -243,7 +288,7 @@ func TestLandmarksIgnoreReservedMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := decodeHeader(buf, landmarkMagic)
+	h, err := decodeHeader(buf, landmarkMagic, landmarkVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +334,7 @@ func TestLandmarksStaleMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := decodeHeader(clean, landmarkMagic)
+	h, err := decodeHeader(clean, landmarkMagic, landmarkVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/authority"
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/gen"
@@ -567,10 +568,10 @@ func TestClosedHub(t *testing.T) {
 }
 
 // TestLargeBatchElsewhereRescoresNothing runs the hub on a real manager:
-// a 16-update batch that lands outside a subscription's neighbourhood and
-// moves no per-topic follower maximum is a local effect, so it triggers
-// neither a mark nor a re-score. Batch size alone no longer makes an
-// effect Global.
+// a 16-update batch that lands outside a subscription's neighbourhood is
+// a local effect, so it triggers neither a mark nor a re-score, whether
+// or not it moves a per-topic follower maximum. Neither batch size nor a
+// moved maximum makes an effect Global.
 func TestLargeBatchElsewhereRescoresNothing(t *testing.T) {
 	ds := gen.RandomWith(60, 600, 31)
 	// Two components: 0..29 holds the subscriber, 30..59 takes the batch.
@@ -641,8 +642,10 @@ func TestLargeBatchElsewhereRescoresNothing(t *testing.T) {
 			base.Rescores, st.Rescores, base.RescoreMarks, st.RescoreMarks)
 	}
 
-	// The same batch size, still in the other component, does re-score
-	// once it moves a maximum: node 30 takes the lead on the last topic.
+	// The same batch size, still in the other component, moving a
+	// maximum: node 30 takes the lead on the last topic. That changes the
+	// topic's global authority factor alone, which reorders nothing, so
+	// it re-scores nothing either.
 	batch = batch[:0]
 	for v := graph.NodeID(31); v < 47; v++ {
 		batch = append(batch, dynamic.Update{Edge: graph.Edge{Src: v, Dst: 30, Label: topics.NewSet(topics.ID(T - 1))}, Add: true})
@@ -651,8 +654,114 @@ func TestLargeBatchElsewhereRescoresNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	flush(t, h)
-	if st := h.Stats(); !last.Global || st.Rescores != base.Rescores+1 {
-		t.Errorf("batch moving a topic maximum: global %v, rescores %d -> %d, want one re-score",
-			last.Global, base.Rescores, st.Rescores)
+	if st := h.Stats(); last.Global || st.Rescores != base.Rescores || st.RescoreMarks != base.RescoreMarks {
+		t.Errorf("batch moving a topic maximum elsewhere: global %v, rescores %d -> %d, marks %d -> %d, want no change",
+			last.Global, base.Rescores, st.Rescores, base.RescoreMarks, st.RescoreMarks)
+	}
+}
+
+// TestMovedMaximumElsewhereKeepsLandmarkAnswersExact: a batch in one
+// component of the graph moves topic t's follower maximum, and with it
+// the global authority factor g(t) of every score on t. A landmark answer
+// on t from the other component, whose landmarks the batch does not
+// reach and so does not stale, then equals bit for bit the answer of a
+// manager built fresh on the post-batch graph: the stored lists hold
+// σ/g(t), and g(t) is read afresh by every answer. The batch's effect is
+// not Global, and the hub re-scores no subscription.
+func TestMovedMaximumElsewhereKeepsLandmarkAnswersExact(t *testing.T) {
+	ds := gen.RandomWith(60, 600, 31)
+	// Two components: 0..29 holds the querier, 30..59 takes the batch.
+	var cut []graph.Edge
+	for _, e := range ds.Graph.Edges() {
+		if (e.Src < 30) != (e.Dst < 30) {
+			cut = append(cut, e)
+		}
+	}
+	g0 := ds.Graph.WithoutEdges(cut)
+	lms := []graph.NodeID{3, 17, 33, 48}
+	cfg := dynamic.Config{
+		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 200, QueryDepth: 2,
+		Strategy: dynamic.Lazy, Scheduler: dynamic.SchedPriority, CompactFraction: 1000,
+	}
+	mgr, err := dynamic.NewManager(g0, lms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The querier follows landmark 3, so its answers fold 3's lists.
+	u := graph.NodeID(0)
+	for u < 30 && !g0.HasEdge(u, 3) {
+		u++
+	}
+	if u == 30 || u == 3 {
+		t.Fatalf("no querier follows landmark 3")
+	}
+	const topic = topics.ID(0)
+
+	h := New(Config{
+		Compute: func(_ context.Context, k Key) (Result, error) {
+			top, err := mgr.Recommend(k.User, k.Topic, k.N)
+			return Result{Scored: top}, err
+		},
+		Neighborhood: func(k Key) []graph.NodeID { return mgr.Neighborhood(k.User, false) },
+	})
+	t.Cleanup(h.Close)
+	var last dynamic.BatchEffect
+	mgr.SetBatchHook(func(fx dynamic.BatchEffect) {
+		last = fx
+		h.OnBatch(fx)
+	})
+	if _, err := h.Register(Key{User: u, Topic: topic, N: 5, Method: "landmark"}); err != nil {
+		t.Fatal(err)
+	}
+	flush(t, h)
+	base := h.Stats()
+	before, err := mgr.Recommend(u, topic, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Node 30 gains a follower on the topic from every other node of its
+	// component, which takes it past the topic's maximum.
+	var batch []dynamic.Update
+	for v := graph.NodeID(31); v < 60; v++ {
+		if !g0.HasEdge(v, 30) {
+			batch = append(batch, dynamic.Update{Edge: graph.Edge{Src: v, Dst: 30, Label: topics.NewSet(topic)}, Add: true})
+		}
+	}
+	if err := mgr.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	flush(t, h)
+	post := mgr.Graph().(*graph.Overlay).Compact()
+	if a, b := authority.Compute(g0).MaxFollowersOnTopic(topic), authority.Compute(post).MaxFollowersOnTopic(topic); a == b {
+		t.Fatalf("the batch left topic %d's maximum at %d", topic, a)
+	}
+	if last.Global {
+		t.Fatalf("effect of a batch moving a maximum elsewhere = %+v, want a local one", last)
+	}
+	if st := h.Stats(); st.Rescores != base.Rescores || st.RescoreMarks != base.RescoreMarks {
+		t.Errorf("batch moving a maximum elsewhere: rescores %d -> %d, marks %d -> %d, want no change",
+			base.Rescores, st.Rescores, base.RescoreMarks, st.RescoreMarks)
+	}
+
+	got, err := mgr.Recommend(u, topic, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := dynamic.NewManager(post, lms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Recommend(u, topic, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("answer after the batch %v, fresh manager %v", got, want)
+	}
+	// The answer moved with g(t) alone: the same candidates in the same
+	// order, every score rescaled.
+	if len(before) != len(got) || before[0].Node != got[0].Node || before[0].Score == got[0].Score {
+		t.Fatalf("answer before the batch %v, after %v: want the same ranking at another scale", before, got)
 	}
 }

@@ -297,7 +297,7 @@ func (s *System) Score(u, v NodeID, t Topic) (float64, error) {
 		return 0, fmt.Errorf("tr: unknown user %d", v)
 	}
 	x := s.eng.Explore(u, []Topic{t}, 0)
-	return x.Sigma(v, 0), nil
+	return s.eng.Norm(t) * x.Sigma(v, 0), nil
 }
 
 func (s *System) checkQuery(u NodeID, t Topic) error {
