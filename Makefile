@@ -94,6 +94,14 @@ fmt-check:
 # for the query alone (/manager): the request, the recorder, the metrics
 # middleware, the deadline, the cache insertion, the response and its JSON
 # encoding. It is gated at 64 + 2.
+# The standing-query marking (BenchmarkHubOnBatch, internal/subscribe: one
+# batch effect marked against 64 or 1024 subscription groups on the
+# 8000-node graph) takes 2 allocs/op: the effect's node bitset and the
+# per-group tier bytes. It took 15-34 while the hub kept a node→groups
+# map index. It is gated at 2 + 2, and the heap the hub retains per
+# (group, dependency node) pair at 8 bytes: a group keeps its dependency
+# set as one sorted node slice, ≈5 B/pair with the group's own overhead,
+# where the map index held 32-43.
 KERNEL_GATE_DENSE_ALLOCS ?= 135
 KERNEL_GATE_CONVERGED_ALLOCS ?= 8
 KERNEL_GATE_REFRESH1_ALLOCS ?= 300
@@ -101,6 +109,8 @@ KERNEL_GATE_REFRESH27_ALLOCS ?= 2600
 KERNEL_GATE_REFRESH27T1_ALLOCS ?= 360
 KERNEL_GATE_QUERY_ALLOCS ?= 7
 KERNEL_GATE_SERVE_ALLOCS ?= 66
+KERNEL_GATE_HUB_ALLOCS ?= 4
+KERNEL_GATE_HUB_BYTES_PER_PAIR ?= 8
 .PHONY: kernel-gate
 kernel-gate:
 	$(GO) test -run='^$$' -bench='^BenchmarkExplore(Dense|Converged)$$' -benchmem ./internal/core/ | \
@@ -122,6 +132,13 @@ kernel-gate:
 		/^BenchmarkServeRecommend\/handler-/ { seenS = 1; if ($$7+0 > serve) { printf "kernel-gate: served request %d allocs/op exceeds baseline %d\n", $$7, serve; bad = 1 } } \
 		/^FAIL/ { bad = 1 } \
 		END { if (!seenS) { print "kernel-gate: serving benchmark did not run"; bad = 1 } exit bad }'
+	$(GO) test -run='^$$' -bench='^BenchmarkHubOnBatch$$' -benchmem ./internal/subscribe/ | \
+	awk -v hub=$(KERNEL_GATE_HUB_ALLOCS) -v pair=$(KERNEL_GATE_HUB_BYTES_PER_PAIR) '{ print } \
+		/^BenchmarkHubOnBatch\// { seenH++; \
+			if ($$NF != "allocs/op" || $$(NF-1)+0 > hub) { printf "kernel-gate: hub marking %s %s allocs/op exceeds baseline %d\n", $$1, $$(NF-1), hub; bad = 1 } \
+			for (i = 2; i < NF; i++) if ($$(i+1) == "B/pair" && $$i+0 > pair) { printf "kernel-gate: hub %s retains %s B/pair, bound %d\n", $$1, $$i, pair; bad = 1 } } \
+		/^FAIL/ { bad = 1 } \
+		END { if (seenH != 4) { print "kernel-gate: hub benchmark did not run"; bad = 1 } exit bad }'
 
 # bench watches the hot path: the Explore microbenchmarks (allocs/op is
 # the regression guard for the exploration loop; BenchmarkExploreConverged
@@ -130,12 +147,15 @@ kernel-gate:
 # on the 3000-node Twitter graph and the 8000-node serving shape, the
 # overlay-vs-rebuild delta apply, the per-update cost of Manager.Apply at
 # batch sizes 1/4/16/64 on the streaming 8000-node manager and its
-# invalidation pass alone on 16-update batches, and the evaluation sweep at parallelism 1 and GOMAXPROCS. The whole stack is
+# invalidation pass alone on 16-update batches, the standing-query
+# marking of one batch effect at 64 and 1024 subscription groups, and the
+# evaluation sweep at parallelism 1 and GOMAXPROCS. The whole stack is
 # measured by bench-e2e below.
 bench:
 	$(GO) test -bench=BenchmarkExplore -benchmem ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkPreprocessRefresh|BenchmarkApproxQuery' -benchmem ./internal/landmark/
 	$(GO) test -run='^$$' -bench='BenchmarkApplyBatch|BenchmarkAffectedLandmarks' -benchmem ./internal/dynamic/
+	$(GO) test -run='^$$' -bench=BenchmarkHubOnBatch -benchmem ./internal/subscribe/
 	$(GO) test -bench=BenchmarkWithoutEdges -benchmem ./internal/graph/
 	$(GO) test -bench=BenchmarkLinkPrediction -benchmem ./internal/eval/
 

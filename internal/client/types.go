@@ -110,8 +110,9 @@ type UpdateItem struct {
 // UpdateResponse is the POST /v1/update payload. Zero-valued fields are
 // omitted on the wire: a synchronous apply (200) carries Applied,
 // Refreshes, Stale and Epoch; a streaming-ingestion accept (202) carries
-// Accepted, QueueDepth and QueueCap. Refreshes is StatsResponse.Refreshes
-// after the batch.
+// Accepted, QueueDepth and QueueCap. Refreshes counts the whole-landmark
+// refreshes this batch ran (its share of StatsResponse.Refreshes); Stale
+// and Epoch are the state after it.
 type UpdateResponse struct {
 	Applied   int    `json:"applied,omitempty"`
 	Refreshes int    `json:"refreshes,omitempty"`

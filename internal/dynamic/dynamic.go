@@ -627,14 +627,25 @@ type Update struct {
 // refreshes them per the strategy. Within one batch removal wins over an
 // add of the same (src, dst), matching the legacy rebuild semantics.
 func (m *Manager) Apply(batch []Update) error {
+	_, err := m.ApplyRefreshes(batch)
+	return err
+}
+
+// ApplyRefreshes is Apply that also returns how many whole-landmark
+// refreshes this batch ran (Eager, Threshold; 0 under Lazy, whose
+// refreshes run at query time) — Stats().Refreshes is the running total
+// over every batch.
+func (m *Manager) ApplyRefreshes(batch []Update) (int, error) {
 	m.mu.Lock()
+	before := m.stats.Refreshes
 	err := m.applyLocked(batch, true)
+	refreshes := m.stats.Refreshes - before
 	fx, hook := m.takeEffectsLocked()
 	m.mu.Unlock()
 	for _, f := range fx {
 		hook(f)
 	}
-	return err
+	return refreshes, err
 }
 
 // SetBatchHook registers fn to observe a BatchEffect for every batch

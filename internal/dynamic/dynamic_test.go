@@ -609,7 +609,7 @@ func TestAdoptedStoreKeepsItsListLength(t *testing.T) {
 	}
 	for _, l := range lms {
 		d := adopted.store.Get(l)
-		for _, list := range append(append([]landmark.List{}, d.Topical...), d.TopoTop) {
+		for _, list := range d.Topical {
 			if list.Len() > short.TopN() {
 				t.Fatalf("landmark %d holds a list of %d entries, the store's length is %d", l, list.Len(), short.TopN())
 			}

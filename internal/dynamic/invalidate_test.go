@@ -272,7 +272,7 @@ func TestInvalidationHorizonCoversFactoredPaths(t *testing.T) {
 	}
 	// listed reports whether any of d's lists ranks the spare node.
 	listed := func(d *landmark.Data) bool {
-		for _, l := range append(slices.Clone(d.Topical), d.TopoTop) {
+		for _, l := range d.Topical {
 			if slices.Contains(l.Nodes, spare) {
 				return true
 			}
@@ -307,11 +307,8 @@ func TestInvalidationHorizonCoversFactoredPaths(t *testing.T) {
 	if !listed(got) || got.Iterations < wd.Iterations {
 		t.Fatalf("refreshed lists: spare node ranked %v, horizon %d; fresh preprocessing %d", listed(got), got.Iterations, wd.Iterations)
 	}
-	for ti := 0; ti <= T; ti++ {
-		g, w := got.TopoTop, wd.TopoTop
-		if ti < T {
-			g, w = got.Topical[ti], wd.Topical[ti]
-		}
+	for ti := 0; ti < T; ti++ {
+		g, w := got.Topical[ti], wd.Topical[ti]
 		if !slices.Equal(g.Nodes, w.Nodes) || !slices.Equal(g.Sigma, w.Sigma) || !slices.Equal(g.Topo, w.Topo) {
 			t.Fatalf("list %d: refreshed %v, fresh preprocessing %v", ti, g, w)
 		}

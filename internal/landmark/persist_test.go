@@ -75,8 +75,10 @@ func requireSameStore(t *testing.T, want, got *landmark.Store) {
 		if a.Iterations != b.Iterations {
 			t.Errorf("iterations differ for %d", lm)
 		}
-		la := append(append([]landmark.List{}, a.Topical...), a.TopoTop)
-		lb := append(append([]landmark.List{}, b.Topical...), b.TopoTop)
+		la, lb := a.Topical, b.Topical
+		if len(la) != len(lb) {
+			t.Fatalf("landmark %d: %d lists vs %d", lm, len(la), len(lb))
+		}
 		for li := range la {
 			if la[li].Len() != lb[li].Len() {
 				t.Fatalf("list %d of %d: length %d vs %d", li, lm, la[li].Len(), lb[li].Len())

@@ -61,7 +61,7 @@ func (s PreprocessStats) PerLandmark() time.Duration {
 
 // Preprocess runs Algorithm 1 to convergence from every landmark (all
 // topics, engine MaxDepth as the large maxk) and stores the per-topic
-// top-n lists and the top-n topological list.
+// top-n lists, each entry with its node's topological score.
 //
 // Every exploration runs in factored form (core.InAdjacency.Explore,
 // Proposition 2): one in-adjacency is built for the call, shared
@@ -101,23 +101,21 @@ func preprocess(eng *core.Engine, landmarks []graph.NodeID, cfg PreprocessConfig
 }
 
 // TopicLists is what a per-topic refresh recomputes for one landmark: its
-// list on the topic, its topological list and the length of the longest
-// paths the exploration behind them holds.
+// list on the topic and the length of the longest paths the exploration
+// behind it holds.
 type TopicLists struct {
 	Landmark   graph.NodeID
 	Topical    List
-	TopoTop    List
 	Iterations int
 }
 
 // PreprocessTopic reruns Algorithm 1 from every landmark for topic t
-// alone and returns, in input order, each landmark's topic-t list and
-// topological list (Store.PutTopic installs them). The landmarks share
-// factored explorations in groups of up to
-// core.InAdjacency.MaxSources(1), spread across the workers with one
-// in-adjacency per call, as Preprocess does. Each (landmark, topic)
-// column converges on its own, so both lists are bit-identical to the
-// ones Preprocess builds over the same engine; Iterations may be shorter,
+// alone and returns, in input order, each landmark's topic-t list
+// (Store.PutTopic installs it). The landmarks share factored
+// explorations in groups of up to core.InAdjacency.MaxSources(1), spread
+// across the workers with one in-adjacency per call, as Preprocess does. Each (landmark, topic)
+// column converges on its own, so the list is bit-identical to the one
+// Preprocess builds over the same engine; Iterations may be shorter,
 // since it covers only the columns this call ran. A group whose factored
 // form does not converge within MaxDepth falls back to the hop recurrence
 // on topic t, landmark by landmark.
@@ -127,7 +125,6 @@ func PreprocessTopic(eng *core.Engine, landmarks []graph.NodeID, t topics.ID, cf
 		out[i] = TopicLists{
 			Landmark:   landmarks[i],
 			Topical:    lists.list(x, 0),
-			TopoTop:    lists.list(x, topoList),
 			Iterations: x.Iterations,
 		}
 	})

@@ -33,7 +33,6 @@ func equalStores(t *testing.T, label string, got, want *Store) {
 		for ti := range wd.Topical {
 			equalLists(t, label, lm, ti, gd.Topical[ti], wd.Topical[ti])
 		}
-		equalLists(t, label, lm, -1, gd.TopoTop, wd.TopoTop)
 	}
 }
 
@@ -240,7 +239,6 @@ func checkFloat64Contract(t *testing.T, fixture string, frozen *core.Engine, lms
 			for ti := range wd.Topical {
 				closeLists(t, label, gd.Topical[ti], wd.Topical[ti], sigmaOf, topoOf)
 			}
-			closeLists(t, label+" topo", gd.TopoTop, wd.TopoTop, topoOf, sigmaOf)
 		}
 	}
 }
@@ -309,10 +307,10 @@ func TestPreprocessMetrics(t *testing.T) {
 
 // TestPreprocessTopicMatchesPreprocess: a per-topic refresh over many
 // landmarks, whatever the worker count, builds for every topic the
-// topical list and the topological list Preprocess builds over the same
-// engine, bit for bit, with a horizon no longer than Preprocess's — on
-// the 2000-node graph frozen and as a decay-weighted overlay stack, with
-// more landmarks than one factored exploration carries.
+// topical list Preprocess builds over the same engine, bit for bit, with
+// a horizon no longer than Preprocess's — on the 2000-node graph frozen
+// and as a decay-weighted overlay stack, with more landmarks than one
+// factored exploration carries.
 func TestPreprocessTopicMatchesPreprocess(t *testing.T) {
 	frozen, g2k := benchSetup(t, 2000)
 	lms, err := Select(g2k.Graph, InDeg, 15, DefaultSelectConfig())
@@ -339,7 +337,6 @@ func TestPreprocessTopicMatchesPreprocess(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s workers=%d", tc.label, workers)
 					equalLists(t, label, lms[i], tp, tl.Topical, wd.Topical[tp])
-					equalLists(t, label, lms[i], -1, tl.TopoTop, wd.TopoTop)
 				}
 			}
 		}
@@ -347,8 +344,8 @@ func TestPreprocessTopicMatchesPreprocess(t *testing.T) {
 }
 
 // TestStorePutTopic: installing a per-topic refresh replaces one topical
-// list and the topological list, keeps the others, never lowers the
-// horizon and leaves a store sharing the old data untouched.
+// list, keeps the others, never lowers the horizon and leaves a store
+// sharing the old data untouched.
 func TestStorePutTopic(t *testing.T) {
 	eng, ds := benchSetup(t, 2000)
 	lms, err := Select(ds.Graph, InDeg, 3, DefaultSelectConfig())
@@ -361,7 +358,6 @@ func TestStorePutTopic(t *testing.T) {
 	fresh := TopicLists{
 		Landmark:   lms[1],
 		Topical:    List{Nodes: []graph.NodeID{7}, Sigma: []float64{1}, Topo: []float64{2}},
-		TopoTop:    List{Nodes: []graph.NodeID{9}, Sigma: []float64{0}, Topo: []float64{3}},
 		Iterations: old.Iterations - 1,
 	}
 	if err := s.PutTopic(4, fresh); err != nil {
@@ -372,7 +368,6 @@ func TestStorePutTopic(t *testing.T) {
 		t.Fatalf("horizon %d after a shorter refresh, want %d kept", d.Iterations, old.Iterations)
 	}
 	equalLists(t, "refreshed", lms[1], 4, d.Topical[4], fresh.Topical)
-	equalLists(t, "refreshed", lms[1], -1, d.TopoTop, fresh.TopoTop)
 	for ti := range d.Topical {
 		if ti != 4 {
 			equalLists(t, "kept", lms[1], ti, d.Topical[ti], old.Topical[ti])

@@ -32,14 +32,12 @@ func (l *List) append1(v graph.NodeID, sigma, topo float64) {
 }
 
 // Data is everything preprocessed for one landmark: a per-topic top-n
-// inverted list plus the top-n topological list.
+// inverted list, each entry carrying its node's topo_β beside its σ
+// (all Algorithm 2 reads).
 type Data struct {
 	Landmark graph.NodeID
 	// Topical[t] ranks nodes by σ(λ, ·, t).
 	Topical []List
-	// TopoTop ranks nodes by topo_β(λ, ·); its Sigma slice holds the
-	// corresponding σ values on no particular topic and is zero.
-	TopoTop List
 	// Iterations is how many hops the preprocessing exploration ran.
 	Iterations int
 }
@@ -108,9 +106,8 @@ func (s *Store) Put(d *Data) error {
 }
 
 // PutTopic installs a per-topic refresh of landmark tl.Landmark: its list
-// on topic t and its topological list, keeping its other lists. The data
-// is replaced, not edited, so a store sharing the old data (Subset) keeps
-// it. The recorded horizon only grows: the lists kept may hold longer
+// on topic t, keeping its other lists. The data is replaced, not edited,
+// so a store sharing the old data (Subset) keeps it. The recorded horizon only grows: the lists kept may hold longer
 // paths than the refresh's exploration ran.
 func (s *Store) PutTopic(t topics.ID, tl TopicLists) error {
 	old := s.Get(tl.Landmark)
@@ -123,7 +120,6 @@ func (s *Store) PutTopic(t topics.ID, tl TopicLists) error {
 	d := &Data{
 		Landmark:   tl.Landmark,
 		Topical:    slices.Clone(old.Topical),
-		TopoTop:    tl.TopoTop,
 		Iterations: max(old.Iterations, tl.Iterations),
 	}
 	d.Topical[t] = tl.Topical
@@ -175,12 +171,8 @@ func (s *Store) CheckNodes(n int) error {
 			return fmt.Errorf("landmark: landmark %d outside the %d-node graph", lm, n)
 		}
 		d := s.data[lm]
-		// Lists 0..T-1 are the topical ones, list T the topological one.
-		for li := 0; li <= len(d.Topical); li++ {
-			l := &d.TopoTop
-			if li < len(d.Topical) {
-				l = &d.Topical[li]
-			}
+		for li := range d.Topical {
+			l := &d.Topical[li]
 			for i, w := range l.Nodes {
 				if int(w) >= n {
 					return fmt.Errorf("landmark: landmark %d list %d names node %d outside the %d-node graph", lm, li, w, n)
@@ -203,7 +195,6 @@ func (s *Store) Bytes() int {
 		for i := range d.Topical {
 			total += d.Topical[i].Len() * (4 + 8 + 8)
 		}
-		total += d.TopoTop.Len() * (4 + 8 + 8)
 	}
 	return total
 }
@@ -220,9 +211,6 @@ func newListBuilder(vocabLen, topN int) *listBuilder {
 	return &listBuilder{vocabLen: vocabLen, topN: topN}
 }
 
-// topoList asks list for the topological list.
-const topoList = -1
-
 // build ranks x's reached nodes into l's lists. x must cover the whole
 // vocabulary in topic order.
 func (lb *listBuilder) build(l graph.NodeID, x *core.Exploration) *Data {
@@ -230,35 +218,23 @@ func (lb *listBuilder) build(l graph.NodeID, x *core.Exploration) *Data {
 	for ti := range d.Topical {
 		d.Topical[ti] = lb.list(x, ti)
 	}
-	d.TopoTop = lb.list(x, topoList)
 	return d
 }
 
-// list ranks x's reached nodes by σ on x.Topics[ti], or by topo_β for
-// topoList: it gathers the positive scores once and selects the top n.
-// A topical entry carries its node's topo_β beside its σ.
+// list ranks x's reached nodes by σ on x.Topics[ti]: it gathers the
+// positive scores once and selects the top n. Each entry carries its
+// node's topo_β beside its σ.
 func (lb *listBuilder) list(x *core.Exploration, ti int) List {
 	lb.cand = lb.cand[:0]
 	for _, v := range x.Reached {
-		var sc float64
-		if ti == topoList {
-			sc = x.TopoB(v)
-		} else {
-			sc = x.Sigma(v, ti)
-		}
-		if sc > 0 {
+		if sc := x.Sigma(v, ti); sc > 0 {
 			lb.cand = append(lb.cand, ranking.Scored{Node: v, Score: sc})
 		}
 	}
 	ranked := ranking.SelectTop(lb.cand, lb.topN)
 	lst := newList(len(ranked))
 	for i, e := range ranked {
-		lst.Nodes[i] = e.Node
-		if ti != topoList {
-			lst.Sigma[i], lst.Topo[i] = e.Score, x.TopoB(e.Node)
-		} else {
-			lst.Topo[i] = e.Score
-		}
+		lst.Nodes[i], lst.Sigma[i], lst.Topo[i] = e.Node, e.Score, x.TopoB(e.Node)
 	}
 	return lst
 }
@@ -303,7 +279,6 @@ func (s *Store) SubsetNodes(keep func(graph.NodeID) bool) *Store {
 		for i := range d.Topical {
 			nd.Topical[i] = filterList(d.Topical[i], keep)
 		}
-		nd.TopoTop = filterList(d.TopoTop, keep)
 		ns.Put(nd) //nolint:errcheck // same vocabLen by construction
 	}
 	return ns
@@ -340,7 +315,6 @@ func (s *Store) Truncated(n int) *Store {
 		for i := range d.Topical {
 			nd.Topical[i] = truncList(d.Topical[i], n)
 		}
-		nd.TopoTop = truncList(d.TopoTop, n)
 		ns.Put(nd) //nolint:errcheck // same vocabLen by construction
 	}
 	return ns

@@ -752,7 +752,8 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// The batch hook fires inside Apply (cache invalidation + standing-
 	// query marking), so by the time this returns, reads are already at
 	// the new generation.
-	if err := s.mgr.Apply(batch); err != nil {
+	refreshes, err := s.mgr.ApplyRefreshes(batch)
+	if err != nil {
 		s.writeError(w, errf(http.StatusInternalServerError, client.CodeInternal, "applying updates: %v", err))
 		return
 	}
@@ -760,7 +761,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	st := s.mgr.Stats()
 	writeJSON(w, http.StatusOK, &client.UpdateResponse{
 		Applied:   len(batch),
-		Refreshes: st.Refreshes,
+		Refreshes: refreshes,
 		Stale:     st.StaleNow,
 		Epoch:     st.Epoch,
 	})

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/metrics"
 )
@@ -324,6 +325,49 @@ func TestMethodNotAllowed(t *testing.T) {
 		}
 		if resp.Header.Get("Allow") == "" {
 			t.Errorf("%s %s: missing Allow header", c.method, c.path)
+		}
+	}
+}
+
+// TestUpdateReportsItsOwnRefreshes: under Eager, a synchronous update
+// answers with the whole-landmark refreshes its own batch ran. Two
+// consecutive batches, each adding a follow out of a different landmark,
+// both refresh; the second answer equals the growth of /v1/stats'
+// landmark_refreshes across it, not the running total.
+func TestUpdateReportsItsOwnRefreshes(t *testing.T) {
+	cfg := gen.DefaultTwitterConfig()
+	cfg.Nodes = 600
+	cfg.Seed = 5
+	ds, err := gen.Twitter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 6, landmark.DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := dynamic.NewManager(ds.Graph, lms, dynamic.Config{
+		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 100, QueryDepth: 2, Strategy: dynamic.Eager,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta))
+	var stats [3]client.StatsResponse
+	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &stats[0])
+	for i, lm := range lms[:2] {
+		dst := graph.NodeID(0)
+		for dst == lm || ds.Graph.HasEdge(lm, dst) {
+			dst++
+		}
+		var applied client.UpdateResponse
+		postJSON(t, srv.URL+"/v1/update", client.UpdateRequest{Updates: []client.UpdateItem{
+			{Src: uint32(lm), Dst: uint32(dst), Topics: []string{"technology"}},
+		}}, http.StatusOK, &applied)
+		getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &stats[i+1])
+		if grew := stats[i+1].Refreshes - stats[i].Refreshes; applied.Refreshes < 1 || applied.Refreshes != grew {
+			t.Errorf("batch %d: update answered refreshes %d, landmark_refreshes grew %d -> %d; want the growth, at least 1",
+				i+1, applied.Refreshes, stats[i].Refreshes, stats[i+1].Refreshes)
 		}
 	}
 }

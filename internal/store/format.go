@@ -48,9 +48,11 @@ const (
 	walMagic      = 0x5452574c // "TRWL"
 
 	// Header versions; an image at another one is refused at open. LMK3
-	// version 1 held the paper's σ, version 2 holds σ/g(t) (landmark.List).
+	// version 1 held the paper's σ, version 2 σ/g(t) (landmark.List) and a
+	// topological list per landmark after its topical ones; version 3
+	// holds the topical lists alone.
 	snapshotVersion = 1
-	landmarkVersion = 2
+	landmarkVersion = 3
 
 	// maxSections bounds the section table within the header page.
 	maxSections = 16

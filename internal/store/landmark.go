@@ -17,10 +17,9 @@ import (
 //
 //	0 lmIDs    L × u32            landmark ids, insertion order
 //	1 lmIters  L × u32            exploration iterations per landmark
-//	2 listIdx  (L×(V+1) + 1) × u64  prefix offsets into the entry columns:
+//	2 listIdx  (L×V + 1) × u64    prefix offsets into the entry columns:
 //	                               landmark i's topical list t is
-//	                               [idx[i×(V+1)+t], idx[i×(V+1)+t+1]),
-//	                               its topo list sits at t = V
+//	                               [idx[i×V+t], idx[i×V+t+1])
 //	3 nodes    E × u32            recommended-node column
 //	4 sigma    E × f64            σ column
 //	5 topo     E × f64            topo_β column
@@ -48,15 +47,14 @@ const (
 func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 	lms := s.Landmarks()
 	vocabLen := s.VocabLen()
-	listsPer := vocabLen + 1
 	ids := make([]uint32, len(lms))
 	iters := make([]uint32, len(lms))
 	stale := make([]uint32, len(lms))
-	idx := make([]uint64, len(lms)*listsPer+1)
+	idx := make([]uint64, len(lms)*vocabLen+1)
 	var total uint64
 	forEachList(s, func(i, li int, l *landmark.List) {
 		total += uint64(l.Len())
-		idx[i*listsPer+li+1] = total
+		idx[i*vocabLen+li+1] = total
 	})
 	nodes := make([]graph.NodeID, 0, total)
 	sigma := make([]float64, 0, total)
@@ -95,14 +93,13 @@ func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 }
 
 // forEachList visits every list of every landmark in file order: the
-// vocabLen topical lists, then the topo list, per landmark.
+// vocabLen topical lists per landmark.
 func forEachList(s *landmark.Store, f func(lmIdx, listIdx int, l *landmark.List)) {
 	for i, lm := range s.Landmarks() {
 		d := s.Get(lm)
 		for t := range d.Topical {
 			f(i, t, &d.Topical[t])
 		}
-		f(i, len(d.Topical), &d.TopoTop)
 	}
 }
 
@@ -184,8 +181,7 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 	if numLm > 1<<24 || total > 1<<40 {
 		return nil, fmt.Errorf("store: implausible store shape (%d landmarks, %d entries)", numLm, total)
 	}
-	listsPer := vocabLen + 1
-	nIdx := numLm*listsPer + 1
+	nIdx := numLm*vocabLen + 1
 	want := []struct {
 		sec   int
 		bytes uint64
@@ -253,8 +249,8 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 			Iterations: int(iters[i]),
 			Topical:    make([]landmark.List, vocabLen),
 		}
-		for li := uint64(0); li <= vocabLen; li++ {
-			k := i*listsPer + li
+		for li := uint64(0); li < vocabLen; li++ {
+			k := i*vocabLen + li
 			lo, hi := idx[k], idx[k+1]
 			if hi < lo || hi > total {
 				return nil, fmt.Errorf("store: list index corrupt at landmark %d list %d", i, li)
@@ -270,11 +266,7 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 			if opts.Verify && !sortedBySigma(l.Sigma) {
 				return nil, fmt.Errorf("store: list %d of landmark %d not ranked", li, ids[i])
 			}
-			if li < vocabLen {
-				d.Topical[li] = l
-			} else {
-				d.TopoTop = l
-			}
+			d.Topical[li] = l
 		}
 		if err := s.Put(d); err != nil {
 			return nil, err

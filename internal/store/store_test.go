@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -204,11 +205,6 @@ func testLandmarkStore(t testing.TB) *landmark.Store {
 			}
 			d.Topical[tpc] = l
 		}
-		d.TopoTop = landmark.List{
-			Nodes: []graph.NodeID{200, 201},
-			Sigma: []float64{0.9, 0.8},
-			Topo:  []float64{0.7, 0.6},
-		}
 		if err := s.Put(d); err != nil {
 			t.Fatal(err)
 		}
@@ -230,12 +226,27 @@ func TestLandmarksRoundTrip(t *testing.T) {
 	requireStoresEqual(t, s, ls.Store())
 }
 
-// TestLandmarksRefuseVersion1: an LMK3 image is written at version 2,
-// whose list σ values are σ/g(t). A version-1 image, whose values are the
-// paper's σ, is refused at open with an error naming its version, even
-// with a valid header checksum, instead of being misread; the same image
-// at version 2 round-trips.
+// TestLandmarksRefuseVersion1: an LMK3 image is written at version 3. A
+// version-1 image, whose list σ values are the paper's σ rather than
+// σ/g(t), is refused at open with an error naming its version, even with
+// a valid header checksum, instead of being misread; the same image at
+// version 3 round-trips.
 func TestLandmarksRefuseVersion1(t *testing.T) {
+	requireLandmarksRefuseVersion(t, 1)
+}
+
+// TestLandmarksRefuseVersion2: a version-2 image holds a topological list
+// per landmark after its topical ones, which version 3 dropped; it is
+// refused at open with an error naming its version.
+func TestLandmarksRefuseVersion2(t *testing.T) {
+	requireLandmarksRefuseVersion(t, 2)
+}
+
+// requireLandmarksRefuseVersion relabels a freshly written LMK3 image as
+// version v and requires OpenLandmarks to refuse it by that version,
+// while the image as written round-trips.
+func requireLandmarksRefuseVersion(t *testing.T, v uint32) {
+	t.Helper()
 	s := testLandmarkStore(t)
 	path := filepath.Join(t.TempDir(), "l.lmk3")
 	if _, err := WriteLandmarksFile(path, s); err != nil {
@@ -249,23 +260,24 @@ func TestLandmarksRefuseVersion1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.version != 2 {
-		t.Fatalf("image written at version %d, want 2", h.version)
+	if h.version != 3 {
+		t.Fatalf("image written at version %d, want 3", h.version)
 	}
-	h.version = 1
+	h.version = v
 	page, err := h.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := filepath.Join(t.TempDir(), "v1.lmk3")
+	old := filepath.Join(t.TempDir(), "old.lmk3")
 	if err := os.WriteFile(old, append(page, buf[len(page):]...), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if ls, err := OpenLandmarks(old, OpenOptions{Verify: true}); err == nil || !strings.Contains(err.Error(), "version 1") {
+	name := fmt.Sprintf("version %d", v)
+	if ls, err := OpenLandmarks(old, OpenOptions{Verify: true}); err == nil || !strings.Contains(err.Error(), name) {
 		if ls != nil {
 			ls.Close() //nolint:errcheck
 		}
-		t.Fatalf("OpenLandmarks on a version-1 image: %v, want an error naming version 1", err)
+		t.Fatalf("OpenLandmarks on a %s image: %v, want an error naming %s", name, err, name)
 	}
 	ls, err := OpenLandmarks(path, OpenOptions{Verify: true})
 	if err != nil {
@@ -393,10 +405,10 @@ func requireStoresEqual(t testing.TB, want, got *landmark.Store) {
 		if want.Stale(lm) != got.Stale(lm) {
 			t.Fatalf("landmark %d stale topics: want %v, got %v", lm, want.Stale(lm).Topics(), got.Stale(lm).Topics())
 		}
-		lists := func(d *landmark.Data) []landmark.List {
-			return append(append([]landmark.List{}, d.Topical...), d.TopoTop)
+		wl, gl := wd.Topical, gd.Topical
+		if len(wl) != len(gl) {
+			t.Fatalf("landmark %d: want %d lists, got %d", lm, len(wl), len(gl))
 		}
-		wl, gl := lists(wd), lists(gd)
 		for li := range wl {
 			if len(wl[li].Nodes) != len(gl[li].Nodes) {
 				t.Fatalf("landmark %d list %d: want %d entries, got %d", lm, li, len(wl[li].Nodes), len(gl[li].Nodes))

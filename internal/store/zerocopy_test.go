@@ -79,18 +79,14 @@ func TestOpenLandmarksIsZeroCopy(t *testing.T) {
 		s := landmark.NewStore(vocabLen, topN)
 		for lm := 0; lm < numLm; lm++ {
 			d := &landmark.Data{Landmark: graph.NodeID(lm), Topical: make([]landmark.List, vocabLen)}
-			for li := 0; li <= vocabLen; li++ {
+			for li := range d.Topical {
 				var l landmark.List
 				for k := 0; k < topN; k++ {
 					l.Nodes = append(l.Nodes, graph.NodeID(k))
 					l.Sigma = append(l.Sigma, 1/float64(k+1))
 					l.Topo = append(l.Topo, 1/float64(k+2))
 				}
-				if li < vocabLen {
-					d.Topical[li] = l
-				} else {
-					d.TopoTop = l
-				}
+				d.Topical[li] = l
 			}
 			if err := s.Put(d); err != nil {
 				t.Fatal(err)

@@ -3,19 +3,19 @@
 // set/rank deltas when an ingested batch actually moves them, instead of
 // being polled.
 //
-// The Hub inverts the dynamic manager's per-batch dirty set
-// (dynamic.BatchEffect) into an affected-subscription index: every
-// registered (user, topic, n, method) group is indexed under the nodes
-// its recommendation depends on (Manager.Neighborhood — the query's own
+// Every registered (user, topic, n, method) group keeps the nodes its
+// recommendation depends on (Manager.Neighborhood — the query's own
 // exploration region, whose met landmarks' lists are recomputed from
-// exactly that region), so a batch marks dirty only the groups whose
-// endpoints, staled landmarks or refreshed landmarks intersect their
-// region — batches touching no subscribed neighborhood trigger zero
-// re-scores. Dirty groups drain through one budgeted worker whose
-// Compute callback is the server's coalesced/degradable serving path, so
-// S subscribers of the same key cost one re-score per generation and
-// pressure degrades exact-Tr re-scores to the landmark engine with
-// "degraded":true stamped on the pushed events.
+// exactly that region) as one sorted node slice. The Hub matches the
+// dynamic manager's per-batch dirty set (dynamic.BatchEffect) against
+// those slices: a batch marks dirty only the groups whose region holds
+// one of its endpoints, staled landmarks or refreshed landmarks —
+// batches touching no subscribed neighborhood trigger zero re-scores.
+// Dirty groups drain through one budgeted worker whose Compute callback
+// is the server's coalesced/degradable serving path, so S subscribers of
+// the same key cost one re-score per generation and pressure degrades
+// exact-Tr re-scores to the landmark engine with "degraded":true stamped
+// on the pushed events.
 //
 // Per subscription the Hub keeps the last pushed top-k and a bounded
 // event ring: a re-score whose top-k membership and order are unchanged
@@ -75,7 +75,7 @@ type Config struct {
 	Compute func(ctx context.Context, k Key) (Result, error)
 	// Neighborhood returns the dependency set of a key's recommendation
 	// (Manager.Neighborhood); re-resolved after every re-score so the
-	// index follows the graph.
+	// group's dependency set follows the graph. The Hub copies it.
 	Neighborhood func(k Key) []graph.NodeID
 	// Metrics, when non-nil, receives the hub's counters, gauges and the
 	// push-latency histogram.
@@ -100,7 +100,8 @@ var (
 type group struct {
 	key  Key
 	subs map[*sub]struct{}
-	// nodes is the currently indexed dependency set.
+	// nodes is the current dependency set (depSet): sorted, without
+	// duplicates or spare capacity, 4 bytes per node.
 	nodes []graph.NodeID
 	// pending marks the group as queued in Hub.dirty; further marks
 	// coalesce into the queued entry.
@@ -139,10 +140,10 @@ type takeItem struct {
 type Hub struct {
 	cfg Config
 
-	mu     sync.Mutex
-	subs   map[string]*sub
-	groups map[Key]*group
-	index  map[graph.NodeID]map[*group]struct{}
+	mu   sync.Mutex
+	subs map[string]*sub
+	// groups holds every live group, sorted by Key (compareKeys).
+	groups []*group
 	dirty  []*group // FIFO of pending groups
 	epoch  uint64   // freshest epoch seen from OnBatch
 	nextID uint64
@@ -180,13 +181,11 @@ func New(cfg Config) *Hub {
 		cfg.EventBuffer = 64
 	}
 	h := &Hub{
-		cfg:    cfg,
-		subs:   make(map[string]*sub),
-		groups: make(map[Key]*group),
-		index:  make(map[graph.NodeID]map[*group]struct{}),
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:  cfg,
+		subs: make(map[string]*sub),
+		wake: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	h.stats.Max = cfg.MaxSubscriptions
 	if reg := cfg.Metrics; reg != nil {
@@ -228,7 +227,7 @@ func (h *Hub) Close() {
 // snapshot is pushed asynchronously by the worker (as a Reset event).
 func (h *Hub) Register(k Key) (string, error) {
 	// Resolve the dependency set outside the lock (it BFSes the graph).
-	nodes := h.cfg.Neighborhood(k)
+	nodes := depSet(h.cfg.Neighborhood(k))
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -237,12 +236,11 @@ func (h *Hub) Register(k Key) (string, error) {
 	if len(h.subs) >= h.cfg.MaxSubscriptions {
 		return "", ErrLimit
 	}
-	g := h.groups[k]
-	if g == nil {
-		g = &group{key: k, subs: make(map[*sub]struct{})}
-		h.groups[k] = g
-		h.indexLocked(g, nodes)
+	i, found := h.findLocked(k)
+	if !found {
+		h.groups = slices.Insert(h.groups, i, &group{key: k, subs: make(map[*sub]struct{}), nodes: nodes})
 	}
+	g := h.groups[i]
 	h.nextID++
 	s := &sub{
 		id:     "s" + strconv.FormatUint(h.nextID, 10),
@@ -272,10 +270,11 @@ func (h *Hub) Unsubscribe(id string) error {
 	g := s.grp
 	delete(g.subs, s)
 	if len(g.subs) == 0 {
-		// Last member: drop the group and its index entries. A queued
+		// Last member: drop the group and its dependency set. A queued
 		// dirty entry stays in the FIFO; the worker skips empty groups.
-		h.unindexLocked(g)
-		delete(h.groups, g.key)
+		i, _ := h.findLocked(g.key)
+		h.groups = slices.Delete(h.groups, i, i+1)
+		g.nodes = nil
 	}
 	h.stats.Unsubscribed++
 	return nil
@@ -284,46 +283,95 @@ func (h *Hub) Unsubscribe(id string) error {
 // OnBatch folds one batch effect into the dirty queue, one mark per group,
 // in three tiers: the groups keyed on a user who is an endpoint of the
 // batch (their own edges changed, so their answers certainly move), then
-// the other groups indexed under a touched node, then — on a global
-// effect — every other group. Within a tier groups are queued by Key, so
-// the order depends on the registrations and the effect alone. Wired to
-// dynamic.Manager.SetBatchHook.
+// the other groups whose dependency set holds a touched node, then — on a
+// global effect — every other group. Within a tier groups are queued by
+// Key, so the order depends on the registrations and the effect alone.
+// Wired to dynamic.Manager.SetBatchHook.
 func (h *Hub) OnBatch(fx dynamic.BatchEffect) {
+	touched := touchedSet(fx)
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if fx.Epoch > h.epoch {
 		h.epoch = fx.Epoch
 	}
-	touched := make(map[*group]bool)
-	for _, nodes := range [...][]graph.NodeID{fx.Endpoints, fx.StaleLandmarks, fx.Refreshed} {
-		for _, n := range nodes {
-			for g := range h.index[n] {
-				touched[g] = true
-			}
+	// tier[i] is the tier of h.groups[i]; untouched groups sit in the
+	// last, which only a global effect marks.
+	const actor, other, untouched = 0, 1, 2
+	tier := make([]uint8, len(h.groups))
+	for i, g := range h.groups {
+		switch {
+		case !intersects(g.nodes, touched):
+			tier[i] = untouched
+		case slices.Contains(fx.Endpoints, g.key.User):
+			tier[i] = actor
+		default:
+			tier[i] = other
 		}
 	}
-	var actors, others, rest []*group
-	for g := range touched {
-		if slices.Contains(fx.Endpoints, g.key.User) {
-			actors = append(actors, g)
-		} else {
-			others = append(others, g)
-		}
-	}
+	last := uint8(other)
 	if fx.Global {
-		for _, g := range h.groups {
-			if !touched[g] {
-				rest = append(rest, g)
-			}
-		}
+		last = untouched
 	}
-	for _, tier := range [...][]*group{actors, others, rest} {
-		slices.SortFunc(tier, func(a, b *group) int { return compareKeys(a.key, b.key) })
-		for _, g := range tier {
-			h.markDirtyLocked(g, fx.Epoch, fx.OldestAt)
+	for t := range last + 1 {
+		for i, g := range h.groups {
+			if tier[i] == t {
+				h.markDirtyLocked(g, fx.Epoch, fx.OldestAt)
+			}
 		}
 	}
 	h.kickLocked()
-	h.mu.Unlock()
+}
+
+// depSet returns a sorted copy of nodes without duplicates or spare
+// capacity: the form a group keeps its dependency set in. The copy
+// leaves the caller's slice alone and keeps no BFS growth slack alive.
+func depSet(nodes []graph.NodeID) []graph.NodeID {
+	s := slices.Clone(nodes)
+	slices.Sort(s)
+	return slices.Clip(slices.Compact(s))
+}
+
+// touchedSet returns the nodes of a batch effect — endpoints, staled
+// and refreshed landmarks — as a bitset over node ids, sized to the
+// largest.
+func touchedSet(fx dynamic.BatchEffect) []uint64 {
+	lists := [...][]graph.NodeID{fx.Endpoints, fx.StaleLandmarks, fx.Refreshed}
+	words := 0
+	for _, nodes := range lists {
+		for _, v := range nodes {
+			words = max(words, int(v>>6)+1)
+		}
+	}
+	set := make([]uint64, words)
+	for _, nodes := range lists {
+		for _, v := range nodes {
+			set[v>>6] |= 1 << (v & 63)
+		}
+	}
+	return set
+}
+
+// intersects reports whether the sorted set nodes holds a node of the
+// bitset touched. It stops at the first hit, and at the first node past
+// the bitset's last word: nodes ascend, so none after it can hit.
+func intersects(nodes []graph.NodeID, touched []uint64) bool {
+	for _, v := range nodes {
+		w := int(v >> 6)
+		if w >= len(touched) {
+			return false
+		}
+		if touched[w]&(1<<(v&63)) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// findLocked returns the position of key k in h.groups and whether a
+// group sits there; otherwise the position a group of k is inserted at.
+// Caller holds mu.
+func (h *Hub) findLocked(k Key) (int, bool) {
+	return slices.BinarySearchFunc(h.groups, k, func(g *group, k Key) int { return compareKeys(g.key, k) })
 }
 
 // compareKeys orders keys by user, topic, list length and method.
@@ -368,30 +416,6 @@ func (h *Hub) kickLocked() {
 	case h.wake <- struct{}{}:
 	default:
 	}
-}
-
-func (h *Hub) indexLocked(g *group, nodes []graph.NodeID) {
-	g.nodes = nodes
-	for _, n := range nodes {
-		m := h.index[n]
-		if m == nil {
-			m = make(map[*group]struct{})
-			h.index[n] = m
-		}
-		m[g] = struct{}{}
-	}
-}
-
-func (h *Hub) unindexLocked(g *group) {
-	for _, n := range g.nodes {
-		if m := h.index[n]; m != nil {
-			delete(m, g)
-			if len(m) == 0 {
-				delete(h.index, n)
-			}
-		}
-	}
-	g.nodes = nil
 }
 
 // worker drains the dirty queue, RescoreBudget groups per cycle, backing
@@ -479,7 +503,7 @@ func (h *Hub) rescore(it takeItem) error {
 	}
 	// The graph moved under this group; follow it with a fresh dependency
 	// set before pushing, so the next batch marks against current edges.
-	nodes := h.cfg.Neighborhood(g.key)
+	nodes := depSet(h.cfg.Neighborhood(g.key))
 
 	top := make([]client.Entry, len(res.Scored))
 	for i, sc := range res.Scored {
@@ -498,11 +522,10 @@ func (h *Hub) rescore(it takeItem) error {
 		h.mRescores.Inc()
 	}
 	if len(g.subs) == 0 {
-		// Every member unsubscribed mid-compute; the group is unindexed.
+		// Every member unsubscribed mid-compute; the group is gone.
 		return nil
 	}
-	h.unindexLocked(g)
-	h.indexLocked(g, nodes)
+	g.nodes = nodes
 	var lat float64 = -1
 	if it.ingestNs > 0 {
 		lat = float64(time.Now().UnixNano()-it.ingestNs) / 1e9

@@ -3,7 +3,9 @@ package subscribe
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,7 +237,7 @@ func TestAffectedIndexBoundsRescores(t *testing.T) {
 		t.Errorf("global batch: rescores = %d, want %d", st.Rescores, base+2)
 	}
 
-	// Stale/refreshed landmark nodes mark through the same index.
+	// Stale/refreshed landmark nodes mark through the same dependency set.
 	h.OnBatch(dynamic.BatchEffect{Epoch: 12, StaleLandmarks: []graph.NodeID{2}})
 	flush(t, h)
 	if st := h.Stats(); st.Rescores != base+3 {
@@ -763,5 +765,207 @@ func TestMovedMaximumElsewhereKeepsLandmarkAnswersExact(t *testing.T) {
 	// order, every score rescaled.
 	if len(before) != len(got) || before[0].Node != got[0].Node || before[0].Score == got[0].Score {
 		t.Fatalf("answer before the batch %v, after %v: want the same ranking at another scale", before, got)
+	}
+}
+
+// refHub is the reference model of the hub's marking: a plain map-based
+// inverted index from node to the keys of the groups depending on it,
+// beside each group's dependency set and member count.
+type refHub struct {
+	index   map[graph.NodeID]map[Key]bool
+	deps    map[Key][]graph.NodeID
+	members map[Key]int
+}
+
+// setDeps replaces k's dependency set with nodes (nil drops the group).
+func (r *refHub) setDeps(k Key, nodes []graph.NodeID) {
+	for _, n := range r.deps[k] {
+		delete(r.index[n], k)
+	}
+	delete(r.deps, k)
+	if nodes == nil {
+		return
+	}
+	r.deps[k] = nodes
+	for _, n := range nodes {
+		if r.index[n] == nil {
+			r.index[n] = make(map[Key]bool)
+		}
+		r.index[n][k] = true
+	}
+}
+
+// marks returns the keys fx marks, in queue order: the touched groups
+// keyed on an endpoint, the other touched groups, then on a global
+// effect the untouched ones, each tier in Key order.
+func (r *refHub) marks(fx dynamic.BatchEffect) []Key {
+	touched := make(map[Key]bool)
+	for _, nodes := range [][]graph.NodeID{fx.Endpoints, fx.StaleLandmarks, fx.Refreshed} {
+		for _, n := range nodes {
+			for k := range r.index[n] {
+				touched[k] = true
+			}
+		}
+	}
+	var tiers [3][]Key
+	for k := range r.deps {
+		switch {
+		case !touched[k]:
+			if fx.Global {
+				tiers[2] = append(tiers[2], k)
+			}
+		case slices.Contains(fx.Endpoints, k.User):
+			tiers[0] = append(tiers[0], k)
+		default:
+			tiers[1] = append(tiers[1], k)
+		}
+	}
+	var out []Key
+	for _, tier := range tiers {
+		slices.SortFunc(tier, compareKeys)
+		out = append(out, tier...)
+	}
+	return out
+}
+
+// TestMarkingMatchesInvertedIndex drives a hub and the reference model
+// through the same seeded sequence of registrations, unsubscriptions,
+// local and global batch effects, with dependency sets that move between
+// steps (and reach the hub unsorted, with duplicates), at 64 and 1024
+// groups. After each step the hub must have re-scored exactly the groups
+// the model marks, in the model's order, and each re-score must have
+// taken up the group's current dependency set.
+func TestMarkingMatchesInvertedIndex(t *testing.T) {
+	for _, size := range []int{64, 1024} {
+		t.Run(strconv.Itoa(size), func(t *testing.T) {
+			const universe = 4000
+			rng := rand.New(rand.NewSource(int64(size)))
+			var mu sync.Mutex
+			var order []Key
+			nbr := make(map[graph.NodeID][]graph.NodeID)
+			// neighborhood draws a fresh dependency set for user u.
+			neighborhood := func(u graph.NodeID) []graph.NodeID {
+				nodes := []graph.NodeID{u}
+				for range rng.Intn(120) {
+					nodes = append(nodes, graph.NodeID(rng.Intn(universe)))
+				}
+				return nodes
+			}
+			h := New(Config{
+				MaxSubscriptions: 2 * size,
+				Compute: func(_ context.Context, k Key) (Result, error) {
+					mu.Lock()
+					order = append(order, k)
+					mu.Unlock()
+					return Result{Scored: scored(1, 2)}, nil
+				},
+				Neighborhood: func(k Key) []graph.NodeID {
+					mu.Lock()
+					defer mu.Unlock()
+					nodes := slices.Clone(nbr[k.User])
+					rng := rand.New(rand.NewSource(int64(len(order))))
+					rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+					return append(nodes, nodes[:len(nodes)/4]...)
+				},
+			})
+			t.Cleanup(h.Close)
+			ref := &refHub{index: make(map[graph.NodeID]map[Key]bool), deps: make(map[Key][]graph.NodeID), members: make(map[Key]int)}
+			subs := make(map[string]Key)
+			var ids []string
+			users := make([]graph.NodeID, size)
+			for i := range users {
+				users[i] = graph.NodeID(rng.Intn(universe))
+				mu.Lock()
+				nbr[users[i]] = neighborhood(users[i])
+				mu.Unlock()
+			}
+			key := func() Key {
+				return Key{User: users[rng.Intn(size)], Topic: topics.ID(rng.Intn(2)), N: 5 + 5*rng.Intn(2), Method: "landmark"}
+			}
+			// step runs op, waits for the hub to drain, and checks it
+			// re-scored want; every re-scored group then holds its
+			// user's current set.
+			step := func(what string, want []Key, op func()) {
+				t.Helper()
+				mu.Lock()
+				order = order[:0]
+				mu.Unlock()
+				op()
+				flush(t, h)
+				mu.Lock()
+				got := slices.Clone(order)
+				mu.Unlock()
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: hub re-scored %d groups %v,\nmodel marks %d %v", what, len(got), got, len(want), want)
+				}
+				for _, k := range want {
+					if ref.members[k] > 0 {
+						ref.setDeps(k, slices.Clone(nbr[k.User]))
+					}
+				}
+			}
+			register := func(k Key) {
+				id, err := h.Register(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs[id] = k
+				ids = append(ids, id)
+				if ref.members[k]++; ref.members[k] == 1 {
+					ref.setDeps(k, slices.Clone(nbr[k.User]))
+				}
+			}
+			for len(ref.deps) < size {
+				register(key())
+			}
+			flush(t, h)
+			for i := range 300 {
+				// Move some dependency sets: the hub sees the change only
+				// when it next re-scores the group.
+				mu.Lock()
+				for range rng.Intn(size/8 + 1) {
+					u := users[rng.Intn(size)]
+					nbr[u] = neighborhood(u)
+				}
+				mu.Unlock()
+				switch op := rng.Intn(10); {
+				case op < 2:
+					k := key()
+					step("register", []Key{k}, func() { register(k) })
+				case op < 4 && len(ids) > 0:
+					j := rng.Intn(len(ids))
+					id := ids[j]
+					ids = slices.Delete(ids, j, j+1)
+					if err := h.Unsubscribe(id); err != nil {
+						t.Fatal(err)
+					}
+					k := subs[id]
+					delete(subs, id)
+					if ref.members[k]--; ref.members[k] == 0 {
+						delete(ref.members, k)
+						ref.setDeps(k, nil)
+					}
+				default:
+					fx := dynamic.BatchEffect{Epoch: uint64(i + 1), Global: op == 9}
+					for range rng.Intn(24) {
+						u := graph.NodeID(rng.Intn(universe))
+						if rng.Intn(3) == 0 {
+							u = users[rng.Intn(size)]
+						}
+						fx.Endpoints = append(fx.Endpoints, u)
+					}
+					for range rng.Intn(4) {
+						fx.StaleLandmarks = append(fx.StaleLandmarks, graph.NodeID(rng.Intn(universe)))
+					}
+					for range rng.Intn(2) {
+						fx.Refreshed = append(fx.Refreshed, graph.NodeID(rng.Intn(universe)))
+					}
+					step("batch "+strconv.Itoa(i), ref.marks(fx), func() { h.OnBatch(fx) })
+				}
+				if st := h.Stats(); st.Groups != len(ref.deps) || st.Active != len(subs) {
+					t.Fatalf("step %d: hub holds %d groups, %d subscriptions; model %d, %d", i, st.Groups, st.Active, len(ref.deps), len(subs))
+				}
+			}
+		})
 	}
 }
