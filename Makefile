@@ -80,6 +80,10 @@ fmt-check:
 # by groups of landmarks, two lists per landmark) took 235-245 allocs/op
 # when it was added, at GOMAXPROCS 2; it is gated at 360, the same half
 # again the whole-landmark bounds leave for worker and group counts.
+# The 27-landmark refresh also reports the heap its store retains per
+# list entry (B/entry): a node id and float32 σ and topo_β, 12 bytes,
+# ≈12.5 measured with the lists' headers and size-class rounding. It is
+# gated at 13; with float64 columns it was ≈20.
 # The landmark query (depth-2 pruned exploration read in place from the
 # engine's pooled scratch, plus the fold into the same scratch's dense
 # fold buffer, 30 landmarks; BenchmarkApproxQuery/g3k on 3000 nodes and
@@ -107,6 +111,7 @@ KERNEL_GATE_CONVERGED_ALLOCS ?= 8
 KERNEL_GATE_REFRESH1_ALLOCS ?= 300
 KERNEL_GATE_REFRESH27_ALLOCS ?= 2600
 KERNEL_GATE_REFRESH27T1_ALLOCS ?= 360
+KERNEL_GATE_REFRESH_BYTES_PER_ENTRY ?= 13
 KERNEL_GATE_QUERY_ALLOCS ?= 7
 KERNEL_GATE_SERVE_ALLOCS ?= 66
 KERNEL_GATE_HUB_ALLOCS ?= 4
@@ -120,13 +125,15 @@ kernel-gate:
 		/^FAIL/ { bad = 1 } \
 		END { if (!seenD || seenC != 2) { print "kernel-gate: benchmarks did not run"; bad = 1 } exit bad }'
 	$(GO) test -run='^$$' -bench='^Benchmark(PreprocessRefresh|ApproxQuery)$$' -benchmem ./internal/landmark/ | \
-	awk -v one=$(KERNEL_GATE_REFRESH1_ALLOCS) -v many=$(KERNEL_GATE_REFRESH27_ALLOCS) -v topic=$(KERNEL_GATE_REFRESH27T1_ALLOCS) -v query=$(KERNEL_GATE_QUERY_ALLOCS) '{ print } \
+	awk -v one=$(KERNEL_GATE_REFRESH1_ALLOCS) -v many=$(KERNEL_GATE_REFRESH27_ALLOCS) -v topic=$(KERNEL_GATE_REFRESH27T1_ALLOCS) -v query=$(KERNEL_GATE_QUERY_ALLOCS) -v entry=$(KERNEL_GATE_REFRESH_BYTES_PER_ENTRY) '{ print } \
 		/^BenchmarkPreprocessRefresh\/landmarks=1-/ { seen1 = 1; if ($$7+0 > one) { printf "kernel-gate: 1-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, one; bad = 1 } } \
-		/^BenchmarkPreprocessRefresh\/landmarks=27-/ { seen27 = 1; if ($$7+0 > many) { printf "kernel-gate: 27-landmark refresh %d allocs/op exceeds baseline %d\n", $$7, many; bad = 1 } } \
+		/^BenchmarkPreprocessRefresh\/landmarks=27-/ { seen27 = 1; \
+			if ($$NF != "allocs/op" || $$(NF-1)+0 > many) { printf "kernel-gate: 27-landmark refresh %s allocs/op exceeds baseline %d\n", $$(NF-1), many; bad = 1 } \
+			for (i = 2; i < NF; i++) if ($$(i+1) == "B/entry") { seenE = 1; if ($$i+0 > entry) { printf "kernel-gate: 27-landmark refresh retains %s B/entry, bound %d\n", $$i, entry; bad = 1 } } } \
 		/^BenchmarkPreprocessRefresh\/landmarks=27,topics=1-/ { seenT = 1; if ($$7+0 > topic) { printf "kernel-gate: 27-landmark one-topic refresh %d allocs/op exceeds baseline %d\n", $$7, topic; bad = 1 } } \
 		/^BenchmarkApproxQuery\// { seenQ++; if ($$7+0 > query) { printf "kernel-gate: landmark query %s %d allocs/op exceeds baseline %d\n", $$1, $$7, query; bad = 1 } } \
 		/^FAIL/ { bad = 1 } \
-		END { if (!seen1 || !seen27 || !seenT || seenQ != 2) { print "kernel-gate: landmark benchmarks did not run"; bad = 1 } exit bad }'
+		END { if (!seen1 || !seen27 || !seenE || !seenT || seenQ != 2) { print "kernel-gate: landmark benchmarks did not run"; bad = 1 } exit bad }'
 	$(GO) test -run='^$$' -bench='^BenchmarkServeRecommend$$' -benchmem ./internal/server/ | \
 	awk -v serve=$(KERNEL_GATE_SERVE_ALLOCS) '{ print } \
 		/^BenchmarkServeRecommend\/handler-/ { seenS = 1; if ($$7+0 > serve) { printf "kernel-gate: served request %d allocs/op exceeds baseline %d\n", $$7, serve; bad = 1 } } \
@@ -148,15 +155,16 @@ kernel-gate:
 # overlay-vs-rebuild delta apply, the per-update cost of Manager.Apply at
 # batch sizes 1/4/16/64 on the streaming 8000-node manager and its
 # invalidation pass alone on 16-update batches, the standing-query
-# marking of one batch effect at 64 and 1024 subscription groups, and the
-# evaluation sweep at parallelism 1 and GOMAXPROCS. The whole stack is
+# marking of one batch effect at 64 and 1024 subscription groups, the
+# depth-2 out-traversal a standing query's re-score resolves its
+# dependency set with (g2k and g8k), and the evaluation sweep at parallelism 1 and GOMAXPROCS. The whole stack is
 # measured by bench-e2e below.
 bench:
 	$(GO) test -bench=BenchmarkExplore -benchmem ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkPreprocessRefresh|BenchmarkApproxQuery' -benchmem ./internal/landmark/
 	$(GO) test -run='^$$' -bench='BenchmarkApplyBatch|BenchmarkAffectedLandmarks' -benchmem ./internal/dynamic/
 	$(GO) test -run='^$$' -bench=BenchmarkHubOnBatch -benchmem ./internal/subscribe/
-	$(GO) test -bench=BenchmarkWithoutEdges -benchmem ./internal/graph/
+	$(GO) test -run='^$$' -bench='BenchmarkWithoutEdges|BenchmarkBFSOut' -benchmem ./internal/graph/
 	$(GO) test -bench=BenchmarkLinkPrediction -benchmem ./internal/eval/
 
 # bench-e2e runs the whole-stack benchmark of BENCHMARK.json (bench/, a

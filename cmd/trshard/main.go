@@ -121,8 +121,8 @@ func main() {
 	if *shards > 1 {
 		store = full.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == *shard })
 	}
-	log.Printf("ready in %s (%d MB of lists kept)", time.Since(start).Round(time.Millisecond),
-		store.Bytes()/(1<<20))
+	log.Printf("ready in %s (%.1f MB of lists kept)", time.Since(start).Round(time.Millisecond),
+		float64(store.Bytes())/(1<<20))
 
 	sh, err := distrib.NewShard(eng, store, assign, *shard, lms, *depth)
 	if err != nil {

@@ -83,16 +83,19 @@ func (f *Fold) Add(v graph.NodeID, d float64) {
 // AddList adds a·topo[i] + b·sigma[i] to the sum of nodes[i] for every
 // entry but skip's, skipping zero terms: Proposition 4's fold of one
 // landmark list. topo and sigma must be at least as long as nodes, a and
-// b non-negative, and skip must hold no sum. The loop takes no branch per
-// entry: skip's term is zeroed, every term is added (a zero leaves a sum
-// bit-identical), and the entry's node is written past the touched list,
-// which keeps it only when a non-zero term lands on a zero sum.
-func (f *Fold) AddList(nodes []graph.NodeID, topo, sigma []float64, a, b float64, skip graph.NodeID) {
+// b non-negative, and skip must hold no sum. The list columns are
+// float32 (landmark.List); each value is widened to float64 before the
+// multiply, so the term and the sum are float64. The loop takes no
+// branch per entry: skip's term is zeroed, every term is added (a zero
+// leaves a sum bit-identical), and the entry's node is written past the
+// touched list, which keeps it only when a non-zero term lands on a zero
+// sum.
+func (f *Fold) AddList(nodes []graph.NodeID, topo, sigma []float32, a, b float64, skip graph.NodeID) {
 	topo, sigma = topo[:len(nodes)], sigma[:len(nodes)]
 	f.touched = slices.Grow(f.touched, len(nodes))
 	val, touched, m := f.val, f.touched[:cap(f.touched)], len(f.touched)
 	for i, w := range nodes {
-		d := a*topo[i] + b*sigma[i]
+		d := a*float64(topo[i]) + b*float64(sigma[i])
 		if w == skip {
 			d = 0
 		}

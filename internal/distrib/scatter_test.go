@@ -338,7 +338,7 @@ func TestNewShardRejectsOutOfRangeEntries(t *testing.T) {
 	bad := store.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == 0 })
 	d := *bad.Get(bad.Landmarks()[0])
 	d.Topical = slices.Clone(d.Topical)
-	d.Topical[0] = landmark.List{Nodes: []graph.NodeID{graph.NodeID(ds.Graph.NumNodes())}, Sigma: []float64{0.5}, Topo: []float64{0.5}}
+	d.Topical[0] = landmark.List{Nodes: []graph.NodeID{graph.NodeID(ds.Graph.NumNodes())}, Sigma: []float32{0.5}, Topo: []float32{0.5}}
 	if err := bad.Put(&d); err != nil {
 		t.Fatal(err)
 	}

@@ -571,7 +571,7 @@ func TestNewManagerRejectsMismatchedStore(t *testing.T) {
 	listing := m.store.Subset(func(graph.NodeID) bool { return true })
 	d := *listing.Get(lms[0])
 	d.Topical = slices.Clone(d.Topical)
-	d.Topical[0] = landmark.List{Nodes: []graph.NodeID{n}, Sigma: []float64{0.5}, Topo: []float64{0.5}}
+	d.Topical[0] = landmark.List{Nodes: []graph.NodeID{n}, Sigma: []float32{0.5}, Topo: []float32{0.5}}
 	if err := listing.Put(&d); err != nil {
 		t.Fatal(err)
 	}

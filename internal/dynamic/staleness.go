@@ -51,7 +51,7 @@ func topScored(l *landmark.List, k int) []ranking.Scored {
 	}
 	out := make([]ranking.Scored, k)
 	for i := 0; i < k; i++ {
-		out[i] = ranking.Scored{Node: l.Nodes[i], Score: l.Sigma[i]}
+		out[i] = ranking.Scored{Node: l.Nodes[i], Score: float64(l.Sigma[i])}
 	}
 	return out
 }

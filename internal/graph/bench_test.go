@@ -65,15 +65,6 @@ func BenchmarkWithoutEdges(b *testing.B) {
 	})
 }
 
-func BenchmarkBFSOutDepth2(b *testing.B) {
-	g := benchGraph(b, 10000, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		BFSOut(g, NodeID(i%10000), 2, func(NodeID, int) bool { n++; return true })
-	}
-}
-
 func BenchmarkFollowerTopicCounts(b *testing.B) {
 	g := benchGraph(b, 10000, 100000)
 	counts := make([]uint32, g.Vocabulary().Len())

@@ -18,28 +18,33 @@ func BFSIn(g View, src NodeID, maxDepth int, visit Visit) {
 	bfs(g, src, maxDepth, visit, g.In)
 }
 
+// bfs visits level by level from one queue: level d is the slice of the
+// queue its predecessor appended, so nodes are visited in the order a
+// per-level frontier would give. Visited nodes are bits of a bitset over
+// the view's node ids, one allocation of NumNodes()/8 bytes per call.
 func bfs(g View, src NodeID, maxDepth int, visit Visit, adj func(NodeID) ([]NodeID, []topics.Set)) {
-	seen := make(map[NodeID]bool, 64)
-	seen[src] = true
+	seen := make([]uint64, (g.NumNodes()+63)/64)
+	seen[src/64] |= 1 << (src % 64)
 	if !visit(src, 0) {
 		return
 	}
-	frontier := []NodeID{src}
-	for depth := 1; depth <= maxDepth && len(frontier) > 0; depth++ {
-		var next []NodeID
-		for _, u := range frontier {
+	queue := []NodeID{src}
+	for depth, lo := 1, 0; depth <= maxDepth && lo < len(queue); depth++ {
+		hi := len(queue)
+		for _, u := range queue[lo:hi] {
 			nbrs, _ := adj(u)
 			for _, v := range nbrs {
-				if seen[v] {
+				w, bit := v/64, uint64(1)<<(v%64)
+				if seen[w]&bit != 0 {
 					continue
 				}
-				seen[v] = true
+				seen[w] |= bit
 				if !visit(v, depth) {
 					return
 				}
-				next = append(next, v)
+				queue = append(queue, v)
 			}
 		}
-		frontier = next
+		lo = hi
 	}
 }

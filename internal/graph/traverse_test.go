@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/topics"
@@ -67,6 +69,106 @@ func TestBFSIn(t *testing.T) {
 	// Followers of 2 at one hop: 0 and 1.
 	if len(depths) != 3 || depths[0] != 1 || depths[1] != 1 {
 		t.Errorf("BFSIn wrong: %v", depths)
+	}
+}
+
+// mapBFS is the reference traversal: a per-level frontier and a map of
+// visited nodes, the form bfs took before its bitset and single queue.
+func mapBFS(src NodeID, maxDepth int, visit Visit, adj func(NodeID) ([]NodeID, []topics.Set)) {
+	seen := map[NodeID]bool{src: true}
+	if !visit(src, 0) {
+		return
+	}
+	frontier := []NodeID{src}
+	for depth := 1; depth <= maxDepth && len(frontier) > 0; depth++ {
+		var next []NodeID
+		for _, u := range frontier {
+			nbrs, _ := adj(u)
+			for _, v := range nbrs {
+				if seen[v] {
+					continue
+				}
+				seen[v] = true
+				if !visit(v, depth) {
+					return
+				}
+				next = append(next, v)
+			}
+		}
+		frontier = next
+	}
+}
+
+// TestBFSMatchesMapReference: BFSOut and BFSIn visit the same nodes at
+// the same depths in the same order as the map-based reference, with and
+// without an early stop, from every node of random graphs (including
+// node ids on both sides of a 64-bit word boundary) and of a 3-layer
+// overlay stack over one.
+func TestBFSMatchesMapReference(t *testing.T) {
+	type step struct {
+		v NodeID
+		d int
+	}
+	trace := func(run func(Visit), limit int) []step {
+		var out []step
+		run(func(v NodeID, d int) bool {
+			out = append(out, step{v, d})
+			return limit == 0 || len(out) < limit
+		})
+		return out
+	}
+	check := func(label string, g View) {
+		t.Helper()
+		for u := 0; u < g.NumNodes(); u++ {
+			src := NodeID(u)
+			for _, depth := range []int{0, 1, 2, 3, 10} {
+				for _, limit := range []int{0, 1, 5} {
+					for _, dir := range []struct {
+						name string
+						bfs  func(View, NodeID, int, Visit)
+						adj  func(NodeID) ([]NodeID, []topics.Set)
+					}{{"out", BFSOut, g.Out}, {"in", BFSIn, g.In}} {
+						got := trace(func(f Visit) { dir.bfs(g, src, depth, f) }, limit)
+						want := trace(func(f Visit) { mapBFS(src, depth, f, dir.adj) }, limit)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s BFS%s from %d, depth %d, stop after %d: visited %v, reference %v",
+								label, dir.name, src, depth, limit, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewPCG(5, 9))
+	edges := func(n, m int) []Edge {
+		out := make([]Edge, 0, m)
+		for len(out) < m {
+			if u, v := NodeID(r.IntN(n)), NodeID(r.IntN(n)); u != v {
+				out = append(out, Edge{Src: u, Dst: v, Label: topics.NewSet(topics.ID(r.IntN(2)))})
+			}
+		}
+		return out
+	}
+	for _, shape := range [][2]int{{1, 0}, {63, 150}, {64, 40}, {65, 300}, {200, 900}} {
+		check("random", build(t, shape[0], edges(shape[0], shape[1])))
+	}
+	base := build(t, 150, edges(150, 600))
+	var view View = base
+	for layer := 0; layer < 3; layer++ {
+		adds := edges(150, 25)
+		var removes []Edge
+		for len(removes) < 20 {
+			u := NodeID(r.IntN(150))
+			if dsts, _ := view.Out(u); len(dsts) > 0 {
+				removes = append(removes, Edge{Src: u, Dst: dsts[r.IntN(len(dsts))]})
+			}
+		}
+		ov, err := NewOverlay(view, adds, removes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view = ov
+		check("overlay", view)
 	}
 }
 

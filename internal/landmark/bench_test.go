@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/authority"
@@ -47,6 +48,9 @@ func BenchmarkPreprocessPerLandmark(b *testing.B) {
 // landmark or 27 of the 30, refreshed whole (Preprocess) or, as a lazy
 // query refreshes them, on one topic (PreprocessTopic). allocs/op is
 // gated by `make kernel-gate`: per-node result spills would multiply it.
+// landmarks=27 also reports B/entry, the heap the refreshed store
+// retains per list entry (gated too: 12 bytes of node id, σ and topo_β,
+// plus the lists' headers).
 func BenchmarkPreprocessRefresh(b *testing.B) {
 	eng, ds := benchSetup(b, 2000)
 	lms, err := Select(ds.Graph, InDeg, 27, DefaultSelectConfig())
@@ -59,6 +63,10 @@ func BenchmarkPreprocessRefresh(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Preprocess(eng, lms[:k], PreprocessConfig{TopN: 500})
+			}
+			if k == 27 {
+				b.StopTimer()
+				b.ReportMetric(retainedPerEntry(eng, lms, 500), "B/entry")
 			}
 		})
 	}
@@ -132,4 +140,27 @@ func BenchmarkSelect(b *testing.B) {
 			}
 		})
 	}
+}
+
+// retainedPerEntry preprocesses lms once and returns the heap the store
+// retains per list entry. Both heap readings follow two collections,
+// which empty the engine's scratch pool (a sync.Pool), so they count the
+// store and not the scratches its workers borrowed.
+func retainedPerEntry(eng *core.Engine, lms []graph.NodeID, topN int) float64 {
+	settle := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(m)
+	}
+	var before, after runtime.MemStats
+	settle(&before)
+	s, _ := Preprocess(eng, lms, PreprocessConfig{TopN: topN})
+	settle(&after)
+	entries := 0
+	for _, lm := range s.Landmarks() {
+		for _, l := range s.Get(lm).Topical {
+			entries += l.Len()
+		}
+	}
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(entries)
 }

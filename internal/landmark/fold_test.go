@@ -36,7 +36,7 @@ func mapFold(a *Approx, u graph.NodeID, t topics.ID) (map[graph.NodeID]float64, 
 		lst := &d.Topical[t]
 		for i, w := range lst.Nodes {
 			if w != u {
-				acc[w] += sigmaUL*lst.Topo[i] + topoUL*lst.Sigma[i]
+				acc[w] += sigmaUL*float64(lst.Topo[i]) + topoUL*float64(lst.Sigma[i])
 			}
 		}
 	}
@@ -170,5 +170,170 @@ func TestCheckNodes(t *testing.T) {
 	}
 	if outside.CheckNodes(n) == nil {
 		t.Error("landmark n accepted")
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go): the
+// float32 contract tests then sample their queries and fixtures, since
+// the detector slows the fold tenfold and the full sweep runs in the
+// plain test pass.
+var raceEnabled bool
+
+// refList is one landmark list as its exploration scored it, before the
+// float32 rounding: the reference the float32 contract is stated
+// against. It is built here only; no program keeps float64 lists.
+type refList struct {
+	nodes       []graph.NodeID
+	sigma, topo []float64
+}
+
+// unroundedLists runs the explorations Preprocess runs for lms and
+// selects each topic's top-n from them as listBuilder.list does, keeping
+// the float64 values: refs[i][t] is landmark lms[i]'s list on topic t.
+func unroundedLists(eng *core.Engine, lms []graph.NodeID, topN int) [][]refList {
+	refs := make([][]refList, len(lms))
+	explore(eng, lms, nil, PreprocessConfig{TopN: topN}, true, func(i int, _ *listBuilder, x *core.Exploration) {
+		refs[i] = make([]refList, len(x.Topics))
+		for ti := range x.Topics {
+			var cand []ranking.Scored
+			for _, v := range x.Reached {
+				if sc := x.Sigma(v, ti); sc > 0 {
+					cand = append(cand, ranking.Scored{Node: v, Score: sc})
+				}
+			}
+			var r refList
+			for _, e := range ranking.SelectTop(cand, topN) {
+				r.nodes = append(r.nodes, e.Node)
+				r.sigma = append(r.sigma, e.Score)
+				r.topo = append(r.topo, x.TopoB(e.Node))
+			}
+			refs[i][ti] = r
+		}
+	})
+	return refs
+}
+
+// refFold answers a top-n query like Approx.Query, folding the unrounded
+// lists: the exploration's own scores, then every met landmark's terms
+// in Reached order, each list in rank order (FoldLists' order), into a
+// dense buffer the caller owns and that refFold leaves zeroed.
+func refFold(a *Approx, refs map[graph.NodeID][]refList, buf []float64, u graph.NodeID, t topics.ID, n int) []ranking.Scored {
+	pool := a.eng.Scratches()
+	s := pool.Get()
+	defer pool.Put(s)
+	x := a.eng.ExploreOpts(u, []topics.ID{t}, core.ExploreOptions{MaxDepth: a.depth, Stop: a.store.Contains, Scratch: s})
+	var touched []graph.NodeID
+	add := func(v graph.NodeID, d float64) {
+		if buf[v] == 0 {
+			touched = append(touched, v)
+		}
+		buf[v] += d
+	}
+	for _, v := range x.Reached {
+		if sc := x.Sigma(v, 0); sc > 0 {
+			add(v, sc)
+		}
+	}
+	for _, v := range x.Reached {
+		lists, ok := refs[v]
+		if !ok {
+			continue
+		}
+		sigmaUL, topoUL := x.Sigma(v, 0), x.TopoAB(v)
+		r := lists[t]
+		for i, w := range r.nodes {
+			if d := sigmaUL*r.topo[i] + topoUL*r.sigma[i]; w != u && d > 0 {
+				add(w, d)
+			}
+		}
+	}
+	g := a.eng.Norm(t)
+	top := ranking.NewTopN(n)
+	for _, v := range touched {
+		top.Insert(v, g*buf[v])
+		buf[v] = 0
+	}
+	return top.List()
+}
+
+// TestFloat32ListsKeepAnswers is the contract of the float32 list
+// columns: 30 In-Deg landmarks with top-500 lists on the 2000- and
+// 8000-node graphs, every user on two topics, top-10 answers. Against
+// answers folded from the unrounded lists, membership is identical,
+// order is identical except adjacent pairs whose float64 scores are
+// within 1e-6 relative, and every score is within 1e-6 relative. The
+// stored lists are the unrounded ones with each value rounded once: the
+// same nodes in the same (float64) order. Under the race detector every
+// 16th user of the 2000-node graph is asked.
+func TestFloat32ListsKeepAnswers(t *testing.T) {
+	const tol, topN, n = 1e-6, 500, 10
+	graphs, stride := []int{2000, 8000}, 1
+	if raceEnabled {
+		graphs, stride = graphs[:1], 16
+	}
+	for _, nodes := range graphs {
+		eng, ds := benchSetup(t, nodes)
+		lms, err := Select(ds.Graph, InDeg, 30, DefaultSelectConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, _ := Preprocess(eng, lms, PreprocessConfig{TopN: topN})
+		refs := make(map[graph.NodeID][]refList, len(lms))
+		for i, r := range unroundedLists(eng, lms, topN) {
+			refs[lms[i]] = r
+			for ti, want := range r {
+				got := store.Get(lms[i]).Topical[ti]
+				if !slices.Equal(got.Nodes, want.nodes) {
+					t.Fatalf("g%d λ=%d t=%d: stored list is not the float64 ranking", nodes, lms[i], ti)
+				}
+				for k := range want.nodes {
+					if got.Sigma[k] != float32(want.sigma[k]) || got.Topo[k] != float32(want.topo[k]) {
+						t.Fatalf("g%d λ=%d t=%d entry %d: stored (%g, %g), rounding of (%g, %g)",
+							nodes, lms[i], ti, k, got.Sigma[k], got.Topo[k], want.sigma[k], want.topo[k])
+					}
+				}
+			}
+		}
+		a, err := NewApprox(eng, store, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, nodes)
+		vocab := ds.Graph.Vocabulary().Len()
+		swaps, worst, queries := 0, 0.0, 0
+		for u := 0; u < nodes; u += stride {
+			for _, tp := range []topics.ID{topics.ID(u % vocab), topics.ID((u + vocab/2) % vocab)} {
+				queries++
+				got := a.Query(graph.NodeID(u), tp, n).Scores
+				want := refFold(a, refs, buf, graph.NodeID(u), tp, n)
+				if len(got) != len(want) {
+					t.Fatalf("g%d u=%d t=%d: %d answers, unrounded lists give %d", nodes, u, tp, len(got), len(want))
+				}
+				at := make(map[graph.NodeID]int, len(want))
+				for j, e := range want {
+					at[e.Node] = j
+				}
+				for i, e := range got {
+					j, ok := at[e.Node]
+					if !ok {
+						t.Fatalf("g%d u=%d t=%d: node %d answered, not in the unrounded top-%d %v", nodes, u, tp, e.Node, n, want)
+					}
+					if err := relErr(e.Score, want[j].Score); err > tol {
+						t.Fatalf("g%d u=%d t=%d node %d: score %.17g, unrounded %.17g (relative error %g)",
+							nodes, u, tp, e.Node, e.Score, want[j].Score, err)
+					} else {
+						worst = max(worst, err)
+					}
+					if j != i {
+						if d := j - i; (d != 1 && d != -1) || relErr(want[i].Score, want[j].Score) > tol {
+							t.Fatalf("g%d u=%d t=%d: rank %d holds node %d, ranked %d on unrounded lists (%.17g vs %.17g)",
+								nodes, u, tp, i, e.Node, j, want[i].Score, want[j].Score)
+						}
+						swaps++
+					}
+				}
+			}
+		}
+		t.Logf("g%d: %d queries, %d ranks moved within a near-tie, largest relative score change %.2g", nodes, queries, swaps, worst)
 	}
 }

@@ -151,13 +151,14 @@ func TestPreprocessBuildsSortedLists(t *testing.T) {
 			if !sort.SliceIsSorted(lst.Sigma, func(i, j int) bool { return lst.Sigma[i] > lst.Sigma[j] }) {
 				t.Fatalf("landmark %d topic %d list unsorted", l, ti)
 			}
-			// Stored values must match a fresh exploration.
+			// Stored values must be a fresh exploration's, rounded to
+			// float32 once.
 			x := eng.Explore(l, []topics.ID{topics.ID(ti)}, 0)
 			for i, v := range lst.Nodes {
-				if got, want := lst.Sigma[i], x.Sigma(v, 0); !near(got, want) {
+				if got, want := float64(lst.Sigma[i]), float64(float32(x.Sigma(v, 0))); !near(got, want) {
 					t.Fatalf("σ(λ=%d,%d,t%d) stored %g, fresh %g", l, v, ti, got, want)
 				}
-				if got, want := lst.Topo[i], x.TopoB(v); !near(got, want) {
+				if got, want := float64(lst.Topo[i]), float64(float32(x.TopoB(v))); !near(got, want) {
 					t.Fatalf("topo(λ=%d,%d) stored %g, fresh %g", l, v, got, want)
 				}
 			}

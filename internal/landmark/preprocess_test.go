@@ -127,7 +127,7 @@ func relErr(a, b float64) float64 {
 // ranks there (or, for a node the reference cut off, from the reference's
 // last entry); normalized Kendall distance of the two rankings ≤ 1e-3.
 // score picks the ranked column, other the carried one.
-func closeLists(t *testing.T, label string, got, want List, score, other func(List) []float64) {
+func closeLists(t *testing.T, label string, got, want List, score, other func(List) []float32) {
 	t.Helper()
 	const tol = 1e-5
 	if got.Len() != want.Len() {
@@ -142,7 +142,7 @@ func closeLists(t *testing.T, label string, got, want List, score, other func(Li
 		wantAt[v] = i
 	}
 	for i, v := range got.Nodes {
-		if e := relErr(gs[i], ws[i]); e > tol {
+		if e := relErr(float64(gs[i]), float64(ws[i])); e > tol {
 			t.Fatalf("%s rank %d: score %g, reference %g (relative error %g)", label, i, gs[i], ws[i], e)
 		}
 		j, kept := wantAt[v]
@@ -150,21 +150,21 @@ func closeLists(t *testing.T, label string, got, want List, score, other func(Li
 			j = want.Len() - 1
 		}
 		if j != i {
-			if e := relErr(ws[j], ws[i]); e > tol {
+			if e := relErr(float64(ws[j]), float64(ws[i])); e > tol {
 				t.Fatalf("%s rank %d: node %d, reference ranks %d there and the two are not tied (%g vs %g)",
 					label, i, v, want.Nodes[i], ws[j], ws[i])
 			}
 		}
 		if kept {
-			if e := relErr(other(got)[i], other(want)[j]); e > tol {
+			if e := relErr(float64(other(got)[i]), float64(other(want)[j])); e > tol {
 				t.Fatalf("%s node %d: carried score %g, reference %g", label, v, other(got)[i], other(want)[j])
 			}
 		}
 	}
 	a, b := make([]ranking.Scored, got.Len()), make([]ranking.Scored, want.Len())
 	for i := range got.Nodes {
-		a[i] = ranking.Scored{Node: got.Nodes[i], Score: gs[i]}
-		b[i] = ranking.Scored{Node: want.Nodes[i], Score: ws[i]}
+		a[i] = ranking.Scored{Node: got.Nodes[i], Score: float64(gs[i])}
+		b[i] = ranking.Scored{Node: want.Nodes[i], Score: float64(ws[i])}
 	}
 	if d := ranking.KendallTopK(a, b); d > 1e-3 {
 		t.Fatalf("%s: Kendall distance %g to the reference ranking", label, d)
@@ -214,8 +214,8 @@ func checkFloat64Contract(t *testing.T, fixture string, frozen *core.Engine, lms
 	t.Helper()
 	overlaid, _ := streamedEngine(t, frozen, 3, false)
 	decayed, _ := streamedEngine(t, frozen, 3, true)
-	sigmaOf := func(l List) []float64 { return l.Sigma }
-	topoOf := func(l List) []float64 { return l.Topo }
+	sigmaOf := func(l List) []float32 { return l.Sigma }
+	topoOf := func(l List) []float32 { return l.Topo }
 	for _, tc := range []struct {
 		label string
 		eng   *core.Engine
@@ -357,7 +357,7 @@ func TestStorePutTopic(t *testing.T) {
 	old := s.Get(lms[1])
 	fresh := TopicLists{
 		Landmark:   lms[1],
-		Topical:    List{Nodes: []graph.NodeID{7}, Sigma: []float64{1}, Topo: []float64{2}},
+		Topical:    List{Nodes: []graph.NodeID{7}, Sigma: []float32{1}, Topo: []float32{2}},
 		Iterations: old.Iterations - 1,
 	}
 	if err := s.PutTopic(4, fresh); err != nil {
@@ -407,5 +407,61 @@ func TestStoreStaleMarks(t *testing.T) {
 	s.SetStale(3, 0)
 	if s.StaleLandmarks() != 1 || s.Stale(8) != topics.NewSet(2) || s.Stale(3) != 0 {
 		t.Fatalf("after clearing: %d stale, λ8 %v, λ3 %v", s.StaleLandmarks(), s.Stale(8), s.Stale(3))
+	}
+}
+
+// TestFloat32ListsStayPositiveAndFinite: rounding a list to float32
+// turns no positive σ or topo_β into 0 and none into +Inf, for β swept
+// from 1e-4 to the graph's MaxBeta, on the 2000-node graph (30 In-Deg
+// landmarks, top-500) and on a sparse random graph whose lists reach the
+// deepest paths. A value the exploration itself left at 0 (a topo_β on
+// the random graph) stays 0. Under the race detector the random graph
+// alone is swept.
+func TestFloat32ListsStayPositiveAndFinite(t *testing.T) {
+	type fixture struct {
+		name string
+		ds   *gen.Dataset
+		k    int
+	}
+	fixtures := []fixture{{"random", gen.RandomWith(150, 450, 5), 8}}
+	if !raceEnabled {
+		_, g2k := benchSetup(t, 2000)
+		fixtures = append(fixtures, fixture{"g2k", g2k, 30})
+	}
+	for _, fx := range fixtures {
+		lms, err := Select(fx.ds.Graph, InDeg, fx.k, DefaultSelectConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi := core.MaxBeta(fx.ds.Graph)
+		const steps = 6
+		for i := 0; i <= steps; i++ {
+			beta := min(1e-4*math.Pow(hi/1e-4, float64(i)/steps), hi)
+			eng := engineOn(t, fx.ds, beta)
+			s, _ := Preprocess(eng, lms, PreprocessConfig{TopN: 500})
+			lo, top, entries := float32(math.Inf(1)), float32(0), 0
+			for li, ref := range unroundedLists(eng, lms, 500) {
+				for ti, r := range ref {
+					l := s.Get(lms[li]).Topical[ti]
+					for k, v := range r.nodes {
+						for _, c := range []struct {
+							what string
+							want float64
+							got  float32
+						}{{"σ", r.sigma[k], l.Sigma[k]}, {"topo", r.topo[k], l.Topo[k]}} {
+							if (c.want > 0) != (c.got > 0) || math.IsInf(float64(c.got), 0) {
+								t.Fatalf("%s β=%g λ=%d t=%d node %d: %s %g stored as %g",
+									fx.name, beta, lms[li], ti, v, c.what, c.want, c.got)
+							}
+							if c.got > 0 {
+								lo, top = min(lo, c.got), max(top, c.got)
+							}
+						}
+						entries++
+					}
+				}
+			}
+			t.Logf("%s β=%.3g: %d entries, positive values in [%g, %g]", fx.name, beta, entries, lo, top)
+		}
 	}
 }

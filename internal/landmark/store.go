@@ -15,17 +15,20 @@ import (
 // best-σ first. Both values are kept because the query-time combination
 // (Proposition 4) needs both for every recommended node. Sigma holds
 // σ/g(t) (core.Engine.Norm), so a batch that moves g(t) leaves it exact.
+// Both columns are float32: each value is the float64 exploration score
+// rounded once (relative error ≤ 2⁻²⁴), so an entry costs 4 + 4 + 4
+// bytes, and the fold widens it back before the multiply.
 type List struct {
 	Nodes []graph.NodeID
-	Sigma []float64
-	Topo  []float64
+	Sigma []float32
+	Topo  []float32
 }
 
 // Len returns the list length.
 func (l *List) Len() int { return len(l.Nodes) }
 
 // append1 adds one entry.
-func (l *List) append1(v graph.NodeID, sigma, topo float64) {
+func (l *List) append1(v graph.NodeID, sigma, topo float32) {
 	l.Nodes = append(l.Nodes, v)
 	l.Sigma = append(l.Sigma, sigma)
 	l.Topo = append(l.Topo, topo)
@@ -186,14 +189,15 @@ func (s *Store) CheckNodes(n int) error {
 	return nil
 }
 
-// Bytes estimates the in-memory footprint of the stored lists (the paper
+// Bytes estimates the in-memory footprint of the stored lists: 12 bytes
+// per entry, a u32 node id and the float32 σ and topo_β (the paper
 // reports ≈1.4 MB per landmark for top-1000 lists over all topics).
 func (s *Store) Bytes() int {
 	total := 0
 	for _, l := range s.order {
 		d := s.data[l]
 		for i := range d.Topical {
-			total += d.Topical[i].Len() * (4 + 8 + 8)
+			total += d.Topical[i].Len() * (4 + 4 + 4)
 		}
 	}
 	return total
@@ -223,7 +227,10 @@ func (lb *listBuilder) build(l graph.NodeID, x *core.Exploration) *Data {
 
 // list ranks x's reached nodes by σ on x.Topics[ti]: it gathers the
 // positive scores once and selects the top n. Each entry carries its
-// node's topo_β beside its σ.
+// node's topo_β beside its σ. Selection and order use the float64
+// scores; each value is then rounded to float32 once, which keeps the σ
+// column non-increasing (rounding is monotone), with ties where
+// distinct float64 scores round alike.
 func (lb *listBuilder) list(x *core.Exploration, ti int) List {
 	lb.cand = lb.cand[:0]
 	for _, v := range x.Reached {
@@ -234,7 +241,7 @@ func (lb *listBuilder) list(x *core.Exploration, ti int) List {
 	ranked := ranking.SelectTop(lb.cand, lb.topN)
 	lst := newList(len(ranked))
 	for i, e := range ranked {
-		lst.Nodes[i], lst.Sigma[i], lst.Topo[i] = e.Node, e.Score, x.TopoB(e.Node)
+		lst.Nodes[i], lst.Sigma[i], lst.Topo[i] = e.Node, float32(e.Score), float32(x.TopoB(e.Node))
 	}
 	return lst
 }
@@ -244,7 +251,7 @@ func newList(n int) List {
 	if n == 0 {
 		return List{}
 	}
-	return List{Nodes: make([]graph.NodeID, n), Sigma: make([]float64, n), Topo: make([]float64, n)}
+	return List{Nodes: make([]graph.NodeID, n), Sigma: make([]float32, n), Topo: make([]float32, n)}
 }
 
 // Subset returns a store holding only the landmarks keep reports true
@@ -293,8 +300,8 @@ func filterList(l List, keep func(graph.NodeID) bool) List {
 	}
 	out := List{
 		Nodes: make([]graph.NodeID, 0, n),
-		Sigma: make([]float64, 0, n),
-		Topo:  make([]float64, 0, n),
+		Sigma: make([]float32, 0, n),
+		Topo:  make([]float32, 0, n),
 	}
 	for i, v := range l.Nodes {
 		if keep(v) {
@@ -324,13 +331,13 @@ func truncList(l List, n int) List {
 	if l.Len() <= n {
 		return List{
 			Nodes: append([]graph.NodeID(nil), l.Nodes...),
-			Sigma: append([]float64(nil), l.Sigma...),
-			Topo:  append([]float64(nil), l.Topo...),
+			Sigma: append([]float32(nil), l.Sigma...),
+			Topo:  append([]float32(nil), l.Topo...),
 		}
 	}
 	return List{
 		Nodes: append([]graph.NodeID(nil), l.Nodes[:n]...),
-		Sigma: append([]float64(nil), l.Sigma[:n]...),
-		Topo:  append([]float64(nil), l.Topo[:n]...),
+		Sigma: append([]float32(nil), l.Sigma[:n]...),
+		Topo:  append([]float32(nil), l.Topo[:n]...),
 	}
 }

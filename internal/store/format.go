@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"unsafe"
 
@@ -50,9 +49,10 @@ const (
 	// Header versions; an image at another one is refused at open. LMK3
 	// version 1 held the paper's σ, version 2 σ/g(t) (landmark.List) and a
 	// topological list per landmark after its topical ones; version 3
-	// holds the topical lists alone.
+	// held the topical lists alone with f64 σ and topo columns; version 4
+	// holds them as f32.
 	snapshotVersion = 1
-	landmarkVersion = 3
+	landmarkVersion = 4
 
 	// maxSections bounds the section table within the header page.
 	maxSections = 16
@@ -259,19 +259,12 @@ func u64Slice(b []byte) []uint64 {
 	return out
 }
 
-func f64Slice(b []byte) []float64 {
-	n := len(b) / 8
-	if n == 0 {
-		return []float64{}
+func f32Slice(b []byte) []float32 {
+	u := u32Slice(b)
+	if len(u) == 0 {
+		return []float32{}
 	}
-	if nativeLittle {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
+	return unsafe.Slice((*float32)(unsafe.Pointer(&u[0])), len(u))
 }
 
 func nodeSlice(b []byte) []graph.NodeID {
@@ -320,18 +313,11 @@ func u64Bytes(s []uint64) []byte {
 	return out
 }
 
-func f64Bytes(s []float64) []byte {
+func f32Bytes(s []float32) []byte {
 	if len(s) == 0 {
 		return nil
 	}
-	if nativeLittle {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-	}
-	out := make([]byte, len(s)*8)
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
+	return u32Bytes(unsafe.Slice((*uint32)(unsafe.Pointer(&s[0])), len(s)))
 }
 
 func nodeBytes(s []graph.NodeID) []byte {

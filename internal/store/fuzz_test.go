@@ -59,7 +59,9 @@ func FuzzOpenSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzOpenLandmarks: same contract for LMK3 images.
+// FuzzOpenLandmarks: same contract for LMK3 images. The seeds are
+// written by the current writer (version 4, f32 columns, equal-σ
+// neighbours), so the clean seed must open verified.
 func FuzzOpenLandmarks(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "l.lmk3")
 	if _, err := WriteLandmarksFile(path, testLandmarkStore(f)); err != nil {
@@ -68,6 +70,9 @@ func FuzzOpenLandmarks(f *testing.F) {
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
+	}
+	if _, err := newLandmarks(&mapping{data: clean}, int64(len(clean)), OpenOptions{Verify: true}); err != nil {
+		f.Fatalf("clean seed refused: %v", err)
 	}
 	seedVariants(f, clean)
 	f.Fuzz(func(t *testing.T, data []byte) {

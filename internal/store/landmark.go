@@ -21,13 +21,15 @@ import (
 //	                               landmark i's topical list t is
 //	                               [idx[i×V+t], idx[i×V+t+1])
 //	3 nodes    E × u32            recommended-node column
-//	4 sigma    E × f64            σ column
-//	5 topo     E × f64            topo_β column
+//	4 sigma    E × f32            σ column
+//	5 topo     E × f32            topo_β column
 //	6 stale    L × u32            per landmark, the topics whose list
 //	                               awaits a refresh (bit t for topic t)
 //
 // Section 6 is optional: an image without it opens with nothing stale.
-// The three entry columns are stored contiguously: an open casts each
+// An entry costs 12 bytes: its node id and its float32 σ and topo_β, as
+// landmark.List holds them (version 3 held f64 columns, 20 bytes). The
+// three entry columns are stored contiguously: an open casts each
 // column once and every list is a subslice — the bulk of a multi-GB
 // store is never copied, only the O(L) per-landmark headers go on the
 // heap.
@@ -57,8 +59,8 @@ func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 		idx[i*vocabLen+li+1] = total
 	})
 	nodes := make([]graph.NodeID, 0, total)
-	sigma := make([]float64, 0, total)
-	topo := make([]float64, 0, total)
+	sigma := make([]float32, 0, total)
+	topo := make([]float32, 0, total)
 	for i, lm := range lms {
 		d := s.Get(lm)
 		ids[i] = uint32(lm)
@@ -86,8 +88,8 @@ func WriteLandmarks(w io.Writer, s *landmark.Store) (int64, error) {
 		u32Bytes(iters),
 		u64Bytes(idx),
 		nodeBytes(nodes),
-		f64Bytes(sigma),
-		f64Bytes(topo),
+		f32Bytes(sigma),
+		f32Bytes(topo),
 		u32Bytes(stale),
 	})
 }
@@ -191,8 +193,8 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 		{lmkSecIters, numLm * 4, "lmIters"},
 		{lmkSecListIdx, nIdx * 8, "listIdx"},
 		{lmkSecNodes, total * 4, "nodes"},
-		{lmkSecSigma, total * 8, "sigma"},
-		{lmkSecTopo, total * 8, "topo"},
+		{lmkSecSigma, total * 4, "sigma"},
+		{lmkSecTopo, total * 4, "topo"},
 	}
 	raw := make(map[int][]byte, len(want))
 	for _, w := range want {
@@ -233,8 +235,8 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 	iters := u32Slice(raw[lmkSecIters])
 	idx := u64Slice(raw[lmkSecListIdx])
 	nodes := nodeSlice(raw[lmkSecNodes])
-	sigma := f64Slice(raw[lmkSecSigma])
-	topo := f64Slice(raw[lmkSecTopo])
+	sigma := f32Slice(raw[lmkSecSigma])
+	topo := f32Slice(raw[lmkSecTopo])
 
 	if idx[0] != 0 || idx[len(idx)-1] != total {
 		return nil, fmt.Errorf("store: list index does not span the entry columns")
@@ -281,8 +283,10 @@ func newLandmarks(m *mapping, size int64, opts OpenOptions) (*Landmarks, error) 
 	return &Landmarks{m: m, s: s, bytes: size}, nil
 }
 
-// sortedBySigma reports whether a list is ranked best σ first.
-func sortedBySigma(s []float64) bool {
+// sortedBySigma reports whether a list is ranked best σ first. Equal
+// neighbours are ranked: distinct float64 scores may round to one
+// float32.
+func sortedBySigma(s []float32) bool {
 	for i := 1; i < len(s); i++ {
 		if s[i] > s[i-1] {
 			return false

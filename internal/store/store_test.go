@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,12 +197,14 @@ func testLandmarkStore(t testing.TB) *landmark.Store {
 	for _, lm := range []graph.NodeID{4, 9, 17} {
 		d := &landmark.Data{Landmark: lm, Iterations: 3, Topical: make([]landmark.List, vocabLen)}
 		for tpc := 0; tpc < vocabLen; tpc++ {
+			// Entries come in equal-σ pairs: distinct float64 scores
+			// may round to one float32, so a ranked list can hold ties.
 			n := (int(lm)+tpc)%topN + 1
 			l := landmark.List{}
 			for i := 0; i < n; i++ {
 				l.Nodes = append(l.Nodes, graph.NodeID(100+i))
-				l.Sigma = append(l.Sigma, 1.0/float64(i+1))
-				l.Topo = append(l.Topo, 0.5/float64(i+1))
+				l.Sigma = append(l.Sigma, 1.0/float32(i/2+1))
+				l.Topo = append(l.Topo, 0.5/float32(i+1))
 			}
 			d.Topical[tpc] = l
 		}
@@ -226,11 +229,11 @@ func TestLandmarksRoundTrip(t *testing.T) {
 	requireStoresEqual(t, s, ls.Store())
 }
 
-// TestLandmarksRefuseVersion1: an LMK3 image is written at version 3. A
+// TestLandmarksRefuseVersion1: an LMK3 image is written at version 4. A
 // version-1 image, whose list σ values are the paper's σ rather than
 // σ/g(t), is refused at open with an error naming its version, even with
 // a valid header checksum, instead of being misread; the same image at
-// version 3 round-trips.
+// version 4 round-trips.
 func TestLandmarksRefuseVersion1(t *testing.T) {
 	requireLandmarksRefuseVersion(t, 1)
 }
@@ -240,6 +243,13 @@ func TestLandmarksRefuseVersion1(t *testing.T) {
 // refused at open with an error naming its version.
 func TestLandmarksRefuseVersion2(t *testing.T) {
 	requireLandmarksRefuseVersion(t, 2)
+}
+
+// TestLandmarksRefuseVersion3: a version-3 image holds its σ and topo
+// columns as f64, twice the bytes version 4 reads per entry; it is
+// refused at open with "unsupported format version 3, want 4".
+func TestLandmarksRefuseVersion3(t *testing.T) {
+	requireLandmarksRefuseVersion(t, 3)
 }
 
 // requireLandmarksRefuseVersion relabels a freshly written LMK3 image as
@@ -260,8 +270,8 @@ func requireLandmarksRefuseVersion(t *testing.T, v uint32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.version != 3 {
-		t.Fatalf("image written at version %d, want 3", h.version)
+	if h.version != 4 {
+		t.Fatalf("image written at version %d, want 4", h.version)
 	}
 	h.version = v
 	page, err := h.encode()
@@ -272,7 +282,7 @@ func requireLandmarksRefuseVersion(t *testing.T, v uint32) {
 	if err := os.WriteFile(old, append(page, buf[len(page):]...), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	name := fmt.Sprintf("version %d", v)
+	name := fmt.Sprintf("version %d, want 4", v)
 	if ls, err := OpenLandmarks(old, OpenOptions{Verify: true}); err == nil || !strings.Contains(err.Error(), name) {
 		if ls != nil {
 			ls.Close() //nolint:errcheck
@@ -285,6 +295,95 @@ func requireLandmarksRefuseVersion(t *testing.T, v uint32) {
 	}
 	defer ls.Close()
 	requireStoresEqual(t, s, ls.Store())
+}
+
+// TestLandmarksFloat32RoundTrip: the σ and topo columns are E × f32
+// sections, and every float32 bit pattern a list can hold (subnormal,
+// the largest finite, a full mantissa, equal neighbours) comes back bit
+// for bit through the mapping (OpenLandmarks) and through the heap
+// reader (ReadLandmarks).
+func TestLandmarksFloat32RoundTrip(t *testing.T) {
+	vals := []float32{
+		math.MaxFloat32,
+		math.Nextafter32(1, 2),
+		1,
+		1,
+		math.Float32frombits(0x3eaaaaab), // ≈ 1/3, every mantissa bit used
+		math.SmallestNonzeroFloat32 * 7,
+		math.SmallestNonzeroFloat32,
+		0,
+	}
+	s := landmark.NewStore(2, len(vals))
+	d := &landmark.Data{Landmark: 3, Iterations: 5, Topical: make([]landmark.List, 2)}
+	for i, v := range vals {
+		d.Topical[1].Nodes = append(d.Topical[1].Nodes, graph.NodeID(i))
+		d.Topical[1].Sigma = append(d.Topical[1].Sigma, v)
+		d.Topical[1].Topo = append(d.Topical[1].Topo, vals[len(vals)-1-i])
+	}
+	if err := s.Put(d); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "l.lmk3")
+	if _, err := WriteLandmarksFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(img, landmarkMagic, landmarkVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []int{lmkSecSigma, lmkSecTopo} {
+		if got, want := h.sections[sec].len, uint64(4*len(vals)); got != want {
+			t.Fatalf("section %d holds %d bytes, want %d (E × f32)", sec, got, want)
+		}
+	}
+	check := func(path string, got *landmark.Store) {
+		t.Helper()
+		l := got.Get(3).Topical[1]
+		for i := range vals {
+			if g, w := math.Float32bits(l.Sigma[i]), math.Float32bits(vals[i]); g != w {
+				t.Fatalf("%s: σ[%d] bits %#x, want %#x", path, i, g, w)
+			}
+			if g, w := math.Float32bits(l.Topo[i]), math.Float32bits(vals[len(vals)-1-i]); g != w {
+				t.Fatalf("%s: topo[%d] bits %#x, want %#x", path, i, g, w)
+			}
+		}
+		requireStoresEqual(t, s, got)
+	}
+	ls, err := OpenLandmarks(path, OpenOptions{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	check("OpenLandmarks", ls.Store())
+	heap, err := ReadLandmarks(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ReadLandmarks", heap)
+}
+
+// TestSortedBySigmaAcceptsTies: Verify's rank check admits equal
+// neighbours, which float32 rounding produces, and refuses a rise.
+func TestSortedBySigmaAcceptsTies(t *testing.T) {
+	for _, tc := range []struct {
+		s    []float32
+		want bool
+	}{
+		{nil, true},
+		{[]float32{1}, true},
+		{[]float32{3, 2, 2, 2, 1}, true},
+		{[]float32{2, 2}, true},
+		{[]float32{2, 2, 3}, false},
+		{[]float32{1, math.Nextafter32(1, 2)}, false},
+	} {
+		if got := sortedBySigma(tc.s); got != tc.want {
+			t.Errorf("sortedBySigma(%v) = %v, want %v", tc.s, got, tc.want)
+		}
+	}
 }
 
 // TestLandmarksIgnoreReservedMeta: header meta [3] once carried a layout

@@ -83,8 +83,8 @@ func TestOpenLandmarksIsZeroCopy(t *testing.T) {
 				var l landmark.List
 				for k := 0; k < topN; k++ {
 					l.Nodes = append(l.Nodes, graph.NodeID(k))
-					l.Sigma = append(l.Sigma, 1/float64(k+1))
-					l.Topo = append(l.Topo, 1/float64(k+2))
+					l.Sigma = append(l.Sigma, 1/float32(k+1))
+					l.Topo = append(l.Topo, 1/float32(k+2))
 				}
 				d.Topical[li] = l
 			}

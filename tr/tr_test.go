@@ -140,8 +140,8 @@ func TestLoadIndexRejectsForeignNodes(t *testing.T) {
 	d.Topical = slices.Clone(d.Topical)
 	d.Topical[tech] = landmark.List{
 		Nodes: []graph.NodeID{graph.NodeID(sys.Graph().NumNodes())},
-		Sigma: []float64{1},
-		Topo:  []float64{1},
+		Sigma: []float32{1},
+		Topo:  []float32{1},
 	}
 	if err := idx.Put(&d); err != nil {
 		t.Fatal(err)
