@@ -147,6 +147,12 @@ kernel-gate:
 		/^FAIL/ { bad = 1 } \
 		END { if (seenH != 4) { print "kernel-gate: hub benchmark did not run"; bad = 1 } exit bad }'
 
+# loc prints the non-test Go line count outside bench/, the size ROADMAP
+# item 9 tracks (target <= 17,000). Not part of check.
+.PHONY: loc
+loc:
+	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+
 # bench watches the hot path: the Explore microbenchmarks (allocs/op is
 # the regression guard for the exploration loop; BenchmarkExploreConverged
 # is one landmark's factored preprocessing at 2000 and 8000 nodes), the

@@ -20,12 +20,13 @@
 //
 // With the streaming ingestion pipeline enabled, POST /v1/update
 // enqueues into a bounded queue (202 Accepted; 429 + Retry-After when
-// full) instead of applying synchronously, edge weights decay with a
-// configurable half-life, and the per-batch refresh budget is spent by
-// a scheduler instead of draining every stale landmark:
+// full) instead of applying synchronously, and edge weights decay with a
+// configurable half-life:
 //
-//	trserver -ingest-queue 4096 -half-life 24h -decay-path data/decay.trdk \
-//	         -refresh-sched priority -refresh-budget 4
+//	trserver -ingest-queue 4096 -half-life 24h -decay-path data/decay.trdk
+//
+// A per-batch refresh budget binds only when landmarks are refreshed at
+// apply time; README's -refresh eager recipe shows it.
 //
 // Standing queries push top-k deltas instead of being polled:
 //

@@ -102,19 +102,32 @@ func TestLazyPriorityQueryReadsUnderReadLock(t *testing.T) {
 	})
 }
 
-// TestWriterExcludesReaders: a Recommend issued while Apply is inside its
-// landmark refresh waits for the whole batch, then answers exactly what a
-// call after the batch answers.
+// TestWriterExcludesReaders: a Recommend issued while Apply holds the
+// write lock waits for the whole batch, then answers exactly what a call
+// after the batch answers. Apply is held inside the lock by the clock
+// that stamps its unstamped update (decay is on).
 func TestWriterExcludesReaders(t *testing.T) {
-	m, _ := newManager(t, Eager, 3)
+	ds := gen.RandomWith(60, 600, 3)
+	lms, err := landmark.Select(ds.Graph, landmark.InDeg, 6, landmark.DefaultSelectConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(ds.Graph, lms, Config{
+		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 200, QueryDepth: 2,
+		Strategy: Eager, HalfLife: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lm := m.store.Landmarks()[0]
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	m.refreshErrHook = func() error {
+	stamp := m.nowFn()
+	m.nowFn = func() int64 {
 		once.Do(func() { close(entered) })
 		<-release
-		return nil
+		return stamp
 	}
 	applied := make(chan error, 1)
 	go func() {
@@ -124,7 +137,7 @@ func TestWriterExcludesReaders(t *testing.T) {
 	case <-entered:
 	case <-time.After(5 * time.Second):
 		close(release)
-		t.Fatal("Apply never reached the landmark refresh")
+		t.Fatal("Apply never stamped its update")
 	}
 
 	type answer struct {
@@ -150,7 +163,9 @@ func TestWriterExcludesReaders(t *testing.T) {
 	if a.err != nil {
 		t.Fatal(a.err)
 	}
-	m.refreshErrHook = nil
+	if m.Stats().Refreshes == 0 {
+		t.Fatal("the batch refreshed no landmark")
+	}
 	want, err := m.Recommend(lm, 1, 10)
 	if err != nil {
 		t.Fatal(err)

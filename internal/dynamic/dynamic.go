@@ -36,7 +36,6 @@ package dynamic
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,16 +106,6 @@ type Config struct {
 	// degrade gracefully, but a large delta wastes memory and map
 	// lookups). <= 0 uses 0.25.
 	CompactFraction float64
-	// RefreshBackoff throttles landmark-refresh retries after a failure.
-	// A failed refresh no longer propagates to the caller — the affected
-	// landmarks simply stay stale and are retried later — and no further
-	// refresh is attempted until the backoff window (doubled per
-	// consecutive failure, capped at 64x, with ±25% jitter so retries
-	// desynchronize) has passed, so a persistently failing refresh can
-	// neither fail update batches nor starve queries with repeated
-	// refresh attempts. 0 uses 500ms. The remaining window is exported
-	// as the dynamic_refresh_backoff_seconds gauge.
-	RefreshBackoff time.Duration
 	// Scheduler picks which stale landmarks a refresh opportunity of
 	// the Eager and Threshold strategies repairs, every topic of each
 	// (see SchedulerKind). The zero value SchedAll is the legacy
@@ -164,7 +153,7 @@ type Config struct {
 	// graph is also written there as a TRG2 snapshot (atomic
 	// temp+rename) and the WAL is truncated — the logged batches are
 	// redundant once the snapshot that contains them is published. A
-	// failed snapshot write is absorbed like a failed refresh: the
+	// failed snapshot write is absorbed (SnapshotFailures): the
 	// in-memory epoch still installs, the WAL keeps its records, and the
 	// next compaction retries.
 	SnapshotPath string
@@ -197,12 +186,6 @@ type Stats struct {
 	// TopicRefreshes counts (landmark, topic) lists a Lazy query
 	// refreshed, one topic of one landmark each.
 	TopicRefreshes int
-	// RefreshFailures counts failed refresh runs (absorbed, not
-	// propagated; the affected landmarks stay stale).
-	RefreshFailures int
-	// RefreshDeferred counts refresh opportunities skipped because the
-	// manager was backing off after a failure.
-	RefreshDeferred int
 	// StaleNow is the current number of stale landmarks: those with at
 	// least one stale topic.
 	StaleNow int
@@ -277,9 +260,8 @@ type BatchEffect struct {
 // batches beside live queries. mu is a reader/writer lock:
 //
 //   - Read lock (shared): Recommend when no landmark its vicinity meets
-//     is stale on its topic, RecommendExact/RecommendExactCtx, Stats,
-//     QueryStaleness and the refresh-backoff gauge. Readers run side by
-//     side: the engine is immutable and safe for concurrent use, and the
+//     is stale on its topic, RecommendExact/RecommendExactCtx, Stats and
+//     QueryStaleness. Readers run side by side: the engine is immutable and safe for concurrent use, and the
 //     store, its stale marks, the authority table and the view change
 //     only under the write lock, so no reader sees a half-applied batch.
 //   - Write lock (exclusive): Apply, Replay, SetBatchHook, Instrument,
@@ -290,6 +272,12 @@ type BatchEffect struct {
 //     ones it meets as traffic for the next schedule).
 //
 // Graph and Neighborhood read a lock-free published view instead.
+//
+// A landmark refresh runs in memory and cannot fail unless an invariant
+// NewManager establishes is broken (the store's landmark set and
+// vocabulary match the graph's), so a refresh error is a programming
+// error: it reaches the caller of the Apply or Recommend that ran the
+// refresh, and the landmarks it did not rewrite stay stale.
 //
 // No method may take mu again while it holds mu: a recursive RLock
 // deadlocks behind a waiting writer. Batch hooks fire after the lock is
@@ -329,18 +317,6 @@ type Manager struct {
 	// nowFn stamps updates that arrive without a timestamp; the test
 	// seam for deterministic streams. Defaults to time.Now().UnixNano.
 	nowFn func() int64
-	// rng drives the backoff jitter (failure path only, so determinism
-	// drills — which never fail — are unaffected).
-	rng *rand.Rand
-
-	// Refresh retry/backoff state: after a failed refresh, nextRefresh
-	// holds the earliest time another attempt may run and refreshFails
-	// counts consecutive failures (driving the exponential window).
-	nextRefresh  time.Time
-	refreshFails int
-	// refreshErrHook, when non-nil, is consulted before every refresh run
-	// — the test seam for injecting refresh failures.
-	refreshErrHook func() error
 
 	// Batch-effect export (SetBatchHook): applyLocked collects one
 	// BatchEffect per applied batch into pendingFx via the collectFx
@@ -359,8 +335,6 @@ type Manager struct {
 	mEdgesRemoved   *metrics.Counter
 	mRefreshes      *metrics.Counter
 	mTopicRefreshes *metrics.Counter
-	mRefreshFails   *metrics.Counter
-	mRefreshDefer   *metrics.Counter
 	mCompactions    *metrics.Counter
 	mWALAppends     *metrics.Counter
 	mWALReplayed    *metrics.Counter
@@ -389,9 +363,6 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 	if cfg.CompactFraction <= 0 {
 		cfg.CompactFraction = 0.25
 	}
-	if cfg.RefreshBackoff == 0 {
-		cfg.RefreshBackoff = 500 * time.Millisecond
-	}
 	if cfg.RefreshBudget <= 0 {
 		cfg.RefreshBudget = 4
 	}
@@ -406,7 +377,6 @@ func NewManager(g *graph.Graph, lms []graph.NodeID, cfg Config) (*Manager, error
 		allTopics: topics.Set(1<<g.Vocabulary().Len() - 1),
 		staleMeta: make(map[graph.NodeID]*staleMeta),
 		nowFn:     func() int64 { return time.Now().UnixNano() },
-		rng:       rand.New(rand.NewSource(time.Now().UnixNano())), //nolint:gosec // jitter, not crypto
 	}
 	m.viewPub.Store(&viewBox{view: g})
 	m.isLandmark = isLandmark
@@ -507,8 +477,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mEdgesRemoved = reg.Counter("dynamic_edges_removed_total", "Follow edges removed by updates.")
 	m.mRefreshes = reg.Counter("dynamic_landmark_refreshes_total", "Whole-landmark re-explorations (every topic) triggered by updates.")
 	m.mTopicRefreshes = reg.Counter("dynamic_topic_refreshes_total", "Landmark lists refreshed on one topic by a Lazy query that met them stale on it.")
-	m.mRefreshFails = reg.Counter("dynamic_refresh_failures_total", "Failed landmark refresh runs (absorbed; landmarks stay stale).")
-	m.mRefreshDefer = reg.Counter("dynamic_refresh_deferred_total", "Refresh opportunities skipped while backing off after a failure.")
 	m.mCompactions = reg.Counter("dynamic_compactions_total", "Overlay stacks folded back into a fresh frozen graph.")
 	m.mWALAppends = reg.Counter("dynamic_wal_appends_total", "Update batches made durable in the write-ahead log before applying.")
 	m.mWALReplayed = reg.Counter("dynamic_wal_replayed_total", "Update batches recovered from the write-ahead log at boot.")
@@ -520,8 +488,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.mEdgesRemoved.Add(uint64(st.EdgesRemoved))
 	m.mRefreshes.Add(uint64(st.Refreshes))
 	m.mTopicRefreshes.Add(uint64(st.TopicRefreshes))
-	m.mRefreshFails.Add(uint64(st.RefreshFailures))
-	m.mRefreshDefer.Add(uint64(st.RefreshDeferred))
 	m.mCompactions.Add(uint64(st.Compactions))
 	m.mWALAppends.Add(uint64(st.WALAppends))
 	m.mWALReplayed.Add(uint64(st.WALReplayed))
@@ -543,9 +509,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("dynamic_overlay_delta_edges",
 		"Edge changes accumulated by the overlay stack since the last compaction.",
 		func() float64 { return float64(m.Stats().OverlayDelta) })
-	reg.GaugeFunc("dynamic_refresh_backoff_seconds",
-		"Remaining refresh-backoff window after a failed refresh (0 = not backing off).",
-		func() float64 { return m.backoffRemaining().Seconds() })
 	if wal != nil {
 		reg.GaugeFunc("dynamic_wal_bytes",
 			"Current write-ahead log length (truncated at each persisted compaction).",
@@ -581,15 +544,11 @@ func (m *Manager) publishViewLocked() {
 // Graph returns the current graph view — the epoch the serving path
 // queries against. Views are immutable; each Apply atomically installs a
 // new one, so a caller may keep reading a returned view while updates
-// continue. The read is lock-free: it never waits for an in-progress
-// Apply.
+// continue. The read is lock-free: NewManager publishes the first view
+// before the manager escapes, and every epoch install publishes its own,
+// so it never waits for an in-progress Apply.
 func (m *Manager) Graph() graph.View {
-	if b := m.viewPub.Load(); b != nil {
-		return b.view
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.view
+	return m.viewPub.Load().view
 }
 
 // Stats returns maintenance counters.
@@ -626,6 +585,10 @@ type Update struct {
 // crosses the compaction threshold, marks affected landmarks stale and
 // refreshes them per the strategy. Within one batch removal wins over an
 // add of the same (src, dst), matching the legacy rebuild semantics.
+//
+// A refresh error (Eager, Threshold) is returned only after the batch has
+// landed: its epoch is installed, its BatchEffect delivered and its
+// compaction snapshot persisted; the landmarks stay stale.
 func (m *Manager) Apply(batch []Update) error {
 	_, err := m.ApplyRefreshes(batch)
 	return err
@@ -701,6 +664,7 @@ func (m *Manager) Neighborhood(u graph.NodeID, exact bool) []graph.NodeID {
 
 // applyLocked is Apply under mu: effect collection around
 // applyInnerLocked. durable is threaded through (see applyInnerLocked).
+// A batch that landed delivers its effect even when its refresh failed.
 func (m *Manager) applyLocked(batch []Update, durable bool) error {
 	if len(batch) == 0 {
 		return nil
@@ -710,14 +674,15 @@ func (m *Manager) applyLocked(batch []Update, durable bool) error {
 	}
 	fx := &BatchEffect{}
 	m.collectFx = fx
+	landed := m.stats.Batches
 	err := m.applyInnerLocked(batch, durable)
 	m.collectFx = nil
-	if err != nil {
+	if m.stats.Batches == landed {
 		return err
 	}
 	fx.Epoch = m.stats.Epoch
 	m.pendingFx = append(m.pendingFx, *fx)
-	return nil
+	return err
 }
 
 // applyInnerLocked is the apply body under mu. durable controls the
@@ -879,12 +844,13 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 		fx.StaleLandmarks = affected
 	}
 
+	var refreshErr error
 	switch m.cfg.Strategy {
 	case Eager:
-		m.tryRefreshLocked(m.scheduleLocked(), topics.None)
+		refreshErr = m.refreshLocked(m.scheduleLocked())
 	case Threshold:
 		if m.store.StaleLandmarks() >= m.cfg.StaleBound {
-			m.tryRefreshLocked(m.scheduleLocked(), topics.None)
+			refreshErr = m.refreshLocked(m.scheduleLocked())
 		}
 	}
 
@@ -895,6 +861,9 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 	// history up to and including the batch the snapshot covers.
 	if compacted && durable {
 		m.persistSnapshotLocked()
+	}
+	if refreshErr != nil {
+		return fmt.Errorf("dynamic: batch applied, landmarks still stale: %w", refreshErr)
 	}
 	return nil
 }
@@ -1038,76 +1007,12 @@ func (m *Manager) noteIterationsLocked() {
 	}
 }
 
-// tryRefreshLocked refreshes lms — on topic t, or on every topic when t is
-// topics.None — unless the manager is backing off after a refresh
-// failure. Failures are absorbed rather than propagated: the landmarks
-// stay stale (queries keep serving the previous store, updates keep
-// applying) and the next attempt waits out an exponential window — the
-// retry/backoff that keeps a broken refresh path from starving the
-// serving path. Caller holds mu.
-func (m *Manager) tryRefreshLocked(lms []graph.NodeID, t topics.ID) {
-	if len(lms) == 0 {
-		return
-	}
-	if !m.nextRefresh.IsZero() && time.Now().Before(m.nextRefresh) {
-		m.stats.RefreshDeferred++
-		if m.mRefreshDefer != nil {
-			m.mRefreshDefer.Inc()
-		}
-		return
-	}
-	var err error
-	if m.refreshErrHook != nil {
-		err = m.refreshErrHook()
-	}
-	switch {
-	case err != nil:
-	case t == topics.None:
-		err = m.refreshLocked(lms)
-	default:
-		err = m.refreshTopicLocked(lms, t)
-	}
-	if err != nil {
-		m.refreshFails++
-		m.stats.RefreshFailures++
-		if m.mRefreshFails != nil {
-			m.mRefreshFails.Inc()
-		}
-		backoff := m.cfg.RefreshBackoff
-		if backoff > 0 {
-			shift := m.refreshFails - 1
-			if shift > 6 {
-				shift = 6 // cap the window at 64x the base backoff
-			}
-			window := backoff << shift
-			// ±25% jitter: managers that fail together (shared disk,
-			// shared fault) retry spread out instead of in lockstep.
-			window += time.Duration(m.rng.Int63n(int64(window)/2+1)) - window/4
-			m.nextRefresh = time.Now().Add(window)
-		}
-		return
-	}
-	m.refreshFails = 0
-	m.nextRefresh = time.Time{}
-}
-
-// backoffRemaining returns how much of the refresh-backoff window is
-// left (0 when the manager is not backing off).
-func (m *Manager) backoffRemaining() time.Duration {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.nextRefresh.IsZero() {
-		return 0
-	}
-	if rem := time.Until(m.nextRefresh); rem > 0 {
-		return rem
-	}
-	return 0
-}
-
 // refreshLocked re-explores the given landmarks and clears their stale
 // marks. Caller holds mu.
 func (m *Manager) refreshLocked(lms []graph.NodeID) error {
+	if len(lms) == 0 { // Eager calls on every batch, stale landmarks or not
+		return nil
+	}
 	fresh, _ := landmark.Preprocess(m.eng, lms, landmark.PreprocessConfig{TopN: m.cfg.StoreTopN, Metrics: m.reg})
 	for _, lm := range lms {
 		if d := fresh.Get(lm); d != nil {
@@ -1161,7 +1066,7 @@ func (m *Manager) refreshTopicLocked(lms []graph.NodeID, t topics.ID) error {
 // answer reads — and nothing else; the other strategies refreshed at
 // Apply time. When no such landmark exists it answers under the read
 // lock, beside other readers; otherwise it takes the write lock for the
-// refresh.
+// refresh. A refresh error is returned instead of an answer.
 func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Scored, error) {
 	m.mu.RLock()
 	if !m.queryWritesLocked(u, t) {
@@ -1178,9 +1083,6 @@ func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Score
 		// pruned exploration never meets), and under Eager or Threshold the priority scheduler
 		// records every stale landmark met as traffic evidence (a stale
 		// landmark queries keep meeting outranks one nothing reads).
-		// During a failure backoff the query proceeds against the
-		// previous store instead of waiting on (or failing with) the
-		// refresh.
 		lazy := m.cfg.Strategy == Lazy
 		var need []graph.NodeID
 		graph.BFSOut(m.view, u, m.cfg.QueryDepth, func(v graph.NodeID, depth int) bool {
@@ -1194,7 +1096,9 @@ func (m *Manager) Recommend(u graph.NodeID, t topics.ID, n int) ([]ranking.Score
 			return true
 		})
 		if lazy {
-			m.tryRefreshLocked(need, t)
+			if err := m.refreshTopicLocked(need, t); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return m.approxLocked(u, t, n)

@@ -2,10 +2,10 @@ package dynamic
 
 import (
 	"bytes"
-	"errors"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -404,76 +404,78 @@ func TestCompactionByDeltaFraction(t *testing.T) {
 	}
 }
 
-// TestRefreshBackoffAbsorbsFailures exercises the refresh retry/backoff:
-// a failing refresh must neither fail the triggering query nor be
-// retried before its backoff window passes, and once the fault clears
-// the next opportunity refreshes normally.
-func TestRefreshBackoffAbsorbsFailures(t *testing.T) {
+// TestTopicRefreshErrorReachesCaller: a refresh fails only on a broken
+// invariant, here a node the store does not hold. The error comes back,
+// the landmark after it in the same call keeps its stale mark, and no
+// refresh is counted.
+func TestTopicRefreshErrorReachesCaller(t *testing.T) {
 	m, ds := newManager(t, Lazy, 3)
-	m.cfg.RefreshBackoff = 20 * time.Millisecond
 	lm := m.store.Landmarks()[0]
-	// A querier whose 2-hop vicinity contains the landmark, so its query
-	// triggers the lazy refresh.
-	var querier graph.NodeID
-	found := false
-	for u := 0; u < ds.Graph.NumNodes() && !found; u++ {
-		graph.BFSOut(m.Graph(), graph.NodeID(u), 2, func(v graph.NodeID, d int) bool {
-			if v == lm && d > 0 {
-				querier = graph.NodeID(u)
-				found = true
-				return false
-			}
-			return true
-		})
-	}
-	if !found {
-		t.Skip("no 2-hop querier for the landmark")
-	}
 	if err := m.Apply([]Update{{Edge: graph.Edge{Src: lm, Dst: (lm + 29) % 60, Label: topics.NewSet(1)}, Add: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().StaleNow == 0 {
-		t.Fatal("the touched landmark must be stale")
+	if !m.store.Stale(lm).Has(1) {
+		t.Fatal("the touched landmark must be stale on topic 1")
 	}
+	stranger := graph.NodeID(0)
+	for m.store.Contains(stranger) && int(stranger) < ds.Graph.NumNodes() {
+		stranger++
+	}
+	before := m.Stats()
+	m.mu.Lock()
+	err := m.refreshTopicLocked([]graph.NodeID{stranger, lm}, 1)
+	m.mu.Unlock()
+	if err == nil {
+		t.Fatalf("refreshing non-landmark %d succeeded", stranger)
+	}
+	if !m.store.Stale(lm).Has(1) {
+		t.Fatal("a failed refresh cleared a stale mark")
+	}
+	after := m.Stats()
+	if after.TopicRefreshes != before.TopicRefreshes || after.Refreshes != before.Refreshes || after.StaleNow != before.StaleNow {
+		t.Fatalf("a failed refresh moved the counters: before %+v, after %+v", before, after)
+	}
+}
 
-	m.refreshErrHook = func() error { return errors.New("injected refresh fault") }
-	// The query meets the stale landmark, the refresh fails — but the
-	// failure is absorbed and the query still answers from the old store.
-	if _, err := m.Recommend(querier, 0, 5); err != nil {
-		t.Fatalf("query failed alongside the refresh: %v", err)
+// TestApplyRefreshErrorAfterBatchLands: when an Eager refresh fails (here
+// the store's vocabulary is one topic wider than the graph's, so Store.Put
+// rejects every fresh landmark), Apply still installs the batch's epoch,
+// delivers its effect and persists its compaction snapshot, and then
+// returns the error; the landmarks stay stale.
+func TestApplyRefreshErrorAfterBatchLands(t *testing.T) {
+	m, _ := newManager(t, Eager, 3)
+	wide := landmark.NewStore(m.store.VocabLen()+1, m.store.TopN())
+	for _, lm := range m.store.Landmarks() {
+		d := *m.store.Get(lm)
+		d.Topical = append(slices.Clone(d.Topical), landmark.List{})
+		if err := wide.Put(&d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.store = wide
+	m.cfg.CompactDepth = 1
+	m.cfg.SnapshotPath = filepath.Join(t.TempDir(), "g.trg2")
+	var fx []BatchEffect
+	m.SetBatchHook(func(f BatchEffect) { fx = append(fx, f) })
+
+	lm := wide.Landmarks()[0]
+	edge := graph.Edge{Src: lm, Dst: (lm + 29) % 60, Label: topics.NewSet(1)}
+	err := m.Apply([]Update{{Edge: edge, Add: true}})
+	if err == nil || !strings.Contains(err.Error(), "batch applied, landmarks still stale") {
+		t.Fatalf("Apply = %v, want the refresh error after the batch applied", err)
 	}
 	st := m.Stats()
-	if st.RefreshFailures != 1 || st.TopicRefreshes != 0 {
-		t.Fatalf("failures = %d, topic refreshes = %d; want 1 and 0", st.RefreshFailures, st.TopicRefreshes)
+	if st.Batches != 1 || st.Compactions != 1 || st.SnapshotWrites != 1 {
+		t.Fatalf("batches %d, compactions %d, snapshot writes %d; want 1 each", st.Batches, st.Compactions, st.SnapshotWrites)
 	}
-	if st.StaleNow == 0 {
-		t.Fatal("failed refresh cleared the stale mark")
+	if st.Refreshes != 0 || st.StaleNow == 0 || wide.Stale(lm) == 0 {
+		t.Fatalf("refreshes %d, stale %d, landmark %d stale on %v: want no refresh and the landmarks still stale", st.Refreshes, st.StaleNow, lm, wide.Stale(lm))
 	}
-	// Within the backoff window no refresh is attempted at all: the next
-	// query defers instead of hammering the failing path.
-	if _, err := m.Recommend(querier, 0, 5); err != nil {
-		t.Fatalf("query during backoff failed: %v", err)
+	if len(fx) != 1 || fx[0].Epoch != st.Epoch || !slices.Contains(fx[0].StaleLandmarks, lm) || len(fx[0].Refreshed) != 0 {
+		t.Fatalf("effects %+v, want one at epoch %d marking %d stale and refreshing none", fx, st.Epoch, lm)
 	}
-	st = m.Stats()
-	if st.RefreshDeferred == 0 {
-		t.Fatal("no refresh was deferred during the backoff window")
-	}
-	if st.RefreshFailures != 1 {
-		t.Fatalf("refresh retried inside the backoff window: %d failures", st.RefreshFailures)
-	}
-
-	// Fault clears, window passes: the next query refreshes normally.
-	m.refreshErrHook = nil
-	time.Sleep(40 * time.Millisecond)
-	if _, err := m.Recommend(querier, 0, 5); err != nil {
-		t.Fatal(err)
-	}
-	st = m.Stats()
-	if st.TopicRefreshes == 0 {
-		t.Fatal("refresh did not resume after the backoff window")
-	}
-	if m.store.Stale(lm).Has(0) {
-		t.Fatal("the queried topic is still stale after a successful refresh")
+	if !m.Graph().HasEdge(edge.Src, edge.Dst) {
+		t.Fatal("the applied edge is not in the installed view")
 	}
 }
 

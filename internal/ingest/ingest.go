@@ -189,10 +189,11 @@ func (p *Pipeline) consume(maxBatch int) {
 		p.mu.Lock()
 		if err != nil {
 			// Poison: the batch's events were admitted but did not
-			// apply. Stop consuming — a WAL that rejected one append
-			// must not be offered later batches, or replay order and
-			// live order diverge — and surface the cause on every
-			// later call instead of dropping events silently.
+			// apply, or applied with a failed landmark refresh (a
+			// broken invariant). Stop consuming — a WAL that rejected
+			// one append must not be offered later batches, or replay
+			// order and live order diverge — and surface the cause on
+			// every later call instead of dropping events silently.
 			p.err = err
 			p.cond.Broadcast()
 			p.mu.Unlock()

@@ -77,9 +77,7 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 		"requests_degraded_total 0",
 		"admission_inflight 0",
 		"admission_queue_depth 0",
-		// Dynamic refresh resilience.
-		"dynamic_refresh_failures_total 0",
-		"dynamic_refresh_deferred_total 0",
+		// Landmark maintenance.
 		"dynamic_topic_refreshes_total",
 	} {
 		if !strings.Contains(out, want) {
