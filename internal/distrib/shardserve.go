@@ -46,22 +46,13 @@ type ShardServer struct {
 
 	served    atomic.Uint64
 	shed      atomic.Uint64
-	partialNs metricObserver
-	shedCtr   metricIncrementer
+	partialNs *metrics.Histogram // detached when Metrics is nil
 
 	// bufPool recycles partial output slices across requests: a partial's
 	// candidate union is large and near-constant in size, so per-request
 	// allocation would be the worker's dominant garbage source.
 	bufPool sync.Pool
 }
-
-type metricObserver interface{ Observe(float64) }
-type metricIncrementer interface{ Inc() }
-
-type nopMetric struct{}
-
-func (nopMetric) Observe(float64) {}
-func (nopMetric) Inc()            {}
 
 // NewShardServer wraps a Shard in its RPC surface.
 func NewShardServer(shard *Shard, part, parts int, cfg ShardServerConfig) *ShardServer {
@@ -72,23 +63,19 @@ func NewShardServer(shard *Shard, part, parts int, cfg ShardServerConfig) *Shard
 		cfg.MaxQueue = 32
 	}
 	s := &ShardServer{
-		shard:     shard,
-		part:      part,
-		parts:     parts,
-		slots:     make(chan struct{}, cfg.MaxInflight),
-		queue:     make(chan struct{}, cfg.MaxInflight+cfg.MaxQueue),
-		partialNs: nopMetric{},
-		shedCtr:   nopMetric{},
+		shard: shard,
+		part:  part,
+		parts: parts,
+		slots: make(chan struct{}, cfg.MaxInflight),
+		queue: make(chan struct{}, cfg.MaxInflight+cfg.MaxQueue),
+		partialNs: cfg.Metrics.Histogram("shard_worker_partial_seconds",
+			"Time computing one partial on this worker.", nil),
 	}
-	if cfg.Metrics != nil {
-		s.partialNs = cfg.Metrics.Histogram("shard_worker_partial_seconds",
-			"Time computing one partial on this worker.", nil)
-		s.shedCtr = cfg.Metrics.Counter("shard_worker_shed_total",
-			"Partial requests shed by worker admission control.")
-		cfg.Metrics.GaugeFunc("shard_worker_queue_depth",
-			"Partial requests admitted and not yet finished.",
-			func() float64 { return float64(len(s.queue)) })
-	}
+	cfg.Metrics.CounterFunc("shard_worker_shed_total",
+		"Partial requests shed by worker admission control.", s.shed.Load)
+	cfg.Metrics.GaugeFunc("shard_worker_queue_depth",
+		"Partial requests admitted and not yet finished.",
+		func() float64 { return float64(len(s.queue)) })
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/v1/partial", s.handlePartial)
 	mux.HandleFunc("/shard/v1/health", s.handleHealth)
@@ -127,7 +114,6 @@ func (s *ShardServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- struct{}{}:
 	default:
 		s.shed.Add(1)
-		s.shedCtr.Inc()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "shard overloaded", http.StatusTooManyRequests)
 		return

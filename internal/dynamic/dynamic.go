@@ -326,21 +326,9 @@ type Manager struct {
 	pendingFx []BatchEffect
 	collectFx *BatchEffect
 
-	// Instrumentation: nil registry means no recording. The counters are
-	// resolved once at Instrument time so Apply's hot path is pure
-	// atomics.
-	reg             *metrics.Registry
-	mBatches        *metrics.Counter
-	mEdgesAdded     *metrics.Counter
-	mEdgesRemoved   *metrics.Counter
-	mRefreshes      *metrics.Counter
-	mTopicRefreshes *metrics.Counter
-	mCompactions    *metrics.Counter
-	mWALAppends     *metrics.Counter
-	mWALReplayed    *metrics.Counter
-	mSnapshotWrites *metrics.Counter
-	mSnapshotFails  *metrics.Counter
-	mInvVisited     *metrics.Counter
+	// reg is the registry Instrument attached, passed on to the landmark
+	// refreshes and the engine; nil means no recording.
+	reg *metrics.Registry
 }
 
 // NewManager preprocesses the initial graph and landmark set.
@@ -453,50 +441,38 @@ func landmarkMarks(g *graph.Graph, lms []graph.NodeID, s *landmark.Store) ([]boo
 	return marks, nil
 }
 
-// Instrument attaches a metric registry to the manager: maintenance
-// counters are synchronized with the current Stats and kept up to date by
-// every Apply/refresh, and gauges for the stale-landmark count and
-// landmark-set size are registered as exposition-time callbacks. Nil is a
-// no-op; calling twice with a different registry replaces the previous
-// one, while re-attaching the registry already in place is a no-op — the
-// registry hands back the same counters, so re-adding the current Stats
-// to them would double every nonzero total.
+// Instrument attaches a metric registry to the manager: the maintenance
+// counters and gauges are exposition-time callbacks over Stats, so a
+// registry attached late reads the same totals and attaching one twice
+// counts nothing twice. Nil is a no-op; a second registry replaces the
+// first for the refresh and engine series.
 func (m *Manager) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	m.mu.Lock()
-	if m.reg == reg {
-		m.mu.Unlock()
-		return
-	}
-	st := m.stats
 	m.reg = reg
-	m.mBatches = reg.Counter("dynamic_batches_total", "Update batches applied to the graph.")
-	m.mEdgesAdded = reg.Counter("dynamic_edges_added_total", "Follow edges added by updates.")
-	m.mEdgesRemoved = reg.Counter("dynamic_edges_removed_total", "Follow edges removed by updates.")
-	m.mRefreshes = reg.Counter("dynamic_landmark_refreshes_total", "Whole-landmark re-explorations (every topic) triggered by updates.")
-	m.mTopicRefreshes = reg.Counter("dynamic_topic_refreshes_total", "Landmark lists refreshed on one topic by a Lazy query that met them stale on it.")
-	m.mCompactions = reg.Counter("dynamic_compactions_total", "Overlay stacks folded back into a fresh frozen graph.")
-	m.mWALAppends = reg.Counter("dynamic_wal_appends_total", "Update batches made durable in the write-ahead log before applying.")
-	m.mWALReplayed = reg.Counter("dynamic_wal_replayed_total", "Update batches recovered from the write-ahead log at boot.")
-	m.mSnapshotWrites = reg.Counter("dynamic_snapshot_writes_total", "Compactions persisted as TRG2 snapshots (WAL truncated after each).")
-	m.mSnapshotFails = reg.Counter("dynamic_snapshot_failures_total", "Snapshot or WAL-truncate failures (absorbed; retried at the next compaction).")
-	m.mInvVisited = reg.Counter("dynamic_invalidation_visited_nodes_total", "Nodes reached by the per-batch landmark invalidation pass.")
-	m.mBatches.Add(uint64(st.Batches))
-	m.mEdgesAdded.Add(uint64(st.EdgesAdded))
-	m.mEdgesRemoved.Add(uint64(st.EdgesRemoved))
-	m.mRefreshes.Add(uint64(st.Refreshes))
-	m.mTopicRefreshes.Add(uint64(st.TopicRefreshes))
-	m.mCompactions.Add(uint64(st.Compactions))
-	m.mWALAppends.Add(uint64(st.WALAppends))
-	m.mWALReplayed.Add(uint64(st.WALReplayed))
-	m.mSnapshotWrites.Add(uint64(st.SnapshotWrites))
-	m.mSnapshotFails.Add(uint64(st.SnapshotFailures))
-	m.mInvVisited.Add(uint64(st.InvalidationVisited))
 	wal := m.cfg.WAL
 	nLms := len(m.lms)
 	m.mu.Unlock()
+	for _, c := range []struct {
+		name, help string
+		get        func(Stats) int
+	}{
+		{"dynamic_batches_total", "Update batches applied to the graph.", func(s Stats) int { return s.Batches }},
+		{"dynamic_edges_added_total", "Follow edges added by updates.", func(s Stats) int { return s.EdgesAdded }},
+		{"dynamic_edges_removed_total", "Follow edges removed by updates.", func(s Stats) int { return s.EdgesRemoved }},
+		{"dynamic_landmark_refreshes_total", "Whole-landmark re-explorations (every topic) triggered by updates.", func(s Stats) int { return s.Refreshes }},
+		{"dynamic_topic_refreshes_total", "Landmark lists refreshed on one topic by a Lazy query that met them stale on it.", func(s Stats) int { return s.TopicRefreshes }},
+		{"dynamic_compactions_total", "Overlay stacks folded back into a fresh frozen graph.", func(s Stats) int { return s.Compactions }},
+		{"dynamic_wal_appends_total", "Update batches made durable in the write-ahead log before applying.", func(s Stats) int { return s.WALAppends }},
+		{"dynamic_wal_replayed_total", "Update batches recovered from the write-ahead log at boot.", func(s Stats) int { return s.WALReplayed }},
+		{"dynamic_snapshot_writes_total", "Compactions persisted as TRG2 snapshots (WAL truncated after each).", func(s Stats) int { return s.SnapshotWrites }},
+		{"dynamic_snapshot_failures_total", "Snapshot or WAL-truncate failures (absorbed; retried at the next compaction).", func(s Stats) int { return s.SnapshotFailures }},
+		{"dynamic_invalidation_visited_nodes_total", "Nodes reached by the per-batch landmark invalidation pass.", func(s Stats) int { return s.InvalidationVisited }},
+	} {
+		reg.CounterFunc(c.name, c.help, func() uint64 { return uint64(c.get(m.Stats())) })
+	}
 	reg.GaugeFunc("dynamic_stale_landmarks",
 		"Landmarks with at least one topic marked stale (awaiting refresh).",
 		func() float64 { return float64(m.Stats().StaleNow) })
@@ -751,23 +727,9 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 			return fmt.Errorf("dynamic: wal append: %w", err)
 		}
 		m.stats.WALAppends++
-		if m.mWALAppends != nil {
-			m.mWALAppends.Inc()
-		}
 	}
-	for _, up := range batch {
-		if up.Add {
-			m.stats.EdgesAdded++
-			if m.mEdgesAdded != nil {
-				m.mEdgesAdded.Inc()
-			}
-		} else {
-			m.stats.EdgesRemoved++
-			if m.mEdgesRemoved != nil {
-				m.mEdgesRemoved.Inc()
-			}
-		}
-	}
+	m.stats.EdgesAdded += len(adds)
+	m.stats.EdgesRemoved += len(removes)
 	m.view = ov
 	m.stats.Epoch++
 	// Authority maintenance: only the targets of the changed edges have
@@ -819,18 +781,12 @@ func (m *Manager) applyInnerLocked(batch []Update, durable bool) error {
 		m.eng = eng
 		m.stats.Compactions++
 		m.stats.Epoch++
-		if m.mCompactions != nil {
-			m.mCompactions.Inc()
-		}
 		compacted = true
 		if fx := m.collectFx; fx != nil {
 			fx.Global = true
 		}
 	}
 	m.stats.Batches++
-	if m.mBatches != nil {
-		m.mBatches.Inc()
-	}
 	m.publishViewLocked()
 
 	// Mark affected landmarks: those that reach an endpoint of a changed
@@ -884,9 +840,6 @@ func (m *Manager) persistSnapshotLocked() {
 	}
 	if _, err := store.WriteSnapshotFile(m.cfg.SnapshotPath, g, nil); err != nil {
 		m.stats.SnapshotFailures++
-		if m.mSnapshotFails != nil {
-			m.mSnapshotFails.Inc()
-		}
 		return
 	}
 	// The landmark store travels with the graph: recovery needs both to
@@ -897,9 +850,6 @@ func (m *Manager) persistSnapshotLocked() {
 	if m.cfg.LandmarkPath != "" {
 		if _, err := store.WriteLandmarksFile(m.cfg.LandmarkPath, m.store); err != nil {
 			m.stats.SnapshotFailures++
-			if m.mSnapshotFails != nil {
-				m.mSnapshotFails.Inc()
-			}
 			return
 		}
 	}
@@ -910,25 +860,16 @@ func (m *Manager) persistSnapshotLocked() {
 	if m.cfg.DecayPath != "" && m.decay.enabled() {
 		if _, err := store.WriteDecayFile(m.cfg.DecayPath, m.decay.export()); err != nil {
 			m.stats.SnapshotFailures++
-			if m.mSnapshotFails != nil {
-				m.mSnapshotFails.Inc()
-			}
 			return
 		}
 	}
 	m.stats.SnapshotWrites++
-	if m.mSnapshotWrites != nil {
-		m.mSnapshotWrites.Inc()
-	}
 	if m.cfg.WAL != nil {
 		if err := m.cfg.WAL.Truncate(); err != nil {
 			// The snapshot is live but the log kept its records: replay
 			// would double-apply. Count it loudly; the next compaction's
 			// truncate retry resolves it.
 			m.stats.SnapshotFailures++
-			if m.mSnapshotFails != nil {
-				m.mSnapshotFails.Inc()
-			}
 		}
 	}
 }
@@ -951,9 +892,6 @@ func (m *Manager) Replay(batches [][]store.EdgeDelta) (int, error) {
 			break
 		}
 		m.stats.WALReplayed++
-		if m.mWALReplayed != nil {
-			m.mWALReplayed.Inc()
-		}
 	}
 	fx, hook := m.takeEffectsLocked()
 	m.mu.Unlock()
@@ -1023,9 +961,6 @@ func (m *Manager) refreshLocked(lms []graph.NodeID) error {
 		m.store.SetStale(lm, 0)
 		delete(m.staleMeta, lm)
 		m.stats.Refreshes++
-		if m.mRefreshes != nil {
-			m.mRefreshes.Inc()
-		}
 	}
 	m.noteIterationsLocked()
 	// Refreshes running inside an apply may repair staleness left by
@@ -1052,9 +987,6 @@ func (m *Manager) refreshTopicLocked(lms []graph.NodeID, t topics.ID) error {
 			delete(m.staleMeta, tl.Landmark)
 		}
 		m.stats.TopicRefreshes++
-		if m.mTopicRefreshes != nil {
-			m.mTopicRefreshes.Inc()
-		}
 	}
 	m.noteIterationsLocked()
 	return nil

@@ -72,9 +72,6 @@ sweep:
 	}
 	inv.frontier, inv.next = frontier, next // keep the grown capacity
 	m.stats.InvalidationVisited += visited
-	if m.mInvVisited != nil {
-		m.mInvVisited.Add(uint64(visited))
-	}
 	slices.Sort(hit)
 	return hit
 }

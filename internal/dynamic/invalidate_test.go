@@ -221,7 +221,7 @@ func TestInvalidationVisitedBound(t *testing.T) {
 	if st.InvalidationVisited < 2 || st.InvalidationVisited > ds.Graph.NumNodes() {
 		t.Fatalf("a 16-update batch visited %d nodes of %d", st.InvalidationVisited, ds.Graph.NumNodes())
 	}
-	if got := reg.Counter("dynamic_invalidation_visited_nodes_total", "").Value(); got != uint64(st.InvalidationVisited) {
+	if got := exposedCounter(t, reg, "dynamic_invalidation_visited_nodes_total"); got != uint64(st.InvalidationVisited) {
 		t.Fatalf("dynamic_invalidation_visited_nodes_total = %d, Stats.InvalidationVisited = %d", got, st.InvalidationVisited)
 	}
 }

@@ -94,11 +94,6 @@ type Pipeline struct {
 	batches  uint64
 
 	done chan struct{} // consumer exited
-
-	mEnqueued *metrics.Counter
-	mRejected *metrics.Counter
-	mApplied  *metrics.Counter
-	mBatches  *metrics.Counter
 }
 
 // New starts a pipeline feeding mgr. Close it to stop the consumer.
@@ -115,16 +110,22 @@ func New(mgr Applier, cfg Config) *Pipeline {
 		done: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	if reg := cfg.Metrics; reg != nil {
-		p.mEnqueued = reg.Counter("ingest_enqueued_total", "Events admitted into the ingestion queue.")
-		p.mRejected = reg.Counter("ingest_rejected_total", "Events rejected with queue-full backpressure.")
-		p.mApplied = reg.Counter("ingest_applied_total", "Events durably applied by the consumer.")
-		p.mBatches = reg.Counter("ingest_batches_total", "Apply calls the consumer folded events into.")
-		reg.GaugeFunc("ingest_queue_depth", "Events currently queued for apply.",
-			func() float64 { return float64(len(p.ch)) })
-		reg.GaugeFunc("ingest_queue_capacity", "Bound of the ingestion queue.",
-			func() float64 { return float64(cap(p.ch)) })
+	reg := cfg.Metrics
+	for _, c := range []struct {
+		name, help string
+		get        func(Stats) uint64
+	}{
+		{"ingest_enqueued_total", "Events admitted into the ingestion queue.", func(s Stats) uint64 { return s.Enqueued }},
+		{"ingest_rejected_total", "Events rejected with queue-full backpressure.", func(s Stats) uint64 { return s.Rejected }},
+		{"ingest_applied_total", "Events durably applied by the consumer.", func(s Stats) uint64 { return s.Applied }},
+		{"ingest_batches_total", "Apply calls the consumer folded events into.", func(s Stats) uint64 { return s.Batches }},
+	} {
+		reg.CounterFunc(c.name, c.help, func() uint64 { return c.get(p.Stats()) })
 	}
+	reg.GaugeFunc("ingest_queue_depth", "Events currently queued for apply.",
+		func() float64 { return float64(len(p.ch)) })
+	reg.GaugeFunc("ingest_queue_capacity", "Bound of the ingestion queue.",
+		func() float64 { return float64(cap(p.ch)) })
 	go p.consume(cfg.MaxBatch)
 	return p
 }
@@ -151,18 +152,12 @@ func (p *Pipeline) Enqueue(ups ...dynamic.Update) error {
 	// grow.
 	if len(ups) > cap(p.ch)-len(p.ch) {
 		p.rejected += uint64(len(ups))
-		if p.mRejected != nil {
-			p.mRejected.Add(uint64(len(ups)))
-		}
 		return ErrFull
 	}
 	for _, up := range ups {
 		p.ch <- up
 	}
 	p.enqueued += uint64(len(ups))
-	if p.mEnqueued != nil {
-		p.mEnqueued.Add(uint64(len(ups)))
-	}
 	return nil
 }
 
@@ -201,12 +196,6 @@ func (p *Pipeline) consume(maxBatch int) {
 		}
 		p.applied += uint64(len(batch))
 		p.batches++
-		if p.mApplied != nil {
-			p.mApplied.Add(uint64(len(batch)))
-		}
-		if p.mBatches != nil {
-			p.mBatches.Inc()
-		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}

@@ -56,17 +56,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 func (f *family) write(w io.Writer) error {
 	f.mu.RLock()
-	keys := make([]string, 0, len(f.series)+len(f.fns))
+	fn := f.fn
+	keys := make([]string, 0, len(f.series))
 	for k := range f.series {
 		keys = append(keys, k)
 	}
-	for k := range f.fns {
-		if _, dup := f.series[k]; !dup {
-			keys = append(keys, k)
-		}
-	}
 	f.mu.RUnlock()
-	if len(keys) == 0 {
+	if len(keys) == 0 && fn == nil {
 		return nil
 	}
 	sort.Strings(keys)
@@ -79,19 +75,23 @@ func (f *family) write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 		return err
 	}
+	if fn != nil {
+		// No lock held: the callback may take its owner's locks.
+		_, err := fmt.Fprintf(w, "%s %s\n", f.name, fn())
+		return err
+	}
 	for _, key := range keys {
 		f.mu.RLock()
 		s := f.series[key]
-		fn := f.fns[key]
 		f.mu.RUnlock()
-		if err := f.writeSeries(w, key, s, fn); err != nil {
+		if err := f.writeSeries(w, key, s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (f *family) writeSeries(w io.Writer, key string, s *series, fn func() float64) error {
+func (f *family) writeSeries(w io.Writer, key string, s *series) error {
 	var values []string
 	if key != "" || len(f.labels) > 0 {
 		values = strings.Split(key, "\x1f")
@@ -102,14 +102,7 @@ func (f *family) writeSeries(w io.Writer, key string, s *series, fn func() float
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lbl, s.counter.Value())
 		return err
 	case kindGauge:
-		v := 0.0
-		switch {
-		case fn != nil:
-			v = fn()
-		case s != nil:
-			v = s.gauge.Value()
-		}
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, lbl, formatFloat(v))
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, lbl, formatFloat(s.gauge.Value()))
 		return err
 	default:
 		return f.writeHistogram(w, values, s.hist)

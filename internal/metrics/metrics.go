@@ -7,7 +7,9 @@
 // a labeled series is first materialized (a short critical section on the
 // family's map) and during exposition. Callers on genuinely hot paths
 // should resolve their series once (`vec.With(...)` at setup time) and
-// hold on to the returned handle.
+// hold on to the returned handle. A value its owner already counts is
+// exported with CounterFunc or GaugeFunc instead: the callback reads it
+// at exposition, outside the registry's locks.
 //
 // The exposition format is the Prometheus text format (version 0.0.4):
 // families sorted by name, series sorted by label values, histograms
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,7 +174,9 @@ type family struct {
 
 	mu     sync.RWMutex
 	series map[string]*series
-	fns    map[string]func() float64 // gauge callbacks, keyed like series
+	// fn renders the value of an unlabeled family exported by callback
+	// (CounterFunc, GaugeFunc); such a family holds no series.
+	fn func() string
 }
 
 // series is one label-value tuple of a family.
@@ -256,6 +261,9 @@ func (f *family) seriesFor(values []string) *series {
 	if s, ok = f.series[key]; ok {
 		return s
 	}
+	if f.fn != nil {
+		panic(fmt.Sprintf("metrics: %s re-registered as a series, was a callback", f.name))
+	}
 	s = &series{labelValues: append([]string(nil), values...)}
 	switch f.kind {
 	case kindCounter:
@@ -299,21 +307,33 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return r.familyFor(name, help, kindHistogram, bounds, nil).seriesFor(nil).hist
 }
 
+// CounterFunc registers a counter whose value fn returns at exposition
+// time, for counts the owner already keeps (its Stats). Re-registering
+// the same name replaces the callback; a name that already has a plain
+// series panics, as a kind mismatch does. No-op on a nil registry.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.setFunc(name, help, kindCounter, func() string { return strconv.FormatUint(fn(), 10) })
+}
+
 // GaugeFunc registers a callback evaluated at exposition time; useful for
 // values already maintained elsewhere (cache sizes, stale-landmark
-// counts). Re-registering the same name replaces the callback. No-op on a
-// nil registry.
+// counts). Re-registering the same name replaces the callback; a name
+// that already has a plain series panics. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.setFunc(name, help, kindGauge, func() string { return formatFloat(fn()) })
+}
+
+func (r *Registry) setFunc(name, help string, k kind, fn func() string) {
 	if r == nil {
 		return
 	}
-	f := r.familyFor(name, help, kindGauge, nil, nil)
+	f := r.familyFor(name, help, k, nil, nil)
 	f.mu.Lock()
-	if f.fns == nil {
-		f.fns = make(map[string]func() float64)
+	defer f.mu.Unlock()
+	if len(f.series) > 0 {
+		panic(fmt.Sprintf("metrics: %s re-registered as a callback, was a series", name))
 	}
-	f.fns[""] = fn
-	f.mu.Unlock()
+	f.fn = fn
 }
 
 // CounterVec is a counter family with labels.

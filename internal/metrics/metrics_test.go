@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,6 +145,73 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("thing", "")
 }
 
+// TestCounterFunc checks that a callback counter is exposed as a counter
+// with the callback's value at scrape time, and that registering the name
+// again replaces the callback.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	n := uint64(3)
+	r.CounterFunc("batches_total", "Batches applied.", func() uint64 { return n })
+	scrape := func() string {
+		var b strings.Builder
+		if _, err := r.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := "# HELP batches_total Batches applied.\n# TYPE batches_total counter\nbatches_total 3\n"
+	if got := scrape(); got != want {
+		t.Errorf("exposition =\n%s\nwant\n%s", got, want)
+	}
+	n = 1 << 40
+	if got := scrape(); !strings.Contains(got, "batches_total 1099511627776\n") {
+		t.Errorf("callback not read at scrape:\n%s", got)
+	}
+	r.CounterFunc("batches_total", "Batches applied.", func() uint64 { return 9 })
+	if got := scrape(); !strings.HasSuffix(got, "batches_total 9\n") {
+		t.Errorf("re-registration did not replace the callback:\n%s", got)
+	}
+}
+
+// TestCallbackSeriesMixPanics checks that one name cannot hold both a
+// callback and a plain series, whichever is registered first.
+func TestCallbackSeriesMixPanics(t *testing.T) {
+	cases := map[string][2]func(r *Registry){
+		"counter then callback": {
+			func(r *Registry) { r.Counter("x", "") },
+			func(r *Registry) { r.CounterFunc("x", "", func() uint64 { return 0 }) },
+		},
+		"callback then counter": {
+			func(r *Registry) { r.CounterFunc("x", "", func() uint64 { return 0 }) },
+			func(r *Registry) { r.Counter("x", "") },
+		},
+		"gauge then callback": {
+			func(r *Registry) { r.Gauge("x", "") },
+			func(r *Registry) { r.GaugeFunc("x", "", func() float64 { return 0 }) },
+		},
+		"callback then gauge": {
+			func(r *Registry) { r.GaugeFunc("x", "", func() float64 { return 0 }) },
+			func(r *Registry) { r.Gauge("x", "") },
+		},
+		"counter callback then gauge callback": {
+			func(r *Registry) { r.CounterFunc("x", "", func() uint64 { return 0 }) },
+			func(r *Registry) { r.GaugeFunc("x", "", func() float64 { return 0 }) },
+		},
+	}
+	for name, steps := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := NewRegistry()
+			steps[0](r)
+			defer func() {
+				if recover() == nil {
+					t.Error("second registration did not panic")
+				}
+			}()
+			steps[1](r)
+		})
+	}
+}
+
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("a", "").Inc()
@@ -151,6 +219,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Histogram("c", "", nil).Observe(1)
 	r.CounterVec("d", "", "l").With("v").Inc()
 	r.GaugeFunc("e", "", func() float64 { return 1 })
+	r.CounterFunc("f", "", func() uint64 { return 1 })
 	if n, err := r.WriteTo(nil); n != 0 || err != nil {
 		t.Errorf("nil WriteTo = (%d, %v)", n, err)
 	}

@@ -235,8 +235,8 @@ func TestSubscribeZeroLostDeltasUnderChurn(t *testing.T) {
 	if n := churned.Load(); n == 0 {
 		t.Error("churner completed no subscribe/poll/unsubscribe cycle")
 	}
-	if d := reg.Counter("subscribe_dropped_slow_consumers_total", "").Value(); d != 0 {
-		t.Errorf("%d consumers dropped as slow", d)
+	if d := exposition(t, reg)["subscribe_dropped_slow_consumers_total"]; d != "0" {
+		t.Errorf("%s consumers dropped as slow", d)
 	}
 	deltas := 0
 	for _, r := range tails {

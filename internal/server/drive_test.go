@@ -165,7 +165,7 @@ func TestBenchShardSmoke(t *testing.T) {
 		reg := metrics.NewRegistry()
 		s := New(mgr, core.DefaultParams().Beta,
 			WithMetrics(reg),
-			WithShardRouter(NewShardRouter(shardTier(t, ds, parts), 10*time.Second, 0)),
+			WithShardRouter(NewShardRouter(shardTier(t, ds, parts, tierConfig), 10*time.Second, 0)),
 			// No result cache: every request scatters.
 			WithCacheSize(0),
 			WithRequestTimeout(30*time.Second),

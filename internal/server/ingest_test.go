@@ -42,6 +42,11 @@ func TestUpdateStreamingPath(t *testing.T) {
 	pipe := ingest.New(gate, ingest.Config{QueueCap: 2, MaxBatch: 1, Metrics: reg})
 	t.Cleanup(func() { pipe.Close() }) //nolint:errcheck
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta, WithMetrics(reg), WithIngest(pipe)))
+	// A failure before the gate opens must not leave pipe.Close waiting
+	// on the blocked consumer: this cleanup runs before the pipeline's.
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate.gate) }) }
+	t.Cleanup(open)
 
 	post := func(body string) *http.Response {
 		resp, err := http.Post(srv.URL+"/v1/update", "application/json", bytes.NewBufferString(body))
@@ -72,8 +77,16 @@ func TestUpdateStreamingPath(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
+	// Admission and queue-full are the pipeline's counts: nothing has
+	// applied yet, and a 429 is not a validation reject.
+	m := exposition(t, reg)
+	if m["updates_applied_total"] != "0" || m["updates_rejected_total"] != "0" ||
+		m["ingest_enqueued_total"] != "3" || m["ingest_rejected_total"] != "1" {
+		t.Fatalf("after three 202s and one 429: updates applied %s, rejected %s; ingest enqueued %s, rejected %s",
+			m["updates_applied_total"], m["updates_rejected_total"], m["ingest_enqueued_total"], m["ingest_rejected_total"])
+	}
 
-	close(gate.gate)
+	open()
 	if err := pipe.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,5 +126,8 @@ func TestUpdateStreamingValidationStaysSync(t *testing.T) {
 	}
 	if st := pipe.Stats(); st.Enqueued != 0 {
 		t.Fatalf("invalid update entered the queue: %+v", st)
+	}
+	if got := exposition(t, reg)["updates_rejected_total"]; got != "1" {
+		t.Fatalf("updates_rejected_total = %s after one invalid request, want 1", got)
 	}
 }

@@ -32,6 +32,23 @@ func fetchMetrics(t *testing.T, base string) string {
 	return string(body)
 }
 
+// exposition renders reg as /v1/metrics serves it and returns each
+// series' value text by series name (labels included).
+func exposition(t *testing.T, reg *metrics.Registry) map[string]string {
+	t.Helper()
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // TestMetricsEndpointCoverage drives the serving stack once through every
 // instrumented path and then requires /metrics to expose the full series
 // set of the acceptance criteria: request latency histograms, cache

@@ -23,7 +23,7 @@ import (
 // shardTier spins up real partition workers (over httptest TCP listeners)
 // serving the same dataset testManager builds, and returns the router
 // endpoint groups pointing at them.
-func shardTier(t *testing.T, ds *gen.Dataset, parts int) [][]string {
+func shardTier(t *testing.T, ds *gen.Dataset, parts int, cfg distrib.ShardServerConfig) [][]string {
 	t.Helper()
 	eng, err := core.NewEngine(ds.Graph, authority.Compute(ds.Graph), ds.Sim, core.DefaultParams())
 	if err != nil {
@@ -42,13 +42,17 @@ func shardTier(t *testing.T, ds *gen.Dataset, parts int) [][]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := distrib.NewShardServer(sh, p, parts, distrib.ShardServerConfig{MaxInflight: 2, MaxQueue: 16})
+		ss := distrib.NewShardServer(sh, p, parts, cfg)
 		srv := httptest.NewServer(ss)
 		t.Cleanup(srv.Close)
 		groups[p] = []string{srv.URL}
 	}
 	return groups
 }
+
+// tierConfig is the worker admission the router tests run their shards
+// with.
+var tierConfig = distrib.ShardServerConfig{MaxInflight: 2, MaxQueue: 16}
 
 func recommendInto(t *testing.T, base string, q string, out *client.RecommendResponse) *http.Response {
 	t.Helper()
@@ -73,7 +77,7 @@ func TestRouterMatchesLocalEngine(t *testing.T) {
 	local := newTestHTTP(t, New(mgr, core.DefaultParams().Beta))
 
 	for _, parts := range []int{1, 2, 4} {
-		groups := shardTier(t, ds, parts)
+		groups := shardTier(t, ds, parts, tierConfig)
 		router := NewShardRouter(groups, 5*time.Second, 0)
 		// Cache size 0: every request must actually scatter.
 		routed := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
@@ -123,8 +127,8 @@ var routerQueries = []string{
 func TestRouterRejectsMisWiredPartitionCount(t *testing.T) {
 	reg := metrics.NewRegistry()
 	mgr, ds := testManager(t, reg)
-	groups := shardTier(t, ds, 2)
-	groups[1] = shardTier(t, ds, 4)[1]
+	groups := shardTier(t, ds, 2, tierConfig)
+	groups[1] = shardTier(t, ds, 4, tierConfig)[1]
 	router := NewShardRouter(groups, 5*time.Second, 0)
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
 		WithMetrics(reg), WithShardRouter(router)))
@@ -150,7 +154,7 @@ func TestRouterRejectsMisWiredPartitionCount(t *testing.T) {
 func TestRouterRefusesWrites(t *testing.T) {
 	reg := metrics.NewRegistry()
 	mgr, ds := testManager(t, reg)
-	router := NewShardRouter(shardTier(t, ds, 2), 5*time.Second, 0)
+	router := NewShardRouter(shardTier(t, ds, 2, tierConfig), 5*time.Second, 0)
 	// Cache size 0: the answers after the write are recomputed.
 	srv := newTestHTTP(t, New(mgr, core.DefaultParams().Beta,
 		WithMetrics(reg), WithShardRouter(router), WithCacheSize(0)))
@@ -215,7 +219,7 @@ func encodedPartial(shard, parts int, entries []distrib.PartialEntry) []byte {
 func TestRouterShardTimeoutDegrades(t *testing.T) {
 	reg := metrics.NewRegistry()
 	mgr, ds := testManager(t, reg)
-	groups := shardTier(t, ds, 2)
+	groups := shardTier(t, ds, 2, tierConfig)
 	// Replace shard 1 with one that never answers in time. (The sleep is
 	// capped so test cleanup stays fast even if client-cancellation does
 	// not tear the connection down promptly.)

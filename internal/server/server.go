@@ -229,8 +229,10 @@ func New(mgr *dynamic.Manager, beta float64, opts ...Option) *Server {
 		"Requests served with a degraded answer (landmark fallback or partial shard gather).")
 	s.timeouts = s.reg.Counter("request_timeouts_total",
 		"Recommendation requests cancelled by the per-request deadline.")
-	s.updatesApplied = s.reg.Counter("updates_applied_total", "Follow/unfollow changes applied.")
-	s.updatesRejected = s.reg.Counter("updates_rejected_total", "Update items rejected by validation.")
+	s.updatesApplied = s.reg.Counter("updates_applied_total",
+		"Follow/unfollow changes applied by a synchronous update (streaming admissions count in ingest_enqueued_total).")
+	s.updatesRejected = s.reg.Counter("updates_rejected_total",
+		"Update requests rejected by validation (queue-full rejections count in ingest_rejected_total).")
 	s.reg.GaugeFunc("cache_entries", "Live entries in the recommendation cache.",
 		func() float64 { return float64(s.cache.len()) })
 	s.reg.GaugeFunc("admission_inflight", "Recommendation computations currently running.",
@@ -728,7 +730,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		if err := s.pipe.Enqueue(batch...); err != nil {
 			if errors.Is(err, ingest.ErrFull) {
 				w.Header().Set("Retry-After", "1")
-				s.updatesRejected.Add(uint64(len(batch)))
 				s.writeError(w, errf(http.StatusTooManyRequests, client.CodeOverloaded,
 					"ingestion queue full, retry later"))
 				return
@@ -740,7 +741,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		// (onBatchEffect) invalidates when the batch actually applies —
 		// invalidating at admission would only repopulate the cache with
 		// pre-update results until the queue drains.
-		s.updatesApplied.Add(uint64(len(batch)))
 		ist := s.pipe.Stats()
 		writeJSON(w, http.StatusAccepted, &client.UpdateResponse{
 			Accepted:   len(batch),

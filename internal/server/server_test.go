@@ -21,8 +21,9 @@ import (
 
 // testManager builds a small dataset and a manager instrumented into reg
 // (the trserver wiring: one registry across manager and server, so the
-// initial preprocessing run is visible at /metrics too).
-func testManager(t *testing.T, reg *metrics.Registry) (*dynamic.Manager, *gen.Dataset) {
+// initial preprocessing run is visible at /metrics too); tune, if given,
+// adjusts the manager's configuration first.
+func testManager(t *testing.T, reg *metrics.Registry, tune ...func(*dynamic.Config)) (*dynamic.Manager, *gen.Dataset) {
 	t.Helper()
 	cfg := gen.DefaultTwitterConfig()
 	cfg.Nodes = 600
@@ -35,10 +36,14 @@ func testManager(t *testing.T, reg *metrics.Registry) (*dynamic.Manager, *gen.Da
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := dynamic.NewManager(ds.Graph, lms, dynamic.Config{
+	mcfg := dynamic.Config{
 		Params: core.DefaultParams(), Sim: ds.Sim, StoreTopN: 100,
 		QueryDepth: 2, Strategy: dynamic.Lazy, Metrics: reg,
-	})
+	}
+	for _, f := range tune {
+		f(&mcfg)
+	}
+	mgr, err := dynamic.NewManager(ds.Graph, lms, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,8 +366,8 @@ func TestSubscribeSharedKeySingleRescore(t *testing.T) {
 	if got := after.Rescores - before.Rescores; got != 1 {
 		t.Errorf("4 subscribers cost %d re-scores for one batch, want 1", got)
 	}
-	if got := reg.Counter("subscribe_rescores_total", "").Value(); uint64(got) != after.Rescores {
-		t.Errorf("subscribe_rescores_total = %d, stats say %d", got, after.Rescores)
+	if got := exposition(t, reg)["subscribe_rescores_total"]; got != fmt.Sprint(after.Rescores) {
+		t.Errorf("subscribe_rescores_total = %s, stats say %d", got, after.Rescores)
 	}
 	for _, id := range ids {
 		if err := c.Unsubscribe(ctx, id); err != nil {

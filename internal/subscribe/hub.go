@@ -158,15 +158,8 @@ type Hub struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// Metric handles (nil-safe when Config.Metrics is nil).
-	mMarks      *metrics.Counter
-	mCoalesced  *metrics.Counter
-	mRescores   *metrics.Counter
-	mSuppressed *metrics.Counter
-	mFailures   *metrics.Counter
-	mPushed     *metrics.Counter
-	mDropped    *metrics.Counter
-	mPushLat    *metrics.Histogram
+	// mPushLat is detached (never exported) when Config.Metrics is nil.
+	mPushLat *metrics.Histogram
 }
 
 // New starts a hub and its re-score worker. Close releases it.
@@ -186,22 +179,29 @@ func New(cfg Config) *Hub {
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
+		mPushLat: cfg.Metrics.Histogram("subscribe_push_latency_seconds",
+			"Latency from ingest accept to delta availability in the event ring.", nil),
 	}
 	h.stats.Max = cfg.MaxSubscriptions
-	if reg := cfg.Metrics; reg != nil {
-		h.mMarks = reg.Counter("subscribe_rescore_marks_total", "Dirty marks delivered to subscription groups by batch effects.")
-		h.mCoalesced = reg.Counter("subscribe_rescores_coalesced_total", "Dirty marks absorbed by an already-queued group (re-scores saved).")
-		h.mRescores = reg.Counter("subscribe_rescores_total", "Standing-query re-score executions.")
-		h.mSuppressed = reg.Counter("subscribe_pushes_suppressed_total", "Re-scores per subscription whose top-k was unchanged (no event pushed).")
-		h.mFailures = reg.Counter("subscribe_rescore_failures_total", "Failed re-score executions (group re-queued).")
-		h.mPushed = reg.Counter("subscribe_events_pushed_total", "Delta events appended to subscription event rings.")
-		h.mDropped = reg.Counter("subscribe_dropped_slow_consumers_total", "Consumers disconnected after lapsing behind the event ring.")
-		h.mPushLat = reg.Histogram("subscribe_push_latency_seconds", "Latency from ingest accept to delta availability in the event ring.", nil)
-		reg.GaugeFunc("subscribe_active_subscriptions", "Live standing queries.",
-			func() float64 { return float64(h.Stats().Active) })
-		reg.GaugeFunc("subscribe_dirty_groups", "Subscription groups queued for re-scoring.",
-			func() float64 { return float64(h.Stats().DirtyQueue) })
+	reg := cfg.Metrics
+	for _, c := range []struct {
+		name, help string
+		get        func(client.SubscriptionStats) uint64
+	}{
+		{"subscribe_rescore_marks_total", "Dirty marks delivered to subscription groups by batch effects.", func(s client.SubscriptionStats) uint64 { return s.RescoreMarks }},
+		{"subscribe_rescores_coalesced_total", "Dirty marks absorbed by an already-queued group (re-scores saved).", func(s client.SubscriptionStats) uint64 { return s.RescoresCoalesced }},
+		{"subscribe_rescores_total", "Standing-query re-score executions.", func(s client.SubscriptionStats) uint64 { return s.Rescores }},
+		{"subscribe_pushes_suppressed_total", "Re-scores per subscription whose top-k was unchanged (no event pushed).", func(s client.SubscriptionStats) uint64 { return s.PushesSuppressed }},
+		{"subscribe_rescore_failures_total", "Failed re-score executions (group re-queued).", func(s client.SubscriptionStats) uint64 { return s.RescoreFailures }},
+		{"subscribe_events_pushed_total", "Delta events appended to subscription event rings.", func(s client.SubscriptionStats) uint64 { return s.EventsPushed }},
+		{"subscribe_dropped_slow_consumers_total", "Consumers disconnected after lapsing behind the event ring.", func(s client.SubscriptionStats) uint64 { return s.DroppedSlowConsumers }},
+	} {
+		reg.CounterFunc(c.name, c.help, func() uint64 { return c.get(h.Stats()) })
 	}
+	reg.GaugeFunc("subscribe_active_subscriptions", "Live standing queries.",
+		func() float64 { return float64(h.Stats().Active) })
+	reg.GaugeFunc("subscribe_dirty_groups", "Subscription groups queued for re-scoring.",
+		func() float64 { return float64(h.Stats().DirtyQueue) })
 	go h.worker()
 	return h
 }
@@ -389,9 +389,6 @@ func compareKeys(a, b Key) int {
 // many batches land first). Caller holds mu.
 func (h *Hub) markDirtyLocked(g *group, epoch uint64, ingestNs int64) {
 	h.stats.RescoreMarks++
-	if h.mMarks != nil {
-		h.mMarks.Inc()
-	}
 	if epoch > g.epoch {
 		g.epoch = epoch
 	}
@@ -400,9 +397,6 @@ func (h *Hub) markDirtyLocked(g *group, epoch uint64, ingestNs int64) {
 	}
 	if g.pending {
 		h.stats.RescoresCoalesced++
-		if h.mCoalesced != nil {
-			h.mCoalesced.Inc()
-		}
 		return
 	}
 	g.pending = true
@@ -490,9 +484,6 @@ func (h *Hub) rescore(it takeItem) error {
 	if err != nil {
 		h.mu.Lock()
 		h.stats.RescoreFailures++
-		if h.mFailures != nil {
-			h.mFailures.Inc()
-		}
 		// Re-queue so the state is retried; the worker's backoff paces
 		// the retries.
 		if len(g.subs) > 0 {
@@ -518,9 +509,6 @@ func (h *Hub) rescore(it takeItem) error {
 		return nil
 	}
 	h.stats.Rescores++
-	if h.mRescores != nil {
-		h.mRescores.Inc()
-	}
 	if len(g.subs) == 0 {
 		// Every member unsubscribed mid-compute; the group is gone.
 		return nil
@@ -534,9 +522,6 @@ func (h *Hub) rescore(it takeItem) error {
 		ev, changed := diffEvent(s.last, top, res.Degraded, it, s.seq+1, s.last == nil)
 		if !changed {
 			h.stats.PushesSuppressed++
-			if h.mSuppressed != nil {
-				h.mSuppressed.Inc()
-			}
 			continue
 		}
 		s.seq = ev.Seq
@@ -548,10 +533,7 @@ func (h *Hub) rescore(it takeItem) error {
 		close(s.notify)
 		s.notify = make(chan struct{})
 		h.stats.EventsPushed++
-		if h.mPushed != nil {
-			h.mPushed.Inc()
-		}
-		if lat >= 0 && h.mPushLat != nil {
+		if lat >= 0 {
 			h.mPushLat.Observe(lat)
 		}
 	}
@@ -628,9 +610,6 @@ func (h *Hub) EventsSince(id string, after uint64, resync bool) ([]client.Event,
 	if len(s.events) > 0 && after+1 < oldest {
 		if !resync {
 			h.stats.DroppedSlowConsumers++
-			if h.mDropped != nil {
-				h.mDropped.Inc()
-			}
 			return nil, nil, ErrLapsed
 		}
 		ev := client.Event{Seq: s.seq, Epoch: h.epoch, Reset: true, Top: s.last}
