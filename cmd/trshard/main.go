@@ -1,13 +1,14 @@
 // Command trshard runs one partition worker of the sharded deployment:
-// it owns one partition of the node set — preprocessing and serving the
-// landmark lists of exactly the landmarks that fall on its partition —
-// and answers partial-score RPCs that a router-mode trserver merges into
-// exact recommendations (Proposition 2/4 composition).
+// it owns the candidate nodes whose id mod -shards is -shard, keeps every
+// landmark's list entries for those candidates only, and answers
+// partial-score RPCs that a router-mode trserver merges into exact
+// recommendations (Proposition 2/4 composition).
 //
 // Every worker must be started with the same dataset flags (-nodes and
 // -seed, or -snapshot), the same -landmarks/-store-topn/-depth and the same
-// -shards/-partitioner/-part-seed so all workers derive the identical
-// landmark set and node assignment; they differ only in -shard.
+// -shards so all workers derive the identical landmark set and node
+// ownership; they differ only in -shard. The router checks every partial's
+// shard index and partition count against its own -shards wiring.
 //
 //	trshard -shard 0 -shards 4 -addr :7070 &
 //	trshard -shard 1 -shards 4 -addr :7071 &
@@ -40,10 +41,8 @@ func main() {
 		nodes       = flag.Int("nodes", 8000, "accounts in the generated graph (ignored with -snapshot)")
 		seed        = flag.Uint64("seed", 1, "dataset seed")
 		snapPath    = flag.String("snapshot", "", "mmap a TRG2 snapshot written by trgen -save-snapshot instead of generating (zero-copy cold start; same file on every worker)")
-		shard       = flag.Int("shard", 0, "this worker's partition index in [0, shards)")
+		shard       = flag.Int("shard", 0, "this worker's partition index in [0, shards): it owns the nodes whose id mod shards is shard")
 		shards      = flag.Int("shards", 1, "total partition count of the deployment")
-		partitioner = flag.String("partitioner", "conn", "node partitioner: hash, conn")
-		partSeed    = flag.Uint64("part-seed", 1, "seed of the connectivity partitioner")
 		landmarkN   = flag.Int("landmarks", 30, "landmark count of the whole deployment (In-Deg selection)")
 		topN        = flag.Int("store-topn", 500, "recommendations kept per landmark per topic")
 		depth       = flag.Int("depth", 2, "query-time exploration depth")
@@ -79,22 +78,12 @@ func main() {
 		sim = ds.Sim
 	}
 
-	// The partition: every worker computes the same assignment from the
-	// same flags, so node ownership is a pure function of the deployment
-	// configuration — nothing has to be exchanged.
-	var assign distrib.Assignment
-	switch *partitioner {
-	case "hash":
-		assign = distrib.HashPartition(g, *shards)
-	case "conn":
-		assign = distrib.ConnectivityPartition(g, *shards, *partSeed)
-	default:
-		log.Fatalf("unknown partitioner %q (hash, conn)", *partitioner)
-	}
+	// Node ownership is id mod -shards: a function of the shard count
+	// alone, which the router checks on every partial.
+	assign := distrib.HashPartition(g, *shards)
 
 	// The full landmark set (selection is deterministic, identical on
-	// every worker); this worker preprocesses and stores only the owned
-	// ones but prunes explorations at all of them.
+	// every worker): explorations prune at all of them.
 	lms, err := landmark.Select(g, landmark.InDeg, *landmarkN, landmark.DefaultSelectConfig())
 	if err != nil {
 		log.Fatal(err)

@@ -27,11 +27,10 @@
 //
 // By the score composition property (Proposition 2, and Proposition 4 for
 // landmark lists), the per-worker folds together reproduce the
-// single-machine score of every candidate; Merge sums them (a disjoint
-// union here, but the sum also tolerates landmark-partitioned inputs).
-// The only approximation in the whole pipeline is the one the single
-// machine already makes (truncated landmark lists) — the scatter/gather
-// itself is exact, which the differential tests pin down.
+// single-machine score of every candidate; Merge takes the top-n of their
+// disjoint union. The only approximation in the whole pipeline is the one
+// the single machine already makes (truncated landmark lists) — the
+// scatter/gather itself is exact, which the differential tests pin down.
 package distrib
 
 import (
@@ -52,24 +51,18 @@ type PartialEntry struct {
 }
 
 // Shard is one partition worker's query state: the full-topology engine,
-// the candidate-filtered view of the landmark store, and the two
-// membership predicates — Prune must know every landmark of the
-// deployment (the exploration prunes at all of them, Algorithm 2), and
-// Owns marks the candidate partition this worker scores.
+// the candidate-filtered view of the landmark store and the candidates
+// this worker owns.
 type Shard struct {
 	// Eng scores over the full graph; it is immutable and safe for
 	// concurrent Partial calls.
 	Eng *core.Engine
 	// Store holds every landmark's inverted lists filtered to this
 	// partition's candidates (landmark.Store.SubsetNodes of the full
-	// store).
+	// store). It holds every landmark of the deployment, so
+	// Store.Contains is the exploration's pruning test on every worker,
+	// identical to the single-machine one (Algorithm 2).
 	Store *landmark.Store
-	// Prune reports whether a node is a landmark of the deployment —
-	// owned or not — so the exploration is pruned identically on every
-	// worker (and identically to the single-machine computation).
-	Prune func(graph.NodeID) bool
-	// Owns reports whether this partition owns a node.
-	Owns func(graph.NodeID) bool
 	// Depth is the query-time exploration bound (paper: 2).
 	Depth int
 
@@ -127,18 +120,10 @@ func NewShard(eng *core.Engine, store *landmark.Store, assign Assignment, part i
 	}
 	// The store covers exactly the deployment's landmarks, so its
 	// node-indexed lookups are the exploration's pruning test and the
-	// fold's landmark lookup. Owns is a flat table read too.
-	n := eng.Graph().NumNodes()
-	of := assign.Of
-	s := &Shard{
-		Eng:   eng,
-		Store: store,
-		Prune: store.Contains,
-		Owns:  func(v graph.NodeID) bool { return of[v] == part },
-		Depth: depth,
-	}
-	for v := 0; v < n; v++ {
-		if of[v] == part {
+	// fold's landmark lookup.
+	s := &Shard{Eng: eng, Store: store, Depth: depth}
+	for v, p := range assign.Of {
+		if p == part {
 			s.ownedList = append(s.ownedList, graph.NodeID(v))
 		}
 	}
@@ -173,7 +158,7 @@ func (s *Shard) PartialAppend(u graph.NodeID, t topics.ID, buf []PartialEntry) [
 	defer pool.Put(scr)
 	x := s.Eng.ExploreOpts(u, []topics.ID{t}, core.ExploreOptions{
 		MaxDepth: s.Depth,
-		Stop:     s.Prune,
+		Stop:     s.Store.Contains,
 		Scratch:  scr,
 	})
 
@@ -211,27 +196,22 @@ func (s *Shard) PartialAppend(u graph.NodeID, t topics.ID, buf []PartialEntry) [
 	return out
 }
 
-// Merge sums per-worker partials into the top-n recommendation list — the
-// Proposition 2 composition that makes the scatter/gather exact. With
-// candidate-partitioned workers the partials are disjoint and the sum is
-// a concatenation, but the merge stays a sum so any additive split of
-// the score terms gathers correctly. Lists must be passed in worker
-// order (and each worker emits node-sorted entries), so the float
-// accumulation order — and with it any near-tie ranking — is
-// reproducible. A nil list (a worker that missed its deadline) simply
-// contributes nothing: the surviving candidates keep their exact scores,
-// and only the dead worker's candidates go missing from the ranking.
+// Merge gathers per-worker partials into the top-n recommendation list —
+// the Proposition 2 composition that makes the scatter/gather exact.
+// Candidate-partitioned partials are disjoint and each candidate is
+// scored in full on its owner, so every entry goes straight into the
+// top-n selection; ranking's strict order (score, then node id) makes the
+// result independent of the order the entries arrive in. A nil list (a
+// worker that missed its deadline) simply contributes nothing: the
+// surviving candidates keep their exact scores, and only the dead
+// worker's candidates go missing from the ranking.
 func Merge(partials [][]PartialEntry, u graph.NodeID, n int) []ranking.Scored {
-	total := make(map[graph.NodeID]float64)
+	top := ranking.NewTopN(n)
 	for _, list := range partials {
 		for _, e := range list {
-			total[e.Node] += e.Score
-		}
-	}
-	top := ranking.NewTopN(n)
-	for v, sc := range total {
-		if v != u && sc > 0 {
-			top.Insert(v, sc)
+			if e.Node != u && e.Score > 0 {
+				top.Insert(e.Node, e.Score)
+			}
 		}
 	}
 	return top.List()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -14,12 +15,15 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/landmark"
+	"repro/internal/ranking"
 	"repro/internal/topics"
 )
 
 // The acceptance gate of the sharded tier: merged partials must reproduce
 // the single-machine landmark ranking bit for bit — the same node and the
-// same score at every rank — for every shard count and both partitioners.
+// same score at every rank — for every shard count, under the id mod P
+// ownership trshard deploys and under a seeded random one that is skewed
+// (partition 0 owns about half the nodes) and follows no id pattern.
 // This is Proposition 2/4 composition at work: each additive score term is
 // folded by exactly one owner, after the same exploration and in the same
 // order as landmark.Approx.
@@ -33,7 +37,16 @@ func TestScatterGatherMatchesSingleMachine(t *testing.T) {
 
 	partitioners := map[string]func(parts int) Assignment{
 		"hash": func(parts int) Assignment { return HashPartition(ds.Graph, parts) },
-		"conn": func(parts int) Assignment { return ConnectivityPartition(ds.Graph, parts, 5) },
+		"skewed": func(parts int) Assignment {
+			r := rand.New(rand.NewPCG(5, uint64(parts)))
+			a := Assignment{Of: make([]int, ds.Graph.NumNodes()), Parts: parts}
+			for u := range a.Of {
+				if p := r.IntN(2*parts - 1); p < parts {
+					a.Of[u] = p
+				}
+			}
+			return a
+		},
 	}
 	for name, mk := range partitioners {
 		for _, parts := range []int{1, 2, 4} {
@@ -140,6 +153,35 @@ func TestNewShardRejectsBadStores(t *testing.T) {
 	}
 }
 
+// Merge on hand-built partials: a tie across shards ranks the lower node
+// id first whatever the shard order, the query node and non-positive
+// scores never rank, a nil partial (a timed-out worker) contributes
+// nothing, and the list stops at n.
+func TestMergeKnownPartials(t *testing.T) {
+	const u = 7
+	partials := [][]PartialEntry{
+		{{Node: 4, Score: 0.5}, {Node: 9, Score: 0.25}, {Node: 12, Score: 0}},
+		nil,
+		{{Node: 3, Score: 0.5}, {Node: u, Score: 0.9}, {Node: 8, Score: 0.75}, {Node: 10, Score: -1}},
+	}
+	want := []ranking.Scored{{Node: 8, Score: 0.75}, {Node: 3, Score: 0.5}, {Node: 4, Score: 0.5}, {Node: 9, Score: 0.25}}
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+		in := make([][]PartialEntry, len(order))
+		for i, p := range order {
+			in[i] = partials[p]
+		}
+		if got := Merge(in, u, 10); !slices.Equal(got, want) {
+			t.Errorf("shard order %v: %v, want %v", order, got, want)
+		}
+		if got := Merge(in, u, 2); !slices.Equal(got, want[:2]) {
+			t.Errorf("shard order %v, n=2: %v, want %v", order, got, want[:2])
+		}
+	}
+	if got := Merge([][]PartialEntry{nil, nil}, u, 10); len(got) != 0 {
+		t.Errorf("all shards timed out: %v, want no results", got)
+	}
+}
+
 func TestPartialWireRoundTrip(t *testing.T) {
 	in := &PartialResponse{
 		Shard: 2,
@@ -234,7 +276,7 @@ func FuzzDecodePartial(f *testing.F) {
 // the in-process Partial computes, and reject malformed queries.
 func TestShardServerHTTP(t *testing.T) {
 	eng, store, ds := setup(t, 8)
-	assign := ConnectivityPartition(ds.Graph, 2, 3)
+	assign := HashPartition(ds.Graph, 2)
 	sub := store.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == 0 })
 	sh, err := NewShard(eng, sub, assign, 0, store.Landmarks(), 2)
 	if err != nil {

@@ -2,9 +2,10 @@
 // and debuggable, so it is JSON; the response is a partial score list that
 // can run to thousands of entries per query, so it is a fixed-layout
 // little-endian binary frame — the gather side decodes it with two slice
-// reads per entry and no reflection. Truncating the list here would break
-// the exactness of the Proposition 2 merge, so every positive-score entry
-// is shipped.
+// reads per entry and no reflection. Every positive-score entry is
+// shipped today. Partials are disjoint and each candidate is scored in
+// full on its owner, so a worker could ship only its local top-n and the
+// merge would stay exact; that change (ROADMAP item 18) is not made yet.
 package distrib
 
 import (

@@ -111,30 +111,23 @@ func (d *DynamicResult) String() string {
 
 // DistribResult reports the partitioned-deployment experiment (the
 // paper's second future-work direction) on the serving tier cmd/trshard
-// runs: per partitioning scheme, the cut, the partial-response bytes one
+// runs, under its id mod P ownership: the partial-response bytes one
 // query ships to the router and how evenly the shards share the scoring.
 type DistribResult struct {
 	Parts   int
 	Queries int
-	Rows    []DistribRow
-}
-
-// DistribRow is one partitioning scheme's bill.
-type DistribRow struct {
-	Scheme      string
-	CutEdges    int
-	CutFraction float64
 	// BytesPerQuery is the encoded partial responses of all shards
 	// (distrib.EncodePartial), averaged over the sampled queries.
 	BytesPerQuery float64
-	// MaxShardShare is the largest shard's share of all partial entries.
+	// MaxShardShare is the largest shard's share of all partial entries
+	// (ideal 1/Parts): a gather waits for its most loaded shard.
 	MaxShardShare float64
 }
 
-// ExtDistrib compares partitioning schemes on the shard tier: one
-// distrib.Shard per partition, every sampled query answered by the
-// shards' partials and distrib.Merge. It fails unless every merged
-// ranking equals the single-process landmark.Approx one.
+// ExtDistrib runs the shard tier in process: one distrib.Shard per
+// partition, every sampled query answered by the shards' partials and
+// distrib.Merge. It fails unless every merged ranking equals the
+// single-process landmark.Approx one.
 func (r *Runner) ExtDistrib() (*DistribResult, error) {
 	tw, err := r.TwitterDataset()
 	if err != nil {
@@ -155,67 +148,49 @@ func (r *Runner) ExtDistrib() (*DistribResult, error) {
 	}
 
 	const parts = 8
-	res := &DistribResult{Parts: parts}
-	schemes := []struct {
-		name   string
-		assign distrib.Assignment
-	}{
-		{"hash", distrib.HashPartition(tw.Graph, parts)},
-		{"connectivity", distrib.ConnectivityPartition(tw.Graph, parts, r.cfg.Seed)},
+	assign := distrib.HashPartition(tw.Graph, parts)
+	shards := make([]*distrib.Shard, parts)
+	for p := range shards {
+		sub := store.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == p })
+		if shards[p], err = distrib.NewShard(eng, sub, assign, p, lms, r.cfg.ApproxDepth); err != nil {
+			return nil, err
+		}
 	}
-	for _, s := range schemes {
-		shards := make([]*distrib.Shard, parts)
-		for p := range shards {
-			sub := store.SubsetNodes(func(v graph.NodeID) bool { return s.assign.Of[v] == p })
-			if shards[p], err = distrib.NewShard(eng, sub, s.assign, p, lms, r.cfg.ApproxDepth); err != nil {
-				return nil, err
-			}
+	partials := make([][]distrib.PartialEntry, parts)
+	entries := make([]int, parts)
+	bytes, total, queries := 0, 0, 0
+	for u := 0; u < tw.Graph.NumNodes() && queries < r.cfg.QueryNodes; u += 97 {
+		uid := graph.NodeID(u)
+		if tw.Graph.OutDegree(uid) < 3 {
+			continue
 		}
-		partials := make([][]distrib.PartialEntry, parts)
-		entries := make([]int, parts)
-		bytes, total, queries := 0, 0, 0
-		for u := 0; u < tw.Graph.NumNodes() && queries < r.cfg.QueryNodes; u += 97 {
-			uid := graph.NodeID(u)
-			if tw.Graph.OutDegree(uid) < 3 {
-				continue
-			}
-			t := topics.ID(u % tw.Vocabulary().Len())
-			for p, sh := range shards {
-				partials[p] = sh.PartialAppend(uid, t, partials[p])
-				entries[p] += len(partials[p])
-				total += len(partials[p])
-				bytes += len(distrib.EncodePartial(&distrib.PartialResponse{Shard: p, Parts: parts, Entries: partials[p]}))
-			}
-			got, want := distrib.Merge(partials, uid, 100), ap.Recommend(uid, t, 100)
-			if !slices.Equal(got, want) {
-				return nil, fmt.Errorf("ext-distrib: %s merge for user %d topic %d differs from the single-process ranking", s.name, u, t)
-			}
-			queries++
+		t := topics.ID(u % tw.Vocabulary().Len())
+		for p, sh := range shards {
+			partials[p] = sh.PartialAppend(uid, t, partials[p])
+			entries[p] += len(partials[p])
+			total += len(partials[p])
+			bytes += len(distrib.EncodePartial(&distrib.PartialResponse{Shard: p, Parts: parts, Entries: partials[p]}))
 		}
-		if queries == 0 {
-			return nil, fmt.Errorf("ext-distrib: no query nodes")
+		got, want := distrib.Merge(partials, uid, 100), ap.Recommend(uid, t, 100)
+		if !slices.Equal(got, want) {
+			return nil, fmt.Errorf("ext-distrib: merge for user %d topic %d differs from the single-process ranking", u, t)
 		}
-		res.Queries = queries
-		cut := distrib.CutEdges(tw.Graph, s.assign)
-		res.Rows = append(res.Rows, DistribRow{
-			Scheme:        s.name,
-			CutEdges:      cut,
-			CutFraction:   float64(cut) / float64(tw.Graph.NumEdges()),
-			BytesPerQuery: float64(bytes) / float64(queries),
-			MaxShardShare: float64(slices.Max(entries)) / float64(max(1, total)),
-		})
+		queries++
 	}
-	return res, nil
+	if queries == 0 {
+		return nil, fmt.Errorf("ext-distrib: no query nodes")
+	}
+	return &DistribResult{
+		Parts:         parts,
+		Queries:       queries,
+		BytesPerQuery: float64(bytes) / float64(queries),
+		MaxShardShare: float64(slices.Max(entries)) / float64(max(1, total)),
+	}, nil
 }
 
-// String renders the scheme comparison.
+// String renders the shard tier's bill.
 func (d *DistribResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "partitions: %d, queries: %d (merged rankings equal the single-process ones)\n", d.Parts, d.Queries)
-	fmt.Fprintf(&b, "%-14s %10s %8s %14s %12s\n", "Scheme", "cut-edges", "cut-%", "bytes/query", "max-shard-%")
-	for _, row := range d.Rows {
-		fmt.Fprintf(&b, "%-14s %10d %7.1f%% %14.0f %11.1f%%\n",
-			row.Scheme, row.CutEdges, row.CutFraction*100, row.BytesPerQuery, row.MaxShardShare*100)
-	}
-	return b.String()
+	return fmt.Sprintf("partitions: %d (id mod P), queries: %d (merged rankings equal the single-process ones)\n"+
+		"bytes/query: %.0f, largest shard: %.1f%% of the partial entries (ideal %.1f%%)\n",
+		d.Parts, d.Queries, d.BytesPerQuery, d.MaxShardShare*100, 100/float64(d.Parts))
 }

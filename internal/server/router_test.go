@@ -34,7 +34,7 @@ func shardTier(t *testing.T, ds *gen.Dataset, parts int, cfg distrib.ShardServer
 		t.Fatal(err)
 	}
 	store, _ := landmark.Preprocess(eng, lms, landmark.PreprocessConfig{TopN: 100})
-	assign := distrib.ConnectivityPartition(ds.Graph, parts, 3)
+	assign := distrib.HashPartition(ds.Graph, parts)
 	groups := make([][]string, parts)
 	for p := 0; p < parts; p++ {
 		sub := store.SubsetNodes(func(v graph.NodeID) bool { return assign.Of[v] == p })

@@ -272,36 +272,47 @@ func (s *Server) onBatchEffect(fx dynamic.BatchEffect) {
 	s.hub.OnBatch(fx)
 }
 
-// hubCompute answers one standing-query re-score through the same path a
-// live request takes — degradation decision, result cache, coalesced
-// admission-gated compute — so a re-score and a concurrent identical
+// hubCompute answers one standing-query re-score through answer, the
+// path a live request takes, so a re-score and a concurrent identical
 // GET /v1/recommend share one execution and return identical rankings.
 func (s *Server) hubCompute(ctx context.Context, k subscribe.Key) (subscribe.Result, error) {
-	key := cacheKey{user: k.User, topic: k.Topic, n: k.N, method: k.Method}
 	ctx, cancel := s.requestCtx(ctx)
 	defer cancel()
+	res, _, err := s.answer(ctx, cacheKey{user: k.User, topic: k.Topic, n: k.N, method: k.Method})
+	return subscribe.Result{Scored: res.scored, Degraded: res.degraded}, err
+}
+
+// answer runs one validated query through the load-managed path:
+// degradation decision, result cache, then the coalesced,
+// admission-gated computation. source says which of the three answered:
+// "hit", "coalesced" or "miss".
+func (s *Server) answer(ctx context.Context, key cacheKey) (computed, string, error) {
 	effKey := key
 	degraded := false
 	if key.method == "tr" && s.shouldDegrade(ctx) {
+		// The landmark approximation answers instead; computing (and
+		// caching) under the landmark key means degraded queries and
+		// plain landmark queries share work in both directions.
 		effKey.method = "landmark"
 		degraded = true
 	}
 	if scored, ok := s.cache.get(effKey); ok {
 		s.cacheHits.Inc()
-		return subscribe.Result{Scored: scored, Degraded: degraded}, nil
+		return computed{scored: scored, degraded: degraded}, "hit", nil
 	}
 	res, shared, err := s.flight.do(ctx, effKey, func() (computed, error) {
 		return s.compute(ctx, effKey)
 	})
 	if err != nil {
-		return subscribe.Result{}, err
+		return computed{}, "", err
 	}
+	res.degraded = degraded || res.degraded
 	if shared {
 		s.coalesceHits.Inc()
-	} else {
-		s.cacheMisses.Inc()
+		return res, "coalesced", nil
 	}
-	return subscribe.Result{Scored: res.scored, Degraded: degraded || res.degraded}, nil
+	s.cacheMisses.Inc()
+	return res, "miss", nil
 }
 
 // Metrics returns the server's registry (for sharing with other
@@ -520,49 +531,18 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }
 
-// serveRecommend answers one validated query through the load-managed
-// path: degradation decision, result cache, then the coalesced,
-// admission-gated computation.
+// serveRecommend answers one validated HTTP query through answer and
+// builds its response.
 func (s *Server) serveRecommend(ctx context.Context, key cacheKey) (*client.RecommendResponse, *httpError) {
 	start := time.Now()
-	effKey := key
-	degraded := false
-	if key.method == "tr" && s.shouldDegrade(ctx) {
-		// The landmark approximation answers instead; computing (and
-		// caching) under the landmark key means degraded queries and
-		// plain landmark queries share work in both directions.
-		effKey.method = "landmark"
-		degraded = true
+	res, source, err := s.answer(ctx, key)
+	if err != nil {
+		return nil, s.computeError(key.method, err)
 	}
-
-	scored, cached := s.cache.get(effKey)
-	source := "hit"
-	if cached {
-		s.cacheHits.Inc()
-	} else {
-		var shared bool
-		var err error
-		var res computed
-		res, shared, err = s.flight.do(ctx, effKey, func() (computed, error) {
-			return s.compute(ctx, effKey)
-		})
-		if err != nil {
-			return nil, s.computeError(key.method, err)
-		}
-		scored = res.scored
-		degraded = degraded || res.degraded
-		if shared {
-			source = "coalesced"
-			s.coalesceHits.Inc()
-		} else {
-			source = "miss"
-			s.cacheMisses.Inc()
-		}
-	}
-	if degraded {
-		// Counted here — on a successfully served degraded answer — not at
-		// decision time, so requests that are subsequently shed or time out
-		// don't inflate the series.
+	if res.degraded {
+		// Counted here — on a successfully served degraded HTTP answer —
+		// not at decision time, so requests that are subsequently shed or
+		// time out, and standing-query re-scores, don't inflate the series.
 		s.degradedReqs.Inc()
 	}
 
@@ -570,11 +550,11 @@ func (s *Server) serveRecommend(ctx context.Context, key cacheKey) (*client.Reco
 	resp := &client.RecommendResponse{
 		Method:   key.method,
 		Topic:    s.vocab.Name(key.topic),
-		Degraded: degraded,
+		Degraded: res.degraded,
 		Cache:    source,
 		TookUS:   time.Since(start).Microseconds(),
 	}
-	for _, sc := range scored {
+	for _, sc := range res.scored {
 		resp.Results = append(resp.Results, client.Recommendation{
 			User:    uint32(sc.Node),
 			Score:   sc.Score,
